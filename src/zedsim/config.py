@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+import math
+from dataclasses import dataclass, replace
+from typing import Dict, List, Tuple
 
 from .energy import (
     CapacitorSpec,
@@ -26,7 +27,6 @@ from .errors import ConfigError
 from .policy import Thresholds
 from .scheduler import (
     GATING_MOSFET,
-    GATINGS,
     VARIANT_BASELINE,
     VARIANT_POLICY_I,
     VARIANTS,
@@ -93,7 +93,6 @@ class DeviceConfig:
     thresholds: Thresholds
     schedule: ScheduleConfig
     converter_efficiency: float = 1.0
-    timestep_seconds: float = 1e-3
     idle_current_amps: float = 0.0
 
     @classmethod
@@ -180,8 +179,6 @@ class DeviceConfig:
         out = []
         if self.converter_efficiency <= 0 or self.converter_efficiency > 1:
             out.append("converter_efficiency: must be in (0, 1]")
-        if self.timestep_seconds <= 0:
-            out.append("timestep_seconds: must be positive")
         if self.idle_current_amps < 0:
             out.append("idle_current_amps: must be >= 0")
         for name in STAGE_NAMES:
@@ -228,7 +225,6 @@ class DeviceConfig:
                 "guard_delta_joules": self.schedule.guard_delta,
             },
             "converter_efficiency": self.converter_efficiency,
-            "timestep_seconds": self.timestep_seconds,
             "idle_current_amps": self.idle_current_amps,
         }
 
@@ -238,18 +234,24 @@ class DeviceConfig:
             raise ConfigError("config root must be a JSON object")
         known = {
             "capacitor", "stages", "thresholds", "schedule",
-            "converter_efficiency", "timestep_seconds", "idle_current_amps",
+            "converter_efficiency", "idle_current_amps",
         }
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
         cap_kw = dict(_DEFAULT_CAPACITOR)
-        cap_kw.update(_section(data, "capacitor", set(cap_kw)))
+        cap_kw.update(_numbers(_section(data, "capacitor", set(cap_kw)), "capacitor"))
         th_kw = dict(_DEFAULT_THRESHOLDS)
-        th_kw.update(_section(data, "thresholds", set(th_kw)))
+        th_kw.update(_numbers(_section(data, "thresholds", set(th_kw)), "thresholds"))
         sch_kw = dict(_DEFAULT_SCHEDULE)
-        sch_kw.update(_section(data, "schedule", set(sch_kw)))
+        sch_kw.update(_numbers(_section(data, "schedule", set(sch_kw)), "schedule"))
+        n_attempts = sch_kw["n_attempts"]
+        if not isinstance(n_attempts, int):
+            raise ConfigError(f"schedule.n_attempts: must be an integer, got {n_attempts!r}")
+        top = _numbers(
+            {k: data[k] for k in ("converter_efficiency", "idle_current_amps") if k in data}, ""
+        )
 
         stages = default_stages()
         explicit_escalation = False
@@ -259,6 +261,7 @@ class DeviceConfig:
             bad = set(entry) - {"current_amps", "duration_seconds", "supply_volts"}
             if bad:
                 raise ConfigError(f"stages.{name}: unknown keys {sorted(bad)}")
+            _numbers(entry, f"stages.{name}")
             base = stages[name]
             stages[name] = StageProfile(
                 name,
@@ -283,9 +286,8 @@ class DeviceConfig:
                 n_attempts=sch_kw["n_attempts"],
                 guard_delta=sch_kw["guard_delta_joules"],
             ),
-            converter_efficiency=data.get("converter_efficiency", 1.0),
-            timestep_seconds=data.get("timestep_seconds", 1e-3),
-            idle_current_amps=data.get("idle_current_amps", 0.0),
+            converter_efficiency=top.get("converter_efficiency", 1.0),
+            idle_current_amps=top.get("idle_current_amps", 0.0),
         )
 
     def with_capacitance(self, capacitance_farads: float) -> "DeviceConfig":
@@ -305,6 +307,19 @@ def _section(data: dict, key: str, allowed: set) -> dict:
     unknown = set(entry) - allowed
     if unknown:
         raise ConfigError(f"{key}: unknown keys {sorted(unknown)}")
+    return entry
+
+
+def _numbers(entry: dict, prefix: str) -> dict:
+    """``entry`` itself, once every value in it is a finite number."""
+    for key, value in entry.items():
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+        ):
+            name = f"{prefix}.{key}" if prefix else key
+            raise ConfigError(f"{name}: must be a finite number, got {value!r}")
     return entry
 
 

@@ -1,4 +1,4 @@
-"""Hysteretic supply-state machine and capacitor charge/discharge stepping.
+"""Hysteretic supply-state machine and the capacitor's closed-form dynamics.
 
 The supply classifies the capacitor voltage into four modes. Between the
 cutoff ``v_off`` and the turn-on ``v_on`` the mode is hysteretic: whether the
@@ -8,8 +8,21 @@ voltage touches ``v_off`` the outputs latch off and only a recovery through
 capacitor.
 
 Harvesting is modelled as a current source into the capacitor at its terminal
-voltage (charging power = i_h * v_c), so with no load the voltage rises
-linearly at i_h / C volts per second. There is no self-discharge.
+voltage (charging power = i * v), and a load draws a constant power P from
+the buffer, so between events C*v*dv/dt = i*v - P. There is no
+self-discharge. With a = i*v0 - P the time to move from v0 to v1 is
+
+    t = C*v0*dv/a + C*P*dv**2/a**2 * s(x),  dv = v1 - v0,  x = i*dv/a,
+    s(x) = (log1p(x) - x)/x**2,
+
+which is continuous as i -> 0 (v**2 falls linearly) and as P -> 0 (v rises
+linearly at i/C). The equilibrium v* = P/i is unstable, so the sign of ``a``
+fixes the direction of travel and the voltage moves monotonically until the
+next event. :func:`charge_time` evaluates this form and
+:func:`voltage_after` inverts it by bracketed Newton; the engine in
+:mod:`zedsim.sim` jumps from event to event with them. :func:`step`, one
+explicit-Euler step, is kept as the independent oracle the tests converge
+against.
 """
 
 from __future__ import annotations
@@ -17,7 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from .energy import CapacitorSpec
 from .errors import DomainError, SimulationFault
@@ -55,6 +70,26 @@ def mode_of(v_c: float, spec: CapacitorSpec, outputs_latched_on: bool) -> PmuMod
     return PmuMode.HYSTERESIS_ON if outputs_latched_on else PmuMode.HYSTERESIS_OFF
 
 
+# mode codes of mode_values, in the order its masks overwrite one another
+_MODE_VALUES = np.array(
+    [m.value for m in (PmuMode.HYSTERESIS_OFF, PmuMode.HYSTERESIS_ON, PmuMode.COLD_START,
+                       PmuMode.OPERATE, PmuMode.FULL)],
+    dtype=object,
+)
+
+
+def mode_values(v_c: np.ndarray, spec: CapacitorSpec, outputs_latched_on: np.ndarray) -> List[str]:
+    """:func:`mode_of` over arrays, as the shared ``PmuMode.value`` strings."""
+    bad = (v_c < 0) | (v_c > spec.v_max * (1.0 + _V_MAX_REL_TOL))
+    if bad.any():
+        raise DomainError(f"voltage {v_c[bad][0]} outside [0, {spec.v_max}]")
+    code = outputs_latched_on.astype(np.intp)
+    code[v_c <= spec.v_off] = 2
+    code[v_c >= spec.v_on] = 3
+    code[v_c >= spec.v_max * (1.0 - _V_MAX_REL_TOL)] = 4
+    return _MODE_VALUES[code].tolist()
+
+
 @dataclass(frozen=True)
 class HarvestProfile:
     """Piecewise-constant harvested current: (start time, amps) segments."""
@@ -67,6 +102,8 @@ class HarvestProfile:
             raise DomainError("profile needs matching, non-empty time and current lists")
         if self.times[0] != 0.0:
             raise DomainError("first segment must start at t=0")
+        if not all(math.isfinite(x) for x in (*self.times, *self.currents)):
+            raise DomainError("segment start times and currents must be finite")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise DomainError("segment start times must be strictly increasing")
         if any(i < 0 for i in self.currents):
@@ -79,6 +116,82 @@ class HarvestProfile:
     @classmethod
     def constant(cls, current_amps: float) -> "HarvestProfile":
         return cls((0.0,), (current_amps,))
+
+
+# s(x) = sum(_S_SERIES[k] * x**k) below |x| = _S_SERIES_BELOW, where the
+# direct form loses digits to cancellation; the first omitted term is ~x**8/10
+_S_SERIES = (-1 / 2, 1 / 3, -1 / 4, 1 / 5, -1 / 6, 1 / 7, -1 / 8, 1 / 9)
+_S_SERIES_BELOW = 1e-2
+_NEWTON_ITERATIONS = 60
+
+
+def _s_series(x):
+    acc = _S_SERIES[-1]
+    for coef in _S_SERIES[-2::-1]:
+        acc = coef + x * acc
+    return acc
+
+
+def charge_time(v0: float, v1: float, current: float, power: float, capacitance: float) -> float:
+    """Seconds the buffer takes to move from v0 to v1 under constant flows.
+
+    ``current`` is the harvested current, ``power`` the load's draw from the
+    buffer. The flows must move the voltage from v0 toward v1, so
+    i*v0 - P must be nonzero and have the sign of v1 - v0.
+    """
+    a = current * v0 - power
+    dv = v1 - v0
+    x = current * dv / a
+    s = _s_series(x) if abs(x) < _S_SERIES_BELOW else (math.log1p(x) - x) / (x * x)
+    return capacitance * dv * (v0 + power * dv * s / a) / a
+
+
+def voltage_after(
+    v0: float, bound: float, current: float, power: float, capacitance: float, dt: float
+) -> float:
+    """Voltage ``dt`` seconds after v0, for flows that move it toward ``bound``
+    without reaching it sooner.
+
+    Inverts :func:`charge_time` by Newton's method clipped to [v0, bound].
+    The time is concave in the voltage, so after at most one step the
+    iterates approach the root from one side.
+    """
+    lo, hi = (v0, bound) if v0 <= bound else (bound, v0)
+    v = min(max(math.sqrt(max(v0 * v0 + 2.0 * (current * v0 - power) * dt / capacitance, 0.0)),
+                lo), hi)
+    for _ in range(_NEWTON_ITERATIONS):
+        err = charge_time(v0, v, current, power, capacitance) - dt
+        nxt = min(max(v - err * (current * v - power) / (capacitance * v), lo), hi)
+        if abs(nxt - v) <= 1e-15 * v:
+            return nxt
+        v = nxt
+    return v
+
+
+def charge_times(v0, v1, current, power, capacitance: float) -> np.ndarray:
+    """:func:`charge_time` over arrays."""
+    a = current * v0 - power
+    dv = v1 - v0
+    x = current * dv / a
+    small = np.abs(x) < _S_SERIES_BELOW
+    xl = np.where(small, 1.0, x)
+    s = np.where(small, _s_series(x), (np.log1p(xl) - xl) / (xl * xl))
+    return capacitance * dv * (v0 + power * dv * s / a) / a
+
+
+def voltages_after(v0, bound, current, power, capacitance: float, dt) -> np.ndarray:
+    """:func:`voltage_after` over arrays."""
+    lo, hi = np.minimum(v0, bound), np.maximum(v0, bound)
+    v = np.clip(np.sqrt(np.maximum(v0 * v0 + 2.0 * (current * v0 - power) * dt / capacitance, 0.0)),
+                lo, hi)
+    for _ in range(_NEWTON_ITERATIONS):
+        err = charge_times(v0, v, current, power, capacitance) - dt
+        nxt = np.clip(v - err * (current * v - power) / (capacitance * v), lo, hi)
+        done = np.all(np.abs(nxt - v) <= 1e-15 * v)
+        v = nxt
+        if done:
+            break
+    return v
 
 
 def harvest_current_at(profile: HarvestProfile, t: float) -> float:
@@ -121,6 +234,9 @@ def step(
     efficiency: float = 1.0,
 ) -> EnergyState:
     """Advance the buffer by one explicit-Euler step of length ``dt``.
+
+    The simulator integrates exactly; this first-order step is the
+    independent oracle that converges to it as dt -> 0.
 
     New energy = clamp(E + (i_h*v_c - load/efficiency)*dt, [0, E_max]).
     Raises SimulationFault if a load is requested while the outputs are

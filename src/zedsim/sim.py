@@ -1,10 +1,21 @@
-"""Time-stepped simulation engine tying supply, scheduler and policy together.
+"""Event-driven simulation engine tying supply, scheduler and policy together.
+
+The engine integrates the capacitor exactly: between events the harvest
+current and the load power are constant, so each piece has a closed form
+(see :mod:`zedsim.pmu`) and the engine jumps from one event to the next.
+Events are harvest segment boundaries, stage ends, scheduler instants, and
+the voltage reaching v_off, v_on (while latched off) or v_max. The cost of a
+run therefore scales with its number of events, not with its horizon. The
+trajectory is sampled on first use, on the grid k*SAMPLE_INTERVAL, from the
+same closed forms.
 
 A run is strictly sequential and deterministic: given the same configuration,
 harvest profile and trace it reproduces bit-identical trajectories, window
-outcomes and totals. Energy bookkeeping is closed: initial buffer energy plus
-harvested energy equals final buffer energy plus load debits plus the energy
-discarded when the capacitor is pinned at its ceiling.
+outcomes and totals. Energy bookkeeping is closed by construction: each piece
+books consumed = P*dt and harvested = dE + P*dt (plus any clamp loss), or,
+with no harvest, consumed = -dE. So initial buffer energy plus harvested
+energy equals final buffer energy plus load debits plus the energy discarded
+while the capacitor is pinned at its ceiling.
 """
 
 from __future__ import annotations
@@ -12,17 +23,18 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .config import DeviceConfig, config_hash
-from .energy import state_energy
 from .errors import ConfigError, DomainError, SimulationFault
-from .pmu import HarvestProfile, PmuMode, mode_of
+from .pmu import HarvestProfile, charge_time, mode_values, voltage_after, voltages_after
 from .policy import ExitTaken, InferenceInstance
 from .scheduler import (
     GATING_MOSFET,
     GATINGS,
-    VARIANT_BASELINE,
     VARIANT_PROPOSED,
     VARIANTS,
     WindowOutcome,
@@ -30,7 +42,8 @@ from .scheduler import (
 )
 
 _T_EPS = 1e-12
-SAMPLE_INTERVAL = 0.01  # trajectory decimation, independent of the physics step
+SAMPLE_INTERVAL = 0.01  # trajectory grid spacing, in seconds
+_SAMPLES_PER_S = round(1.0 / SAMPLE_INTERVAL)  # grid times are k / this: exact decimals
 
 
 @dataclass(frozen=True)
@@ -44,6 +57,9 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         cap = self.device.capacitor
+        for name in ("initial_v", "horizon_seconds"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not cap.v_off <= self.initial_v <= cap.v_max:
             raise ConfigError(
                 f"initial_v={self.initial_v} outside [v_off={cap.v_off}, v_max={cap.v_max}]"
@@ -87,10 +103,16 @@ class SimTotals:
 @dataclass
 class SimResult:
     config: dict
-    trajectory: List[Tuple[float, float, str]]  # (time, v_c, mode)
     events: List[Tuple[float, str]]
     windows: List[WindowOutcome]
     totals: SimTotals
+    _engine: "_Engine" = field(repr=False, compare=False)
+
+    @cached_property
+    def trajectory(self) -> List[Tuple[float, float, str]]:
+        """(time, v_c, mode) samples, computed on first use: most callers
+        need only the totals."""
+        return self._engine.trajectory()
 
     @property
     def config_sha256(self) -> str:
@@ -98,17 +120,23 @@ class SimResult:
 
 
 class _Engine:
-    """Capacitor integrator and stage runner; the scheduler's clock."""
+    """Event-driven capacitor integrator and stage runner; the scheduler's clock.
+
+    Between events the harvest current and the load power are constant, so
+    each piece of the run is solved in closed form. A piece ends at the
+    earliest of: the requested time (a stage end or a scheduler instant), a
+    harvest segment boundary, the voltage reaching v_off (a power failure
+    inside a stage, or latch-off under idle draw), v_on while latched off
+    (which switches the idle draw on), or v_max (after which the buffer stays
+    pinned and the surplus is clamp loss). Every piece is recorded so the
+    trajectory can be sampled afterwards.
+    """
 
     def __init__(self, device: DeviceConfig, harvest: HarvestProfile, initial_v: float):
         cap = device.capacitor
         self._device = device
+        self._cap = cap
         self._c = cap.capacitance_farads
-        self._v_off = cap.v_off
-        self._v_on = cap.v_on
-        self._e_max = cap.energy_max
-        self._e_floor = cap.energy_floor
-        self._dt = device.timestep_seconds
         self._eta = device.converter_efficiency
         self._idle_draw = 0.0
         if device.idle_current_amps > 0:
@@ -117,21 +145,23 @@ class _Engine:
 
         self._t = 0.0
         self._v = initial_v
-        self._e = 0.5 * self._c * initial_v**2
-        self._enabled = initial_v >= self._v_on
+        self._e = self._energy(initial_v)
+        self._enabled = initial_v >= cap.v_on
 
-        self._seg_times = list(harvest.times)
-        self._seg_currents = list(harvest.currents)
+        self._seg_times = harvest.times
+        self._seg_currents = harvest.currents
         self._seg_k = 0
 
         self.harvested = 0.0
         self.consumed = 0.0
         self.clamp_loss = 0.0
-        self.floor_gain = 0.0
 
-        self.samples: List[Tuple[float, float, bool]] = [(0.0, self._v, self._enabled)]
-        self._next_sample = SAMPLE_INTERVAL
+        # per piece: start time, start and end voltage, current, power, latch
+        self._pieces: Tuple[list, ...] = ([], [], [], [], [], [])
         self.events: List[Tuple[float, str]] = []
+
+    def _energy(self, v: float) -> float:
+        return 0.5 * self._c * v**2
 
     @property
     def time(self) -> float:
@@ -142,6 +172,10 @@ class _Engine:
         return self._v
 
     @property
+    def stored_energy(self) -> float:
+        return self._e
+
+    @property
     def outputs_enabled(self) -> bool:
         return self._enabled
 
@@ -150,104 +184,108 @@ class _Engine:
         return self.consumed
 
     def usable_energy(self) -> float:
-        return max(0.0, self._e - self._e_floor)
+        return max(0.0, self._e - self._cap.energy_floor)
 
     def log_event(self, label: str) -> None:
         self.events.append((self._t, label))
 
     def advance_to(self, t_target: float) -> None:
         if t_target > self._t + _T_EPS:
-            self._advance(t_target - self._t, 0.0, execution=False, idle=True)
+            self._advance(t_target, None)
 
     def run_stage(self, name: str) -> bool:
-        """Run one pipeline stage; False if the voltage fell below cutoff."""
+        """Run one pipeline stage; False if the voltage fell to the cutoff."""
         prof = self._device.stage(name)
         p_load = prof.supply_volts * prof.current_amps
         if p_load > 0 and not self._enabled:
             raise SimulationFault(f"stage {name!r} requested at t={self._t} with outputs disabled")
         self.log_event("stage:" + name)
-        return not self._advance(prof.duration_seconds, p_load, execution=True, idle=False)
+        return not self._advance(self._t + prof.duration_seconds, p_load / self._eta)
 
-    def _advance(self, duration: float, p_load: float, execution: bool, idle: bool) -> bool:
-        if duration <= _T_EPS:
-            return False
-        t = self._t
-        end = t + duration
-        e = self._e
-        v = self._v
-        enabled = self._enabled
-        c = self._c
-        dt = self._dt
-        e_max = self._e_max
-        v_off = self._v_off
-        v_on = self._v_on
-        draw = p_load / self._eta
-        idle_draw = self._idle_draw
+    def _advance(self, end: float, draw: Optional[float]) -> bool:
+        """Move to ``end`` under a stage's ``draw``, or idle when it is None.
+
+        Returns True when a stage's voltage reached v_off, which stops it there.
+        """
+        cap = self._cap
         times = self._seg_times
-        currs = self._seg_currents
-        nseg = len(times)
-        k = self._seg_k
-        harvested = self.harvested
-        consumed = self.consumed
-        clamp_loss = self.clamp_loss
-        floor_gain = self.floor_gain
-        samples = self.samples
-        next_s = self._next_sample
-        sqrt = math.sqrt
-        failed = False
-
-        while end - t > _T_EPS:
-            while k + 1 < nseg and times[k + 1] <= t + _T_EPS:
+        while end - self._t > _T_EPS:
+            t, v = self._t, self._v
+            k = self._seg_k
+            while k + 1 < len(times) and times[k + 1] <= t + _T_EPS:
                 k += 1
-            step = end - t
-            if dt < step:
-                step = dt
-            if k + 1 < nseg:
-                gap = times[k + 1] - t
-                if gap < step:
-                    step = gap
-            d = (idle_draw if enabled else 0.0) if idle else draw
-            h_in = currs[k] * v * step
-            out = d * step
-            harvested += h_in
-            consumed += out
-            de = h_in - out
-            if de != 0.0:  # keep v bit-exact across zero-flow spans
-                e += de
-                if e > e_max:
-                    clamp_loss += e - e_max
-                    e = e_max
-                elif e < 0.0:
-                    floor_gain += -e
-                    e = 0.0
-                v = sqrt(2.0 * e / c)
-            t += step
-            if v >= v_on:
-                enabled = True
-            elif v <= v_off:
-                enabled = False
-            if t >= next_s - _T_EPS:
-                samples.append((t, v, enabled))
-                while next_s <= t + _T_EPS:
-                    next_s += SAMPLE_INTERVAL
-            if execution and v < v_off:
-                failed = True
-                break
+            self._seg_k = k
+            limit = times[k + 1] if k + 1 < len(times) and times[k + 1] < end else end
+            i = self._seg_currents[k]
+            p = (self._idle_draw if self._enabled else 0.0) if draw is None else draw
+            a = i * v - p
+            if a > 0 and v < cap.v_max:
+                bound = cap.v_max if self._enabled else cap.v_on
+            elif a < 0:
+                bound = cap.v_off
+            else:  # no net flow, or pinned at the ceiling
+                bound = v
+            hit = False
+            if bound == v:
+                v1, t1 = v, limit
+                clamp = max(a, 0.0) * (limit - t)
+            else:
+                clamp = 0.0
+                tau = charge_time(v, bound, i, p, self._c)
+                hit = tau <= limit - t
+                if hit:
+                    v1, t1 = bound, t + tau
+                else:
+                    v1, t1 = voltage_after(v, bound, i, p, self._c, limit - t), limit
+            self._piece(t, t1, v, v1, i, p, clamp)
+            if v1 >= cap.v_on:
+                self._enabled = True
+            elif v1 <= cap.v_off:
+                self._enabled = False
+            if hit and bound == cap.v_off and draw is not None:
+                return True
+        return False
 
-        self._t = t
-        self._e = e
-        self._v = v
-        self._enabled = enabled
-        self._seg_k = k
-        self.harvested = harvested
-        self.consumed = consumed
-        self.clamp_loss = clamp_loss
-        self.floor_gain = floor_gain
-        self._next_sample = next_s
-        return failed
+    def _piece(self, t: float, t1: float, v: float, v1: float, i: float, p: float,
+               clamp: float) -> None:
+        """Book one piece into the ledger and the trajectory record."""
+        dt = t1 - t
+        e1 = self._e if v1 == v else self._energy(v1)
+        if i == 0.0:  # the buffer alone feeds the load
+            self.consumed += self._e - e1
+        else:
+            self.harvested += e1 - self._e + p * dt + clamp
+            self.consumed += p * dt
+            self.clamp_loss += clamp
+        if dt > 0:
+            for column, value in zip(self._pieces, (t, v, v1, i, p, self._enabled)):
+                column.append(value)
+        self._t, self._v, self._e = t1, v1, e1
 
-    def snapshot_sample(self) -> None:
-        self.samples.append((self._t, self._v, self._enabled))
+    def trajectory(self) -> List[Tuple[float, float, str]]:
+        """(time, v_c, mode) on the grid k*SAMPLE_INTERVAL up to now, plus now
+        itself when the grid misses it."""
+        end = self._t
+        n = int(end * _SAMPLES_PER_S)
+        if (n + 1) / _SAMPLES_PER_S <= end:
+            n += 1
+        times = np.arange(n + 1) / _SAMPLES_PER_S
+        if times[-1] != end:
+            times = np.append(times, end)
+        # the current state closes the record as a piece of zero length
+        cols = [np.array(column + [value]) for column, value in
+                zip(self._pieces, (end, self._v, self._v, 0.0, 0.0, self._enabled))]
+        t0, v0, v1, cur, pw, latched = cols
+        j = np.searchsorted(t0, times, side="right") - 1
+        v = v0[j]
+        moving = np.flatnonzero(v1[j] != v)
+        if moving.size:
+            jm = j[moving]
+            v[moving] = voltages_after(
+                v0[jm], v1[jm], cur[jm], pw[jm], self._c, times[moving] - t0[jm]
+            )
+        modes = mode_values(v, self._cap, latched[j])
+        return list(zip(times.tolist(), v.tolist(), modes))
 
 
 def simulate(
@@ -264,7 +302,7 @@ def simulate(
         )
 
     engine = _Engine(device, harvest, cfg.initial_v)
-    initial_energy = 0.5 * device.capacitor.capacitance_farads * cfg.initial_v**2
+    initial_energy = engine.stored_energy
 
     windows: List[WindowOutcome] = []
     next_instance = 0
@@ -278,14 +316,9 @@ def simulate(
         windows.append(outcome)
         engine.advance_to((k + 1) * sched.window_seconds)
     engine.advance_to(cfg.horizon_seconds)
-    engine.snapshot_sample()
 
     totals = _aggregate(windows, engine, initial_energy, n_windows)
-    spec = device.capacitor
-    trajectory = [
-        (t, v, mode_of(v, spec, enabled).value) for t, v, enabled in engine.samples
-    ]
-    return SimResult(cfg.to_dict(), trajectory, engine.events, windows, totals)
+    return SimResult(cfg.to_dict(), engine.events, windows, totals, engine)
 
 
 def _aggregate(windows, engine, initial_energy, n_windows) -> SimTotals:
@@ -299,9 +332,9 @@ def _aggregate(windows, engine, initial_energy, n_windows) -> SimTotals:
         energy_consumed_j=engine.consumed,
         harvested_j=engine.harvested,
         clamp_loss_j=engine.clamp_loss,
-        floor_gain_j=engine.floor_gain,
+        floor_gain_j=0.0,  # the buffer never falls below v_off, let alone empties
         initial_energy_j=initial_energy,
-        final_energy_j=engine._e,
+        final_energy_j=engine.stored_energy,
         n_windows=n_windows,
         completed_pipelines=len(completed),
         deferred_windows=sum(w.deferred for w in windows),
@@ -331,11 +364,10 @@ class ReplayReport:
     """Outcome of re-running a result's inputs; truthy when they agree."""
 
     exact: bool
-    tolerant: bool = False
     detail: str = ""
 
     def __bool__(self) -> bool:
-        return self.exact or self.tolerant
+        return self.exact
 
 
 def replay_check(
@@ -344,24 +376,10 @@ def replay_check(
     harvest: HarvestProfile,
     trace: Sequence[InferenceInstance],
 ) -> ReplayReport:
-    """Re-simulate and compare against a previous result.
-
-    With an identical timestep the comparison is bit-for-bit over trajectory,
-    windows and totals. With a different timestep the run cannot match
-    sample-for-sample, so totals are compared at 0.1% relative instead and a
-    match is reported as tolerant.
-    """
-    fresh = simulate(cfg, harvest, trace)
-    original_dt = result.config["device"]["timestep_seconds"]
-    if cfg.device.timestep_seconds != original_dt:
-        detail = _compare_tolerant(result.totals, fresh.totals)
-        if detail is None:
-            return ReplayReport(exact=False, tolerant=True, detail="tolerant match (timestep differs)")
-        return ReplayReport(exact=False, tolerant=False, detail=detail)
-    detail = _compare_exact(result, fresh)
-    if detail is None:
-        return ReplayReport(exact=True)
-    return ReplayReport(exact=False, tolerant=False, detail=detail)
+    """Re-simulate and compare bit-for-bit over trajectory, windows, events
+    and totals against a previous result."""
+    detail = _compare_exact(result, simulate(cfg, harvest, trace))
+    return ReplayReport(exact=detail is None, detail=detail or "")
 
 
 def _compare_exact(a: SimResult, b: SimResult) -> Optional[str]:
@@ -380,22 +398,6 @@ def _compare_exact(a: SimResult, b: SimResult) -> Optional[str]:
                 return f"trajectory point differs: {pa} != {pb}"
     if a.events != b.events:
         return "event logs differ"
-    return None
-
-
-def _compare_tolerant(a: SimTotals, b: SimTotals) -> Optional[str]:
-    counts = (
-        "n_windows", "completed_pipelines", "deferred_windows",
-        "power_failures", "n_ex1", "n_ex2", "n_fallback",
-    )
-    for name in counts:
-        if getattr(a, name) != getattr(b, name):
-            return f"{name} differs: {getattr(a, name)} != {getattr(b, name)}"
-    for name in ("energy_consumed_j", "harvested_j", "final_energy_j"):
-        va, vb = getattr(a, name), getattr(b, name)
-        scale = max(abs(va), abs(vb), 1e-12)
-        if abs(va - vb) / scale > 1e-3:
-            return f"{name} differs beyond 0.1%: {va} vs {vb}"
     return None
 
 
@@ -453,16 +455,26 @@ TRAJECTORY_HEADER = ["time_s", "v_c", "mode", "event"]
 
 
 def write_trajectory_csv(result: SimResult, path) -> None:
-    """Samples and events merged chronologically; samples carry no event label."""
-    rows = [(t, v, mode, "") for t, v, mode in result.trajectory]
-    spec_rows = [(t, None, None, label) for t, label in result.events]
-    merged = sorted(rows + spec_rows, key=lambda r: (r[0], r[3] != ""))
+    """Samples and events merged chronologically; samples carry no event label.
+
+    Both lists are already in time order, so they are merged as they are
+    written; at equal times the sample comes first. Sample rows hold only
+    float reprs and mode names, which never need quoting, so they are
+    formatted directly, in the csv module's dialect.
+    """
+    events = result.events
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_sha256={result.config_sha256}\n")
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_HEADER)
-        for t, v, mode, label in merged:
-            writer.writerow([repr(t), "" if v is None else repr(v), mode or "", label])
+        j = 0
+        for t, v, mode in result.trajectory:
+            while j < len(events) and events[j][0] < t:
+                writer.writerow([repr(events[j][0]), "", "", events[j][1]])
+                j += 1
+            fh.write(f"{t!r},{v!r},{mode},\r\n")
+        for t, label in events[j:]:
+            writer.writerow([repr(t), "", "", label])
 
 
 def totals_text(result: SimResult) -> str:

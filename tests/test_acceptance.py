@@ -92,7 +92,7 @@ def test_criterion_3_inference_time_factor():
 def _expected_energy_per_policy(device, trace, n_windows):
     """Closed-form per-window energy oracle from the trace's exit pattern.
 
-    Independent of the time-stepped engine: sums stage energies per instance
+    Independent of the simulation engine: sums stage energies per instance
     assuming every window is admitted and every escalation is feasible, which
     holds for the criterion-4 setup (full buffer, horizon energy well inside
     the usable reserve).

@@ -94,6 +94,41 @@ class TestRun:
         assert "completed_pipelines=3" in text
 
 
+class TestRejectsMalformedInputs:
+    """Each malformed input is a clean error with exit status 2."""
+
+    def _run(self, tmp_path, trace_file, *extra):
+        return main(["run", "--trace", str(trace_file), "--out", str(tmp_path / "out"), *extra])
+
+    @pytest.mark.parametrize("rows", ["0.0,nan\n", "0.0,1.0\ninf,2.0\n"])
+    def test_non_finite_harvest_file(self, tmp_path, trace_file, capsys, rows):
+        harvest = tmp_path / "harvest.csv"
+        harvest.write_text("t_start_s,i_h_ma\n" + rows)
+        assert self._run(tmp_path, trace_file, "--harvest", str(harvest)) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "totals.txt").exists()
+
+    def test_non_finite_harvest_current(self, tmp_path, trace_file, capsys):
+        assert self._run(tmp_path, trace_file, "--harvest-ma", "nan") == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--horizon", "--initial-v"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_run_settings(self, tmp_path, trace_file, capsys, flag, value):
+        assert self._run(tmp_path, trace_file, flag, value) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_string_capacitance(self, tmp_path, trace_file, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"capacitor": {"capacitance_farads": "1.5"}}))
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--trace", str(trace_file), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "capacitor.capacitance_farads: must be a finite number" in capsys.readouterr().err
+
+
 class TestValidate:
     def test_defaults_ok(self, capsys):
         assert main(["validate"]) == 0

@@ -63,6 +63,29 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="unknown"):
             DeviceConfig.from_dict({"stages": {"nonexistent_stage": {}}})
 
+    def test_timestep_key_is_gone(self):
+        # the engine integrates exactly; a step length is no longer a setting
+        with pytest.raises(ConfigError, match="unknown"):
+            DeviceConfig.from_dict({"timestep_seconds": 1e-3})
+        assert "timestep_seconds" not in DeviceConfig.default().to_dict()
+
+    @pytest.mark.parametrize("data, path", [
+        ({"capacitor": {"capacitance_farads": "1.5"}}, "capacitor.capacitance_farads"),
+        ({"capacitor": {"v_off": None}}, "capacitor.v_off"),
+        ({"thresholds": {"gamma1": True}}, "thresholds.gamma1"),
+        ({"schedule": {"window_seconds": float("nan")}}, "schedule.window_seconds"),
+        ({"stages": {"led_red": {"current_amps": [1]}}}, "stages.led_red.current_amps"),
+        ({"converter_efficiency": "0.9"}, "converter_efficiency"),
+        ({"idle_current_amps": float("inf")}, "idle_current_amps"),
+    ])
+    def test_non_numeric_values_rejected(self, data, path):
+        with pytest.raises(ConfigError, match=f"{path}: must be a finite number"):
+            DeviceConfig.from_dict(data)
+
+    def test_float_attempt_count_rejected(self):
+        with pytest.raises(ConfigError, match="schedule.n_attempts: must be an integer"):
+            DeviceConfig.from_dict({"schedule": {"n_attempts": 20.0}})
+
     def test_stage_override_keeps_other_fields(self):
         d = DeviceConfig.from_dict({"stages": {"led_red": {"duration_seconds": 0.2}}})
         assert d.stages["led_red"].duration_seconds == 0.2

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from zedsim.energy import CapacitorSpec
@@ -9,10 +10,15 @@ from zedsim.pmu import (
     EnergyState,
     HarvestProfile,
     PmuMode,
+    charge_time,
+    charge_times,
     harvest_current_at,
     initial_state,
     mode_of,
+    mode_values,
     step,
+    voltage_after,
+    voltages_after,
 )
 
 SPEC = CapacitorSpec(1.5, 3.6, 3.92, 4.5)
@@ -46,6 +52,16 @@ class TestHarvestProfile:
         with pytest.raises(DomainError):
             HarvestProfile.from_pairs([(0.0, -1e-3)])
 
+    @pytest.mark.parametrize("pairs", [
+        [(0.0, math.nan)],
+        [(0.0, math.inf)],
+        [(0.0, 1e-3), (math.inf, 2e-3)],
+        [(0.0, 1e-3), (math.nan, 2e-3)],
+    ])
+    def test_non_finite_rejected(self, pairs):
+        with pytest.raises(DomainError, match="finite"):
+            HarvestProfile.from_pairs(pairs)
+
 
 class TestModeOf:
     def test_full_at_ceiling(self):
@@ -71,6 +87,21 @@ class TestModeOf:
         first = [mode_of(v, SPEC, latch) for v, latch in points]
         second = [mode_of(v, SPEC, latch) for v, latch in points]
         assert first == second
+
+    def test_mode_values_match_mode_of(self):
+        rng = random.Random(5)
+        edges = [0.0, SPEC.v_off, SPEC.v_on, SPEC.v_max, SPEC.v_max * (1 + 1e-13)]
+        volts = edges + [rng.uniform(0, 4.5) for _ in range(500)]
+        latched = [rng.random() < 0.5 for _ in volts]
+        got = mode_values(np.array(volts), SPEC, np.array(latched))
+        assert got == [mode_of(v, SPEC, latch).value for v, latch in zip(volts, latched)]
+        # the shared enum strings, not one new string per row
+        assert all(g is mode_of(v, SPEC, latch).value for g, v, latch in zip(got, volts, latched))
+
+    @pytest.mark.parametrize("v", [-0.1, 4.5 * (1 + 1e-9)])
+    def test_mode_values_domain(self, v):
+        with pytest.raises(DomainError):
+            mode_values(np.array([4.0, v]), SPEC, np.array([True, True]))
 
 
 class TestStep:
@@ -145,3 +176,81 @@ class TestStep:
     def test_bad_dt(self):
         with pytest.raises(DomainError):
             step(initial_state(4.0, SPEC), SPEC, 0.0, 0.0, dt=0.0)
+
+
+C = SPEC.capacitance_farads
+
+
+def log_form_time(v0, v1, i, p, c=C):
+    """Textbook form of the charge time, valid when both flows are nonzero."""
+    return (c / i) * ((v1 - v0) + (p / i) * math.log((i * v1 - p) / (i * v0 - p)))
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("v0, v1, i, p", [
+        (4.0, 4.3, 10e-3, 0.02),   # net charge
+        (4.4, 3.7, 2e-3, 0.05),    # net discharge
+        (3.6, 4.5, 30e-3, 0.0),    # pure harvest
+        (4.5, 3.6, 0.0, 0.08),     # pure load
+    ])
+    def test_round_trip(self, v0, v1, i, p):
+        t = charge_time(v0, v1, i, p, C)
+        assert t > 0
+        for frac in (0.0, 0.1, 0.5, 0.9, 1.0):
+            tau = frac * t
+            v = voltage_after(v0, v1, i, p, C, tau)
+            assert min(v0, v1) <= v <= max(v0, v1)
+            assert charge_time(v0, v, i, p, C) == pytest.approx(tau, rel=1e-12, abs=1e-12)
+        assert voltage_after(v0, v1, i, p, C, t) == pytest.approx(v1, rel=1e-14)
+
+    def test_matches_log_form(self):
+        for v0, v1, i, p in ((4.0, 4.2, 10e-3, 0.02), (4.0, 3.8, 1e-3, 0.05)):
+            assert charge_time(v0, v1, i, p, C) == pytest.approx(
+                log_form_time(v0, v1, i, p), rel=1e-10
+            )
+
+    def test_zero_harvest_limit(self):
+        # v**2 falls linearly: t = C*(v0**2 - v1**2) / (2P)
+        pure = C * (4.2**2 - 3.9**2) / (2 * 0.05)
+        assert charge_time(4.2, 3.9, 0.0, 0.05, C) == pytest.approx(pure, rel=1e-14)
+        for i in (1e-9, 1e-12):
+            assert charge_time(4.2, 3.9, i, 0.05, C) == pytest.approx(pure, rel=1e-6)
+        v = voltage_after(4.2, 3.6, 0.0, 0.05, C, 10.0)
+        assert v == pytest.approx(math.sqrt(4.2**2 - 2 * 0.05 * 10.0 / C), rel=1e-14)
+
+    def test_zero_load_limit(self):
+        # v rises linearly at i/C
+        assert charge_time(3.9, 4.2, 3e-3, 0.0, C) == pytest.approx(C * 0.3 / 3e-3, rel=1e-14)
+        for p in (1e-9, 1e-12):
+            assert charge_time(3.9, 4.2, 3e-3, p, C) == pytest.approx(C * 0.3 / 3e-3, rel=1e-6)
+        assert voltage_after(3.9, 4.5, 3e-3, 0.0, C, 7.0) == pytest.approx(
+            3.9 + 3e-3 * 7.0 / C, rel=1e-15
+        )
+
+    def test_v_off_crossing_instant(self):
+        # a 50 mW load against 2 mA of harvest from 4.0 V reaches 3.6 V at
+        # (C/i) * [(v_off - v0) + (P/i) * ln((i*v_off - P)/(i*v0 - P))]
+        expected = (C / 2e-3) * (-0.4 + 25.0 * math.log((2e-3 * 3.6 - 0.05) / (2e-3 * 4.0 - 0.05)))
+        assert expected == pytest.approx(53.78, abs=0.01)  # 2.28 J at about 42 mW net
+        assert charge_time(4.0, 3.6, 2e-3, 0.05, C) == pytest.approx(expected, rel=1e-12)
+
+    def test_arrays_match_scalars(self):
+        rng = random.Random(3)
+        rows = []
+        for _ in range(200):
+            i = rng.choice([0.0, rng.uniform(0, 20e-3)])
+            p = rng.choice([0.0, rng.uniform(0, 0.08)])
+            v0 = rng.uniform(3.6, 4.5)
+            if i * v0 - p == 0:
+                continue
+            bound = 4.5 if i * v0 - p > 0 else 3.6
+            if bound == v0:
+                continue
+            t = charge_time(v0, bound, i, p, C)
+            rows.append((v0, bound, i, p, rng.uniform(0, t)))
+        v0, bound, i, p, tau = (np.array(col) for col in zip(*rows))
+        got = voltages_after(v0, bound, i, p, C, tau)
+        want = [voltage_after(*row[:4], C, row[4]) for row in rows]
+        assert got.tolist() == pytest.approx(want, rel=1e-14)
+        times = charge_times(v0, got, i, p, C)
+        assert times.tolist() == pytest.approx(tau.tolist(), rel=1e-9, abs=1e-12)

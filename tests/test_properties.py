@@ -1,0 +1,116 @@
+"""Invariants of the simulator over generated devices, harvest profiles and
+traces: ledger closure, the totals' partition, no power failures under the
+proposed policy, exact replay, and agreement with the Euler oracle."""
+
+import math
+from dataclasses import replace
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from zedsim.config import DeviceConfig
+from zedsim.pmu import HarvestProfile, initial_state, step
+from zedsim.policy import InferenceInstance
+from zedsim.scheduler import VARIANTS
+from zedsim.sim import SimConfig, energy_ledger_residual, replay_check, simulate
+
+DEVICE = DeviceConfig.default()
+V_OFF, V_MAX = DEVICE.capacitor.v_off, DEVICE.capacitor.v_max
+MAX_HARVEST = 10e-3
+RAIL = DEVICE.stage("measurement").supply_volts
+
+
+@st.composite
+def devices(draw, lossless=False):
+    device = (
+        DEVICE.with_capacitance(draw(st.floats(0.05, 1.5)))
+        .with_thresholds(draw(st.floats(0.0, 0.5)), draw(st.floats(0.5, 1.0)))
+        .with_attempts(draw(st.integers(1, 20)))
+    )
+    return replace(
+        device,
+        idle_current_amps=draw(st.sampled_from([0.0, 0.0, 1e-4, 2e-3])),
+        converter_efficiency=1.0 if lossless else draw(st.sampled_from([1.0, 0.9, 0.6])),
+    )
+
+
+@st.composite
+def harvests(draw, horizon):
+    gaps = draw(st.lists(st.floats(0.05, horizon), max_size=4))
+    starts = [0.0]
+    for gap in gaps:
+        starts.append(starts[-1] + gap)
+    currents = draw(st.lists(st.floats(0.0, MAX_HARVEST), min_size=len(starts),
+                             max_size=len(starts)))
+    return HarvestProfile(tuple(starts), tuple(currents))
+
+
+scores = st.floats(0.0, 1.0)
+instances = st.tuples(scores, scores, st.integers(0, 1))
+
+
+@st.composite
+def scenarios(draw, variants=VARIANTS, lossless=False):
+    horizon = draw(st.floats(5.0, 60.0))
+    device = draw(devices(lossless))
+    rows = draw(st.lists(instances, min_size=6, max_size=6))
+    trace = [InferenceInstance(k, *row) for k, row in enumerate(rows)]
+    variant = draw(st.sampled_from(variants))
+    cfg = SimConfig(device, draw(st.floats(V_OFF, V_MAX)), horizon, 0, variant)
+    return cfg, draw(harvests(horizon)), trace
+
+
+@given(scenarios())
+def test_ledger_closes_and_totals_partition(scenario):
+    cfg, harvest, trace = scenario
+    result = simulate(cfg, harvest, trace)
+    t = result.totals
+    assert abs(energy_ledger_residual(result)) < 1e-9
+    # each account is a sum of closed-form differences, exact to roundoff
+    assert min(t.harvested_j, t.energy_consumed_j, t.clamp_loss_j) >= -1e-12
+    assert t.floor_gain_j == 0.0
+    assert t.completed_pipelines + t.deferred_windows + t.power_failures == t.n_windows
+    assert t.n_ex1 + t.n_ex2 + t.n_fallback == t.completed_pipelines
+    assert all(V_OFF <= v <= V_MAX for _, v, _ in result.trajectory)
+
+
+@given(scenarios(variants=("proposed",), lossless=True))
+def test_proposed_never_power_fails(scenario):
+    cfg, harvest, trace = scenario
+    assert simulate(cfg, harvest, trace).totals.power_failures == 0
+
+
+@given(scenarios())
+def test_replay_is_exact(scenario):
+    cfg, harvest, trace = scenario
+    result = simulate(cfg, harvest, trace)
+    report = replay_check(result, cfg, harvest, trace)
+    assert report.exact, report.detail
+
+
+@given(devices(), st.floats(V_OFF, V_MAX), st.floats(0.5, 5.0).flatmap(
+    lambda h: st.tuples(st.just(h), harvests(h))))
+def test_engine_agrees_with_euler_oracle_without_admissions(device, v0, horizon_harvest):
+    # shorter than a window, so nothing but harvest and idle draw acts
+    horizon, harvest = horizon_harvest
+    result = simulate(SimConfig(device, v0, horizon, 0), harvest, [])
+    assert result.totals.n_windows == 0
+
+    spec, dt = device.capacitor, 1e-3
+    eta = device.converter_efficiency
+    p_idle = RAIL * device.idle_current_amps
+    bounds = [t for t in harvest.times[1:] if t < horizon] + [horizon]
+    state, k, switches = initial_state(v0, spec), 0, 0
+    while horizon - state.time > 1e-12:
+        while bounds[k] <= state.time + 1e-12:
+            k += 1
+        load = p_idle if state.outputs_enabled else 0.0
+        nxt = step(state, spec, harvest.currents[k], load, min(dt, bounds[k] - state.time), eta)
+        switches += nxt.outputs_enabled != state.outputs_enabled
+        state = nxt
+    # first-order bound: the step lags the harvest power by at most
+    # i*dv over the span, and each latch switch by one step of idle draw
+    v_exact = result.trajectory[-1][1]
+    travel = V_MAX - V_OFF + 2 * switches * (spec.v_on - V_OFF)
+    energy_bound = dt * (MAX_HARVEST * travel + (1 + switches) * p_idle / eta)
+    assert abs(v_exact - state.v_c) <= energy_bound / (spec.capacitance_farads * V_OFF)

@@ -143,7 +143,7 @@ def _first_admitted_candidate_oracle(device, harvest, v0, substeps=4):
 
     cap = device.capacitor
     c = cap.capacitance_farads
-    dt = device.timestep_seconds / substeps
+    dt = 1e-3 / substeps
     e = 0.5 * c * v0**2
     floor = 0.5 * c * cap.v_off**2
     t = 0.0

@@ -7,10 +7,11 @@ import pytest
 from zedsim.config import DeviceConfig
 from zedsim.energy import CapacitorSpec, usable_energy
 from zedsim.errors import ConfigError
-from zedsim.pmu import HarvestProfile, harvest_current_at, initial_state, step
+from zedsim.pmu import HarvestProfile, charge_time, initial_state, step
 from zedsim.policy import ExitTaken, InferenceInstance, decide_proposed
 from zedsim.sim import (
     SimConfig,
+    _Engine,
     compare_policies,
     energy_ledger_residual,
     replay_check,
@@ -54,6 +55,13 @@ class TestSimulate:
         assert result.totals.energy_consumed_j == 0.0
         assert all(v == 3.6 for _, v, _ in result.trajectory)
 
+    @pytest.mark.parametrize("initial_v, horizon", [
+        (4.5, math.nan), (4.5, math.inf), (math.nan, 200.0), (math.inf, 200.0),
+    ])
+    def test_non_finite_config_rejected(self, initial_v, horizon):
+        with pytest.raises(ConfigError, match="finite"):
+            SimConfig(DEVICE, initial_v, horizon, 0)
+
     def test_trace_shorter_than_windows_rejected(self):
         cfg = SimConfig(DEVICE, 4.5, 200.0, 0)
         with pytest.raises(ConfigError, match="windows"):
@@ -68,14 +76,14 @@ class TestSimulate:
         for w in result.windows:
             assert w.deferred == (w.started_at is None)
 
-    def test_trajectory_decimation_independent_of_dt(self, trace5000):
-        coarse = SimConfig(DEVICE, 4.5, 50.0, 0, "proposed")
-        fine = SimConfig(replace(DEVICE, timestep_seconds=2e-4), 4.5, 50.0, 0, "proposed")
+    def test_trajectory_samples_on_exact_grid(self, trace5000):
         harvest = HarvestProfile.constant(2e-3)
-        n_coarse = len(simulate(coarse, harvest, trace5000).trajectory)
-        n_fine = len(simulate(fine, harvest, trace5000).trajectory)
-        assert abs(n_coarse - 50.0 / 0.01) < 20
-        assert abs(n_fine - n_coarse) < 20
+        result = simulate(SimConfig(DEVICE, 4.5, 50.0, 0, "proposed"), harvest, trace5000)
+        times = [t for t, _, _ in result.trajectory]
+        assert times == [k / 100 for k in range(5001)]  # the doubles nearest k * 0.01
+        # a horizon off the grid closes the trajectory with one extra sample
+        off = simulate(SimConfig(DEVICE, 4.5, 20.005, 0, "proposed"), harvest, trace5000)
+        assert [t for t, _, _ in off.trajectory[-2:]] == [20.0, 20.005]
 
     def test_idle_current_drains_only_while_enabled(self):
         small = replace(DEVICE, idle_current_amps=5e-3)
@@ -258,21 +266,35 @@ class TestReplay:
         assert not report
         assert report.detail
 
-    def test_replay_with_halved_timestep_is_tolerant(self, trace5000):
-        cfg = SimConfig(DEVICE, 4.5, 100.0, 7, "proposed")
-        harvest = HarvestProfile.constant(2e-3)
+    def test_euler_oracle_converges_to_exact_run(self, trace5000):
+        # replay the run's stage loads through the Euler step: its error in
+        # the final voltage halves with the step, toward the exact engine
+        cfg = SimConfig(DEVICE, 4.0, 20.0, 7, "proposed")
+        harvest = HarvestProfile.constant(8e-3)
         result = simulate(cfg, harvest, trace5000)
-        fine = replace(cfg, device=replace(DEVICE, timestep_seconds=5e-4))
-        report = replay_check(result, fine, harvest, trace5000)
-        assert report.tolerant and not report.exact
-        assert "tolerant" in report.detail
-        # convergence reference: quartered step agrees with halved step too
-        finer = replace(cfg, device=replace(DEVICE, timestep_seconds=2.5e-4))
-        ref = simulate(finer, harvest, trace5000)
-        halved = simulate(fine, harvest, trace5000)
-        assert halved.totals.energy_consumed_j == pytest.approx(
-            ref.totals.energy_consumed_j, rel=1e-3
-        )
+        assert replay_check(result, cfg, harvest, trace5000).exact
+        assert result.totals.completed_pipelines == 2
+
+        loads = []
+        for t, label in result.events:
+            if label.startswith("stage:"):
+                prof = DEVICE.stage(label[len("stage:"):])
+                loads.append((t, t + prof.duration_seconds, prof.power_watts))
+        spec = DEVICE.capacitor
+        errors = []
+        for dt in (2e-3, 1e-3, 5e-4):
+            state, k = initial_state(4.0, spec), 0
+            while 20.0 - state.time > 1e-12:
+                t = state.time
+                while k < len(loads) and loads[k][1] <= t + 1e-12:
+                    k += 1
+                busy = k < len(loads) and loads[k][0] <= t + 1e-12
+                nxt = loads[k][busy] if k < len(loads) else 20.0
+                state = step(state, spec, 8e-3, loads[k][2] if busy else 0.0, min(dt, nxt - t))
+            errors.append(state.v_c - result.trajectory[-1][1])
+        assert 0 < abs(errors[-1]) < 1e-7
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine == pytest.approx(2.0, rel=0.01)
 
 
 class TestComparePolicies:
@@ -293,22 +315,83 @@ class TestComparePolicies:
 
 class TestEngineMatchesPmuStep:
     def test_pure_harvest_span_equivalence(self):
-        # a zero-window run is pure charging; replaying it through the public
-        # step function must land on the same trajectory
+        # a zero-window run is pure charging, v rising at i/C: the engine is
+        # exact, and the Euler step's error halves with its length
         device = DEVICE.with_capacitance(0.8)
         harvest = HarvestProfile.from_pairs([(0.0, 2e-3), (2.5, 30e-3)])
         cfg = SimConfig(device, 4.0, 5.0, 0, "proposed")
         result = simulate(cfg, harvest, [])
+        exact = 4.0 + (2e-3 * 2.5 + 30e-3 * 2.5) / 0.8  # 4.1 V
+        assert result.trajectory[-1][:2] == (5.0, pytest.approx(exact, rel=1e-14))
 
         spec = device.capacitor
-        state = initial_state(4.0, spec)
-        dt = device.timestep_seconds
-        end, boundary = 5.0, 2.5
-        while end - state.time > 1e-12:
-            crossed = boundary <= state.time + 1e-12
-            h = min(dt, end - state.time)
-            if not crossed and boundary - state.time < h:
-                h = boundary - state.time
-            state = step(state, spec, 30e-3 if crossed else 2e-3, 0.0, h)
-        assert result.trajectory[-1][1] == pytest.approx(state.v_c, rel=1e-9)
-        assert result.trajectory[-1][0] == pytest.approx(state.time, abs=1e-9)
+        errors = []
+        for dt in (1e-3, 5e-4, 2.5e-4):
+            state = initial_state(4.0, spec)
+            end, boundary = 5.0, 2.5
+            while end - state.time > 1e-12:
+                crossed = boundary <= state.time + 1e-12
+                h = min(dt, end - state.time)
+                if not crossed and boundary - state.time < h:
+                    h = boundary - state.time
+                state = step(state, spec, 30e-3 if crossed else 2e-3, 0.0, h)
+            assert state.time == pytest.approx(5.0, abs=1e-9)
+            errors.append(exact - state.v_c)
+        assert 0 < errors[0] < 1e-6
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine == pytest.approx(2.0, rel=0.01)
+
+
+def low_v_on_device(capacitance):
+    """Default stages on a buffer whose outputs turn on at 3.65 V."""
+    return replace(DEVICE, capacitor=CapacitorSpec(capacitance, 3.6, 3.65, 4.5))
+
+
+class TestEventEngine:
+    def test_stage_fails_at_v_off_crossing_instant(self):
+        device = low_v_on_device(0.05)
+        engine = _Engine(device, HarvestProfile.constant(1e-3), 3.7)
+        assert engine.outputs_enabled
+        p = device.stage("capture_preprocess").power_watts
+        i, v0, v_off = 1e-3, 3.7, 3.6
+        t_fail = (0.05 / i) * ((v_off - v0) + (p / i) * math.log((i * v_off - p) / (i * v0 - p)))
+        assert 0 < t_fail < device.stage("capture_preprocess").duration_seconds
+        assert not engine.run_stage("capture_preprocess")
+        assert engine.time == pytest.approx(t_fail, rel=1e-12)
+        assert engine.v_c == v_off and not engine.outputs_enabled
+        assert engine.load_energy_spent == pytest.approx(p * t_fail, rel=1e-12)
+        e0 = 0.5 * 0.05 * v0**2
+        assert e0 + engine.harvested - engine.stored_energy - engine.consumed == pytest.approx(
+            0.0, abs=1e-15
+        )
+
+    def test_idle_draw_latches_off_then_recovers_at_v_on(self):
+        device = replace(low_v_on_device(0.1), idle_current_amps=5e-3)
+        i = 1e-3
+        engine = _Engine(device, HarvestProfile.constant(i), 3.7)
+        p_idle = 3.3 * 5e-3
+        t_off = charge_time(3.7, 3.6, i, p_idle, 0.1)
+        t_on = t_off + 0.1 * (3.65 - 3.6) / i  # latched off: no draw, v rises at i/C
+        engine.advance_to(t_off + 1.0)
+        assert not engine.outputs_enabled
+        assert engine.v_c == pytest.approx(3.6 + i * 1.0 / 0.1, rel=1e-14)
+        assert engine.consumed == pytest.approx(p_idle * t_off, rel=1e-12)
+        engine.advance_to(t_on + 0.5)
+        assert engine.outputs_enabled
+        assert engine.consumed == pytest.approx(p_idle * (t_off + 0.5), rel=1e-9)
+        modes = [m for _, _, m in engine.trajectory()]
+        runs = [m for k, m in enumerate(modes) if k == 0 or m != modes[k - 1]]
+        # both crossings fall between grid points, and past v_on the idle draw
+        # outweighs the harvest again
+        assert runs == ["operate", "hysteresis_on", "hysteresis_off", "hysteresis_on"]
+
+    def test_buffer_pins_at_v_max_and_books_clamp_loss(self):
+        device = DEVICE.with_capacitance(0.1)
+        engine = _Engine(device, HarvestProfile.constant(30e-3), 4.4)
+        engine.advance_to(10.0)
+        t_full = 0.1 * 0.1 / 30e-3
+        assert engine.v_c == 4.5
+        assert engine.clamp_loss == pytest.approx(30e-3 * 4.5 * (10.0 - t_full), rel=1e-12)
+        samples = dict((t, v) for t, v, _ in engine.trajectory())
+        assert samples[0.33] == pytest.approx(4.4 + 30e-3 * 0.33 / 0.1, rel=1e-14)
+        assert samples[0.34] == 4.5
