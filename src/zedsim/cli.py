@@ -24,11 +24,12 @@ from .pmu import HarvestProfile
 from .policy import Thresholds, sweep_thresholds, write_sweep_csv
 from .scheduler import GATING_MOSFET, GATINGS, VARIANT_BASELINE, VARIANT_PROPOSED, VARIANTS
 from .sim import (
+    COMPARISON_HEADER,
     SimConfig,
     compare_policies,
     simulate,
     totals_text,
-    write_comparison_csv,
+    write_rows_csv,
     write_trajectory_csv,
 )
 from .traces import (
@@ -135,7 +136,7 @@ def _cmd_compare(args) -> int:
     comparison = compare_policies(cfg, variants, _harvest(args), trace)
     out = _out_dir(args)
     digest = _write_resolved(cfg.to_dict(), out)
-    write_comparison_csv(comparison.rows, out / "comparison.csv", digest)
+    write_rows_csv(comparison.rows, COMPARISON_HEADER, out / "comparison.csv", digest)
     for variant, result in comparison.results.items():
         (out / f"totals_{variant}.txt").write_text(totals_text(result))
     for row in comparison.rows:
@@ -162,6 +163,12 @@ def _cmd_sweep_thresholds(args) -> int:
     write_sweep_csv(cells, out / "sweep_thresholds.csv", digest)
     print(f"wrote {len(cells)} cells to {out / 'sweep_thresholds.csv'}")
     return 0
+
+
+CAPACITANCE_HEADER = [
+    "c_farads", "variant", "completed_pipelines", "energy_consumed_j",
+    "power_failures", "accuracy_total",
+]
 
 
 def _run_capacitance_point(payload) -> dict:
@@ -208,19 +215,7 @@ def _cmd_sweep_capacitance(args) -> int:
     out = _out_dir(args)
     digest = _write_resolved(device.to_dict(), out)
     path = out / "sweep_capacitance.csv"
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_sha256={digest}\n")
-        writer = _csv.writer(fh)
-        header = ["c_farads", "variant", "completed_pipelines", "energy_consumed_j",
-                  "power_failures", "accuracy_total"]
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                ["" if row[k] is None else (repr(row[k]) if isinstance(row[k], float) else row[k])
-                 for k in header]
-            )
+    write_rows_csv(rows, CAPACITANCE_HEADER, path, digest)
     print(f"wrote {len(rows)} rows to {path}")
     return 0
 

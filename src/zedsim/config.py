@@ -116,20 +116,27 @@ class DeviceConfig:
             raise ConfigError(f"stages.{name}: missing stage profile") from None
 
     def stage_energy(self, name: str) -> float:
-        return state_energy(self.stage(name))
+        """Energy one run of the stage draws from the buffer, converter losses included."""
+        return state_energy(self.stage(name)) / self.converter_efficiency
 
     def _led_result_profiles(self) -> List[StageProfile]:
         return [self.stage(n) for n in _LED_RESULT_STAGES]
 
     def budget(self, gating: str = GATING_MOSFET) -> EnergyBudget:
-        """Admission/escalation requirements for the two-exit pipeline."""
+        """Admission/escalation requirements for the two-exit pipeline.
+
+        Like every requirement here, they are sized for the buffer: the rail
+        energies divided by the converter efficiency.
+        """
         capture = "capture_preprocess" if gating == GATING_MOSFET else "capture_preprocess_load_switch"
         leds = self._led_result_profiles()
+        eta = self.converter_efficiency
         return EnergyBudget(
-            e_req_ex1=required_energy_ex1(self.stage(capture), self.stage("inference_ex1"), leds),
+            e_req_ex1=required_energy_ex1(
+                self.stage(capture), self.stage("inference_ex1"), leds) / eta,
             e_req_escalate=required_energy_escalate(
                 self.stage("inference_ex1_to_ex2"), self.stage("led_green"), leds
-            ),
+            ) / eta,
             e1=self.stage_energy("inference_ex1"),
             e2=self.stage_energy("inference_ex2"),
             guard_delta=self.schedule.guard_delta,

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, List, Optional, Sequence
 
+import numpy as np
+
 from .energy import EnergyBudget
 from .errors import DomainError
 
@@ -169,28 +171,50 @@ class SweepCell:
 def sweep_thresholds(
     trace: Sequence[InferenceInstance], grid: Iterable[Thresholds]
 ) -> List[SweepCell]:
-    """Evaluate every threshold pair over the trace with unlimited energy."""
-    if not trace:
+    """Evaluate every threshold pair over the trace with unlimited energy.
+
+    The shallow scores are sorted once, with prefix counts of person labels
+    and of correct deep-exit calls in that order. Each cell then reads its
+    counts at two cut points: ``hi``, the first score >= gamma2, and ``lo``,
+    the first score > gamma1, capped at ``hi``. Scores from ``hi`` on exit as
+    PERSON, scores below ``lo`` exit as NO_PERSON, and ``[lo, hi)`` is the
+    ambiguous band that goes to exit 2. These are the tie rules of
+    :func:`evaluate_ex1`: a score equal to gamma2 is PERSON, one equal to
+    gamma1 (and below gamma2) is NO_PERSON, so with gamma1 = gamma2 = 0.5 a
+    score of 0.5 is PERSON. The cost is O(n log n) for the sort plus
+    O(log n) per cell.
+    """
+    n = len(trace)
+    if not n:
         raise DomainError("trace must be non-empty")
+    o1 = np.fromiter((inst.o1 for inst in trace), float, n)
+    o2 = np.fromiter((inst.o2 for inst in trace), float, n)
+    label = np.fromiter((inst.label for inst in trace), np.int64, n)
+    order = np.argsort(o1, kind="stable")
+    s1, label = o1[order], label[order]
+    # among the k lowest shallow scores: persons[k] person labels, deep_ok[k]
+    # instances the deep exit calls right
+    persons = np.concatenate(([0], np.cumsum(label)))
+    deep_ok = np.concatenate(([0], np.cumsum((o2[order] >= 0.5) == label)))
+
+    grid = list(grid)
+    hi = np.searchsorted(s1, np.array([th.gamma2 for th in grid], dtype=float), "left")
+    lo = np.minimum(
+        np.searchsorted(s1, np.array([th.gamma1 for th in grid], dtype=float), "right"), hi
+    )
+    ok_ex1 = (lo - persons[lo]) + (persons[n] - persons[hi])
+    ok_ex2 = deep_ok[hi] - deep_ok[lo]
     cells = []
-    for th in grid:
-        n_ex1 = n_ex2 = ok_ex1 = ok_ex2 = 0
-        for inst in trace:
-            region = evaluate_ex1(inst.o1, th)
-            if region is Region.AMBIGUOUS:
-                n_ex2 += 1
-                ok_ex2 += evaluate_ex2(inst.o2) == inst.label
-            else:
-                n_ex1 += 1
-                pred = PERSON if region is Region.PERSON else NO_PERSON
-                ok_ex1 += pred == inst.label
+    # tolist() yields Python ints, so the accuracies are Python floats
+    for th, n_ex2, ok1, ok2 in zip(grid, (hi - lo).tolist(), ok_ex1.tolist(), ok_ex2.tolist()):
+        n_ex1 = n - n_ex2
         cells.append(
             SweepCell(
                 th.gamma1,
                 th.gamma2,
-                ok_ex1 / n_ex1 if n_ex1 else None,
-                ok_ex2 / n_ex2 if n_ex2 else None,
-                (ok_ex1 + ok_ex2) / len(trace),
+                ok1 / n_ex1 if n_ex1 else None,
+                ok2 / n_ex2 if n_ex2 else None,
+                (ok1 + ok2) / n,
                 n_ex1,
                 n_ex2,
             )

@@ -87,7 +87,6 @@ class SimTotals:
     energy_consumed_j: float
     harvested_j: float
     clamp_loss_j: float
-    floor_gain_j: float
     initial_energy_j: float
     final_energy_j: float
     n_windows: int
@@ -332,7 +331,6 @@ def _aggregate(windows, engine, initial_energy, n_windows) -> SimTotals:
         energy_consumed_j=engine.consumed,
         harvested_j=engine.harvested,
         clamp_loss_j=engine.clamp_loss,
-        floor_gain_j=0.0,  # the buffer never falls below v_off, let alone empties
         initial_energy_j=initial_energy,
         final_energy_j=engine.stored_energy,
         n_windows=n_windows,
@@ -352,7 +350,6 @@ def energy_ledger_residual(result: SimResult) -> float:
     return (
         t.initial_energy_j
         + t.harvested_j
-        + t.floor_gain_j
         - t.final_energy_j
         - t.energy_consumed_j
         - t.clamp_loss_j
@@ -482,7 +479,7 @@ def totals_text(result: SimResult) -> str:
     t = result.totals
     lines = [f"config_sha256={result.config_sha256}"]
     for name in (
-        "energy_consumed_j", "harvested_j", "clamp_loss_j", "floor_gain_j",
+        "energy_consumed_j", "harvested_j", "clamp_loss_j",
         "initial_energy_j", "final_energy_j",
     ):
         lines.append(f"{name}={getattr(t, name)!r}")
@@ -504,14 +501,17 @@ COMPARISON_HEADER = [
 ]
 
 
-def write_comparison_csv(rows: Sequence[dict], path, config_hash_hex: Optional[str] = None) -> None:
+def write_rows_csv(
+    rows: Sequence[dict], header: Sequence[str], path, config_hash_hex: Optional[str] = None
+) -> None:
+    """The ``header`` columns of dict rows: floats as repr, None as an empty field."""
     with open(path, "w", newline="") as fh:
         if config_hash_hex:
             fh.write(f"# config_sha256={config_hash_hex}\n")
         writer = csv.writer(fh)
-        writer.writerow(COMPARISON_HEADER)
+        writer.writerow(header)
         for row in rows:
             writer.writerow(
                 ["" if row[k] is None else (repr(row[k]) if isinstance(row[k], float) else row[k])
-                 for k in COMPARISON_HEADER]
+                 for k in header]
             )

@@ -159,7 +159,8 @@ def generate_trace(spec: GeneratorSpec) -> List[InferenceInstance]:
     o2 = _scores(rng, labels, conf2, correct2)
 
     return [
-        InferenceInstance(i, float(o1[i]), float(o2[i]), int(labels[i])) for i in range(n)
+        InferenceInstance(i, s1, s2, label)
+        for i, (s1, s2, label) in enumerate(zip(o1.tolist(), o2.tolist(), labels.tolist()))
     ]
 
 

@@ -139,6 +139,20 @@ class TestValidation:
         d1, d2 = d.depth_requirements()
         assert d1 < d2
 
+    def test_requirements_are_sized_for_the_buffer(self):
+        # the buffer pays each rail joule divided by the converter efficiency
+        rail = DeviceConfig.default()
+        lossy = DeviceConfig.from_dict({"converter_efficiency": 0.5})
+        for field in ("e_req_ex1", "e_req_escalate", "e1", "e2"):
+            assert getattr(lossy.budget(), field) == pytest.approx(
+                2.0 * getattr(rail.budget(), field), rel=1e-12)
+        assert lossy.stage_energy("measurement") == pytest.approx(
+            2.0 * rail.stage_energy("measurement"), rel=1e-12)
+        assert lossy.baseline_requirement() == pytest.approx(
+            2.0 * rail.baseline_requirement(), rel=1e-12)
+        for a, b in zip(lossy.depth_requirements(), rail.depth_requirements()):
+            assert a == pytest.approx(2.0 * b, rel=1e-12)
+
     def test_gating_changes_budget(self):
         d = DeviceConfig.default()
         assert d.budget("load_switch").e_req_ex1 > d.budget("mosfet").e_req_ex1

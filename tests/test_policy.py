@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from zedsim.config import DeviceConfig
 from zedsim.energy import EnergyBudget
@@ -13,6 +15,7 @@ from zedsim.policy import (
     ExitTaken,
     InferenceInstance,
     Region,
+    SweepCell,
     Thresholds,
     decide_policy_ii,
     decide_proposed,
@@ -193,6 +196,61 @@ class TestSweep:
     def test_empty_trace_rejected(self):
         with pytest.raises(DomainError):
             sweep_thresholds([], [Thresholds(0.3, 0.7)])
+
+
+def _sweep_oracle(trace, grid):
+    """Reference sweep: every instance through evaluate_ex1/evaluate_ex2, per cell."""
+    cells = []
+    for th in grid:
+        n_ex1 = n_ex2 = ok_ex1 = ok_ex2 = 0
+        for inst in trace:
+            region = evaluate_ex1(inst.o1, th)
+            if region is Region.AMBIGUOUS:
+                n_ex2 += 1
+                ok_ex2 += evaluate_ex2(inst.o2) == inst.label
+            else:
+                n_ex1 += 1
+                pred = PERSON if region is Region.PERSON else NO_PERSON
+                ok_ex1 += pred == inst.label
+        cells.append(
+            SweepCell(
+                th.gamma1,
+                th.gamma2,
+                ok_ex1 / n_ex1 if n_ex1 else None,
+                ok_ex2 / n_ex2 if n_ex2 else None,
+                (ok_ex1 + ok_ex2) / len(trace),
+                n_ex1,
+                n_ex2,
+            )
+        )
+    return cells
+
+
+# scores hit the grid values often, so ties at gamma1 and gamma2 occur
+GRID_VALUES = (0.0, 0.1, 0.3, 0.45, 0.5, 0.55, 0.7, 0.9, 1.0)
+tie_scores = st.one_of(st.sampled_from(GRID_VALUES), st.floats(0.0, 1.0))
+sweep_rows = st.lists(st.tuples(tie_scores, tie_scores, st.integers(0, 1)), min_size=1,
+                      max_size=40)
+grid_cells = st.one_of(
+    st.builds(Thresholds, st.sampled_from([g for g in GRID_VALUES if g <= 0.5]),
+              st.sampled_from([g for g in GRID_VALUES if g >= 0.5])),
+    st.builds(Thresholds, st.floats(0.0, 0.5), st.floats(0.5, 1.0)),
+)
+
+
+@given(sweep_rows, st.lists(grid_cells, max_size=8))
+@example([(0.4, 0.9, 1), (0.6, 0.1, 0)], [])  # (0, 1) leaves exit 1 empty
+def test_sweep_matches_per_instance_oracle(rows, drawn):
+    trace = [InferenceInstance(k, *row) for k, row in enumerate(rows)]
+    # (0.5, 0.5) leaves exit 2 empty; (0, 1) sends all but the poles to it
+    grid = [Thresholds(0.5, 0.5), Thresholds(0.0, 1.0)] + drawn
+    cells = sweep_thresholds(trace, iter(grid))
+    assert cells == _sweep_oracle(trace, grid)
+    for cell in cells:
+        assert type(cell.n_ex1) is int and type(cell.n_ex2) is int
+        assert type(cell.acc_total) is float
+        for acc in (cell.acc_ex1, cell.acc_ex2):
+            assert acc is None or type(acc) is float
 
 
 class TestTypes:
