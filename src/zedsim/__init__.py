@@ -4,11 +4,8 @@ two-exit person detector under capacitor energy constraints."""
 from .config import DeviceConfig, load_config, config_hash
 from .energy import (
     CapacitorSpec,
-    EnergyBudget,
     StageProfile,
     min_start_voltage,
-    required_energy_escalate,
-    required_energy_ex1,
     state_energy,
     stored_energy,
     usable_energy,
@@ -20,21 +17,20 @@ from .policy import (
     InferenceInstance,
     Region,
     Thresholds,
-    decide_policy_ii,
-    decide_proposed,
     evaluate_ex1,
     evaluate_ex2,
     fallback_label,
-    policy_i_select,
     sweep_thresholds,
 )
 from .scheduler import (
     ScheduleConfig,
     WindowOutcome,
     candidate_start_times,
-    detect_power_failure,
+    plan,
+    requirement,
     run_window,
     try_admit,
+    worst_case_time,
 )
 from .sim import (
     PolicyComparison,

@@ -19,10 +19,11 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .config import DeviceConfig, config_hash, load_config
-from .errors import ZedSimError
+from .energy import min_start_voltage
+from .errors import UnreachableRequirementError, ZedSimError
 from .pmu import HarvestProfile
 from .policy import Thresholds, sweep_thresholds, write_sweep_csv
-from .scheduler import GATING_MOSFET, GATINGS, VARIANT_BASELINE, VARIANT_PROPOSED, VARIANTS
+from .scheduler import GATINGS, VARIANTS, plan, requirement
 from .sim import (
     COMPARISON_HEADER,
     SimConfig,
@@ -239,16 +240,16 @@ def _cmd_validate(args) -> int:
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
     problems = device.problems()
-    # admission reachability at full charge, per gating path
-    from .energy import min_start_voltage
-    from .errors import UnreachableRequirementError
-
-    for gating in GATINGS:
-        try:
-            min_start_voltage(device.capacitor, device.budget(gating).e_req_ex1,
-                              device.schedule.guard_delta)
-        except UnreachableRequirementError as exc:
-            problems.append(f"budget[{gating}]: {exc}")
+    # admission reachability at full charge, per variant and gating path: the
+    # admission measurement plus the cheapest option it can admit
+    for variant in VARIANTS:
+        for gating in GATINGS:
+            admission, _ = plan(variant, gating)
+            need = requirement(device, (admission,))
+            try:
+                min_start_voltage(device.capacitor, need, device.schedule.guard_delta)
+            except UnreachableRequirementError as exc:
+                problems.append(f"{variant}[{gating}]: {exc}")
     if problems:
         for p in problems:
             print(f"invalid: {p}", file=sys.stderr)

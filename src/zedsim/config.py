@@ -15,23 +15,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
-from .energy import (
-    CapacitorSpec,
-    EnergyBudget,
-    StageProfile,
-    required_energy_escalate,
-    required_energy_ex1,
-    state_energy,
-)
+from .energy import CapacitorSpec, StageProfile, state_energy
 from .errors import ConfigError
 from .policy import Thresholds
-from .scheduler import (
-    GATING_MOSFET,
-    VARIANT_BASELINE,
-    VARIANT_POLICY_I,
-    VARIANTS,
-    ScheduleConfig,
-)
+from .scheduler import GATINGS, VARIANTS, ScheduleConfig, plan, worst_case_time
 
 RAIL_VOLTS = 3.3
 
@@ -51,8 +38,6 @@ _DEFAULT_STAGE_TABLE: Dict[str, Tuple[float, float]] = {
 }
 
 STAGE_NAMES = tuple(_DEFAULT_STAGE_TABLE) + ("inference_ex1_to_ex2",)
-
-_LED_RESULT_STAGES = ("led_blue", "led_red")
 
 _DEFAULT_CAPACITOR = dict(capacitance_farads=1.5, v_off=3.6, v_on=3.92, v_max=4.5)
 _DEFAULT_THRESHOLDS = dict(gamma1=0.3, gamma2=0.7)
@@ -119,68 +104,6 @@ class DeviceConfig:
         """Energy one run of the stage draws from the buffer, converter losses included."""
         return state_energy(self.stage(name)) / self.converter_efficiency
 
-    def _led_result_profiles(self) -> List[StageProfile]:
-        return [self.stage(n) for n in _LED_RESULT_STAGES]
-
-    def budget(self, gating: str = GATING_MOSFET) -> EnergyBudget:
-        """Admission/escalation requirements for the two-exit pipeline.
-
-        Like every requirement here, they are sized for the buffer: the rail
-        energies divided by the converter efficiency.
-        """
-        capture = "capture_preprocess" if gating == GATING_MOSFET else "capture_preprocess_load_switch"
-        leds = self._led_result_profiles()
-        eta = self.converter_efficiency
-        return EnergyBudget(
-            e_req_ex1=required_energy_ex1(
-                self.stage(capture), self.stage("inference_ex1"), leds) / eta,
-            e_req_escalate=required_energy_escalate(
-                self.stage("inference_ex1_to_ex2"), self.stage("led_green"), leds
-            ) / eta,
-            e1=self.stage_energy("inference_ex1"),
-            e2=self.stage_energy("inference_ex2"),
-            guard_delta=self.schedule.guard_delta,
-        )
-
-    def baseline_requirement(self) -> float:
-        """Per-pipeline requirement of the single-exit comparison system."""
-        return (
-            self.stage_energy("capture_preprocess_load_switch")
-            + self.stage_energy("inference_ex2")
-            + max(self.stage_energy(n) for n in _LED_RESULT_STAGES)
-        )
-
-    def depth_requirements(self, gating: str = GATING_MOSFET) -> Tuple[float, float]:
-        """Full-pipeline requirements at shallow and deep depth (depth-first rule)."""
-        capture = "capture_preprocess" if gating == GATING_MOSFET else "capture_preprocess_load_switch"
-        led_worst = max(self.stage_energy(n) for n in _LED_RESULT_STAGES)
-        d1 = self.stage_energy(capture) + self.stage_energy("inference_ex1") + led_worst
-        d2 = (
-            self.stage_energy(capture)
-            + self.stage_energy("inference_ex2")
-            + self.stage_energy("led_green")
-            + led_worst
-        )
-        return d1, d2
-
-    def execution_time(self, variant: str, gating: str = GATING_MOSFET) -> float:
-        """Worst-case wall time from the admission measurement to the last LED."""
-        dur = lambda n: self.stage(n).duration_seconds
-        capture = "capture_preprocess" if gating == GATING_MOSFET else "capture_preprocess_load_switch"
-        led_worst = max(dur(n) for n in _LED_RESULT_STAGES)
-        if variant == VARIANT_BASELINE:
-            return dur("measurement") + dur("capture_preprocess_load_switch") + dur("inference_ex2") + led_worst
-        if variant == VARIANT_POLICY_I:
-            return dur("measurement") + dur(capture) + dur("inference_ex2") + dur("led_green") + led_worst
-        return (
-            2 * dur("measurement")
-            + dur(capture)
-            + dur("inference_ex1")
-            + dur("inference_ex1_to_ex2")
-            + dur("led_green")
-            + led_worst
-        )
-
     def problems(self) -> List[str]:
         """Field-level diagnostics; empty when the configuration is sound."""
         out = []
@@ -192,14 +115,17 @@ class DeviceConfig:
             if name not in self.stages:
                 out.append(f"stages.{name}: missing stage profile")
         if not out:
+            window, deadline = self.schedule.window_seconds, self.schedule.deadline_seconds
             for variant in VARIANTS:
-                t_exe = self.execution_time(variant)
-                if self.schedule.deadline_seconds + t_exe >= self.schedule.window_seconds:
-                    out.append(
-                        f"schedule: deadline + execution time >= window "
-                        f"({self.schedule.deadline_seconds} + {t_exe:.4f} >= "
-                        f"{self.schedule.window_seconds}) for variant {variant!r}"
-                    )
+                for gating in GATINGS:
+                    admission, _ = plan(variant, gating)
+                    t_exe = worst_case_time(self, (admission,))
+                    if deadline + t_exe >= window:
+                        out.append(
+                            f"schedule: deadline + execution time >= window "
+                            f"({deadline} + {t_exe:.4f} >= {window}) "
+                            f"for variant {variant!r} under {gating!r} gating"
+                        )
         return out
 
     def validate(self) -> None:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
-from .errors import ConfigError, DomainError, UnreachableRequirementError
+from .errors import DomainError, UnreachableRequirementError
 
 
 @dataclass(frozen=True)
@@ -72,31 +71,6 @@ class StageProfile:
         return self.supply_volts * self.current_amps
 
 
-@dataclass(frozen=True)
-class EnergyBudget:
-    """Admission and escalation requirements for one pipeline run.
-
-    ``e1``/``e2`` are the bare inference energies of the shallow and deep
-    exits; the ``e_req_*`` fields add capture and indication overheads.
-    ``guard_delta`` is the safety margin added on top of every comparison.
-    """
-
-    e_req_ex1: float
-    e_req_escalate: float
-    e1: float
-    e2: float
-    guard_delta: float = 0.0
-
-    def __post_init__(self) -> None:
-        for field in ("e_req_ex1", "e_req_escalate", "e1", "e2", "guard_delta"):
-            if getattr(self, field) < 0:
-                raise DomainError(f"{field} must be >= 0")
-        if self.e1 > self.e2:
-            raise DomainError(f"e1 ({self.e1}) must not exceed e2 ({self.e2})")
-        if self.e_req_ex1 < self.e1:
-            raise DomainError("e_req_ex1 must cover at least the shallow inference energy")
-
-
 def stored_energy(spec: CapacitorSpec, v_c: float) -> float:
     """Instantaneous energy stored at capacitor voltage ``v_c``."""
     if not 0 <= v_c <= spec.v_max:
@@ -114,48 +88,6 @@ def usable_energy(spec: CapacitorSpec, v_c: float) -> float:
 def state_energy(profile: StageProfile) -> float:
     """Energy drawn by one run of the stage: supply * duration * current."""
     return profile.supply_volts * profile.duration_seconds * profile.current_amps
-
-
-def _led_worst(led_options: Iterable[Optional[StageProfile]]) -> float:
-    energies = [state_energy(p) for p in led_options if p is not None]
-    if not energies:
-        raise ConfigError("at least one indication LED profile is required")
-    return max(energies)
-
-
-def required_energy_ex1(
-    capture: Optional[StageProfile],
-    inference_ex1: Optional[StageProfile],
-    led_options: Iterable[Optional[StageProfile]],
-) -> float:
-    """Energy needed for a full run that exits at the shallow head.
-
-    Covers capture+preprocess, shallow inference, and result indication. The
-    LED colour is unknown at admission time, so the worst case over
-    ``led_options`` is charged.
-    """
-    if capture is None:
-        raise ConfigError("missing capture/preprocess stage profile")
-    if inference_ex1 is None:
-        raise ConfigError("missing shallow-inference stage profile")
-    return state_energy(capture) + state_energy(inference_ex1) + _led_worst(led_options)
-
-
-def required_energy_escalate(
-    escalation: Optional[StageProfile],
-    led_green: Optional[StageProfile],
-    led_options: Iterable[Optional[StageProfile]],
-) -> float:
-    """Energy needed to continue from the shallow to the deep exit.
-
-    Covers the remaining inference segment, the completion (green) LED, and
-    the worst-case result LED.
-    """
-    if escalation is None:
-        raise ConfigError("missing escalation-inference stage profile")
-    if led_green is None:
-        raise ConfigError("missing green LED stage profile")
-    return state_energy(escalation) + state_energy(led_green) + _led_worst(led_options)
 
 
 def min_start_voltage(spec: CapacitorSpec, e_req: float, delta: float = 0.0) -> float:

@@ -11,11 +11,10 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .energy import EnergyBudget
 from .errors import DomainError
 
 PERSON = 1
@@ -32,7 +31,6 @@ class ExitTaken(Enum):
     EX1 = "ex1"
     EX2 = "ex2"
     EX1_FALLBACK = "ex1_fallback"
-    NONE = "none"
 
 
 @dataclass(frozen=True)
@@ -70,14 +68,13 @@ class Thresholds:
 @dataclass(frozen=True)
 class ExitDecision:
     exit_taken: ExitTaken
-    prediction: Optional[int]
+    prediction: int
     escalation_requested: bool = False
     energy_denied: bool = False
-    fault: bool = False
 
     def __post_init__(self) -> None:
-        if (self.exit_taken is ExitTaken.NONE) != (self.prediction is None):
-            raise DomainError("prediction must be absent exactly when no exit was taken")
+        if self.prediction not in (PERSON, NO_PERSON):
+            raise DomainError(f"prediction must be {PERSON} or {NO_PERSON}, got {self.prediction!r}")
 
 
 def evaluate_ex1(o1: float, th: Thresholds) -> Region:
@@ -95,61 +92,6 @@ def fallback_label(o1: float) -> int:
 def evaluate_ex2(o2: float) -> int:
     """Balanced-threshold call on the deep score."""
     return PERSON if o2 >= 0.5 else NO_PERSON
-
-
-def policy_i_select(available: float, e1: float, e2: float) -> ExitTaken:
-    """Deepest exit whose energy demand fits the available budget."""
-    if e1 > e2:
-        raise DomainError("e1 must not exceed e2")
-    if available >= e2:
-        return ExitTaken.EX2
-    if available >= e1:
-        return ExitTaken.EX1
-    return ExitTaken.NONE
-
-
-def decide_proposed(
-    inst: InferenceInstance,
-    th: Thresholds,
-    budget: EnergyBudget,
-    energy_oracle: Callable[[], float],
-) -> ExitDecision:
-    """Confidence-gated decision with up-front and escalation energy checks.
-
-    ``energy_oracle`` is called once for admission and, only when the shallow
-    score is ambiguous, a second time just before escalation. Escalation is
-    denied (falling back to the balanced shallow call) when the second reading
-    is short of the escalation requirement plus guard margin.
-    """
-    try:
-        available = float(energy_oracle())
-    except Exception:
-        return ExitDecision(ExitTaken.NONE, None, fault=True)
-    if available < budget.e_req_ex1 + budget.guard_delta:
-        return ExitDecision(ExitTaken.NONE, None, energy_denied=True)
-    region = evaluate_ex1(inst.o1, th)
-    if region is Region.PERSON:
-        return ExitDecision(ExitTaken.EX1, PERSON)
-    if region is Region.NO_PERSON:
-        return ExitDecision(ExitTaken.EX1, NO_PERSON)
-    try:
-        available = float(energy_oracle())
-    except Exception:
-        return ExitDecision(ExitTaken.NONE, None, escalation_requested=True, fault=True)
-    if available >= budget.e_req_escalate + budget.guard_delta:
-        return ExitDecision(ExitTaken.EX2, evaluate_ex2(inst.o2), escalation_requested=True)
-    return ExitDecision(
-        ExitTaken.EX1_FALLBACK,
-        fallback_label(inst.o1),
-        escalation_requested=True,
-        energy_denied=True,
-    )
-
-
-def decide_policy_ii(inst: InferenceInstance, th: Thresholds) -> ExitDecision:
-    """Confidence-only variant: the escalation check is forced feasible."""
-    zero = EnergyBudget(0.0, 0.0, 0.0, 0.0, 0.0)
-    return decide_proposed(inst, th, zero, lambda: float("inf"))
 
 
 @dataclass(frozen=True)

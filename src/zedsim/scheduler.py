@@ -1,4 +1,4 @@
-"""Window-based admission control and the pipeline stage sequencer.
+"""Window-based admission control and the plan of each policy variant.
 
 Time is split into fixed windows of ``window_seconds``; at most one full
 pipeline (capture, preprocess, inference, indication) runs per window. Under
@@ -7,14 +7,32 @@ start times within the deadline; the fixed rule is the n_attempts=1 special
 case. Every attempt made while the supply outputs are up costs one voltage
 measurement; attempts at instants where the outputs are down are skipped for
 free because the controller is unpowered.
+
+Each variant is described once, by :func:`plan`, as a tuple of steps:
+
+- a stage name: run that stage;
+- ``Check(options, otherwise, enforced)``: measure, then take the first
+  option whose requirement plus ``guard_delta`` the usable energy covers,
+  else ``otherwise`` (at admission, ``None``: try the next instant). An
+  unenforced check takes its first option, but still measures;
+- ``Split(ambiguous)``: outside the open band (gamma1, gamma2) exit at the
+  shallow head with the region's call, inside it run ``ambiguous``;
+- ``Exit(taken)``: light the result LED for the exit's call and stop.
+
+The requirement of a step sequence is the worst-case buffer energy from
+where it starts to the next check or to the end: stages add their energy, an
+``Exit`` adds the dearer result LED, a ``Split`` takes the dearer branch, and
+a ``Check`` adds its measurement and its cheapest completion, the least that
+must be left once that check has been paid for. :func:`worst_case_time` is the
+same walk over durations, taking the longest branch everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, List, Optional, Tuple
 
-from .energy import CapacitorSpec
 from .errors import DomainError
 from .policy import (
     NO_PERSON,
@@ -26,7 +44,6 @@ from .policy import (
     evaluate_ex1,
     evaluate_ex2,
     fallback_label,
-    policy_i_select,
 )
 
 VARIANT_PROPOSED = "proposed"
@@ -38,6 +55,8 @@ VARIANTS = (VARIANT_PROPOSED, VARIANT_POLICY_I, VARIANT_POLICY_II, VARIANT_BASEL
 GATING_MOSFET = "mosfet"
 GATING_LOAD_SWITCH = "load_switch"
 GATINGS = (GATING_MOSFET, GATING_LOAD_SWITCH)
+
+_RESULT_LEDS = ("led_blue", "led_red")
 
 
 @dataclass(frozen=True)
@@ -56,6 +75,73 @@ class ScheduleConfig:
             raise DomainError("n_attempts must be an integer >= 1")
         if self.guard_delta < 0:
             raise DomainError("guard margin must be >= 0")
+
+
+@dataclass(frozen=True)
+class Check:
+    """Measure, then continue with the first option the usable energy covers."""
+
+    options: tuple
+    otherwise: Optional[tuple] = None
+    enforced: bool = True
+
+
+@dataclass(frozen=True)
+class Split:
+    """Exit at the shallow head outside the ambiguity band, else run ``ambiguous``."""
+
+    ambiguous: tuple
+
+
+@dataclass(frozen=True)
+class Exit:
+    """Indicate the call of the ``taken`` exit and end the pipeline."""
+
+    taken: ExitTaken
+
+
+@lru_cache(maxsize=None)
+def plan(variant: str, gating: str) -> Tuple[Check, Optional[int]]:
+    """The admission check of ``variant`` and its cap on admission instants
+    (None: every candidate instant of the schedule)."""
+    capture = "capture_preprocess" if gating == GATING_MOSFET else "capture_preprocess_load_switch"
+    if variant == VARIANT_BASELINE:
+        return Check((("capture_preprocess_load_switch", "inference_ex2", Exit(ExitTaken.EX2)),)), 1
+    if variant == VARIANT_POLICY_I:
+        deep = (capture, "inference_ex2", "led_green", Exit(ExitTaken.EX2))
+        shallow = (capture, "inference_ex1", Exit(ExitTaken.EX1))
+        return Check((deep, shallow)), None
+    escalation = Check(
+        (("inference_ex1_to_ex2", "led_green", Exit(ExitTaken.EX2)),),
+        otherwise=(Exit(ExitTaken.EX1_FALLBACK),),
+        enforced=variant != VARIANT_POLICY_II,
+    )
+    return Check(((capture, "inference_ex1", Split((escalation,))),)), None
+
+
+def _walk(steps: tuple, total: float, cost: Callable[[str], float], pick) -> float:
+    """``total`` plus the cost of ``steps``; ``pick`` combines a check's
+    completions. The running total is carried into every branch, so each
+    path adds its stages in the order they run."""
+    for step in steps:
+        if isinstance(step, Check):
+            ends = step.options + ((step.otherwise,) if step.otherwise is not None else ())
+            return pick(_walk(end, total, cost, pick) for end in ends) + cost("measurement")
+        if isinstance(step, Split):
+            return max(_walk((Exit(ExitTaken.EX1),), total, cost, pick),
+                       _walk(step.ambiguous, total, cost, pick))
+        total += max(cost(led) for led in _RESULT_LEDS) if isinstance(step, Exit) else cost(step)
+    return total
+
+
+def requirement(device, steps: tuple) -> float:
+    """Buffer energy ``steps`` need to reach their next check or their end."""
+    return _walk(steps, 0.0, device.stage_energy, min)
+
+
+def worst_case_time(device, steps: tuple) -> float:
+    """Longest wall time ``steps`` can take, every check's measurement included."""
+    return _walk(steps, 0.0, lambda name: device.stage(name).duration_seconds, max)
 
 
 @dataclass(frozen=True)
@@ -91,13 +177,14 @@ def try_admit(available_usable: float, e_req: float, delta: float) -> bool:
         raise DomainError("admission inputs must be >= 0")
     return available_usable >= e_req + delta
 
-def detect_power_failure(v_c: float, spec: CapacitorSpec) -> bool:
-    """True when the voltage has fallen strictly below the cutoff."""
-    return v_c < spec.v_off
-
-
-def _led_stage(prediction: int) -> str:
-    return "led_blue" if prediction == PERSON else "led_red"
+def _choose(device, check: Check, usable: float) -> Optional[tuple]:
+    """The first option of ``check`` that ``usable`` covers, else None."""
+    for option in check.options:
+        if not check.enforced or try_admit(
+            usable, requirement(device, option), device.schedule.guard_delta
+        ):
+            return option
+    return None
 
 
 def run_window(
@@ -119,23 +206,13 @@ def run_window(
     The instance is consumed only if the pipeline starts (``started_at`` set).
     """
     sched = device.schedule
-    delta = sched.guard_delta
     t_k = window_index * sched.window_seconds
     spent0 = clock.load_energy_spent
     clock.log_event(f"window:{window_index}")
-
-    capture = "capture_preprocess" if gating == GATING_MOSFET else "capture_preprocess_load_switch"
-    if variant == VARIANT_BASELINE:
-        capture = "capture_preprocess_load_switch"
-
-    candidates = candidate_start_times(t_k, sched)
-    if variant == VARIANT_BASELINE:
-        candidates = candidates[:1]
+    admission, attempts = plan(variant, gating)
 
     started_at = None
-    admission_usable = None
-    plan = None
-    for s in candidates:
+    for s in candidate_start_times(t_k, sched)[:attempts]:
         clock.advance_to(s)
         if not clock.outputs_enabled:
             continue
@@ -147,24 +224,10 @@ def run_window(
                 window_index, None, None, clock.load_energy_spent - spent0,
                 deferred=True, power_failure=False,
             )
-        avail = clock.usable_energy()
-        if variant == VARIANT_POLICY_I:
-            d1, d2 = device.depth_requirements(gating)
-            selected = policy_i_select(avail, d1 + delta, d2 + delta)
-            if selected is not ExitTaken.NONE:
-                plan = selected
-                admission_usable, started_at = avail, s
-        elif variant == VARIANT_BASELINE:
-            if try_admit(avail, device.baseline_requirement(), delta):
-                admission_usable, started_at = avail, s
-        else:
-            # reserve the potential escalation measurement on top of the
-            # shallow-path requirement: the fallback indication alone cannot
-            # absorb that debit, and it is paid before the escalation check
-            req = device.budget(gating).e_req_ex1 + device.stage_energy("measurement")
-            if try_admit(avail, req, delta):
-                admission_usable, started_at = avail, s
-        if started_at is not None:
+        admission_usable = clock.usable_energy()
+        steps = _choose(device, admission, admission_usable)
+        if steps is not None:
+            started_at = s
             clock.log_event("admit")
             break
 
@@ -175,15 +238,13 @@ def run_window(
             deferred=True, power_failure=False,
         )
 
-    decision, escalation_usable, failed = _execute_pipeline(
-        clock, device, instance, variant, gating, capture, plan
-    )
+    decision, escalation_usable, failed = _execute(clock, device, instance, steps)
     if failed:
         clock.log_event("power_failure")
     else:
         clock.log_event("exit:" + decision.exit_taken.value)
     correct = None
-    if decision is not None and decision.prediction is not None:
+    if decision is not None:
         correct = decision.prediction == instance.label
     return WindowOutcome(
         window_index,
@@ -199,57 +260,41 @@ def run_window(
     )
 
 
-def _execute_pipeline(clock, device, instance, variant, gating, capture, plan):
-    """Run the admitted pipeline stages; returns (decision, usable2, failed)."""
-    failed_outcome = (None, None, True)
+def _execute(clock, device, instance, steps):
+    """Run admitted steps to their exit; returns (decision, usable at the
+    escalation check, failed)."""
+    requested = denied = False
+    usable = None
+    k = 0
+    while True:
+        step = steps[k]
+        k += 1
+        if isinstance(step, Check):
+            if not clock.run_stage("measurement"):
+                return None, usable, True
+            usable = clock.usable_energy()
+            steps, k = _choose(device, step, usable), 0
+            if steps is None:
+                steps, denied = step.otherwise, True
+        elif isinstance(step, Split):
+            region = evaluate_ex1(instance.o1, device.thresholds)
+            if region is Region.AMBIGUOUS:
+                steps, k, requested = step.ambiguous, 0, True
+            else:
+                pred = PERSON if region is Region.PERSON else NO_PERSON
+                return _indicate(clock, ExitDecision(ExitTaken.EX1, pred), usable)
+        elif isinstance(step, Exit):
+            if step.taken is ExitTaken.EX2:
+                pred = evaluate_ex2(instance.o2)
+            else:
+                pred = fallback_label(instance.o1)
+            return _indicate(clock, ExitDecision(step.taken, pred, requested, denied), usable)
+        elif not clock.run_stage(step):
+            return None, usable, True
 
-    if not clock.run_stage(capture):
-        return failed_outcome
 
-    if variant == VARIANT_BASELINE or (variant == VARIANT_POLICY_I and plan is ExitTaken.EX2):
-        if not clock.run_stage("inference_ex2"):
-            return failed_outcome
-        pred = evaluate_ex2(instance.o2)
-        if variant == VARIANT_POLICY_I and not clock.run_stage("led_green"):
-            return failed_outcome
-        if not clock.run_stage(_led_stage(pred)):
-            return failed_outcome
-        return ExitDecision(ExitTaken.EX2, pred), None, False
-
-    if not clock.run_stage("inference_ex1"):
-        return failed_outcome
-
-    if variant == VARIANT_POLICY_I:
-        pred = fallback_label(instance.o1)
-        if not clock.run_stage(_led_stage(pred)):
-            return failed_outcome
-        return ExitDecision(ExitTaken.EX1, pred), None, False
-
-    region = evaluate_ex1(instance.o1, device.thresholds)
-    if region is not Region.AMBIGUOUS:
-        pred = PERSON if region is Region.PERSON else NO_PERSON
-        if not clock.run_stage(_led_stage(pred)):
-            return failed_outcome
-        return ExitDecision(ExitTaken.EX1, pred), None, False
-
-    if not clock.run_stage("measurement"):
-        return failed_outcome
-    usable2 = clock.usable_energy()
-    feasible = variant == VARIANT_POLICY_II or try_admit(
-        usable2, device.budget(gating).e_req_escalate, device.schedule.guard_delta
-    )
-    if feasible:
-        if not clock.run_stage("inference_ex1_to_ex2"):
-            return None, usable2, True
-        pred = evaluate_ex2(instance.o2)
-        if not (clock.run_stage("led_green") and clock.run_stage(_led_stage(pred))):
-            return None, usable2, True
-        return ExitDecision(ExitTaken.EX2, pred, escalation_requested=True), usable2, False
-
-    pred = fallback_label(instance.o1)
-    if not clock.run_stage(_led_stage(pred)):
-        return None, usable2, True
-    decision = ExitDecision(
-        ExitTaken.EX1_FALLBACK, pred, escalation_requested=True, energy_denied=True
-    )
-    return decision, usable2, False
+def _indicate(clock, decision: ExitDecision, usable):
+    led = "led_blue" if decision.prediction == PERSON else "led_red"
+    if not clock.run_stage(led):
+        return None, usable, True
+    return decision, usable, False

@@ -212,7 +212,8 @@ def _adversarial_setup():
     """Buffer sized for one shallow run; an ambiguous instance then demands
     escalation that the remaining charge cannot carry."""
     device = DEVICE.with_capacitance(0.05)
-    need = device.stage_energy("measurement") * 2 + device.budget().e_req_ex1 + 1e-3
+    shallow = sum(map(device.stage_energy, ("capture_preprocess", "inference_ex1", "led_red")))
+    need = device.stage_energy("measurement") * 2 + shallow + 1e-3
     v0 = math.sqrt(device.capacitor.v_off**2 + 2 * need / 0.05)
     trace = [InferenceInstance(0, 0.55, 0.9, 1)]
     return device, v0, HarvestProfile.constant(0.0), trace

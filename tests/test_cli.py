@@ -141,6 +141,28 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "deadline + execution time >= window" in err
 
+    @pytest.mark.parametrize("farads, unreachable", [
+        # 119.41 mJ usable at v_max: short of every load-switch admission
+        # once its 0.89 mJ measurement is paid (policy I's shallow path
+        # 118.95 mJ, the proposed one 119.84 mJ with the escalation
+        # measurement, the baseline 124.23 mJ)
+        (0.03276, ("proposed[load_switch]", "policy_i[load_switch]",
+                   "policy_ii[load_switch]", "baseline[load_switch]")),
+        # 120.34 mJ usable at v_max covers the proposed load-switch option,
+        # but not once the admission measurement has been paid
+        (0.033016, ("proposed[load_switch]", "policy_ii[load_switch]",
+                    "baseline[load_switch]")),
+    ])
+    def test_unreachable_admission_diagnosed(self, tmp_path, capsys, farads, unreachable):
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps({"capacitor": {"capacitance_farads": farads}}))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        for name in unreachable:
+            assert f"invalid: {name}: requirement" in err
+        # the mosfet paths of the two-exit variants still fit
+        assert "proposed[mosfet]" not in err and "policy_i[mosfet]" not in err
+
     def test_unknown_key_diagnosed(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
         cfg.write_text(json.dumps({"capacitanse": {}}))

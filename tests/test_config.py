@@ -5,6 +5,11 @@ import pytest
 from zedsim.config import DeviceConfig, config_hash, derive_escalation_stage, load_config
 from zedsim.energy import state_energy
 from zedsim.errors import ConfigError
+from zedsim.scheduler import GATINGS, VARIANTS, Split, plan, requirement
+
+
+def admission_options(variant, gating="mosfet"):
+    return plan(variant, gating)[0].options
 
 
 class TestDefaults:
@@ -120,42 +125,65 @@ class TestValidation:
         with pytest.raises(ConfigError, match="window"):
             d.validate()
 
+    def test_deadline_checked_under_every_gating(self):
+        # a slow load-switch capture overruns the window only under that
+        # gating; the mosfet paths and the baseline still fit
+        d = DeviceConfig.from_dict(
+            {"stages": {"capture_preprocess_load_switch": {"duration_seconds": 5.18}}}
+        )
+        problems = d.problems()
+        assert len(problems) == 3
+        for variant in ("proposed", "policy_i", "policy_ii"):
+            assert any(f"{variant!r} under 'load_switch'" in p for p in problems)
+
     def test_requirements(self):
         d = DeviceConfig.default()
-        b = d.budget()
-        # shallow requirement covers capture + shallow inference + worst LED
+        (attempt,) = admission_options("proposed")
+        # the shallow path with the worst LED, plus the escalation measurement
         expected = (
             d.stage_energy("capture_preprocess")
             + d.stage_energy("inference_ex1")
             + d.stage_energy("led_red")
+            + d.stage_energy("measurement")
         )
-        assert b.e_req_ex1 == pytest.approx(expected, rel=1e-12)
-        assert d.baseline_requirement() == pytest.approx(
+        assert requirement(d, attempt) == pytest.approx(expected, rel=1e-12)
+        (attempt,) = admission_options("baseline")
+        assert requirement(d, attempt) == pytest.approx(
             d.stage_energy("capture_preprocess_load_switch")
             + d.stage_energy("inference_ex2")
             + d.stage_energy("led_red"),
             rel=1e-12,
         )
-        d1, d2 = d.depth_requirements()
-        assert d1 < d2
+        deep, shallow = admission_options("policy_i")
+        assert requirement(d, shallow) < requirement(d, deep)
 
     def test_requirements_are_sized_for_the_buffer(self):
         # the buffer pays each rail joule divided by the converter efficiency
         rail = DeviceConfig.default()
         lossy = DeviceConfig.from_dict({"converter_efficiency": 0.5})
-        for field in ("e_req_ex1", "e_req_escalate", "e1", "e2"):
-            assert getattr(lossy.budget(), field) == pytest.approx(
-                2.0 * getattr(rail.budget(), field), rel=1e-12)
         assert lossy.stage_energy("measurement") == pytest.approx(
             2.0 * rail.stage_energy("measurement"), rel=1e-12)
-        assert lossy.baseline_requirement() == pytest.approx(
-            2.0 * rail.baseline_requirement(), rel=1e-12)
-        for a, b in zip(lossy.depth_requirements(), rail.depth_requirements()):
-            assert a == pytest.approx(2.0 * b, rel=1e-12)
+        for variant in VARIANTS:
+            for gating in GATINGS:
+                for option in admission_options(variant, gating):
+                    assert requirement(lossy, option) == pytest.approx(
+                        2.0 * requirement(rail, option), rel=1e-12)
+                    split = option[-1]
+                    if isinstance(split, Split):
+                        (check,) = split.ambiguous
+                        (escalate,) = check.options
+                        assert requirement(lossy, escalate) == pytest.approx(
+                            2.0 * requirement(rail, escalate), rel=1e-12)
 
     def test_gating_changes_budget(self):
         d = DeviceConfig.default()
-        assert d.budget("load_switch").e_req_ex1 > d.budget("mosfet").e_req_ex1
+        for variant in ("proposed", "policy_i", "policy_ii"):
+            for mosfet, load_switch in zip(admission_options(variant, "mosfet"),
+                                           admission_options(variant, "load_switch")):
+                assert requirement(d, load_switch) > requirement(d, mosfet)
+        # the baseline captures behind the load switch under either flag
+        assert admission_options("baseline", "mosfet") == admission_options(
+            "baseline", "load_switch")
 
     def test_bad_efficiency(self):
         d = DeviceConfig.from_dict({"converter_efficiency": 1.5})

@@ -1,21 +1,20 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from zedsim.config import DeviceConfig
+from zedsim.config import STAGE_NAMES, DeviceConfig
 from zedsim.energy import (
     CapacitorSpec,
-    EnergyBudget,
     StageProfile,
     min_start_voltage,
-    required_energy_escalate,
-    required_energy_ex1,
     state_energy,
     stored_energy,
     usable_energy,
 )
 from zedsim.errors import ConfigError, DomainError, UnreachableRequirementError
+from zedsim.scheduler import GATINGS, VARIANTS, plan, requirement
 
 SPEC = CapacitorSpec(1.5, 3.6, 3.92, 4.5)
 SMALL = CapacitorSpec(0.1, 3.6, 3.92, 4.5)
@@ -110,76 +109,92 @@ class TestStateEnergy:
             assert got == pytest.approx(energy_mj * 1e-3, rel=5e-3), name
 
 
+def admission_options(variant, gating="mosfet"):
+    return plan(variant, gating)[0].options
+
+
+def escalation_check(gating="mosfet"):
+    """The check the proposed plan makes before leaving the shallow exit."""
+    (attempt,) = admission_options("proposed", gating)
+    split = attempt[-1]
+    (check,) = split.ambiguous
+    return check
+
+
 class TestRequiredEnergy:
+    """The plans' requirements against hand sums of the published rows."""
+
     def setup_method(self):
-        self.stages = DeviceConfig.default().stages
-        self.leds = [self.stages["led_blue"], self.stages["led_red"]]
+        self.device = DeviceConfig.default()
 
     def test_full_run_worst_led(self):
-        # oracle: hand sum of the published rows, red LED worst case
-        expected = (72.896 + 8.118 + 0.3931) * 1e-3
-        got = required_energy_ex1(
-            self.stages["capture_preprocess"], self.stages["inference_ex1"], self.leds
-        )
-        assert got == pytest.approx(expected, rel=5e-3)
+        # capture, shallow inference and the red LED, plus the escalation
+        # measurement an ambiguous score spends before it can fall back
+        expected = (72.896 + 8.118 + 0.3931 + 0.8934) * 1e-3
+        (attempt,) = admission_options("proposed")
+        assert requirement(self.device, attempt) == pytest.approx(expected, rel=5e-3)
+        assert expected == pytest.approx(82.30e-3, abs=1e-5)
 
     def test_all_zero_profiles(self):
-        z = StageProfile("z", 0.0, 0.0, 3.3)
-        assert required_energy_ex1(z, z, [z]) == 0.0
-        assert required_energy_escalate(z, z, [z]) == 0.0
+        zero = DeviceConfig.from_dict(
+            {"stages": {name: {"current_amps": 0.0} for name in STAGE_NAMES}}
+        )
+        for variant in VARIANTS:
+            for gating in GATINGS:
+                for option in admission_options(variant, gating):
+                    assert requirement(zero, option) == 0.0
+        assert requirement(zero, escalation_check().options[0]) == 0.0
 
     def test_load_switch_substitution(self):
-        expected = (110.442 + 8.118 + 0.3931) * 1e-3
-        got = required_energy_ex1(
-            self.stages["capture_preprocess_load_switch"],
-            self.stages["inference_ex1"],
-            self.leds,
-        )
-        assert got == pytest.approx(expected, rel=5e-3)
+        expected = (110.442 + 8.118 + 0.3931 + 0.8934) * 1e-3
+        for variant in ("proposed", "policy_ii"):
+            (attempt,) = admission_options(variant, "load_switch")
+            assert requirement(self.device, attempt) == pytest.approx(expected, rel=5e-3)
+        assert expected == pytest.approx(119.84e-3, abs=1e-5)
 
     def test_escalation_worst_led(self):
         expected = ((13.390 - 8.118) + 0.1182 + 0.3931) * 1e-3
-        got = required_energy_escalate(
-            self.stages["inference_ex1_to_ex2"], self.stages["led_green"], self.leds
-        )
-        assert got == pytest.approx(expected, rel=5e-3)
+        (escalate,) = escalation_check().options
+        assert requirement(self.device, escalate) == pytest.approx(expected, rel=5e-3)
 
     def test_escalation_blue_led(self):
+        # the result LED is charged at the dearer colour, here the blue one
+        device = DeviceConfig.from_dict({"stages": {"led_red": {"current_amps": 0.0}}})
         expected = ((13.390 - 8.118) + 0.1182 + 0.1885) * 1e-3
-        got = required_energy_escalate(
-            self.stages["inference_ex1_to_ex2"],
-            self.stages["led_green"],
-            [self.stages["led_blue"]],
-        )
-        assert got == pytest.approx(expected, rel=5e-3)
+        (escalate,) = escalation_check().options
+        assert requirement(device, escalate) == pytest.approx(expected, rel=5e-3)
 
     def test_missing_profile(self):
-        with pytest.raises(ConfigError):
-            required_energy_ex1(None, self.stages["inference_ex1"], self.leds)
-        with pytest.raises(ConfigError):
-            required_energy_escalate(self.stages["inference_ex1_to_ex2"], None, self.leds)
-        with pytest.raises(ConfigError):
-            required_energy_ex1(
-                self.stages["capture_preprocess"], self.stages["inference_ex1"], []
-            )
+        (attempt,) = admission_options("proposed")
+        for name in ("capture_preprocess", "led_green", "led_red", "measurement"):
+            stages = {k: v for k, v in self.device.stages.items() if k != name}
+            with pytest.raises(ConfigError, match=name):
+                requirement(replace(self.device, stages=stages), attempt)
 
     def test_escalation_additivity(self):
-        # shallow-path stages plus the escalation requirement never exceed a
-        # deep run recomputed from raw profiles
+        # the shallow path plus the escalation requirement never exceed the
+        # deep run that policy I admits
         ex1_path = (
-            state_energy(self.stages["capture_preprocess"])
-            + state_energy(self.stages["inference_ex1"])
+            state_energy(self.device.stages["capture_preprocess"])
+            + state_energy(self.device.stages["inference_ex1"])
         )
-        escalate = required_energy_escalate(
-            self.stages["inference_ex1_to_ex2"], self.stages["led_green"], self.leds
-        )
-        full_deep = (
-            state_energy(self.stages["capture_preprocess"])
-            + state_energy(self.stages["inference_ex2"])
-            + state_energy(self.stages["led_green"])
-            + state_energy(self.stages["led_red"])
-        )
-        assert ex1_path + escalate <= full_deep + 1e-12
+        (escalate,) = escalation_check().options
+        deep, _ = admission_options("policy_i")
+        full_deep = (72.896 + 13.390 + 0.1182 + 0.3931) * 1e-3
+        assert requirement(self.device, deep) == pytest.approx(full_deep, rel=5e-3)
+        assert ex1_path + requirement(self.device, escalate) <= requirement(self.device, deep) + 1e-12
+
+    def test_policy_i_depths_and_baseline(self):
+        deep, shallow = admission_options("policy_i")
+        assert requirement(self.device, shallow) == pytest.approx(
+            (72.896 + 8.118 + 0.3931) * 1e-3, rel=5e-3)
+        assert requirement(self.device, deep) == pytest.approx(
+            (72.896 + 13.390 + 0.1182 + 0.3931) * 1e-3, rel=5e-3)
+        # the single-exit baseline always captures behind the load switch
+        for gating in GATINGS:
+            (attempt,) = admission_options("baseline", gating)
+            assert requirement(self.device, attempt) == pytest.approx(
+                (110.442 + 13.390 + 0.3931) * 1e-3, rel=5e-3)
 
 
 class TestMinStartVoltage:
@@ -231,9 +246,14 @@ class TestTypes:
             StageProfile("x", 1e-3, -0.1)
 
     def test_budget_invariants(self):
-        with pytest.raises(DomainError):
-            EnergyBudget(1.0, 0.1, 0.5, 0.2)  # e1 > e2
-        with pytest.raises(DomainError):
-            EnergyBudget(0.1, 0.1, 0.5, 0.6)  # e_req_ex1 < e1
-        with pytest.raises(DomainError):
-            EnergyBudget(1.0, -0.1, 0.5, 0.6)
+        # every requirement the plans give is non-negative and covers each
+        # stage it runs before its next check
+        device = DeviceConfig.default()
+        for variant in VARIANTS:
+            for gating in GATINGS:
+                for option in admission_options(variant, gating):
+                    need = requirement(device, option)
+                    stages = [step for step in option if isinstance(step, str)]
+                    assert need >= sum(map(device.stage_energy, stages)) > 0
+        deep, shallow = admission_options("policy_i")
+        assert requirement(device, shallow) <= requirement(device, deep)

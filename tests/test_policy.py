@@ -6,7 +6,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zedsim.config import DeviceConfig
-from zedsim.energy import EnergyBudget
 from zedsim.errors import DomainError
 from zedsim.policy import (
     NO_PERSON,
@@ -17,22 +16,46 @@ from zedsim.policy import (
     Region,
     SweepCell,
     Thresholds,
-    decide_policy_ii,
-    decide_proposed,
     evaluate_ex1,
     evaluate_ex2,
     fallback_label,
-    policy_i_select,
     sweep_thresholds,
 )
+from zedsim.scheduler import run_window
 from zedsim.traces import GeneratorSpec, generate_trace
 
-BUDGET = DeviceConfig.default().budget()
+DEVICE = DeviceConfig.default()
+# escalation stage, green LED and the dearer (red) result LED
+ESCALATION_J = sum(map(DEVICE.stage_energy, ("inference_ex1_to_ex2", "led_green", "led_red")))
 
 
-def make_oracle(values):
-    it = iter(values)
-    return lambda: next(it)
+class ScriptedClock:
+    """The clock protocol of ``run_window``, reading usable energy from a
+    script; a measurement with no reading left browns out."""
+
+    def __init__(self, readings):
+        self.readings = list(readings)
+        self.time = 0.0
+        self.outputs_enabled = True
+        self.load_energy_spent = 0.0
+        self.events = []
+
+    def advance_to(self, t):
+        self.time = t
+
+    def run_stage(self, name):
+        return name != "measurement" or bool(self.readings)
+
+    def usable_energy(self):
+        return self.readings.pop(0)
+
+    def log_event(self, label):
+        self.events.append(label)
+
+
+def decide(variant, inst, readings, device=DEVICE):
+    """One window of ``variant`` with a single admission instant."""
+    return run_window(0, ScriptedClock(readings), device.with_attempts(1), inst, variant)
 
 
 class TestEvaluateEx1:
@@ -71,69 +94,86 @@ class TestFallbackAndEx2:
 
 
 class TestPolicyISelect:
+    """Policy I admits the deepest path whose requirement the reading covers:
+    81.407 mJ shallow and 86.797 mJ deep under the mosfet gate."""
+
     def test_deep_feasible(self):
-        assert policy_i_select(13.4e-3, 8.118e-3, 13.390e-3) is ExitTaken.EX2
+        out = decide("policy_i", InferenceInstance(0, 0.2, 0.9, 1), [86.9e-3])
+        assert out.decision == ExitDecision(ExitTaken.EX2, PERSON)
+        assert out.admission_usable == 86.9e-3
 
     def test_only_shallow_feasible(self):
-        assert policy_i_select(10e-3, 8.118e-3, 13.390e-3) is ExitTaken.EX1
+        out = decide("policy_i", InferenceInstance(0, 0.2, 0.9, 1), [84e-3])
+        assert out.decision == ExitDecision(ExitTaken.EX1, NO_PERSON)
 
     def test_nothing_feasible(self):
-        assert policy_i_select(0.0, 8.118e-3, 13.390e-3) is ExitTaken.NONE
+        out = decide("policy_i", InferenceInstance(0, 0.2, 0.9, 1), [81e-3])
+        assert out.deferred and out.decision is None
 
     def test_bad_order(self):
-        with pytest.raises(DomainError):
-            policy_i_select(1.0, 2.0, 1.0)
+        # a shallow path dearer than the deep one is no error: the options
+        # are tried in the plan's order, deep first
+        device = DeviceConfig.from_dict({"stages": {
+            "inference_ex1": {"current_amps": 0.1},
+            "inference_ex1_to_ex2": {"current_amps": 1e-3, "duration_seconds": 0.1},
+        }})
+        out = decide("policy_i", InferenceInstance(0, 0.9, 0.9, 1), [0.3], device)
+        assert out.decision.exit_taken is ExitTaken.EX2
 
 
 class TestDecideProposed:
     def test_confident_early_exit(self):
         inst = InferenceInstance(0, 0.9, 0.9, 1)
-        d = decide_proposed(inst, Thresholds(0.3, 0.7), BUDGET, make_oracle([100.0]))
+        d = decide("proposed", inst, [100.0]).decision
         assert d.exit_taken is ExitTaken.EX1
         assert d.prediction == PERSON
         assert not d.escalation_requested and not d.energy_denied
 
     def test_ambiguous_escalates(self):
         inst = InferenceInstance(0, 0.55, 0.2, 0)
-        d = decide_proposed(inst, Thresholds(0.3, 0.7), BUDGET, make_oracle([100.0, 100.0]))
+        d = decide("proposed", inst, [100.0, 100.0]).decision
         assert d.exit_taken is ExitTaken.EX2
         assert d.prediction == NO_PERSON
         assert d.escalation_requested
 
     def test_escalation_denied_falls_back(self):
         inst = InferenceInstance(0, 0.55, 0.2, 0)
-        d = decide_proposed(inst, Thresholds(0.3, 0.7), BUDGET, make_oracle([100.0, 1e-6]))
+        out = decide("proposed", inst, [100.0, 1e-6])
+        d = out.decision
         assert d.exit_taken is ExitTaken.EX1_FALLBACK
         assert d.prediction == PERSON  # 0.5 <= o1 < gamma2
         assert d.energy_denied and d.escalation_requested
+        assert out.escalation_usable == 1e-6
 
     def test_admission_denied(self):
         inst = InferenceInstance(0, 0.9, 0.9, 1)
-        d = decide_proposed(inst, Thresholds(0.3, 0.7), BUDGET, make_oracle([0.0]))
-        assert d.exit_taken is ExitTaken.NONE
-        assert d.prediction is None and d.energy_denied
+        out = decide("proposed", inst, [0.0])
+        assert out.deferred and out.decision is None and out.started_at is None
 
-    def test_oracle_failure_is_fault(self):
+    def test_measurement_brownout_defers(self):
+        # the admission reading never arrives: the window is deferred, not failed
         inst = InferenceInstance(0, 0.9, 0.9, 1)
-        d = decide_proposed(inst, Thresholds(0.3, 0.7), BUDGET, make_oracle([]))
-        assert d.exit_taken is ExitTaken.NONE and d.fault
+        clock = ScriptedClock([])
+        out = run_window(0, clock, DEVICE.with_attempts(1), inst)
+        assert out.deferred and not out.power_failure
+        assert clock.events == ["window:0", "measurement_brownout"]
 
     def test_energy_safety_property(self):
         # a deep exit is never reported when the second reading is short
         rng = random.Random(5)
-        th = Thresholds(0.3, 0.7)
-        need = BUDGET.e_req_escalate + BUDGET.guard_delta
+        need = ESCALATION_J + DEVICE.schedule.guard_delta
         for _ in range(500):
             inst = InferenceInstance(0, rng.random(), rng.random(), rng.randint(0, 1))
             second = rng.uniform(0.0, 2.0 * need)
-            d = decide_proposed(inst, th, BUDGET, make_oracle([1.0, second]))
+            d = decide("proposed", inst, [1.0, second]).decision
             if d.exit_taken is ExitTaken.EX2:
                 assert second >= need
 
     def test_policy_ii_always_escalates_on_ambiguity(self):
         inst = InferenceInstance(0, 0.55, 0.2, 0)
-        d = decide_policy_ii(inst, Thresholds(0.3, 0.7))
-        assert d.exit_taken is ExitTaken.EX2
+        out = decide("policy_ii", inst, [1.0, 0.0])
+        assert out.decision.exit_taken is ExitTaken.EX2
+        assert out.escalation_usable == 0.0
 
     def test_determinism(self):
         rng = random.Random(9)
@@ -141,9 +181,9 @@ class TestDecideProposed:
             InferenceInstance(i, rng.random(), rng.random(), rng.randint(0, 1))
             for i in range(100)
         ]
-        th = Thresholds(0.2, 0.8)
-        a = [decide_proposed(i, th, BUDGET, make_oracle([1.0, 1.0])) for i in instances]
-        b = [decide_proposed(i, th, BUDGET, make_oracle([1.0, 1.0])) for i in instances]
+        device = DEVICE.with_thresholds(0.2, 0.8)
+        a = [decide("proposed", i, [1.0, 1.0], device) for i in instances]
+        b = [decide("proposed", i, [1.0, 1.0], device) for i in instances]
         assert a == b
 
 
@@ -270,6 +310,6 @@ class TestTypes:
 
     def test_decision_consistency(self):
         with pytest.raises(DomainError):
-            ExitDecision(ExitTaken.NONE, PERSON)
+            ExitDecision(ExitTaken.EX2, 2)
         with pytest.raises(DomainError):
             ExitDecision(ExitTaken.EX1, None)

@@ -1,6 +1,7 @@
 """Invariants of the simulator over generated devices, harvest profiles and
 traces: ledger closure, the totals' partition, no power failures under the
-proposed policy, exact replay, and agreement with the Euler oracle."""
+variants that check energy before every stage, escalation exactly when the
+reading covers it, exact replay, and agreement with the Euler oracle."""
 
 import math
 from dataclasses import replace
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from zedsim.config import DeviceConfig
 from zedsim.pmu import HarvestProfile, initial_state, step
-from zedsim.policy import InferenceInstance
+from zedsim.policy import ExitTaken, InferenceInstance
 from zedsim.scheduler import VARIANTS
 from zedsim.sim import SimConfig, energy_ledger_residual, replay_check, simulate
 
@@ -77,6 +78,36 @@ def test_ledger_closes_and_totals_partition(scenario):
 def test_proposed_never_power_fails(scenario):
     cfg, harvest, trace = scenario
     assert simulate(cfg, harvest, trace).totals.power_failures == 0
+
+
+@given(scenarios(variants=("policy_i", "baseline")))
+def test_policy_i_and_baseline_never_power_fail(scenario):
+    # like the proposed policy, both admit only what the buffer can finish
+    cfg, harvest, trace = scenario
+    assert simulate(cfg, harvest, trace).totals.power_failures == 0
+
+
+@given(scenarios(variants=("proposed",)), st.floats(0.0, 12e-3))
+def test_escalates_exactly_when_the_reading_covers_it(scenario, spare):
+    cfg, harvest, trace = scenario
+    # a small buffer that starts with its outputs on, just above the first
+    # admission (its measurement, the shallow path and the escalation
+    # measurement), so that escalation is both granted and denied
+    device = cfg.device.with_capacitance(0.05)
+    admit = sum(map(device.stage_energy, (
+        "measurement", "capture_preprocess", "inference_ex1", "led_red", "measurement")))
+    v0 = math.sqrt(V_OFF**2 + 2 * (admit + spare) / 0.05)
+    cfg = replace(cfg, device=device, initial_v=min(v0, V_MAX))
+    # escalation stage, green LED and the dearer result LED, by hand
+    need = (
+        device.stage_energy("inference_ex1_to_ex2")
+        + device.stage_energy("led_green")
+        + max(device.stage_energy("led_blue"), device.stage_energy("led_red"))
+        + device.schedule.guard_delta
+    )
+    for w in simulate(cfg, harvest, trace).windows:
+        if w.escalation_usable is not None:
+            assert (w.decision.exit_taken is ExitTaken.EX2) == (w.escalation_usable >= need)
 
 
 def test_admission_covers_converter_losses():

@@ -8,7 +8,17 @@ from zedsim.config import DeviceConfig
 from zedsim.energy import CapacitorSpec, usable_energy
 from zedsim.errors import ConfigError
 from zedsim.pmu import HarvestProfile, charge_time, initial_state, step
-from zedsim.policy import ExitTaken, InferenceInstance, decide_proposed
+from zedsim.policy import (
+    NO_PERSON,
+    PERSON,
+    ExitDecision,
+    ExitTaken,
+    InferenceInstance,
+    Region,
+    evaluate_ex1,
+    evaluate_ex2,
+    fallback_label,
+)
 from zedsim.sim import (
     SimConfig,
     _Engine,
@@ -27,12 +37,37 @@ def trace5000():
     return generate_trace(GeneratorSpec(5000, 0.7265, 0.8309, 0.5386, 7))
 
 
+def stage_sum(device, *names):
+    return sum(map(device.stage_energy, names))
+
+
+def decide_proposed(inst, device, readings):
+    """Replay oracle of the proposed policy: its decision from the usable
+    energy read at admission and, for an ambiguous shallow score, before
+    escalating. None when the admission reading is short."""
+    readings = iter(readings)
+    guard = device.schedule.guard_delta
+    # the shallow path with the dearer LED, plus the escalation measurement
+    admit = stage_sum(device, "capture_preprocess", "inference_ex1", "led_red", "measurement")
+    if next(readings) < admit + guard:
+        return None
+    region = evaluate_ex1(inst.o1, device.thresholds)
+    if region is not Region.AMBIGUOUS:
+        return ExitDecision(ExitTaken.EX1, PERSON if region is Region.PERSON else NO_PERSON)
+    escalate = stage_sum(device, "inference_ex1_to_ex2", "led_green", "led_red")
+    if next(readings) >= escalate + guard:
+        return ExitDecision(ExitTaken.EX2, evaluate_ex2(inst.o2), escalation_requested=True)
+    return ExitDecision(
+        ExitTaken.EX1_FALLBACK, fallback_label(inst.o1),
+        escalation_requested=True, energy_denied=True,
+    )
+
+
 def tight_budget_device():
     """Small buffer sized so one shallow run fits but escalation does not."""
     device = DEVICE.with_capacitance(0.05)
-    need = (
-        device.stage_energy("measurement") + device.budget().e_req_ex1 + 2e-3
-    )
+    shallow = stage_sum(device, "capture_preprocess", "inference_ex1", "led_red")
+    need = device.stage_energy("measurement") + shallow + 2e-3
     v0 = math.sqrt(device.capacitor.v_off**2 + 2 * need / 0.05)
     return device, v0
 
@@ -145,18 +180,12 @@ class TestSimulate:
         trace_by_id = {i.id: i for i in trace5000}
 
         def audit(result, device):
-            budget = device.budget()
             kinds = set()
             for w in result.windows:
                 if w.decision is None:
                     continue
-                readings = [w.admission_usable]
-                if w.escalation_usable is not None:
-                    readings.append(w.escalation_usable)
-                it = iter(readings)
-                d = decide_proposed(
-                    trace_by_id[w.instance_id], device.thresholds, budget, lambda: next(it)
-                )
+                readings = [w.admission_usable, w.escalation_usable]
+                d = decide_proposed(trace_by_id[w.instance_id], device, readings)
                 assert d == w.decision
                 kinds.add(d.exit_taken)
             return kinds
@@ -236,7 +265,8 @@ class TestPolicyIVariant:
 
     def test_policy_i_shallow_when_deep_infeasible(self):
         device = DEVICE.with_capacitance(0.05)
-        d1, d2 = device.depth_requirements()
+        d1 = stage_sum(device, "capture_preprocess", "inference_ex1", "led_red")
+        d2 = stage_sum(device, "capture_preprocess", "inference_ex2", "led_green", "led_red")
         meas = device.stage_energy("measurement")
         need = meas + 0.5 * (d1 + d2)  # between the two depth requirements
         v0 = math.sqrt(3.6**2 + 2 * need / 0.05)
