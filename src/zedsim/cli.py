@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -209,6 +208,7 @@ def _cmd_sweep_capacitance(args) -> int:
     ]
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(payloads) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_capacitance_point, payloads))
     else:

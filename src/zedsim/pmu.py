@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from .energy import CapacitorSpec
 from .errors import DomainError, SimulationFault
 
@@ -71,15 +69,13 @@ def mode_of(v_c: float, spec: CapacitorSpec, outputs_latched_on: bool) -> PmuMod
 
 
 # mode codes of mode_values, in the order its masks overwrite one another
-_MODE_VALUES = np.array(
-    [m.value for m in (PmuMode.HYSTERESIS_OFF, PmuMode.HYSTERESIS_ON, PmuMode.COLD_START,
-                       PmuMode.OPERATE, PmuMode.FULL)],
-    dtype=object,
-)
+_MODE_VALUES = tuple(m.value for m in (PmuMode.HYSTERESIS_OFF, PmuMode.HYSTERESIS_ON,
+                                       PmuMode.COLD_START, PmuMode.OPERATE, PmuMode.FULL))
 
 
-def mode_values(v_c: np.ndarray, spec: CapacitorSpec, outputs_latched_on: np.ndarray) -> List[str]:
+def mode_values(v_c, spec: CapacitorSpec, outputs_latched_on) -> List[str]:
     """:func:`mode_of` over arrays, as the shared ``PmuMode.value`` strings."""
+    import numpy as np
     bad = (v_c < 0) | (v_c > spec.v_max * (1.0 + _V_MAX_REL_TOL))
     if bad.any():
         raise DomainError(f"voltage {v_c[bad][0]} outside [0, {spec.v_max}]")
@@ -87,7 +83,7 @@ def mode_values(v_c: np.ndarray, spec: CapacitorSpec, outputs_latched_on: np.nda
     code[v_c <= spec.v_off] = 2
     code[v_c >= spec.v_on] = 3
     code[v_c >= spec.v_max * (1.0 - _V_MAX_REL_TOL)] = 4
-    return _MODE_VALUES[code].tolist()
+    return np.array(_MODE_VALUES, dtype=object)[code].tolist()
 
 
 @dataclass(frozen=True)
@@ -168,8 +164,9 @@ def voltage_after(
     return v
 
 
-def charge_times(v0, v1, current, power, capacitance: float) -> np.ndarray:
+def charge_times(v0, v1, current, power, capacitance: float):
     """:func:`charge_time` over arrays."""
+    import numpy as np
     a = current * v0 - power
     dv = v1 - v0
     x = current * dv / a
@@ -179,19 +176,24 @@ def charge_times(v0, v1, current, power, capacitance: float) -> np.ndarray:
     return capacitance * dv * (v0 + power * dv * s / a) / a
 
 
-def voltages_after(v0, bound, current, power, capacitance: float, dt) -> np.ndarray:
-    """:func:`voltage_after` over arrays."""
+def voltages_after(v0, bound, current, power, capacitance: float, dt):
+    """:func:`voltage_after` over equal-length arrays. Each element stops at its
+    own convergence test, so its result does not depend on the others."""
+    import numpy as np
     lo, hi = np.minimum(v0, bound), np.maximum(v0, bound)
     v = np.clip(np.sqrt(np.maximum(v0 * v0 + 2.0 * (current * v0 - power) * dt / capacitance, 0.0)),
                 lo, hi)
+    out, idx = np.empty_like(v), np.arange(v.size)
     for _ in range(_NEWTON_ITERATIONS):
         err = charge_times(v0, v, current, power, capacitance) - dt
         nxt = np.clip(v - err * (current * v - power) / (capacitance * v), lo, hi)
-        done = np.all(np.abs(nxt - v) <= 1e-15 * v)
-        v = nxt
-        if done:
+        out[idx] = nxt  # final where converged; the others are written again
+        go = ~(np.abs(nxt - v) <= 1e-15 * v)
+        idx, v0, v, current, power, dt, lo, hi = (
+            x[go] for x in (idx, v0, nxt, current, power, dt, lo, hi))
+        if not idx.size:
             break
-    return v
+    return out
 
 
 def harvest_current_at(profile: HarvestProfile, t: float) -> float:

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, List, Optional, Sequence
 
-import numpy as np
-
 from .errors import DomainError
 
 PERSON = 1
@@ -126,6 +124,7 @@ def sweep_thresholds(
     score of 0.5 is PERSON. The cost is O(n log n) for the sort plus
     O(log n) per cell.
     """
+    import numpy as np
     n = len(trace)
     if not n:
         raise DomainError("trace must be non-empty")

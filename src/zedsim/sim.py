@@ -6,8 +6,8 @@ current and the load power are constant, so each piece has a closed form
 Events are harvest segment boundaries, stage ends, scheduler instants, and
 the voltage reaching v_off, v_on (while latched off) or v_max. The cost of a
 run therefore scales with its number of events, not with its horizon. The
-trajectory is sampled on first use, on the grid k*SAMPLE_INTERVAL, from the
-same closed forms.
+trajectory is streamed in chunks, on the grid k*SAMPLE_INTERVAL, from the
+same closed forms, and never held in memory whole.
 
 A run is strictly sequential and deterministic: given the same configuration,
 harvest profile and trace it reproduces bit-identical trajectories, window
@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .config import DeviceConfig, config_hash
 from .errors import ConfigError, DomainError, SimulationFault
@@ -44,6 +42,7 @@ from .scheduler import (
 _T_EPS = 1e-12
 SAMPLE_INTERVAL = 0.01  # trajectory grid spacing, in seconds
 _SAMPLES_PER_S = round(1.0 / SAMPLE_INTERVAL)  # grid times are k / this: exact decimals
+_SAMPLE_CHUNK = 4096  # trajectory samples computed, and written, at a time
 
 
 @dataclass(frozen=True)
@@ -105,17 +104,24 @@ class SimResult:
     events: List[Tuple[float, str]]
     windows: List[WindowOutcome]
     totals: SimTotals
-    _engine: "_Engine" = field(repr=False, compare=False)
-
-    @cached_property
-    def trajectory(self) -> List[Tuple[float, float, str]]:
-        """(time, v_c, mode) samples, computed on first use: most callers
-        need only the totals."""
-        return self._engine.trajectory()
+    trajectory: "Trajectory" = field(repr=False, compare=False)
 
     @property
     def config_sha256(self) -> str:
         return config_hash(self.config)
+
+
+class Trajectory:
+    """A run's (time, v_c, mode) samples: sized without sampling, streamed as iterated."""
+
+    def __init__(self, engine: "_Engine"):
+        self._engine = engine
+
+    def __len__(self) -> int:
+        return self._engine.n_samples()
+
+    def __iter__(self) -> Iterator[Tuple[float, float, str]]:
+        return (row for chunk in self._engine.samples() for row in zip(*chunk))
 
 
 class _Engine:
@@ -261,30 +267,37 @@ class _Engine:
                 column.append(value)
         self._t, self._v, self._e = t1, v1, e1
 
-    def trajectory(self) -> List[Tuple[float, float, str]]:
-        """(time, v_c, mode) on the grid k*SAMPLE_INTERVAL up to now, plus now
-        itself when the grid misses it."""
-        end = self._t
-        n = int(end * _SAMPLES_PER_S)
-        if (n + 1) / _SAMPLES_PER_S <= end:
+    def record(self) -> Tuple[list, ...]:
+        """The piece columns closed by the current state, a piece of zero length."""
+        return tuple(column + [value] for column, value in
+                     zip(self._pieces, (self._t, self._v, self._v, 0.0, 0.0, self._enabled)))
+
+    def n_samples(self) -> int:
+        """Grid points k*SAMPLE_INTERVAL up to now, plus now if the grid misses it."""
+        n = int(self._t * _SAMPLES_PER_S)
+        if (n + 1) / _SAMPLES_PER_S <= self._t:
             n += 1
-        times = np.arange(n + 1) / _SAMPLES_PER_S
-        if times[-1] != end:
-            times = np.append(times, end)
-        # the current state closes the record as a piece of zero length
-        cols = [np.array(column + [value]) for column, value in
-                zip(self._pieces, (end, self._v, self._v, 0.0, 0.0, self._enabled))]
-        t0, v0, v1, cur, pw, latched = cols
-        j = np.searchsorted(t0, times, side="right") - 1
-        v = v0[j]
-        moving = np.flatnonzero(v1[j] != v)
-        if moving.size:
-            jm = j[moving]
-            v[moving] = voltages_after(
-                v0[jm], v1[jm], cur[jm], pw[jm], self._c, times[moving] - t0[jm]
-            )
-        modes = mode_values(v, self._cap, latched[j])
-        return list(zip(times.tolist(), v.tolist(), modes))
+        return n + 1 + (n / _SAMPLES_PER_S != self._t)
+
+    def samples(self) -> Iterator[Tuple[List[float], List[float], List[str]]]:
+        """(times, v_c, modes) lists, ``_SAMPLE_CHUNK`` samples at a time. Each sample
+        is a function of its piece and its time alone, so the chunk size changes no bit."""
+        import numpy as np
+        total = self.n_samples()
+        t0, v0, v1, cur, pw, latched = map(np.array, self.record())
+        for k in range(0, total, _SAMPLE_CHUNK):
+            times = np.arange(k, min(k + _SAMPLE_CHUNK, total)) / _SAMPLES_PER_S
+            if k + times.size == total:
+                times[-1] = self._t
+            j = np.searchsorted(t0, times, side="right") - 1
+            v = v0[j]
+            moving = np.flatnonzero(v1[j] != v)
+            if moving.size:
+                jm = j[moving]
+                v[moving] = voltages_after(
+                    v0[jm], v1[jm], cur[jm], pw[jm], self._c, times[moving] - t0[jm]
+                )
+            yield times.tolist(), v.tolist(), mode_values(v, self._cap, latched[j])
 
 
 def simulate(
@@ -317,7 +330,7 @@ def simulate(
     engine.advance_to(cfg.horizon_seconds)
 
     totals = _aggregate(windows, engine, initial_energy, n_windows)
-    return SimResult(cfg.to_dict(), engine.events, windows, totals, engine)
+    return SimResult(cfg.to_dict(), engine.events, windows, totals, Trajectory(engine))
 
 
 def _aggregate(windows, engine, initial_energy, n_windows) -> SimTotals:
@@ -373,8 +386,8 @@ def replay_check(
     harvest: HarvestProfile,
     trace: Sequence[InferenceInstance],
 ) -> ReplayReport:
-    """Re-simulate and compare bit-for-bit over trajectory, windows, events
-    and totals against a previous result."""
+    """Re-simulate and compare bit-for-bit over totals, windows, events and
+    the piece record, which fixes every trajectory sample, against a result."""
     detail = _compare_exact(result, simulate(cfg, harvest, trace))
     return ReplayReport(exact=detail is None, detail=detail or "")
 
@@ -387,12 +400,12 @@ def _compare_exact(a: SimResult, b: SimResult) -> Optional[str]:
             if wa != wb:
                 return f"window {wa.window_index} differs: {wa} != {wb}"
         return "window counts differ"
-    if a.trajectory != b.trajectory:
-        if len(a.trajectory) != len(b.trajectory):
-            return f"trajectory lengths differ: {len(a.trajectory)} != {len(b.trajectory)}"
-        for pa, pb in zip(a.trajectory, b.trajectory):
+    ra, rb = a.trajectory._engine.record(), b.trajectory._engine.record()
+    if ra != rb:
+        for k, (pa, pb) in enumerate(zip(zip(*ra), zip(*rb))):
             if pa != pb:
-                return f"trajectory point differs: {pa} != {pb}"
+                return f"piece {k} differs: {pa} != {pb}"
+        return f"piece counts differ: {len(ra[0])} != {len(rb[0])}"
     if a.events != b.events:
         return "event logs differ"
     return None
@@ -454,24 +467,26 @@ TRAJECTORY_HEADER = ["time_s", "v_c", "mode", "event"]
 def write_trajectory_csv(result: SimResult, path) -> None:
     """Samples and events merged chronologically; samples carry no event label.
 
-    Both lists are already in time order, so they are merged as they are
-    written; at equal times the sample comes first. Sample rows hold only
-    float reprs and mode names, which never need quoting, so they are
-    formatted directly, in the csv module's dialect.
+    Each chunk of samples goes out in one write, with the events that fall
+    among its samples; at equal times the sample comes first. Rows hold only
+    float reprs, mode names and event labels made of stage names and fixed
+    words, which never need quoting, so they are formatted directly.
     """
     events = result.events
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_sha256={result.config_sha256}\n")
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_HEADER)
+        csv.writer(fh).writerow(TRAJECTORY_HEADER)
         j = 0
-        for t, v, mode in result.trajectory:
-            while j < len(events) and events[j][0] < t:
-                writer.writerow([repr(events[j][0]), "", "", events[j][1]])
+        for times, vs, modes in result.trajectory._engine.samples():
+            rows = [f"{t!r},{v!r},{m},\r\n" for t, v, m in zip(times, vs, modes)]
+            first = j
+            while j < len(events) and events[j][0] < times[-1]:
+                t, label = events[j]
+                # after the samples at or before it and the chunk's earlier events
+                rows.insert(bisect_right(times, t) + j - first, f"{t!r},,,{label}\r\n")
                 j += 1
-            fh.write(f"{t!r},{v!r},{mode},\r\n")
-        for t, label in events[j:]:
-            writer.writerow([repr(t), "", "", label])
+            fh.write("".join(rows))
+        fh.write("".join(f"{t!r},,,{label}\r\n" for t, label in events[j:]))
 
 
 def totals_text(result: SimResult) -> str:

@@ -21,8 +21,6 @@ import warnings
 from dataclasses import dataclass
 from typing import List, Sequence
 
-import numpy as np
-
 from .errors import DomainError, FitError, TraceError
 from .pmu import HarvestProfile
 from .policy import InferenceInstance
@@ -137,6 +135,7 @@ class GeneratorSpec:
 
 def generate_trace(spec: GeneratorSpec) -> List[InferenceInstance]:
     """Seeded synthetic trace hitting the accuracy targets to within 1/n."""
+    import numpy as np
     rng = np.random.default_rng(spec.seed)
     n = spec.n
 
@@ -164,8 +163,9 @@ def generate_trace(spec: GeneratorSpec) -> List[InferenceInstance]:
     ]
 
 
-def _assign_correct(rng, confident: np.ndarray, target_correct: int) -> np.ndarray:
+def _assign_correct(rng, confident, target_correct: int):
     """Confident instances are always correct; top up among the ambiguous."""
+    import numpy as np
     n = confident.size
     n_conf = int(confident.sum())
     remaining = target_correct - n_conf
@@ -180,7 +180,8 @@ def _assign_correct(rng, confident: np.ndarray, target_correct: int) -> np.ndarr
     return correct
 
 
-def _scores(rng, labels, confident, correct) -> np.ndarray:
+def _scores(rng, labels, confident, correct):
+    import numpy as np
     n = labels.size
     pole = labels.astype(float)  # 1.0 for person, 0.0 for no-person
     toward_pole = np.where(correct, 1.0, -1.0) * np.where(labels == 1, 1.0, -1.0)

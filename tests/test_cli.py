@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zedsim
 from zedsim.cli import main
 from zedsim.policy import Thresholds, sweep_thresholds
 from zedsim.traces import load_trace
@@ -233,3 +238,23 @@ class TestCompare:
         assert float(rows[1]["energy_delta_pct"]) < 0
         assert (out / "totals_baseline.txt").exists()
         assert (out / "totals_proposed.txt").exists()
+
+
+class TestStartup:
+    def test_numpy_and_process_pool_load_only_where_used(self, tmp_path, trace_file):
+        # importing the CLI, and a sweep that reads only totals, load neither
+        code = (
+            "import sys, zedsim.cli\n"
+            "lazy = {'numpy', 'concurrent.futures.process'}\n"
+            "print(sorted(lazy & set(sys.modules)))\n"
+            "zedsim.cli.main(sys.argv[1:])\n"
+            "print(sorted(lazy & set(sys.modules)))\n"
+        )
+        argv = ["sweep-capacitance", "--trace", str(trace_file), "--horizon", "30",
+                "--capacitance", "0.5", "--jobs", "1", "--out", str(tmp_path / "out")]
+        env = {**os.environ, "PYTHONPATH": str(Path(zedsim.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "[]" and lines[-1] == "[]"

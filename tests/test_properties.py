@@ -1,19 +1,31 @@
 """Invariants of the simulator over generated devices, harvest profiles and
 traces: ledger closure, the totals' partition, no power failures under the
 variants that check energy before every stage, escalation exactly when the
-reading covers it, exact replay, and agreement with the Euler oracle."""
+reading covers it, exact replay, agreement with the Euler oracle, and a
+trajectory that does not depend on how it is chunked."""
 
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
-from hypothesis import given
+import numpy as np
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zedsim import sim
 from zedsim.config import DeviceConfig
-from zedsim.pmu import HarvestProfile, initial_state, step
+from zedsim.pmu import HarvestProfile, charge_time, initial_state, step, voltages_after
 from zedsim.policy import ExitTaken, InferenceInstance
-from zedsim.scheduler import VARIANTS
-from zedsim.sim import SimConfig, energy_ledger_residual, replay_check, simulate
+from zedsim.scheduler import GATINGS, VARIANTS, plan, requirement
+from zedsim.sim import (
+    SimConfig,
+    energy_ledger_residual,
+    replay_check,
+    simulate,
+    write_trajectory_csv,
+)
 
 DEVICE = DeviceConfig.default()
 V_OFF, V_MAX = DEVICE.capacitor.v_off, DEVICE.capacitor.v_max
@@ -61,10 +73,24 @@ def scenarios(draw, variants=VARIANTS):
     return cfg, draw(harvests(horizon)), trace
 
 
-@given(scenarios())
-def test_ledger_closes_and_totals_partition(scenario):
-    cfg, harvest, trace = scenario
-    result = simulate(cfg, harvest, trace)
+@st.composite
+def near_admission(draw):
+    """Proposed-policy scenarios on a small buffer that starts within a few mJ
+    of its first admission, under a harvest too weak to refill it within a
+    pipeline, so that escalations are both granted and denied."""
+    cfg, _, trace = draw(scenarios(variants=("proposed",)))
+    harvest = HarvestProfile.constant(draw(st.floats(0.0, 0.3e-3)))
+    gating = draw(st.sampled_from(GATINGS))
+    c = draw(st.floats(0.05, 0.1))
+    device = cfg.device.with_capacitance(c)
+    admission, _ = plan("proposed", gating)
+    need = requirement(device, (admission,)) + device.schedule.guard_delta
+    usable = max(need + draw(st.floats(-1e-3, 8e-3)), 0.0)
+    v0 = min(math.sqrt(V_OFF**2 + 2 * usable / c), V_MAX)
+    return replace(cfg, device=device, initial_v=v0, gating_variant=gating), harvest, trace
+
+
+def assert_ledger_closes_and_totals_partition(result):
     t = result.totals
     assert abs(energy_ledger_residual(result)) < 1e-9
     # each account is a sum of closed-form differences, exact to roundoff
@@ -72,6 +98,22 @@ def test_ledger_closes_and_totals_partition(scenario):
     assert t.completed_pipelines + t.deferred_windows + t.power_failures == t.n_windows
     assert t.n_ex1 + t.n_ex2 + t.n_fallback == t.completed_pipelines
     assert all(V_OFF <= v <= V_MAX for _, v, _ in result.trajectory)
+
+
+@given(scenarios())
+def test_ledger_closes_and_totals_partition(scenario):
+    assert_ledger_closes_and_totals_partition(simulate(*scenario))
+
+
+@given(near_admission())
+def test_proposed_near_admission_never_fails_closes_and_replays(scenario):
+    # where the proposed policy falls back to the shallow exit for want of energy
+    cfg, harvest, trace = scenario
+    result = simulate(cfg, harvest, trace)
+    assert result.totals.power_failures == 0
+    assert_ledger_closes_and_totals_partition(result)
+    report = replay_check(result, cfg, harvest, trace)
+    assert report.exact, report.detail
 
 
 @given(scenarios(variants=("proposed",)))
@@ -150,7 +192,49 @@ def test_engine_agrees_with_euler_oracle_without_admissions(device, v0, horizon_
         state = nxt
     # first-order bound: the step lags the harvest power by at most
     # i*dv over the span, and each latch switch by one step of idle draw
-    v_exact = result.trajectory[-1][1]
+    v_exact = list(result.trajectory)[-1][1]
     travel = V_MAX - V_OFF + 2 * switches * (spec.v_on - V_OFF)
     energy_bound = dt * (MAX_HARVEST * travel + (1 + switches) * p_idle / eta)
     assert abs(v_exact - state.v_c) <= energy_bound / (spec.capacitance_farads * V_OFF)
+
+
+@settings(max_examples=10)
+@given(scenarios())
+def test_trajectory_csv_does_not_depend_on_chunk_size(scenario):
+    result = simulate(*scenario)
+    n = len(result.trajectory)
+    assert n == sum(1 for _ in result.trajectory)
+    written = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trajectory.csv"
+        for size in (1, 7, 4096, n):
+            with mock.patch.object(sim, "_SAMPLE_CHUNK", size):
+                write_trajectory_csv(result, path)
+            written.add(path.read_bytes())
+    assert len(written) == 1
+    assert written.pop().count(b"\n") == 2 + n + len(result.events)
+
+
+@st.composite
+def moving_pieces(draw):
+    """(v0, bound, current, power, dt) of a piece whose flows move it toward
+    bound, as the engine passes them to voltages_after."""
+    v0 = draw(st.floats(V_OFF, V_MAX, exclude_min=True, exclude_max=True))
+    share = draw(st.floats(0.0, 0.99))  # the weaker flow against the stronger
+    if draw(st.booleans()):
+        bound, current = V_MAX, draw(st.floats(1e-6, 20e-3))
+        power = share * current * v0
+    else:
+        bound, power = V_OFF, draw(st.floats(1e-6, 0.08))
+        current = share * power / v0
+    tau = charge_time(v0, bound, current, power, 0.1)
+    return v0, bound, current, power, draw(st.floats(0.0, 1.0)) * tau
+
+
+@given(st.lists(moving_pieces(), min_size=1, max_size=200))
+def test_voltages_after_is_elementwise(rows):
+    cols = [np.array(col) for col in zip(*rows)]
+    whole = voltages_after(*cols[:4], 0.1, cols[4])
+    for k in range(len(rows)):
+        one = voltages_after(*(col[k:k + 1] for col in cols[:4]), 0.1, cols[4][k:k + 1])
+        assert one[0] == whole[k]

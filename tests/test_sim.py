@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -21,11 +22,13 @@ from zedsim.policy import (
 )
 from zedsim.sim import (
     SimConfig,
+    Trajectory,
     _Engine,
     compare_policies,
     energy_ledger_residual,
     replay_check,
     simulate,
+    write_trajectory_csv,
 )
 from zedsim.traces import GeneratorSpec, generate_trace
 
@@ -118,7 +121,7 @@ class TestSimulate:
         assert times == [k / 100 for k in range(5001)]  # the doubles nearest k * 0.01
         # a horizon off the grid closes the trajectory with one extra sample
         off = simulate(SimConfig(DEVICE, 4.5, 20.005, 0, "proposed"), harvest, trace5000)
-        assert [t for t, _, _ in off.trajectory[-2:]] == [20.0, 20.005]
+        assert [t for t, _, _ in list(off.trajectory)[-2:]] == [20.0, 20.005]
 
     def test_idle_current_drains_only_while_enabled(self):
         small = replace(DEVICE, idle_current_amps=5e-3)
@@ -296,6 +299,17 @@ class TestReplay:
         assert not report
         assert report.detail
 
+    def test_one_ulp_in_one_piece_is_reported(self, trace5000):
+        cfg = SimConfig(DEVICE, 4.5, 100.0, 7, "proposed")
+        harvest = HarvestProfile.constant(2e-3)
+        result = simulate(cfg, harvest, trace5000)
+        end_v = result.trajectory._engine._pieces[2]  # each piece's end voltage
+        k = len(end_v) // 2
+        end_v[k] = math.nextafter(end_v[k], math.inf)
+        report = replay_check(result, cfg, harvest, trace5000)
+        assert not report
+        assert report.detail.startswith(f"piece {k} differs")
+
     def test_euler_oracle_converges_to_exact_run(self, trace5000):
         # replay the run's stage loads through the Euler step: its error in
         # the final voltage halves with the step, toward the exact engine
@@ -321,7 +335,7 @@ class TestReplay:
                 busy = k < len(loads) and loads[k][0] <= t + 1e-12
                 nxt = loads[k][busy] if k < len(loads) else 20.0
                 state = step(state, spec, 8e-3, loads[k][2] if busy else 0.0, min(dt, nxt - t))
-            errors.append(state.v_c - result.trajectory[-1][1])
+            errors.append(state.v_c - list(result.trajectory)[-1][1])
         assert 0 < abs(errors[-1]) < 1e-7
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine == pytest.approx(2.0, rel=0.01)
@@ -352,7 +366,7 @@ class TestEngineMatchesPmuStep:
         cfg = SimConfig(device, 4.0, 5.0, 0, "proposed")
         result = simulate(cfg, harvest, [])
         exact = 4.0 + (2e-3 * 2.5 + 30e-3 * 2.5) / 0.8  # 4.1 V
-        assert result.trajectory[-1][:2] == (5.0, pytest.approx(exact, rel=1e-14))
+        assert list(result.trajectory)[-1][:2] == (5.0, pytest.approx(exact, rel=1e-14))
 
         spec = device.capacitor
         errors = []
@@ -409,7 +423,7 @@ class TestEventEngine:
         engine.advance_to(t_on + 0.5)
         assert engine.outputs_enabled
         assert engine.consumed == pytest.approx(p_idle * (t_off + 0.5), rel=1e-9)
-        modes = [m for _, _, m in engine.trajectory()]
+        modes = [m for _, _, m in Trajectory(engine)]
         runs = [m for k, m in enumerate(modes) if k == 0 or m != modes[k - 1]]
         # both crossings fall between grid points, and past v_on the idle draw
         # outweighs the harvest again
@@ -422,6 +436,22 @@ class TestEventEngine:
         t_full = 0.1 * 0.1 / 30e-3
         assert engine.v_c == 4.5
         assert engine.clamp_loss == pytest.approx(30e-3 * 4.5 * (10.0 - t_full), rel=1e-12)
-        samples = dict((t, v) for t, v, _ in engine.trajectory())
+        samples = dict((t, v) for t, v, _ in Trajectory(engine))
         assert samples[0.33] == pytest.approx(4.4 + 30e-3 * 0.33 / 0.1, rel=1e-14)
         assert samples[0.34] == 4.5
+
+
+class TestTrajectoryMemory:
+    def test_writer_peak_does_not_grow_with_horizon(self, tmp_path, trace5000):
+        # the samples are streamed in chunks, so only the piece record grows
+        peaks = []
+        for horizon in (1200.0, 4800.0):
+            cfg = SimConfig(DEVICE, 4.0, horizon, 0, "proposed")
+            result = simulate(cfg, HarvestProfile.constant(2e-3), trace5000)
+            tracemalloc.start()
+            try:
+                write_trajectory_csv(result, tmp_path / "trajectory.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1e6, peaks
