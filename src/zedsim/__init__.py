@@ -2,15 +2,8 @@
 two-exit person detector under capacitor energy constraints."""
 
 from .config import DeviceConfig, load_config, config_hash
-from .energy import (
-    CapacitorSpec,
-    StageProfile,
-    min_start_voltage,
-    state_energy,
-    stored_energy,
-    usable_energy,
-)
-from .pmu import EnergyState, HarvestProfile, PmuMode, harvest_current_at, initial_state, mode_of, step
+from .energy import CapacitorSpec, StageProfile, min_start_voltage, state_energy
+from .pmu import HarvestProfile
 from .policy import (
     ExitDecision,
     ExitTaken,
@@ -34,7 +27,6 @@ from .scheduler import (
 )
 from .sim import (
     PolicyComparison,
-    ReplayReport,
     SimConfig,
     SimResult,
     SimTotals,

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -21,7 +21,7 @@ from .config import DeviceConfig, config_hash, load_config
 from .energy import min_start_voltage
 from .errors import UnreachableRequirementError, ZedSimError
 from .pmu import HarvestProfile
-from .policy import Thresholds, sweep_thresholds, write_sweep_csv
+from .policy import SWEEP_HEADER, InferenceInstance, Thresholds, sweep_thresholds
 from .scheduler import GATINGS, VARIANTS, plan, requirement
 from .sim import (
     COMPARISON_HEADER,
@@ -68,18 +68,21 @@ def _float_list(text: str) -> List[float]:
     return [float(p) for p in text.split(",") if p]
 
 
-def _add_common(p: argparse.ArgumentParser, trace_required: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="device config JSON; defaults apply when omitted")
-    p.add_argument("--trace", required=trace_required, help="trace CSV (id,o1,o2,label)")
+    p.add_argument("--trace", required=True, help="trace CSV (id,o1,o2,label)")
+    p.add_argument("--out", default="out", help="output directory (created if absent)")
+
+
+def _add_simulation(p: argparse.ArgumentParser) -> None:
+    """The common flags plus the harvest, start, horizon and gating of a simulation."""
+    _add_common(p)
     p.add_argument("--harvest", help="harvest profile CSV (t_start_s,i_h_ma)")
     p.add_argument("--harvest-ma", type=float, default=0.0,
                    help="constant harvested current in mA when --harvest is not given")
     p.add_argument("--horizon", type=float, default=200.0, help="simulated seconds")
     p.add_argument("--initial-v", type=float, default=4.5, help="starting capacitor voltage")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--policy", choices=sorted(_POLICY_FLAGS), default="proposed")
     p.add_argument("--gating", choices=sorted(_GATING_FLAGS), default="mosfet")
-    p.add_argument("--out", default="out", help="output directory (created if absent)")
 
 
 def _device(args) -> DeviceConfig:
@@ -92,13 +95,12 @@ def _harvest(args) -> HarvestProfile:
     return HarvestProfile.constant(args.harvest_ma * 1e-3)
 
 
-def _sim_config(args, device: Optional[DeviceConfig] = None) -> SimConfig:
+def _sim_config(args, policy_variant: str) -> SimConfig:
     return SimConfig(
-        device=device if device is not None else _device(args),
+        device=_device(args),
         initial_v=args.initial_v,
         horizon_seconds=args.horizon,
-        seed=args.seed,
-        policy_variant=_POLICY_FLAGS[args.policy],
+        policy_variant=policy_variant,
         gating_variant=_GATING_FLAGS[args.gating],
     )
 
@@ -118,7 +120,7 @@ def _write_resolved(cfg_dict: dict, out: Path) -> str:
 
 
 def _cmd_run(args) -> int:
-    cfg = _sim_config(args)
+    cfg = _sim_config(args, _POLICY_FLAGS[args.policy])
     trace = load_trace(args.trace)
     result = simulate(cfg, _harvest(args), trace)
     out = _out_dir(args)
@@ -130,9 +132,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = _sim_config(args)
-    trace = load_trace(args.trace)
     variants = [_POLICY_FLAGS[v] for v in args.variants]
+    cfg = _sim_config(args, variants[0])  # the reference variant
+    trace = load_trace(args.trace)
     comparison = compare_policies(cfg, variants, _harvest(args), trace)
     out = _out_dir(args)
     digest = _write_resolved(cfg.to_dict(), out)
@@ -160,7 +162,7 @@ def _cmd_sweep_thresholds(args) -> int:
     cells = sweep_thresholds(trace, grid)
     out = _out_dir(args)
     digest = _write_resolved(device.to_dict(), out)
-    write_sweep_csv(cells, out / "sweep_thresholds.csv", digest)
+    write_rows_csv([asdict(c) for c in cells], SWEEP_HEADER, out / "sweep_thresholds.csv", digest)
     print(f"wrote {len(cells)} cells to {out / 'sweep_thresholds.csv'}")
     return 0
 
@@ -172,12 +174,10 @@ CAPACITANCE_HEADER = [
 
 
 def _run_capacitance_point(payload) -> dict:
-    cfg_dict, variant, c_farads, harvest_pairs, trace_rows, initial_v, horizon, seed, gating = payload
+    cfg_dict, variant, c_farads, harvest_pairs, trace_rows, initial_v, horizon, gating = payload
     device = DeviceConfig.from_dict(cfg_dict).with_capacitance(c_farads)
-    cfg = SimConfig(device, initial_v, horizon, seed, variant, gating)
+    cfg = SimConfig(device, initial_v, horizon, variant, gating)
     harvest = HarvestProfile.from_pairs(harvest_pairs)
-    from .policy import InferenceInstance
-
     trace = [InferenceInstance(*row) for row in trace_rows]
     totals = simulate(cfg, harvest, trace).totals
     return {
@@ -197,17 +197,21 @@ def _cmd_sweep_capacitance(args) -> int:
     if not args.capacitance:
         print("error: empty capacitance grid", file=sys.stderr)
         return 2
+    if args.jobs < 0:
+        print(f"error: --jobs must be >= 0, got {args.jobs}", file=sys.stderr)
+        return 2
     variants = [_POLICY_FLAGS[v] for v in args.variants]
     trace_rows = [(i.id, i.o1, i.o2, i.label) for i in trace]
     harvest_pairs = list(zip(harvest.times, harvest.currents))
     payloads = [
         (device.to_dict(), variant, c, harvest_pairs, trace_rows,
-         args.initial_v, args.horizon, args.seed, _GATING_FLAGS[args.gating])
+         args.initial_v, args.horizon, _GATING_FLAGS[args.gating])
         for c in sorted(args.capacitance)
         for variant in variants
     ]
-    jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(payloads) > 1:
+    # a fork-started pool forks all its workers on the first submit
+    jobs = min(args.jobs or os.cpu_count() or 1, len(payloads))
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_capacitance_point, payloads))
@@ -266,13 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="single simulation, trajectory + totals artifacts")
-    _add_common(p)
+    _add_simulation(p)
+    p.add_argument("--policy", choices=sorted(_POLICY_FLAGS), default="proposed")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("compare", help="run several policy variants on identical inputs")
-    _add_common(p)
+    _add_simulation(p)
     p.add_argument("--variants", nargs="+", choices=sorted(_POLICY_FLAGS),
-                   default=["baseline", "proposed"])
+                   default=["baseline", "proposed"], help="the first is the reference")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("sweep-thresholds", help="accuracy/exit-count surfaces over (gamma1, gamma2)")
@@ -282,11 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep_thresholds)
 
     p = sub.add_parser("sweep-capacitance", help="completed-pipeline table over capacitance values")
-    _add_common(p)
+    _add_simulation(p)
     p.add_argument("--capacitance", type=_float_list, default=[0.1, 0.25, 0.5, 1.0, 1.5])
     p.add_argument("--variants", nargs="+", choices=sorted(_POLICY_FLAGS),
                    default=["baseline", "proposed"])
-    p.add_argument("--jobs", type=int, default=0, help="worker processes (0 = all cores)")
+    p.add_argument("--jobs", type=int, default=0,
+                   help="worker processes (0 = all cores), at most one per point")
     p.set_defaults(func=_cmd_sweep_capacitance)
 
     p = sub.add_parser("gen-trace", help="write a calibrated synthetic trace CSV")

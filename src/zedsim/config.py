@@ -82,17 +82,7 @@ class DeviceConfig:
 
     @classmethod
     def default(cls) -> "DeviceConfig":
-        return cls(
-            capacitor=CapacitorSpec(**_DEFAULT_CAPACITOR),
-            stages=default_stages(),
-            thresholds=Thresholds(**_DEFAULT_THRESHOLDS),
-            schedule=ScheduleConfig(
-                window_seconds=_DEFAULT_SCHEDULE["window_seconds"],
-                deadline_seconds=_DEFAULT_SCHEDULE["deadline_seconds"],
-                n_attempts=_DEFAULT_SCHEDULE["n_attempts"],
-                guard_delta=_DEFAULT_SCHEDULE["guard_delta_joules"],
-            ),
-        )
+        return cls.from_dict({})
 
     def stage(self, name: str) -> StageProfile:
         try:
@@ -225,12 +215,6 @@ class DeviceConfig:
 
     def with_capacitance(self, capacitance_farads: float) -> "DeviceConfig":
         return replace(self, capacitor=replace(self.capacitor, capacitance_farads=capacitance_farads))
-
-    def with_thresholds(self, gamma1: float, gamma2: float) -> "DeviceConfig":
-        return replace(self, thresholds=Thresholds(gamma1, gamma2))
-
-    def with_attempts(self, n_attempts: int) -> "DeviceConfig":
-        return replace(self, schedule=replace(self.schedule, n_attempts=n_attempts))
 
 
 def _section(data: dict, key: str, allowed: set) -> dict:

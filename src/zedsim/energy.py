@@ -10,7 +10,7 @@ load.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .errors import DomainError, UnreachableRequirementError
 
@@ -25,6 +25,8 @@ class CapacitorSpec:
     v_max: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, astuple(self))):
+            raise DomainError(f"capacitance and thresholds must be finite, got {self}")
         if self.capacitance_farads <= 0:
             raise DomainError(f"capacitance must be positive, got {self.capacitance_farads}")
         if not (0 < self.v_off < self.v_on < self.v_max):
@@ -37,11 +39,6 @@ class CapacitorSpec:
     def energy_floor(self) -> float:
         """Energy stored at v_off; reserved, never available to the load."""
         return 0.5 * self.capacitance_farads * self.v_off**2
-
-    @property
-    def energy_max(self) -> float:
-        """Energy stored at the charge ceiling v_max."""
-        return 0.5 * self.capacitance_farads * self.v_max**2
 
 
 @dataclass(frozen=True)
@@ -71,20 +68,6 @@ class StageProfile:
         return self.supply_volts * self.current_amps
 
 
-def stored_energy(spec: CapacitorSpec, v_c: float) -> float:
-    """Instantaneous energy stored at capacitor voltage ``v_c``."""
-    if not 0 <= v_c <= spec.v_max:
-        raise DomainError(f"voltage {v_c} outside [0, {spec.v_max}]")
-    return 0.5 * spec.capacitance_farads * v_c**2
-
-def usable_energy(spec: CapacitorSpec, v_c: float) -> float:
-    """Energy available above the v_off floor; 0 when v_c is at or below it."""
-    if v_c < 0:
-        raise DomainError(f"voltage {v_c} is negative")
-    if v_c <= spec.v_off:
-        return 0.0
-    return 0.5 * spec.capacitance_farads * (v_c**2 - spec.v_off**2)
-
 def state_energy(profile: StageProfile) -> float:
     """Energy drawn by one run of the stage: supply * duration * current."""
     return profile.supply_volts * profile.duration_seconds * profile.current_amps
@@ -93,7 +76,7 @@ def state_energy(profile: StageProfile) -> float:
 def min_start_voltage(spec: CapacitorSpec, e_req: float, delta: float = 0.0) -> float:
     """Minimum capacitor voltage at which ``e_req + delta`` is usable.
 
-    Inverse of :func:`usable_energy` on [v_off, v_max]. Raises
+    Inverse of the usable energy C*(v^2 - v_off^2)/2 on [v_off, v_max]. Raises
     UnreachableRequirementError when the requirement exceeds what even a full
     capacitor can supply.
     """

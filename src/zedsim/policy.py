@@ -8,8 +8,7 @@ happens depends on the energy check at that moment. Ties at 0.5 resolve to
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, List, Optional, Sequence
 
@@ -108,6 +107,9 @@ class SweepCell:
     n_ex2: int
 
 
+SWEEP_HEADER = [f.name for f in fields(SweepCell)]
+
+
 def sweep_thresholds(
     trace: Sequence[InferenceInstance], grid: Iterable[Thresholds]
 ) -> List[SweepCell]:
@@ -162,26 +164,3 @@ def sweep_thresholds(
         )
     return cells
 
-
-SWEEP_HEADER = ["gamma1", "gamma2", "acc_ex1", "acc_ex2", "acc_total", "n_ex1", "n_ex2"]
-
-
-def write_sweep_csv(cells: Sequence[SweepCell], path, config_hash: Optional[str] = None) -> None:
-    """Write sweep cells as CSV; empty-exit accuracies become empty fields."""
-    with open(path, "w", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config_sha256={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER)
-        for c in cells:
-            writer.writerow(
-                [
-                    repr(c.gamma1),
-                    repr(c.gamma2),
-                    "" if c.acc_ex1 is None else repr(c.acc_ex1),
-                    "" if c.acc_ex2 is None else repr(c.acc_ex2),
-                    repr(c.acc_total),
-                    c.n_ex1,
-                    c.n_ex2,
-                ]
-            )

@@ -198,7 +198,7 @@ def run_window(
     """Attempt one pipeline in the given window.
 
     ``clock`` is the simulation engine driving the capacitor: it must provide
-    ``time``, ``outputs_enabled``, ``usable_energy()``, ``advance_to(t)``,
+    ``outputs_enabled``, ``usable_energy()``, ``advance_to(t)``,
     ``run_stage(name) -> bool`` (False on power failure),
     ``load_energy_spent`` and ``log_event(label)``. ``device`` is the
     DeviceConfig carrying stage profiles, thresholds and the schedule.

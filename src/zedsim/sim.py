@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .config import DeviceConfig, config_hash
@@ -50,7 +50,6 @@ class SimConfig:
     device: DeviceConfig
     initial_v: float
     horizon_seconds: float
-    seed: int = 0
     policy_variant: str = VARIANT_PROPOSED
     gating_variant: str = GATING_MOSFET
 
@@ -75,7 +74,6 @@ class SimConfig:
             "device": self.device.to_dict(),
             "initial_v": self.initial_v,
             "horizon_seconds": self.horizon_seconds,
-            "seed": self.seed,
             "policy_variant": self.policy_variant,
             "gating_variant": self.gating_variant,
         }
@@ -173,10 +171,6 @@ class _Engine:
         return self._t
 
     @property
-    def v_c(self) -> float:
-        return self._v
-
-    @property
     def stored_energy(self) -> float:
         return self._e
 
@@ -201,7 +195,7 @@ class _Engine:
     def run_stage(self, name: str) -> bool:
         """Run one pipeline stage; False if the voltage fell to the cutoff."""
         prof = self._device.stage(name)
-        p_load = prof.supply_volts * prof.current_amps
+        p_load = prof.power_watts
         if p_load > 0 and not self._enabled:
             raise SimulationFault(f"stage {name!r} requested at t={self._t} with outputs disabled")
         self.log_event("stage:" + name)
@@ -369,30 +363,16 @@ def energy_ledger_residual(result: SimResult) -> float:
     )
 
 
-@dataclass
-class ReplayReport:
-    """Outcome of re-running a result's inputs; truthy when they agree."""
-
-    exact: bool
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.exact
-
-
 def replay_check(
     result: SimResult,
     cfg: SimConfig,
     harvest: HarvestProfile,
     trace: Sequence[InferenceInstance],
-) -> ReplayReport:
+) -> Optional[str]:
     """Re-simulate and compare bit-for-bit over totals, windows, events and
-    the piece record, which fixes every trajectory sample, against a result."""
-    detail = _compare_exact(result, simulate(cfg, harvest, trace))
-    return ReplayReport(exact=detail is None, detail=detail or "")
-
-
-def _compare_exact(a: SimResult, b: SimResult) -> Optional[str]:
+    the piece record, which fixes every trajectory sample, against a result.
+    Returns the first difference, or None when the runs agree."""
+    a, b = result, simulate(cfg, harvest, trace)
     if a.totals != b.totals:
         return f"totals differ: {a.totals} != {b.totals}"
     if a.windows != b.windows:
@@ -490,21 +470,12 @@ def write_trajectory_csv(result: SimResult, path) -> None:
 
 
 def totals_text(result: SimResult) -> str:
-    """Single structured-text summary record of one run."""
-    t = result.totals
+    """Single structured-text summary record of one run: each total as its
+    repr, None as an empty value."""
     lines = [f"config_sha256={result.config_sha256}"]
-    for name in (
-        "energy_consumed_j", "harvested_j", "clamp_loss_j",
-        "initial_energy_j", "final_energy_j",
-    ):
-        lines.append(f"{name}={getattr(t, name)!r}")
-    for name in (
-        "n_windows", "completed_pipelines", "deferred_windows", "power_failures",
-        "n_ex1", "n_ex2", "n_fallback",
-    ):
-        lines.append(f"{name}={getattr(t, name)}")
-    acc = t.accuracy_total
-    lines.append(f"accuracy_total={'' if acc is None else repr(acc)}")
+    for f in fields(SimTotals):
+        value = getattr(result.totals, f.name)
+        lines.append(f"{f.name}={'' if value is None else repr(value)}")
     lines.append(f"ledger_residual_j={energy_ledger_residual(result)!r}")
     return "\n".join(lines) + "\n"
 

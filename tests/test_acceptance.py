@@ -7,6 +7,7 @@ run performed by the earlier criteria, via a shared run registry.
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -123,10 +124,10 @@ def _expected_energy_per_policy(device, trace, n_windows):
 def test_criterion_4_energy_reduction_vs_baseline(calibrated_trace):
     harvest = HarvestProfile.constant(0.0)
     prop = sim_run(
-        "c4-proposed", SimConfig(DEVICE, 4.5, 200.0, 7, "proposed"), harvest, calibrated_trace
+        "c4-proposed", SimConfig(DEVICE, 4.5, 200.0, "proposed"), harvest, calibrated_trace
     )
     base = sim_run(
-        "c4-baseline", SimConfig(DEVICE, 4.5, 200.0, 7, "baseline"), harvest, calibrated_trace
+        "c4-baseline", SimConfig(DEVICE, 4.5, 200.0, "baseline"), harvest, calibrated_trace
     )
     assert prop.totals.completed_pipelines == base.totals.completed_pipelines == 20
     reduction = 1.0 - prop.totals.energy_consumed_j / base.totals.energy_consumed_j
@@ -147,9 +148,9 @@ def test_criterion_5_completed_pipelines_dominance(calibrated_trace):
     pairs = []
     for c in (0.1, 0.25, 0.5, 1.0, 1.5):
         device = DEVICE.with_capacitance(c)
-        p = sim_run(f"c5-proposed-{c}", SimConfig(device, 4.0, 200.0, 0, "proposed"),
+        p = sim_run(f"c5-proposed-{c}", SimConfig(device, 4.0, 200.0, "proposed"),
                     harvest, calibrated_trace)
-        b = sim_run(f"c5-baseline-{c}", SimConfig(device, 4.0, 200.0, 0, "baseline"),
+        b = sim_run(f"c5-baseline-{c}", SimConfig(device, 4.0, 200.0, "baseline"),
                     harvest, calibrated_trace)
         pairs.append((c, p.totals.completed_pipelines, b.totals.completed_pipelines))
     ok = all(p >= b for _, p, b in pairs)
@@ -161,9 +162,10 @@ def test_criterion_6_scheduling_rule_dominance(calibrated_trace):
     harvest = HarvestProfile.from_pairs(
         [(i * 200.0, ma * 1e-3) for i, ma in enumerate(STAIRCASE_MA)]
     )
-    adaptive = sim_run("c6-adaptive", SimConfig(device, 4.0, 1000.0, 0, "proposed"),
+    adaptive = sim_run("c6-adaptive", SimConfig(device, 4.0, 1000.0, "proposed"),
                        harvest, calibrated_trace)
-    fixed = sim_run("c6-fixed", SimConfig(device.with_attempts(1), 4.0, 1000.0, 0, "proposed"),
+    one_attempt = replace(device, schedule=replace(device.schedule, n_attempts=1))
+    fixed = sim_run("c6-fixed", SimConfig(one_attempt, 4.0, 1000.0, "proposed"),
                     harvest, calibrated_trace)
 
     def per_interval(result):
@@ -193,9 +195,9 @@ def test_criterion_6_scheduling_rule_dominance(calibrated_trace):
 
 def _random_scenario(rng):
     c = rng.uniform(0.05, 1.5)
-    device = DEVICE.with_capacitance(c).with_thresholds(
+    device = replace(DEVICE.with_capacitance(c), thresholds=Thresholds(
         round(rng.uniform(0.0, 0.5), 3), round(rng.uniform(0.5, 1.0), 3)
-    )
+    ))
     v0 = rng.uniform(device.capacitor.v_off, device.capacitor.v_max)
     segments = [(0.0, rng.uniform(0.0, 8e-3))]
     for k in range(1, 4):
@@ -224,14 +226,14 @@ def test_criterion_7_no_power_failure_invariant():
     total_failures = 0
     for i in range(100):
         device, v0, harvest, trace = _random_scenario(rng)
-        result = sim_run(f"c7-{i}", SimConfig(device, v0, 60.0, i, "proposed"), harvest, trace)
+        result = sim_run(f"c7-{i}", SimConfig(device, v0, 60.0, "proposed"), harvest, trace)
         total_failures += result.totals.power_failures
     proposed_ok = total_failures == 0
 
     device, v0, harvest, trace = _adversarial_setup()
-    risky = sim_run("c7-adversarial-ii", SimConfig(device, v0, 10.0, 0, "policy_ii"),
+    risky = sim_run("c7-adversarial-ii", SimConfig(device, v0, 10.0, "policy_ii"),
                     harvest, trace)
-    safe = sim_run("c7-adversarial-prop", SimConfig(device, v0, 10.0, 0, "proposed"),
+    safe = sim_run("c7-adversarial-prop", SimConfig(device, v0, 10.0, "proposed"),
                    harvest, trace)
     adversarial_ok = risky.totals.power_failures >= 1 and safe.totals.power_failures == 0
 
@@ -272,7 +274,7 @@ def test_criterion_8_threshold_degeneracy_and_monotonicity(calibrated_trace):
 def _ensure_runs(calibrated_trace):
     if not _RUNS:
         harvest = HarvestProfile.constant(0.0)
-        sim_run("fallback", SimConfig(DEVICE, 4.5, 200.0, 7, "proposed"), harvest, calibrated_trace)
+        sim_run("fallback", SimConfig(DEVICE, 4.5, 200.0, "proposed"), harvest, calibrated_trace)
 
 
 def test_criterion_9_energy_ledger_closure(calibrated_trace):
@@ -289,8 +291,8 @@ def test_criterion_10_determinism(calibrated_trace):
     _ensure_runs(calibrated_trace)
     failures = []
     for label, cfg, harvest, trace, result in _RUNS:
-        outcome = replay_check(result, cfg, harvest, trace)
-        if not outcome.exact:
-            failures.append((label, outcome.detail))
+        detail = replay_check(result, cfg, harvest, trace)
+        if detail is not None:
+            failures.append((label, detail))
     ok = not failures
     assert report(10, "determinism", ok, f"({len(_RUNS)} runs replayed bit-for-bit)"), failures

@@ -1,3 +1,5 @@
+import argparse
+import concurrent.futures
 import csv
 import json
 import os
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import zedsim
-from zedsim.cli import main
+from zedsim.cli import build_parser, main
 from zedsim.policy import Thresholds, sweep_thresholds
 from zedsim.traces import load_trace
 
@@ -123,6 +125,35 @@ class TestRejectsMalformedInputs:
         assert self._run(tmp_path, trace_file, flag, value) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_capacitance(self, tmp_path, trace_file, capsys, value):
+        out = tmp_path / "out"
+        assert main([
+            "sweep-capacitance", "--trace", str(trace_file), "--horizon", "30",
+            "--capacitance", value, "--jobs", "1", "--out", str(out),
+        ]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "sweep_capacitance.csv").exists()
+
+    def test_negative_jobs(self, tmp_path, trace_file, capsys):
+        out = tmp_path / "out"
+        assert main([
+            "sweep-capacitance", "--trace", str(trace_file), "--horizon", "30",
+            "--capacitance", "0.5", "--jobs", "-1", "--out", str(out),
+        ]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (out / "sweep_capacitance.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--seed", "1"],
+        ["sweep-thresholds", "--horizon", "5"],
+    ])
+    def test_removed_flags(self, tmp_path, trace_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--trace", str(trace_file), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_string_capacitance(self, tmp_path, trace_file, capsys, command):
         cfg = tmp_path / "cfg.json"
@@ -226,6 +257,42 @@ class TestSweeps:
             )
 
 
+class _FakePool:
+    """Runs the pool's work in this process and records the size asked for."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("jobs, capacitances, size", [
+        ("8", "0.5", 2),           # two points: never more workers than points
+        ("3", "0.5,1.5", 3),
+        ("2", "0.1,0.5,1.5", 2),
+    ])
+    def test_pool_is_capped_at_the_points(self, tmp_path, trace_file, monkeypatch,
+                                          jobs, capacitances, size):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
+        monkeypatch.setattr(_FakePool, "sizes", [])
+        argv = ["sweep-capacitance", "--trace", str(trace_file), "--horizon", "30",
+                "--capacitance", capacitances, "--out", str(tmp_path / "out")]
+        assert main([*argv, "--jobs", jobs]) == 0
+        assert _FakePool.sizes == [size]
+        assert main([*argv, "--jobs", "1"]) == 0
+        assert _FakePool.sizes == [size]  # one job runs in this process, with no pool
+
+
 class TestCompare:
     def test_comparison_artifacts(self, tmp_path, trace_file):
         out = tmp_path / "out"
@@ -238,6 +305,41 @@ class TestCompare:
         assert float(rows[1]["energy_delta_pct"]) < 0
         assert (out / "totals_baseline.txt").exists()
         assert (out / "totals_proposed.txt").exists()
+        # the resolved config is the reference variant's, the first listed
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["policy_variant"] == "baseline"
+
+
+class TestEveryFlagIsRead:
+    """Each subcommand's handler reads every option its parser accepts."""
+
+    @staticmethod
+    def _unread(argv):
+        reads = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        args = build_parser().parse_args(argv, namespace=Recording())
+        reads.clear()  # argparse itself reads the namespace while parsing
+        assert args.func(args) == 0
+        return set(vars(args)) - {"command", "func"} - reads
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--horizon", "30"],
+        ["compare", "--horizon", "30"],
+        ["sweep-thresholds", "--gamma1", "0.3", "--gamma2", "0.7"],
+        ["sweep-capacitance", "--horizon", "30", "--capacitance", "0.5", "--jobs", "1"],
+    ])
+    def test_simulation_commands(self, tmp_path, trace_file, argv):
+        argv = [*argv, "--trace", str(trace_file), "--out", str(tmp_path / "out")]
+        assert self._unread(argv) == set()
+
+    def test_gen_trace_and_validate(self, tmp_path):
+        assert self._unread(["gen-trace", "--n", "20", "--out", str(tmp_path / "t.csv")]) == set()
+        assert self._unread(["validate"]) == set()
 
 
 class TestStartup:

@@ -4,15 +4,9 @@ from dataclasses import replace
 
 import pytest
 
+from euler_oracle import stored_energy, usable_energy
 from zedsim.config import STAGE_NAMES, DeviceConfig
-from zedsim.energy import (
-    CapacitorSpec,
-    StageProfile,
-    min_start_voltage,
-    state_energy,
-    stored_energy,
-    usable_energy,
-)
+from zedsim.energy import CapacitorSpec, StageProfile, min_start_voltage, state_energy
 from zedsim.errors import ConfigError, DomainError, UnreachableRequirementError
 from zedsim.scheduler import GATINGS, VARIANTS, plan, requirement
 

@@ -4,19 +4,14 @@ import random
 import numpy as np
 import pytest
 
+from euler_oracle import EnergyState, PmuMode, harvest_current_at, initial_state, mode_of, step
 from zedsim.energy import CapacitorSpec
 from zedsim.errors import DomainError, SimulationFault
 from zedsim.pmu import (
-    EnergyState,
     HarvestProfile,
-    PmuMode,
     charge_time,
     charge_times,
-    harvest_current_at,
-    initial_state,
-    mode_of,
     mode_values,
-    step,
     voltage_after,
     voltages_after,
 )

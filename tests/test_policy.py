@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -55,7 +56,8 @@ class ScriptedClock:
 
 def decide(variant, inst, readings, device=DEVICE):
     """One window of ``variant`` with a single admission instant."""
-    return run_window(0, ScriptedClock(readings), device.with_attempts(1), inst, variant)
+    one_attempt = replace(device, schedule=replace(device.schedule, n_attempts=1))
+    return run_window(0, ScriptedClock(readings), one_attempt, inst, variant)
 
 
 class TestEvaluateEx1:
@@ -154,7 +156,8 @@ class TestDecideProposed:
         # the admission reading never arrives: the window is deferred, not failed
         inst = InferenceInstance(0, 0.9, 0.9, 1)
         clock = ScriptedClock([])
-        out = run_window(0, clock, DEVICE.with_attempts(1), inst)
+        one_attempt = replace(DEVICE, schedule=replace(DEVICE.schedule, n_attempts=1))
+        out = run_window(0, clock, one_attempt, inst)
         assert out.deferred and not out.power_failure
         assert clock.events == ["window:0", "measurement_brownout"]
 
@@ -181,7 +184,7 @@ class TestDecideProposed:
             InferenceInstance(i, rng.random(), rng.random(), rng.randint(0, 1))
             for i in range(100)
         ]
-        device = DEVICE.with_thresholds(0.2, 0.8)
+        device = replace(DEVICE, thresholds=Thresholds(0.2, 0.8))
         a = [decide("proposed", i, [1.0, 1.0], device) for i in instances]
         b = [decide("proposed", i, [1.0, 1.0], device) for i in instances]
         assert a == b

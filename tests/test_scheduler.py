@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from euler_oracle import harvest_current_at, usable_energy
 from zedsim.config import DeviceConfig
-from zedsim.energy import CapacitorSpec, state_energy, usable_energy
+from zedsim.energy import CapacitorSpec, state_energy
 from zedsim.errors import DomainError
 from zedsim.pmu import HarvestProfile
 from zedsim.policy import ExitTaken, InferenceInstance
@@ -80,7 +81,7 @@ class TestRunWindow:
         # enabled at v_on but the usable reserve is below the requirement
         device = DeviceConfig.default().with_capacitance(0.05)
         clock = _engine(device, HarvestProfile.constant(0.0), 3.92)
-        e_before = usable_energy(device.capacitor, clock.v_c)
+        e_before = usable_energy(device.capacitor, clock._v)
         assert e_before < admission_requirement(device)
         out = run_window(0, clock, device, InferenceInstance(0, 0.9, 0.9, 1))
         assert out.deferred and out.started_at is None and out.decision is None
@@ -88,7 +89,7 @@ class TestRunWindow:
         meas = device.stage_energy("measurement")
         assert out.energy_spent == pytest.approx(n * meas, rel=1e-9)
         # deferral leaves the buffer untouched apart from those debits
-        e_after = usable_energy(device.capacitor, clock.v_c)
+        e_after = usable_energy(device.capacitor, clock._v)
         assert e_before - e_after == pytest.approx(n * meas, rel=1e-9)
 
     def test_disabled_outputs_skip_candidates_for_free(self):
@@ -97,7 +98,7 @@ class TestRunWindow:
         out = run_window(0, clock, device, InferenceInstance(0, 0.9, 0.9, 1))
         assert out.deferred
         assert out.energy_spent == 0.0
-        assert clock.v_c == 3.7
+        assert clock._v == 3.7
 
     def test_admission_at_late_candidate_under_rising_harvest(self):
         # harvest burst shortly before candidate 7 lifts the buffer over the
@@ -133,8 +134,6 @@ class TestRunWindow:
 
 def _first_admitted_candidate_oracle(device, harvest, v0, substeps=4):
     """Independent coarse integrator replaying the admission protocol."""
-    from zedsim.pmu import harvest_current_at
-
     cap = device.capacitor
     c = cap.capacitance_farads
     dt = 1e-3 / substeps
