@@ -153,12 +153,10 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep_thresholds(args) -> int:
     device = _device(args)
     trace = load_trace(args.trace)
-    g1 = args.gamma1 or [0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5]
-    g2 = args.gamma2 or [0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9]
-    if not g1 or not g2:
+    if not args.gamma1 or not args.gamma2:
         print("error: empty threshold grid", file=sys.stderr)
         return 2
-    grid = [Thresholds(a, b) for a in g1 for b in g2]  # row-major: gamma1 outer
+    grid = [Thresholds(a, b) for a in args.gamma1 for b in args.gamma2]  # row-major: gamma1 outer
     cells = sweep_thresholds(trace, grid)
     out = _out_dir(args)
     digest = _write_resolved(device.to_dict(), out)
@@ -282,8 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-thresholds", help="accuracy/exit-count surfaces over (gamma1, gamma2)")
     _add_common(p)
-    p.add_argument("--gamma1", type=_float_list, help="list '0.1,0.2' or range 'start:stop:step'")
-    p.add_argument("--gamma2", type=_float_list)
+    p.add_argument("--gamma1", type=_float_list,
+                   default=[0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5],
+                   help="list '0.1,0.2' or range 'start:stop:step'")
+    p.add_argument("--gamma2", type=_float_list,
+                   default=[0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9])
     p.set_defaults(func=_cmd_sweep_thresholds)
 
     p = sub.add_parser("sweep-capacitance", help="completed-pipeline table over capacitance values")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .energy import CapacitorSpec
 from .errors import DomainError
@@ -35,24 +35,20 @@ from .errors import DomainError
 _V_MAX_REL_TOL = 1e-12
 
 
-# mode codes of mode_values, in the order its masks overwrite one another
-_MODE_VALUES = ("hysteresis_off", "hysteresis_on", "cold_start", "operate", "full")
-
-
-def mode_values(v_c, spec: CapacitorSpec, outputs_latched_on) -> List[str]:
-    """Supply mode of each voltage in an array: ``full`` at the ceiling v_max,
-    ``operate`` from v_on, ``cold_start`` at or below v_off, and in the
-    hysteretic band between, ``hysteresis_on`` or ``hysteresis_off`` as
-    ``outputs_latched_on`` says whether v_on was reached since v_off."""
-    import numpy as np
-    bad = (v_c < 0) | (v_c > spec.v_max * (1.0 + _V_MAX_REL_TOL))
-    if bad.any():
-        raise DomainError(f"voltage {v_c[bad][0]} outside [0, {spec.v_max}]")
-    code = outputs_latched_on.astype(np.intp)
-    code[v_c <= spec.v_off] = 2
-    code[v_c >= spec.v_on] = 3
-    code[v_c >= spec.v_max * (1.0 - _V_MAX_REL_TOL)] = 4
-    return np.array(_MODE_VALUES, dtype=object)[code].tolist()
+def mode_value(v_c: float, spec: CapacitorSpec, outputs_latched_on: bool) -> str:
+    """Supply mode of a voltage: ``full`` at the ceiling v_max, ``operate``
+    from v_on, ``cold_start`` at or below v_off, and in the hysteretic band
+    between, ``hysteresis_on`` or ``hysteresis_off`` as ``outputs_latched_on``
+    says whether v_on was reached since v_off."""
+    if not 0.0 <= v_c <= spec.v_max * (1.0 + _V_MAX_REL_TOL):
+        raise DomainError(f"voltage {v_c} outside [0, {spec.v_max}]")
+    if v_c >= spec.v_max * (1.0 - _V_MAX_REL_TOL):
+        return "full"
+    if v_c >= spec.v_on:
+        return "operate"
+    if v_c <= spec.v_off:
+        return "cold_start"
+    return "hysteresis_on" if outputs_latched_on else "hysteresis_off"
 
 
 @dataclass(frozen=True)
@@ -132,34 +128,3 @@ def voltage_after(
         v = nxt
     return v
 
-
-def charge_times(v0, v1, current, power, capacitance: float):
-    """:func:`charge_time` over arrays."""
-    import numpy as np
-    a = current * v0 - power
-    dv = v1 - v0
-    x = current * dv / a
-    small = np.abs(x) < _S_SERIES_BELOW
-    xl = np.where(small, 1.0, x)
-    s = np.where(small, _s_series(x), (np.log1p(xl) - xl) / (xl * xl))
-    return capacitance * dv * (v0 + power * dv * s / a) / a
-
-
-def voltages_after(v0, bound, current, power, capacitance: float, dt):
-    """:func:`voltage_after` over equal-length arrays. Each element stops at its
-    own convergence test, so its result does not depend on the others."""
-    import numpy as np
-    lo, hi = np.minimum(v0, bound), np.maximum(v0, bound)
-    v = np.clip(np.sqrt(np.maximum(v0 * v0 + 2.0 * (current * v0 - power) * dt / capacitance, 0.0)),
-                lo, hi)
-    out, idx = np.empty_like(v), np.arange(v.size)
-    for _ in range(_NEWTON_ITERATIONS):
-        err = charge_times(v0, v, current, power, capacitance) - dt
-        nxt = np.clip(v - err * (current * v - power) / (capacitance * v), lo, hi)
-        out[idx] = nxt  # final where converged; the others are written again
-        go = ~(np.abs(nxt - v) <= 1e-15 * v)
-        idx, v0, v, current, power, dt, lo, hi = (
-            x[go] for x in (idx, v0, nxt, current, power, dt, lo, hi))
-        if not idx.size:
-            break
-    return out

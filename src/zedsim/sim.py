@@ -5,9 +5,14 @@ current and the load power are constant, so each piece has a closed form
 (see :mod:`zedsim.pmu`) and the engine jumps from one event to the next.
 Events are harvest segment boundaries, stage ends, scheduler instants, and
 the voltage reaching v_off, v_on (while latched off) or v_max. The cost of a
-run therefore scales with its number of events, not with its horizon. The
-trajectory is streamed in chunks, on the grid k*SAMPLE_INTERVAL, from the
-same closed forms, and never held in memory whole.
+run therefore scales with its number of events, not with its horizon.
+
+The trajectory is the engine's knots: the start (time, v_c) of each recorded
+piece, plus the state the run closes in, each with the supply mode its latch
+gives. Within a piece the flows are constant, so v_c moves monotonically from
+one knot to the next; the knots hold every extremum, every v_off, v_on and
+v_max crossing and every latch change exactly, and the closed forms of
+:mod:`zedsim.pmu` give v_c at any time between them.
 
 A run is strictly sequential and deterministic: given the same configuration,
 harvest profile and trace it reproduces bit-identical trajectories, window
@@ -21,14 +26,16 @@ while the capacitor is pinned at its ceiling.
 from __future__ import annotations
 
 import csv
+import heapq
 import math
-from bisect import bisect_right
+from array import array
 from dataclasses import dataclass, field, fields, replace
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .config import DeviceConfig, config_hash
 from .errors import ConfigError, DomainError, SimulationFault
-from .pmu import HarvestProfile, charge_time, mode_values, voltage_after, voltages_after
+from .pmu import HarvestProfile, charge_time, mode_value, voltage_after
 from .policy import ExitTaken, InferenceInstance
 from .scheduler import (
     GATING_MOSFET,
@@ -40,9 +47,6 @@ from .scheduler import (
 )
 
 _T_EPS = 1e-12
-SAMPLE_INTERVAL = 0.01  # trajectory grid spacing, in seconds
-_SAMPLES_PER_S = round(1.0 / SAMPLE_INTERVAL)  # grid times are k / this: exact decimals
-_SAMPLE_CHUNK = 4096  # trajectory samples computed, and written, at a time
 
 
 @dataclass(frozen=True)
@@ -110,16 +114,16 @@ class SimResult:
 
 
 class Trajectory:
-    """A run's (time, v_c, mode) samples: sized without sampling, streamed as iterated."""
+    """A run's (time, v_c, mode) knots: one per recorded piece, plus the close."""
 
     def __init__(self, engine: "_Engine"):
         self._engine = engine
 
     def __len__(self) -> int:
-        return self._engine.n_samples()
+        return len(self._engine._pieces[0]) + 1
 
     def __iter__(self) -> Iterator[Tuple[float, float, str]]:
-        return (row for chunk in self._engine.samples() for row in zip(*chunk))
+        return self._engine.knots()
 
 
 class _Engine:
@@ -131,8 +135,8 @@ class _Engine:
     harvest segment boundary, the voltage reaching v_off (a power failure
     inside a stage, or latch-off under idle draw), v_on while latched off
     (which switches the idle draw on), or v_max (after which the buffer stays
-    pinned and the surplus is clamp loss). Every piece is recorded so the
-    trajectory can be sampled afterwards.
+    pinned and the surplus is clamp loss). Every piece is recorded, and its
+    start is a knot of the trajectory.
     """
 
     def __init__(self, device: DeviceConfig, harvest: HarvestProfile, initial_v: float):
@@ -160,7 +164,7 @@ class _Engine:
         self.clamp_loss = 0.0
 
         # per piece: start time, start and end voltage, current, power, latch
-        self._pieces: Tuple[list, ...] = ([], [], [], [], [], [])
+        self._pieces: Tuple[array, ...] = (*(array("d") for _ in range(5)), array("b"))
         self.events: List[Tuple[float, str]] = []
 
     def _energy(self, v: float) -> float:
@@ -261,37 +265,17 @@ class _Engine:
                 column.append(value)
         self._t, self._v, self._e = t1, v1, e1
 
-    def record(self) -> Tuple[list, ...]:
+    def record(self) -> Tuple[array, ...]:
         """The piece columns closed by the current state, a piece of zero length."""
-        return tuple(column + [value] for column, value in
+        return tuple(column + array(column.typecode, [value]) for column, value in
                      zip(self._pieces, (self._t, self._v, self._v, 0.0, 0.0, self._enabled)))
 
-    def n_samples(self) -> int:
-        """Grid points k*SAMPLE_INTERVAL up to now, plus now if the grid misses it."""
-        n = int(self._t * _SAMPLES_PER_S)
-        if (n + 1) / _SAMPLES_PER_S <= self._t:
-            n += 1
-        return n + 1 + (n / _SAMPLES_PER_S != self._t)
-
-    def samples(self) -> Iterator[Tuple[List[float], List[float], List[str]]]:
-        """(times, v_c, modes) lists, ``_SAMPLE_CHUNK`` samples at a time. Each sample
-        is a function of its piece and its time alone, so the chunk size changes no bit."""
-        import numpy as np
-        total = self.n_samples()
-        t0, v0, v1, cur, pw, latched = map(np.array, self.record())
-        for k in range(0, total, _SAMPLE_CHUNK):
-            times = np.arange(k, min(k + _SAMPLE_CHUNK, total)) / _SAMPLES_PER_S
-            if k + times.size == total:
-                times[-1] = self._t
-            j = np.searchsorted(t0, times, side="right") - 1
-            v = v0[j]
-            moving = np.flatnonzero(v1[j] != v)
-            if moving.size:
-                jm = j[moving]
-                v[moving] = voltages_after(
-                    v0[jm], v1[jm], cur[jm], pw[jm], self._c, times[moving] - t0[jm]
-                )
-            yield times.tolist(), v.tolist(), mode_values(v, self._cap, latched[j])
+    def knots(self) -> Iterator[Tuple[float, float, str]]:
+        """(time, v_c, mode) at the start of each piece, then at the current state."""
+        t0, v0, _, _, _, latched = self._pieces
+        for t, v, on in zip(t0, v0, latched):
+            yield t, v, mode_value(v, self._cap, on)
+        yield self._t, self._v, mode_value(self._v, self._cap, self._enabled)
 
 
 def simulate(
@@ -370,7 +354,7 @@ def replay_check(
     trace: Sequence[InferenceInstance],
 ) -> Optional[str]:
     """Re-simulate and compare bit-for-bit over totals, windows, events and
-    the piece record, which fixes every trajectory sample, against a result.
+    the piece record, whose starts are the trajectory's knots, against a result.
     Returns the first difference, or None when the runs agree."""
     a, b = result, simulate(cfg, harvest, trace)
     if a.totals != b.totals:
@@ -445,28 +429,22 @@ TRAJECTORY_HEADER = ["time_s", "v_c", "mode", "event"]
 
 
 def write_trajectory_csv(result: SimResult, path) -> None:
-    """Samples and events merged chronologically; samples carry no event label.
+    """The trajectory's knots and the run's events, merged in time order.
 
-    Each chunk of samples goes out in one write, with the events that fall
-    among its samples; at equal times the sample comes first. Rows hold only
-    float reprs, mode names and event labels made of stage names and fixed
-    words, which never need quoting, so they are formatted directly.
+    A knot row is ``time_s,v_c,mode,``: the start of one recorded piece, or
+    the state the run closes in, as the engine stored it, with the supply mode
+    its latch gives. An event row is ``time_s,,,label``. At equal times the
+    knot comes first. Rows hold only float reprs, mode names and event labels
+    made of stage names and fixed words, which never need quoting, so they are
+    formatted directly, and streamed as they are formatted.
     """
-    events = result.events
+    knots = ((t, f"{t!r},{v!r},{mode},\r\n") for t, v, mode in result.trajectory)
+    events = ((t, f"{t!r},,,{label}\r\n") for t, label in result.events)
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_sha256={result.config_sha256}\n")
         csv.writer(fh).writerow(TRAJECTORY_HEADER)
-        j = 0
-        for times, vs, modes in result.trajectory._engine.samples():
-            rows = [f"{t!r},{v!r},{m},\r\n" for t, v, m in zip(times, vs, modes)]
-            first = j
-            while j < len(events) and events[j][0] < times[-1]:
-                t, label = events[j]
-                # after the samples at or before it and the chunk's earlier events
-                rows.insert(bisect_right(times, t) + j - first, f"{t!r},,,{label}\r\n")
-                j += 1
-            fh.write("".join(rows))
-        fh.write("".join(f"{t!r},,,{label}\r\n" for t, label in events[j:]))
+        # merge keeps its inputs' order among equal keys: knots before events
+        fh.writelines(row for _, row in heapq.merge(knots, events, key=itemgetter(0)))
 
 
 def totals_text(result: SimResult) -> str:

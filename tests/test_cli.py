@@ -144,6 +144,14 @@ class TestRejectsMalformedInputs:
         assert "--jobs" in capsys.readouterr().err
         assert not (out / "sweep_capacitance.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--gamma1", "--gamma2"])
+    def test_empty_threshold_grid(self, tmp_path, trace_file, capsys, flag):
+        out = tmp_path / "out"
+        assert main(["sweep-thresholds", "--trace", str(trace_file), flag, "",
+                     "--out", str(out)]) == 2
+        assert "empty threshold grid" in capsys.readouterr().err
+        assert not (out / "sweep_thresholds.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         ["run", "--seed", "1"],
         ["sweep-thresholds", "--horizon", "5"],
@@ -344,19 +352,25 @@ class TestEveryFlagIsRead:
 
 class TestStartup:
     def test_numpy_and_process_pool_load_only_where_used(self, tmp_path, trace_file):
-        # importing the CLI, and a sweep that reads only totals, load neither
+        # importing the CLI, a run with its trajectory, a comparison and a
+        # sweep in one process load neither
         code = (
-            "import sys, zedsim.cli\n"
+            "import json, sys, zedsim.cli\n"
             "lazy = {'numpy', 'concurrent.futures.process'}\n"
-            "print(sorted(lazy & set(sys.modules)))\n"
-            "zedsim.cli.main(sys.argv[1:])\n"
-            "print(sorted(lazy & set(sys.modules)))\n"
+            "print('loaded', sorted(lazy & set(sys.modules)))\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert zedsim.cli.main(argv) == 0\n"
+            "    print('loaded', sorted(lazy & set(sys.modules)))\n"
         )
-        argv = ["sweep-capacitance", "--trace", str(trace_file), "--horizon", "30",
-                "--capacitance", "0.5", "--jobs", "1", "--out", str(tmp_path / "out")]
+        common = ["--trace", str(trace_file), "--horizon", "30", "--out", str(tmp_path / "out")]
+        commands = [
+            ["run", *common],
+            ["compare", *common],
+            ["sweep-capacitance", *common, "--capacitance", "0.5", "--jobs", "1"],
+        ]
         env = {**os.environ, "PYTHONPATH": str(Path(zedsim.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        lines = done.stdout.splitlines()
-        assert lines[0] == "[]" and lines[-1] == "[]"
+        loaded = [line for line in done.stdout.splitlines() if line.startswith("loaded")]
+        assert loaded == ["loaded []"] * 4

@@ -1,20 +1,12 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from euler_oracle import EnergyState, PmuMode, harvest_current_at, initial_state, mode_of, step
 from zedsim.energy import CapacitorSpec
 from zedsim.errors import DomainError, SimulationFault
-from zedsim.pmu import (
-    HarvestProfile,
-    charge_time,
-    charge_times,
-    mode_values,
-    voltage_after,
-    voltages_after,
-)
+from zedsim.pmu import HarvestProfile, charge_time, mode_value, voltage_after
 
 SPEC = CapacitorSpec(1.5, 3.6, 3.92, 4.5)
 
@@ -88,7 +80,7 @@ class TestModeOf:
         edges = [0.0, SPEC.v_off, SPEC.v_on, SPEC.v_max, SPEC.v_max * (1 + 1e-13)]
         volts = edges + [rng.uniform(0, 4.5) for _ in range(500)]
         latched = [rng.random() < 0.5 for _ in volts]
-        got = mode_values(np.array(volts), SPEC, np.array(latched))
+        got = [mode_value(v, SPEC, latch) for v, latch in zip(volts, latched)]
         assert got == [mode_of(v, SPEC, latch).value for v, latch in zip(volts, latched)]
         # the shared enum strings, not one new string per row
         assert all(g is mode_of(v, SPEC, latch).value for g, v, latch in zip(got, volts, latched))
@@ -96,7 +88,7 @@ class TestModeOf:
     @pytest.mark.parametrize("v", [-0.1, 4.5 * (1 + 1e-9)])
     def test_mode_values_domain(self, v):
         with pytest.raises(DomainError):
-            mode_values(np.array([4.0, v]), SPEC, np.array([True, True]))
+            mode_value(v, SPEC, True)
 
 
 class TestStep:
@@ -228,24 +220,3 @@ class TestClosedForms:
         expected = (C / 2e-3) * (-0.4 + 25.0 * math.log((2e-3 * 3.6 - 0.05) / (2e-3 * 4.0 - 0.05)))
         assert expected == pytest.approx(53.78, abs=0.01)  # 2.28 J at about 42 mW net
         assert charge_time(4.0, 3.6, 2e-3, 0.05, C) == pytest.approx(expected, rel=1e-12)
-
-    def test_arrays_match_scalars(self):
-        rng = random.Random(3)
-        rows = []
-        for _ in range(200):
-            i = rng.choice([0.0, rng.uniform(0, 20e-3)])
-            p = rng.choice([0.0, rng.uniform(0, 0.08)])
-            v0 = rng.uniform(3.6, 4.5)
-            if i * v0 - p == 0:
-                continue
-            bound = 4.5 if i * v0 - p > 0 else 3.6
-            if bound == v0:
-                continue
-            t = charge_time(v0, bound, i, p, C)
-            rows.append((v0, bound, i, p, rng.uniform(0, t)))
-        v0, bound, i, p, tau = (np.array(col) for col in zip(*rows))
-        got = voltages_after(v0, bound, i, p, C, tau)
-        want = [voltage_after(*row[:4], C, row[4]) for row in rows]
-        assert got.tolist() == pytest.approx(want, rel=1e-14)
-        times = charge_times(v0, got, i, p, C)
-        assert times.tolist() == pytest.approx(tau.tolist(), rel=1e-9, abs=1e-12)

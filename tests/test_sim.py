@@ -116,14 +116,18 @@ class TestSimulate:
         for w in result.windows:
             assert w.deferred == (w.started_at is None)
 
-    def test_trajectory_samples_on_exact_grid(self, trace5000):
+    def test_trajectory_knots_are_the_piece_starts(self, trace5000):
         harvest = HarvestProfile.constant(2e-3)
-        result = simulate(SimConfig(DEVICE, 4.5, 50.0, "proposed"), harvest, trace5000)
-        times = [t for t, _, _ in result.trajectory]
-        assert times == [k / 100 for k in range(5001)]  # the doubles nearest k * 0.01
-        # a horizon off the grid closes the trajectory with one extra sample
-        off = simulate(SimConfig(DEVICE, 4.5, 20.005, "proposed"), harvest, trace5000)
-        assert [t for t, _, _ in list(off.trajectory)[-2:]] == [20.0, 20.005]
+        for horizon in (50.0, 20.005):
+            result = simulate(SimConfig(DEVICE, 4.5, horizon, "proposed"), harvest, trace5000)
+            engine = result.trajectory._engine
+            t0, v0 = engine._pieces[:2]
+            knots = [(t, v) for t, v, _ in result.trajectory]
+            # the engine's stored floats, then the state the run closes in
+            assert knots == [*zip(t0, v0), (horizon, engine._v)]
+            assert len(result.trajectory) == len(knots)
+            # every event happens at a knot: a stage or window starts a piece
+            assert {t for t, _ in result.events} <= {t for t, _ in knots}
 
     def test_idle_current_drains_only_while_enabled(self):
         small = replace(DEVICE, idle_current_amps=5e-3)
@@ -421,11 +425,14 @@ class TestEventEngine:
         engine.advance_to(t_on + 0.5)
         assert engine.outputs_enabled
         assert engine.consumed == pytest.approx(p_idle * (t_off + 0.5), rel=1e-9)
-        modes = [m for _, _, m in Trajectory(engine)]
-        runs = [m for k, m in enumerate(modes) if k == 0 or m != modes[k - 1]]
-        # both crossings fall between grid points, and past v_on the idle draw
-        # outweighs the harvest again
-        assert runs == ["operate", "hysteresis_on", "hysteresis_off", "hysteresis_on"]
+        knots = list(Trajectory(engine))
+        # latched off at v_off, still off at the advance_to split, on again at
+        # v_on, and past v_on the idle draw outweighs the harvest again
+        assert [m for _, _, m in knots] == [
+            "operate", "cold_start", "hysteresis_off", "operate", "hysteresis_on"]
+        assert knots[1][:2] == (pytest.approx(t_off, rel=1e-12), 3.6)
+        assert knots[2][:2] == (t_off + 1.0, pytest.approx(3.6 + i * 1.0 / 0.1, rel=1e-14))
+        assert knots[3][:2] == (pytest.approx(t_on, rel=1e-9), 3.65)
 
     def test_buffer_pins_at_v_max_and_books_clamp_loss(self):
         device = DEVICE.with_capacitance(0.1)
@@ -434,14 +441,15 @@ class TestEventEngine:
         t_full = 0.1 * 0.1 / 30e-3
         assert engine._v == 4.5
         assert engine.clamp_loss == pytest.approx(30e-3 * 4.5 * (10.0 - t_full), rel=1e-12)
-        samples = dict((t, v) for t, v, _ in Trajectory(engine))
-        assert samples[0.33] == pytest.approx(4.4 + 30e-3 * 0.33 / 0.1, rel=1e-14)
-        assert samples[0.34] == 4.5
+        start, full, end = Trajectory(engine)
+        assert start == (0.0, 4.4, "operate")
+        assert full[0] == pytest.approx(1 / 3, rel=1e-12) and full[1:] == (4.5, "full")
+        assert end == (10.0, 4.5, "full")
 
 
 class TestTrajectoryMemory:
     def test_writer_peak_does_not_grow_with_horizon(self, tmp_path, trace5000):
-        # the samples are streamed in chunks, so only the piece record grows
+        # the rows are streamed as they are formatted, so only the piece record grows
         peaks = []
         for horizon in (1200.0, 4800.0):
             cfg = SimConfig(DEVICE, 4.0, horizon, "proposed")
