@@ -8,8 +8,11 @@ happens depends on the energy check at that moment. Ties at 0.5 resolve to
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import accumulate
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence
 
 from .errors import DomainError
@@ -117,40 +120,32 @@ def sweep_thresholds(
 
     The shallow scores are sorted once, with prefix counts of person labels
     and of correct deep-exit calls in that order. Each cell then reads its
-    counts at two cut points: ``hi``, the first score >= gamma2, and ``lo``,
-    the first score > gamma1, capped at ``hi``. Scores from ``hi`` on exit as
-    PERSON, scores below ``lo`` exit as NO_PERSON, and ``[lo, hi)`` is the
-    ambiguous band that goes to exit 2. These are the tie rules of
-    :func:`evaluate_ex1`: a score equal to gamma2 is PERSON, one equal to
-    gamma1 (and below gamma2) is NO_PERSON, so with gamma1 = gamma2 = 0.5 a
-    score of 0.5 is PERSON. The cost is O(n log n) for the sort plus
-    O(log n) per cell.
+    counts at two cut points, bisecting the sorted scores: ``hi``, the first
+    score >= gamma2, and ``lo``, the first score > gamma1, capped at ``hi``.
+    Scores from ``hi`` on exit as PERSON, scores below ``lo`` exit as
+    NO_PERSON, and ``[lo, hi)`` is the ambiguous band that goes to exit 2.
+    These are the tie rules of :func:`evaluate_ex1`: a score equal to gamma2
+    is PERSON, one equal to gamma1 (and below gamma2) is NO_PERSON, so with
+    gamma1 = gamma2 = 0.5 a score of 0.5 is PERSON. The cost is O(n log n)
+    for the sort plus O(log n) per cell.
     """
-    import numpy as np
     n = len(trace)
     if not n:
         raise DomainError("trace must be non-empty")
-    o1 = np.fromiter((inst.o1 for inst in trace), float, n)
-    o2 = np.fromiter((inst.o2 for inst in trace), float, n)
-    label = np.fromiter((inst.label for inst in trace), np.int64, n)
-    order = np.argsort(o1, kind="stable")
-    s1, label = o1[order], label[order]
+    ordered = sorted(trace, key=attrgetter("o1"))
+    s1 = [inst.o1 for inst in ordered]
     # among the k lowest shallow scores: persons[k] person labels, deep_ok[k]
     # instances the deep exit calls right
-    persons = np.concatenate(([0], np.cumsum(label)))
-    deep_ok = np.concatenate(([0], np.cumsum((o2[order] >= 0.5) == label)))
-
-    grid = list(grid)
-    hi = np.searchsorted(s1, np.array([th.gamma2 for th in grid], dtype=float), "left")
-    lo = np.minimum(
-        np.searchsorted(s1, np.array([th.gamma1 for th in grid], dtype=float), "right"), hi
-    )
-    ok_ex1 = (lo - persons[lo]) + (persons[n] - persons[hi])
-    ok_ex2 = deep_ok[hi] - deep_ok[lo]
+    persons = list(accumulate((inst.label for inst in ordered), initial=0))
+    deep_ok = list(accumulate(((inst.o2 >= 0.5) == inst.label for inst in ordered), initial=0))
     cells = []
-    # tolist() yields Python ints, so the accuracies are Python floats
-    for th, n_ex2, ok1, ok2 in zip(grid, (hi - lo).tolist(), ok_ex1.tolist(), ok_ex2.tolist()):
+    for th in grid:
+        hi = bisect_left(s1, th.gamma2)
+        lo = min(bisect_right(s1, th.gamma1), hi)
+        n_ex2 = hi - lo
         n_ex1 = n - n_ex2
+        ok1 = (lo - persons[lo]) + (persons[n] - persons[hi])
+        ok2 = deep_ok[hi] - deep_ok[lo]
         cells.append(
             SweepCell(
                 th.gamma1,

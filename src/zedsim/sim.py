@@ -263,6 +263,9 @@ class _Engine:
         if dt > 0:
             for column, value in zip(self._pieces, (t, v, v1, i, p, self._enabled)):
                 column.append(value)
+        elif self._pieces[2]:
+            # too short to move the clock: the previous piece ends where v is now
+            self._pieces[2][-1] = v1
         self._t, self._v, self._e = t1, v1, e1
 
     def record(self) -> Tuple[array, ...]:

@@ -11,7 +11,8 @@ The confident weight w = 2*acc - 1 is the unique choice making the balanced
 0.5-threshold accuracy hit the target, and assignments use exact counts, so
 calibration error is bounded by 1/n. The deep head's confident set is a
 superset of the shallow head's, making it right wherever the shallow head is
-confidently right and better on average everywhere else.
+confidently right and better on average everywhere else. The generator is the
+only user of numpy, which it imports when called.
 """
 
 from __future__ import annotations
@@ -73,10 +74,9 @@ def load_trace(path) -> List[InferenceInstance]:
 
 def save_trace(trace: Sequence[InferenceInstance], path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for inst in trace:
-            writer.writerow([inst.id, repr(inst.o1), repr(inst.o2), inst.label])
+        csv.writer(fh).writerow(TRACE_HEADER)
+        # float reprs and ints never need quoting
+        fh.writelines(f"{inst.id},{inst.o1!r},{inst.o2!r},{inst.label}\r\n" for inst in trace)
 
 
 def load_harvest(path) -> HarvestProfile:
@@ -131,6 +131,8 @@ class GeneratorSpec:
             )
         if not 0.0 < self.person_fraction < 1.0:
             raise FitError("person_fraction must be in (0, 1)")
+        if self.seed < 0:
+            raise FitError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_trace(spec: GeneratorSpec) -> List[InferenceInstance]:

@@ -152,6 +152,12 @@ class TestRejectsMalformedInputs:
         assert "empty threshold grid" in capsys.readouterr().err
         assert not (out / "sweep_thresholds.csv").exists()
 
+    def test_negative_generator_seed(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["gen-trace", "--n", "10", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["run", "--seed", "1"],
         ["sweep-thresholds", "--horizon", "5"],
@@ -352,8 +358,8 @@ class TestEveryFlagIsRead:
 
 class TestStartup:
     def test_numpy_and_process_pool_load_only_where_used(self, tmp_path, trace_file):
-        # importing the CLI, a run with its trajectory, a comparison and a
-        # sweep in one process load neither
+        # importing the CLI, a run with its trajectory, a comparison and both
+        # sweeps in one process load neither
         code = (
             "import json, sys, zedsim.cli\n"
             "lazy = {'numpy', 'concurrent.futures.process'}\n"
@@ -367,10 +373,11 @@ class TestStartup:
             ["run", *common],
             ["compare", *common],
             ["sweep-capacitance", *common, "--capacitance", "0.5", "--jobs", "1"],
+            ["sweep-thresholds", "--trace", str(trace_file), "--out", str(tmp_path / "out")],
         ]
         env = {**os.environ, "PYTHONPATH": str(Path(zedsim.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         loaded = [line for line in done.stdout.splitlines() if line.startswith("loaded")]
-        assert loaded == ["loaded []"] * 4
+        assert loaded == ["loaded []"] * 5

@@ -206,11 +206,13 @@ def test_knots_agree_with_the_closed_form(scenario):
     t0, v0, v1, current, power, _ = result.trajectory._engine.record()
     assert all(a < b for a, b in zip(t0, t0[1:]))
     for k in range(len(t0) - 1):
-        # a piece too short to move the clock is not recorded, and moves v by ulps
-        assert v1[k] == pytest.approx(v0[k + 1], rel=1e-14)
+        assert v1[k] == v0[k + 1]
         a = current[k] * v0[k] - power[k]
         if a == 0 or (a > 0 and v0[k] == cap.v_max) or (a < 0 and v0[k] == cap.v_off):
-            assert v1[k] == v0[k]  # no net flow, or pinned at a threshold
+            # no net flow, or pinned at a threshold; a later piece too short to
+            # move the clock may have carried v the last ulps to a threshold
+            assert v1[k] == v0[k] or (v1[k] in (cap.v_off, cap.v_on, cap.v_max)
+                                      and v1[k] == pytest.approx(v0[k], rel=1e-14))
         elif v1[k] != v0[k]:
             c = cap.capacitance_farads
             took = charge_time(v0[k], v1[k], current[k], power[k], c)

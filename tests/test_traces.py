@@ -1,11 +1,18 @@
+import csv
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from zedsim.errors import DomainError, FitError, TraceError
 from zedsim.pmu import HarvestProfile
 from zedsim.policy import InferenceInstance
 from zedsim.traces import (
+    TRACE_HEADER,
     GeneratorSpec,
     generate_trace,
     load_harvest,
@@ -14,6 +21,12 @@ from zedsim.traces import (
     save_trace,
     trace_statistics,
 )
+
+EDGE_SCORES = [0.0, -0.0, 1.0, 5e-324, 1 - 2**-53, 0.5]
+scores = st.one_of(st.sampled_from(EDGE_SCORES), st.floats(0.0, 1.0))
+traces = st.lists(st.tuples(st.integers(-2**70, 2**70), scores, scores, st.integers(0, 1)),
+                  max_size=30, unique_by=lambda row: row[0]).map(
+    lambda rows: [InferenceInstance(*row) for row in sorted(rows)])
 
 
 class TestTraceFiles:
@@ -58,6 +71,23 @@ class TestTraceFiles:
         path = tmp_path / "h.csv"
         save_harvest(profile, path)
         assert load_harvest(path) == profile
+
+    @given(traces)
+    @example([InferenceInstance(k, s, EDGE_SCORES[-1 - k], k % 2)
+              for k, s in enumerate(EDGE_SCORES)])
+    def test_saved_bytes_are_the_csv_writer_rendering(self, trace):
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(TRACE_HEADER)
+        for inst in trace:
+            writer.writerow([inst.id, repr(inst.o1), repr(inst.o2), inst.label])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            save_trace(trace, path)
+            assert path.read_bytes() == expected.getvalue().encode()
+            if trace:
+                exact = [(i.id, i.o1.hex(), i.o2.hex(), i.label) for i in load_trace(path)]
+                assert exact == [(i.id, i.o1.hex(), i.o2.hex(), i.label) for i in trace]
 
     def test_harvest_bad_header(self, tmp_path):
         path = tmp_path / "h.csv"
