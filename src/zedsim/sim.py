@@ -251,7 +251,8 @@ class _Engine:
 
     def _piece(self, t: float, t1: float, v: float, v1: float, i: float, p: float,
                clamp: float) -> None:
-        """Book one piece into the ledger and the trajectory record."""
+        """Book one piece into the ledger and the trajectory record; a piece too short to
+        move the clock is not recorded, but moves v1 of the last one off its closed form."""
         dt = t1 - t
         e1 = self._e if v1 == v else self._energy(v1)
         if i == 0.0:  # the buffer alone feeds the load
@@ -264,7 +265,6 @@ class _Engine:
             for column, value in zip(self._pieces, (t, v, v1, i, p, self._enabled)):
                 column.append(value)
         elif self._pieces[2]:
-            # too short to move the clock: the previous piece ends where v is now
             self._pieces[2][-1] = v1
         self._t, self._v, self._e = t1, v1, e1
 
