@@ -22,7 +22,6 @@ from .scheduler import (
     plan,
     requirement,
     run_window,
-    try_admit,
     worst_case_time,
 )
 from .sim import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -21,7 +21,7 @@ from .config import DeviceConfig, config_hash, load_config
 from .energy import min_start_voltage
 from .errors import UnreachableRequirementError, ZedSimError
 from .pmu import HarvestProfile
-from .policy import SWEEP_HEADER, InferenceInstance, Thresholds, sweep_thresholds
+from .policy import SWEEP_HEADER, Thresholds, sweep_thresholds
 from .scheduler import GATINGS, VARIANTS, plan, requirement
 from .sim import (
     COMPARISON_HEADER,
@@ -54,8 +54,9 @@ def _float_list(text: str) -> List[float]:
     """Parse '0.1,0.2' or 'start:stop:step' (stop inclusive within 1e-9)."""
     if ":" in text:
         parts = [float(p) for p in text.split(":")]
-        if len(parts) != 3 or parts[2] <= 0:
-            raise argparse.ArgumentTypeError("range must be start:stop:step with step > 0")
+        if len(parts) != 3 or not all(map(math.isfinite, parts)) or parts[2] <= 0:
+            raise argparse.ArgumentTypeError(
+                "range must be start:stop:step, all finite, with step > 0")
         start, stop, step = parts
         out, k = [], 0
         while True:
@@ -171,23 +172,6 @@ CAPACITANCE_HEADER = [
 ]
 
 
-def _run_capacitance_point(payload) -> dict:
-    cfg_dict, variant, c_farads, harvest_pairs, trace_rows, initial_v, horizon, gating = payload
-    device = DeviceConfig.from_dict(cfg_dict).with_capacitance(c_farads)
-    cfg = SimConfig(device, initial_v, horizon, variant, gating)
-    harvest = HarvestProfile.from_pairs(harvest_pairs)
-    trace = [InferenceInstance(*row) for row in trace_rows]
-    totals = simulate(cfg, harvest, trace).totals
-    return {
-        "c_farads": c_farads,
-        "variant": variant,
-        "completed_pipelines": totals.completed_pipelines,
-        "energy_consumed_j": totals.energy_consumed_j,
-        "power_failures": totals.power_failures,
-        "accuracy_total": totals.accuracy_total,
-    }
-
-
 def _cmd_sweep_capacitance(args) -> int:
     device = _device(args)
     trace = load_trace(args.trace)
@@ -199,22 +183,21 @@ def _cmd_sweep_capacitance(args) -> int:
         print(f"error: --jobs must be >= 0, got {args.jobs}", file=sys.stderr)
         return 2
     variants = [_POLICY_FLAGS[v] for v in args.variants]
-    trace_rows = [(i.id, i.o1, i.o2, i.label) for i in trace]
-    harvest_pairs = list(zip(harvest.times, harvest.currents))
-    payloads = [
-        (device.to_dict(), variant, c, harvest_pairs, trace_rows,
-         args.initial_v, args.horizon, _GATING_FLAGS[args.gating])
-        for c in sorted(args.capacitance)
-        for variant in variants
-    ]
-    # a fork-started pool forks all its workers on the first submit
-    jobs = min(args.jobs or os.cpu_count() or 1, len(payloads))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_capacitance_point, payloads))
-    else:
-        rows = [_run_capacitance_point(p) for p in payloads]
+    gating = _GATING_FLAGS[args.gating]
+    rows = []
+    for c in sorted(args.capacitance):
+        for variant in variants:
+            cfg = SimConfig(device.with_capacitance(c), args.initial_v, args.horizon,
+                            variant, gating)
+            totals = simulate(cfg, harvest, trace).totals
+            rows.append({
+                "c_farads": c,
+                "variant": variant,
+                "completed_pipelines": totals.completed_pipelines,
+                "energy_consumed_j": totals.energy_consumed_j,
+                "power_failures": totals.power_failures,
+                "accuracy_total": totals.accuracy_total,
+            })
     out = _out_dir(args)
     digest = _write_resolved(device.to_dict(), out)
     path = out / "sweep_capacitance.csv"
@@ -246,7 +229,7 @@ def _cmd_validate(args) -> int:
     # admission measurement plus the cheapest option it can admit
     for variant in VARIANTS:
         for gating in GATINGS:
-            admission, _ = plan(variant, gating)
+            admission, _ = plan(device, variant, gating)
             need = requirement(device, (admission,))
             try:
                 min_start_voltage(device.capacitor, need, device.schedule.guard_delta)
@@ -293,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", nargs="+", choices=sorted(_POLICY_FLAGS),
                    default=["baseline", "proposed"])
     p.add_argument("--jobs", type=int, default=0,
-                   help="worker processes (0 = all cores), at most one per point")
+                   help="no effect: the points run in this process; kept for compatibility")
     p.set_defaults(func=_cmd_sweep_capacitance)
 
     p = sub.add_parser("gen-trace", help="write a calibrated synthetic trace CSV")

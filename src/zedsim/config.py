@@ -108,7 +108,7 @@ class DeviceConfig:
             window, deadline = self.schedule.window_seconds, self.schedule.deadline_seconds
             for variant in VARIANTS:
                 for gating in GATINGS:
-                    admission, _ = plan(variant, gating)
+                    admission, _ = plan(self, variant, gating)
                     t_exe = worst_case_time(self, (admission,))
                     if deadline + t_exe >= window:
                         out.append(

@@ -11,9 +11,9 @@ free because the controller is unpowered.
 Each variant is described once, by :func:`plan`, as a tuple of steps:
 
 - a stage name: run that stage;
-- ``Check(options, otherwise, enforced)``: measure, then take the first
-  option whose requirement plus ``guard_delta`` the usable energy covers,
-  else ``otherwise`` (at admission, ``None``: try the next instant). An
+- ``Check(options, otherwise, enforced, needs)``: measure, then take the
+  first option whose need, its requirement plus ``guard_delta``, the usable
+  energy covers, else ``otherwise`` (at admission, ``None``: try the next instant). An
   unenforced check takes its first option, but still measures;
 - ``Split(ambiguous)``: outside the open band (gamma1, gamma2) exit at the
   shallow head with the region's call, inside it run ``ambiguous``;
@@ -25,12 +25,16 @@ where it starts to the next check or to the end: stages add their energy, an
 a ``Check`` adds its measurement and its cheapest completion, the least that
 must be left once that check has been paid for. :func:`worst_case_time` is the
 same walk over durations, taking the longest branch everywhere.
+
+A run compiles its plan once, for its device, variant and gating: :func:`plan`
+fills each check's ``needs`` with one float per option, computed by that
+walk, so the window loop only compares the usable energy it measures
+against floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 from .errors import DomainError
@@ -79,11 +83,14 @@ class ScheduleConfig:
 
 @dataclass(frozen=True)
 class Check:
-    """Measure, then continue with the first option the usable energy covers."""
+    """Measure, then continue with the first option whose need the usable energy
+    covers. ``needs`` holds each option's requirement plus ``guard_delta``;
+    :func:`plan` fills it in for its device."""
 
     options: tuple
     otherwise: Optional[tuple] = None
     enforced: bool = True
+    needs: Tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -100,23 +107,28 @@ class Exit:
     taken: ExitTaken
 
 
-@lru_cache(maxsize=None)
-def plan(variant: str, gating: str) -> Tuple[Check, Optional[int]]:
+def plan(device, variant: str, gating: str) -> Tuple[Check, Optional[int]]:
     """The admission check of ``variant`` and its cap on admission instants
-    (None: every candidate instant of the schedule)."""
+    (None: every candidate instant of the schedule), compiled for ``device``."""
+    delta = device.schedule.guard_delta
+
+    def check(options, otherwise=None, enforced=True):
+        return Check(options, otherwise, enforced,
+                     tuple(requirement(device, option) + delta for option in options))
+
     capture = "capture_preprocess" if gating == GATING_MOSFET else "capture_preprocess_load_switch"
     if variant == VARIANT_BASELINE:
-        return Check((("capture_preprocess_load_switch", "inference_ex2", Exit(ExitTaken.EX2)),)), 1
+        return check((("capture_preprocess_load_switch", "inference_ex2", Exit(ExitTaken.EX2)),)), 1
     if variant == VARIANT_POLICY_I:
         deep = (capture, "inference_ex2", "led_green", Exit(ExitTaken.EX2))
         shallow = (capture, "inference_ex1", Exit(ExitTaken.EX1))
-        return Check((deep, shallow)), None
-    escalation = Check(
+        return check((deep, shallow)), None
+    escalation = check(
         (("inference_ex1_to_ex2", "led_green", Exit(ExitTaken.EX2)),),
         otherwise=(Exit(ExitTaken.EX1_FALLBACK),),
         enforced=variant != VARIANT_POLICY_II,
     )
-    return Check(((capture, "inference_ex1", Split((escalation,))),)), None
+    return check(((capture, "inference_ex1", Split((escalation,))),)), None
 
 
 def _walk(steps: tuple, total: float, cost: Callable[[str], float], pick) -> float:
@@ -171,18 +183,13 @@ def candidate_start_times(t_k: float, cfg: ScheduleConfig) -> List[float]:
     step = cfg.deadline_seconds / cfg.n_attempts
     return [t_k + i * step for i in range(cfg.n_attempts)]
 
-def try_admit(available_usable: float, e_req: float, delta: float) -> bool:
-    """True when the usable energy covers the requirement plus margin."""
-    if available_usable < 0 or e_req < 0 or delta < 0:
-        raise DomainError("admission inputs must be >= 0")
-    return available_usable >= e_req + delta
 
-def _choose(device, check: Check, usable: float) -> Optional[tuple]:
-    """The first option of ``check`` that ``usable`` covers, else None."""
-    for option in check.options:
-        if not check.enforced or try_admit(
-            usable, requirement(device, option), device.schedule.guard_delta
-        ):
+def _choose(check: Check, usable: float) -> Optional[tuple]:
+    """The first option of ``check`` whose need ``usable`` covers, else None."""
+    if not check.enforced:
+        return check.options[0]
+    for option, need in zip(check.options, check.needs):
+        if usable >= need:
             return option
     return None
 
@@ -192,16 +199,16 @@ def run_window(
     clock,
     device,
     instance: InferenceInstance,
-    variant: str = VARIANT_PROPOSED,
-    gating: str = GATING_MOSFET,
+    compiled: Tuple[Check, Optional[int]],
 ) -> WindowOutcome:
     """Attempt one pipeline in the given window.
 
     ``clock`` is the simulation engine driving the capacitor: it must provide
-    ``outputs_enabled``, ``usable_energy()``, ``advance_to(t)``,
+    ``outputs_enabled``, ``usable_energy()`` (>= 0), ``advance_to(t)``,
     ``run_stage(name) -> bool`` (False on power failure),
     ``load_energy_spent`` and ``log_event(label)``. ``device`` is the
-    DeviceConfig carrying stage profiles, thresholds and the schedule.
+    DeviceConfig carrying stage profiles, thresholds and the schedule, and
+    ``compiled`` is what :func:`plan` gives for it.
 
     The instance is consumed only if the pipeline starts (``started_at`` set).
     """
@@ -209,7 +216,7 @@ def run_window(
     t_k = window_index * sched.window_seconds
     spent0 = clock.load_energy_spent
     clock.log_event(f"window:{window_index}")
-    admission, attempts = plan(variant, gating)
+    admission, attempts = compiled
 
     started_at = None
     for s in candidate_start_times(t_k, sched)[:attempts]:
@@ -225,7 +232,7 @@ def run_window(
                 deferred=True, power_failure=False,
             )
         admission_usable = clock.usable_energy()
-        steps = _choose(device, admission, admission_usable)
+        steps = _choose(admission, admission_usable)
         if steps is not None:
             started_at = s
             clock.log_event("admit")
@@ -273,7 +280,7 @@ def _execute(clock, device, instance, steps):
             if not clock.run_stage("measurement"):
                 return None, usable, True
             usable = clock.usable_energy()
-            steps, k = _choose(device, step, usable), 0
+            steps, k = _choose(step, usable), 0
             if steps is None:
                 steps, denied = step.otherwise, True
         elif isinstance(step, Split):

@@ -43,6 +43,7 @@ from .scheduler import (
     VARIANT_PROPOSED,
     VARIANTS,
     WindowOutcome,
+    plan,
     run_window,
 )
 
@@ -141,7 +142,6 @@ class _Engine:
 
     def __init__(self, device: DeviceConfig, harvest: HarvestProfile, initial_v: float):
         cap = device.capacitor
-        self._device = device
         self._cap = cap
         self._c = cap.capacitance_farads
         self._eta = device.converter_efficiency
@@ -149,6 +149,9 @@ class _Engine:
         if device.idle_current_amps > 0:
             rail = device.stage("measurement").supply_volts
             self._idle_draw = rail * device.idle_current_amps / self._eta
+        # per stage: duration and the draw on the buffer, converter losses included
+        self._stages = {name: (prof.duration_seconds, prof.power_watts / self._eta)
+                        for name, prof in device.stages.items()}
 
         self._t = 0.0
         self._v = initial_v
@@ -198,12 +201,11 @@ class _Engine:
 
     def run_stage(self, name: str) -> bool:
         """Run one pipeline stage; False if the voltage fell to the cutoff."""
-        prof = self._device.stage(name)
-        p_load = prof.power_watts
-        if p_load > 0 and not self._enabled:
+        duration, draw = self._stages[name]
+        if draw > 0 and not self._enabled:
             raise SimulationFault(f"stage {name!r} requested at t={self._t} with outputs disabled")
         self.log_event("stage:" + name)
-        return not self._advance(self._t + prof.duration_seconds, p_load / self._eta)
+        return not self._advance(self._t + duration, draw)
 
     def _advance(self, end: float, draw: Optional[float]) -> bool:
         """Move to ``end`` under a stage's ``draw``, or idle when it is None.
@@ -262,8 +264,13 @@ class _Engine:
             self.consumed += p * dt
             self.clamp_loss += clamp
         if dt > 0:
-            for column, value in zip(self._pieces, (t, v, v1, i, p, self._enabled)):
-                column.append(value)
+            t0s, v0s, v1s, currents, powers, latched = self._pieces
+            t0s.append(t)
+            v0s.append(v)
+            v1s.append(v1)
+            currents.append(i)
+            powers.append(p)
+            latched.append(self._enabled)
         elif self._pieces[2]:
             self._pieces[2][-1] = v1
         self._t, self._v, self._e = t1, v1, e1
@@ -296,14 +303,13 @@ def simulate(
 
     engine = _Engine(device, harvest, cfg.initial_v)
     initial_energy = engine.stored_energy
+    compiled = plan(device, cfg.policy_variant, cfg.gating_variant)
 
     windows: List[WindowOutcome] = []
     next_instance = 0
     for k in range(n_windows):
         engine.advance_to(k * sched.window_seconds)
-        outcome = run_window(
-            k, engine, device, trace[next_instance], cfg.policy_variant, cfg.gating_variant
-        )
+        outcome = run_window(k, engine, device, trace[next_instance], compiled)
         if outcome.started_at is not None:
             next_instance += 1
         windows.append(outcome)

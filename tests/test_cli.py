@@ -1,5 +1,4 @@
 import argparse
-import concurrent.futures
 import csv
 import json
 import os
@@ -134,6 +133,18 @@ class TestRejectsMalformedInputs:
         ]) == 2
         assert "finite" in capsys.readouterr().err
         assert not (out / "sweep_capacitance.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--gamma1", "--capacitance"])
+    @pytest.mark.parametrize("value", ["nan:0.5:0.1", "0.1:nan:0.1", "0.1:0.5:nan",
+                                       "0.1:inf:0.1"])
+    def test_non_finite_range(self, tmp_path, trace_file, capsys, flag, value):
+        command = "sweep-thresholds" if flag == "--gamma1" else "sweep-capacitance"
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--trace", str(trace_file), flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_jobs(self, tmp_path, trace_file, capsys):
         out = tmp_path / "out"
@@ -270,41 +281,16 @@ class TestSweeps:
                 >= int(by_variant["baseline"]["completed_pipelines"])
             )
 
-
-class _FakePool:
-    """Runs the pool's work in this process and records the size asked for."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-class TestWorkerPool:
-    @pytest.mark.parametrize("jobs, capacitances, size", [
-        ("8", "0.5", 2),           # two points: never more workers than points
-        ("3", "0.5,1.5", 3),
-        ("2", "0.1,0.5,1.5", 2),
-    ])
-    def test_pool_is_capped_at_the_points(self, tmp_path, trace_file, monkeypatch,
-                                          jobs, capacitances, size):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
-        monkeypatch.setattr(_FakePool, "sizes", [])
+    def test_capacitance_sweep_is_the_same_for_any_jobs(self, tmp_path, trace_file):
+        # every point runs in this process, whatever --jobs asks for
         argv = ["sweep-capacitance", "--trace", str(trace_file), "--horizon", "30",
-                "--capacitance", capacitances, "--out", str(tmp_path / "out")]
-        assert main([*argv, "--jobs", jobs]) == 0
-        assert _FakePool.sizes == [size]
-        assert main([*argv, "--jobs", "1"]) == 0
-        assert _FakePool.sizes == [size]  # one job runs in this process, with no pool
+                "--capacitance", "0.1,0.5,1.5", "--harvest-ma", "1.0"]
+        written = []
+        for jobs in ("8", "1"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main([*argv, "--jobs", jobs, "--out", str(out)]) == 0
+            written.append((out / "sweep_capacitance.csv").read_bytes())
+        assert written[0] == written[1]
 
 
 class TestCompare:
@@ -372,7 +358,7 @@ class TestStartup:
         commands = [
             ["run", *common],
             ["compare", *common],
-            ["sweep-capacitance", *common, "--capacitance", "0.5", "--jobs", "1"],
+            ["sweep-capacitance", *common, "--capacitance", "0.5", "--jobs", "2"],
             ["sweep-thresholds", "--trace", str(trace_file), "--out", str(tmp_path / "out")],
         ]
         env = {**os.environ, "PYTHONPATH": str(Path(zedsim.__file__).parents[1])}

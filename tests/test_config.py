@@ -9,7 +9,7 @@ from zedsim.scheduler import GATINGS, VARIANTS, Split, plan, requirement
 
 
 def admission_options(variant, gating="mosfet"):
-    return plan(variant, gating)[0].options
+    return plan(DeviceConfig.default(), variant, gating)[0].options
 
 
 class TestDefaults:

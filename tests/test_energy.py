@@ -104,7 +104,7 @@ class TestStateEnergy:
 
 
 def admission_options(variant, gating="mosfet"):
-    return plan(variant, gating)[0].options
+    return plan(DeviceConfig.default(), variant, gating)[0].options
 
 
 def escalation_check(gating="mosfet"):

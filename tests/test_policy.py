@@ -22,7 +22,7 @@ from zedsim.policy import (
     fallback_label,
     sweep_thresholds,
 )
-from zedsim.scheduler import run_window
+from zedsim.scheduler import plan, run_window
 from zedsim.traces import GeneratorSpec, generate_trace
 
 DEVICE = DeviceConfig.default()
@@ -57,7 +57,8 @@ class ScriptedClock:
 def decide(variant, inst, readings, device=DEVICE):
     """One window of ``variant`` with a single admission instant."""
     one_attempt = replace(device, schedule=replace(device.schedule, n_attempts=1))
-    return run_window(0, ScriptedClock(readings), one_attempt, inst, variant)
+    return run_window(0, ScriptedClock(readings), one_attempt, inst,
+                      plan(one_attempt, variant, "mosfet"))
 
 
 class TestEvaluateEx1:
@@ -147,6 +148,13 @@ class TestDecideProposed:
         assert d.energy_denied and d.escalation_requested
         assert out.escalation_usable == 1e-6
 
+    def test_admission_boundary_is_the_compiled_need(self):
+        # a reading equal to the compiled float admits, one ulp less defers
+        (need,) = plan(DEVICE, "proposed", "mosfet")[0].needs
+        inst = InferenceInstance(0, 0.9, 0.9, 1)
+        assert decide("proposed", inst, [need]).started_at == 0.0
+        assert decide("proposed", inst, [math.nextafter(need, 0.0)]).deferred
+
     def test_admission_denied(self):
         inst = InferenceInstance(0, 0.9, 0.9, 1)
         out = decide("proposed", inst, [0.0])
@@ -157,7 +165,7 @@ class TestDecideProposed:
         inst = InferenceInstance(0, 0.9, 0.9, 1)
         clock = ScriptedClock([])
         one_attempt = replace(DEVICE, schedule=replace(DEVICE.schedule, n_attempts=1))
-        out = run_window(0, clock, one_attempt, inst)
+        out = run_window(0, clock, one_attempt, inst, plan(one_attempt, "proposed", "mosfet"))
         assert out.deferred and not out.power_failure
         assert clock.events == ["window:0", "measurement_brownout"]
 

@@ -18,7 +18,7 @@ from euler_oracle import initial_state, step
 from zedsim.config import DeviceConfig
 from zedsim.pmu import HarvestProfile, charge_time
 from zedsim.policy import ExitTaken, InferenceInstance, Thresholds
-from zedsim.scheduler import GATINGS, VARIANTS, plan, requirement
+from zedsim.scheduler import GATINGS, VARIANTS, Check, Split, plan, requirement
 from zedsim.sim import (
     SimConfig,
     energy_ledger_residual,
@@ -81,11 +81,36 @@ def near_admission(draw):
     gating = draw(st.sampled_from(GATINGS))
     c = draw(st.floats(0.05, 0.1))
     device = cfg.device.with_capacitance(c)
-    admission, _ = plan("proposed", gating)
+    admission, _ = plan(device, "proposed", gating)
     need = requirement(device, (admission,)) + device.schedule.guard_delta
     usable = max(need + draw(st.floats(-1e-3, 8e-3)), 0.0)
     v0 = min(math.sqrt(V_OFF**2 + 2 * usable / c), V_MAX)
     return replace(cfg, device=device, initial_v=v0, gating_variant=gating), harvest, trace
+
+
+def checks(steps):
+    """Every check in ``steps``, nested ones included."""
+    for step in steps:
+        if isinstance(step, Check):
+            yield step
+            for end in (*step.options, step.otherwise or ()):
+                yield from checks(end)
+        elif isinstance(step, Split):
+            yield from checks(step.ambiguous)
+
+
+@given(devices(), st.one_of(st.just(0.0), st.floats(1e-12, 0.05)))
+def test_compiled_needs_are_the_walked_requirements(device, guard):
+    device = replace(device, schedule=replace(device.schedule, guard_delta=guard))
+    for variant in VARIANTS:
+        for gating in GATINGS:
+            admission, _ = plan(device, variant, gating)
+            found = list(checks((admission,)))
+            assert len(found) == (2 if variant in ("proposed", "policy_ii") else 1)
+            for check in found:
+                assert len(check.needs) == len(check.options)
+                for option, need in zip(check.options, check.needs):
+                    assert need == requirement(device, option) + guard
 
 
 def assert_ledger_closes_and_totals_partition(result):

@@ -5,14 +5,16 @@ import pytest
 from euler_oracle import harvest_current_at, usable_energy
 from zedsim.config import DeviceConfig
 from zedsim.energy import CapacitorSpec, state_energy
-from zedsim.errors import DomainError
 from zedsim.pmu import HarvestProfile
 from zedsim.policy import ExitTaken, InferenceInstance
 from zedsim.scheduler import (
+    Check,
+    Exit,
     ScheduleConfig,
+    _choose,
     candidate_start_times,
+    plan,
     run_window,
-    try_admit,
 )
 from zedsim.sim import _Engine
 
@@ -34,22 +36,30 @@ class TestCandidateStartTimes:
 
 
 class TestTryAdmit:
+    """An admission attempt against a compiled check: the usable energy must
+    reach the option's need."""
+
+    @staticmethod
+    def admits(usable, need):
+        return _choose(Check(((Exit(ExitTaken.EX1),),), needs=(need,)), usable) is not None
+
     def test_ample(self):
-        assert try_admit(5.4675, 81.407e-3, 0.0)
+        assert self.admits(5.4675, 81.407e-3)
 
     def test_empty(self):
-        assert not try_admit(0.0, 1e-9, 0.0)
+        assert not self.admits(0.0, 1e-9)
 
     def test_boundary_inclusive(self):
-        assert try_admit(81.407e-3, 81.407e-3, 0.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            try_admit(-1.0, 0.0, 0.0)
+        assert self.admits(81.407e-3, 81.407e-3)
 
 
 def _engine(device, harvest, v0):
     return _Engine(device, harvest, v0)
+
+
+def run_proposed(clock, device, instance):
+    """One window of the proposed policy under the mosfet gate."""
+    return run_window(0, clock, device, instance, plan(device, "proposed", "mosfet"))
 
 
 def admission_requirement(device):
@@ -65,7 +75,7 @@ class TestRunWindow:
         device = DeviceConfig.default()
         clock = _engine(device, HarvestProfile.constant(0.0), 4.5)
         inst = InferenceInstance(0, 0.9, 0.9, 1)
-        out = run_window(0, clock, device, inst)
+        out = run_proposed(clock, device, inst)
         assert out.started_at == 0.0
         assert not out.deferred and not out.power_failure
         assert out.decision.exit_taken is ExitTaken.EX1
@@ -83,7 +93,7 @@ class TestRunWindow:
         clock = _engine(device, HarvestProfile.constant(0.0), 3.92)
         e_before = usable_energy(device.capacitor, clock._v)
         assert e_before < admission_requirement(device)
-        out = run_window(0, clock, device, InferenceInstance(0, 0.9, 0.9, 1))
+        out = run_proposed(clock, device, InferenceInstance(0, 0.9, 0.9, 1))
         assert out.deferred and out.started_at is None and out.decision is None
         n = device.schedule.n_attempts
         meas = device.stage_energy("measurement")
@@ -95,7 +105,7 @@ class TestRunWindow:
     def test_disabled_outputs_skip_candidates_for_free(self):
         device = DeviceConfig.default()
         clock = _engine(device, HarvestProfile.constant(0.0), 3.7)  # below v_on: latched off
-        out = run_window(0, clock, device, InferenceInstance(0, 0.9, 0.9, 1))
+        out = run_proposed(clock, device, InferenceInstance(0, 0.9, 0.9, 1))
         assert out.deferred
         assert out.energy_spent == 0.0
         assert clock._v == 3.7
@@ -115,7 +125,7 @@ class TestRunWindow:
         harvest = HarvestProfile.from_pairs([(0.0, 0.0), (1.35, 0.2)])
         clock = _engine(device, harvest, v0)
         inst = InferenceInstance(0, 0.9, 0.9, 1)
-        out = run_window(0, clock, device, inst)
+        out = run_proposed(clock, device, inst)
 
         expected_i = _first_admitted_candidate_oracle(device, harvest, v0)
         assert expected_i == 7
@@ -126,7 +136,7 @@ class TestRunWindow:
     def test_single_pipeline_per_window(self):
         device = DeviceConfig.default()
         clock = _engine(device, HarvestProfile.constant(0.0), 4.5)
-        run_window(0, clock, device, InferenceInstance(0, 0.5, 0.5, 1))
+        run_proposed(clock, device, InferenceInstance(0, 0.5, 0.5, 1))
         captures = [e for e in clock.events if e[1] == "stage:capture_preprocess"]
         admits = [e for e in clock.events if e[1] == "admit"]
         assert len(captures) == 1 and len(admits) == 1
