@@ -31,7 +31,6 @@ from .sim import (
     SimTotals,
     compare_policies,
     energy_ledger_residual,
-    replay_check,
     simulate,
 )
 from .traces import (

@@ -106,6 +106,10 @@ class DeviceConfig:
                 out.append(f"stages.{name}: missing stage profile")
         if not out:
             window, deadline = self.schedule.window_seconds, self.schedule.deadline_seconds
+            n, measure = self.schedule.n_attempts, self.stage("measurement").duration_seconds
+            if n > 1 and deadline / n < measure:
+                out.append(f"schedule: {n} attempts in a {deadline} s deadline are closer "
+                           f"than one {measure} s measurement")
             for variant in VARIANTS:
                 for gating in GATINGS:
                     admission, _ = plan(self, variant, gating)

@@ -34,6 +34,9 @@ class CapacitorSpec:
                 "thresholds must satisfy 0 < v_off < v_on < v_max, got "
                 f"v_off={self.v_off}, v_on={self.v_on}, v_max={self.v_max}"
             )
+        if not math.isfinite(0.5 * self.capacitance_farads * (self.v_max * self.v_max)):
+            raise DomainError("energy C*v_max^2/2 must be finite, got "
+                              f"C={self.capacitance_farads}, v_max={self.v_max}")
 
     @property
     def energy_floor(self) -> float:

@@ -203,18 +203,18 @@ def run_window(
 ) -> WindowOutcome:
     """Attempt one pipeline in the given window.
 
-    ``clock`` is the simulation engine driving the capacitor: it must provide
-    ``outputs_enabled``, ``usable_energy()`` (>= 0), ``advance_to(t)``,
-    ``run_stage(name) -> bool`` (False on power failure),
-    ``load_energy_spent`` and ``log_event(label)``. ``device`` is the
-    DeviceConfig carrying stage profiles, thresholds and the schedule, and
-    ``compiled`` is what :func:`plan` gives for it.
+    ``clock`` is the simulation engine driving the capacitor: it must provide the
+    attributes ``time``, ``outputs_enabled`` and ``consumed`` (load energy spent so
+    far), and ``usable_energy()`` (>= 0), ``advance_to(t)``, ``run_stage(name) -> bool``
+    (False on power failure) and ``log_event(label)``. ``device`` is the DeviceConfig
+    carrying stage profiles, thresholds and the schedule, and ``compiled`` is what
+    :func:`plan` gives for it.
 
     The instance is consumed only if the pipeline starts (``started_at`` set).
     """
     sched = device.schedule
     t_k = window_index * sched.window_seconds
-    spent0 = clock.load_energy_spent
+    spent0 = clock.consumed
     clock.log_event(f"window:{window_index}")
     admission, attempts = compiled
 
@@ -228,7 +228,7 @@ def run_window(
             # deferred and the device cold-starts; no pipeline work was lost
             clock.log_event("measurement_brownout")
             return WindowOutcome(
-                window_index, None, None, clock.load_energy_spent - spent0,
+                window_index, None, None, clock.consumed - spent0,
                 deferred=True, power_failure=False,
             )
         admission_usable = clock.usable_energy()
@@ -241,7 +241,7 @@ def run_window(
     if started_at is None:
         clock.log_event("defer")
         return WindowOutcome(
-            window_index, None, None, clock.load_energy_spent - spent0,
+            window_index, None, None, clock.consumed - spent0,
             deferred=True, power_failure=False,
         )
 
@@ -257,7 +257,7 @@ def run_window(
         window_index,
         started_at,
         decision,
-        clock.load_energy_spent - spent0,
+        clock.consumed - spent0,
         deferred=False,
         power_failure=failed,
         instance_id=instance.id,

@@ -7,20 +7,22 @@ Events are harvest segment boundaries, stage ends, scheduler instants, and
 the voltage reaching v_off, v_on (while latched off) or v_max. The cost of a
 run therefore scales with its number of events, not with its horizon.
 
-The trajectory is the engine's knots: the start (time, v_c) of each recorded
-piece, plus the state the run closes in, each with the supply mode its latch
-gives. Within a piece the flows are constant, so v_c moves monotonically from
-one knot to the next; the knots hold every extremum, every v_off, v_on and
-v_max crossing and every latch change exactly, and the closed forms of
-:mod:`zedsim.pmu` give v_c at any time between them.
+The trajectory is the engine's piece record in five columns: each piece's
+start time and voltage, harvest current, load power and latch, closed by the
+run's final state as a row of zero length, current and power. A piece ends
+where the next row starts. Within a piece the flows are constant, so v_c
+moves monotonically from one knot to the next; the knots hold every extremum,
+every v_off, v_on and v_max crossing and every latch change exactly, and the
+closed forms of :mod:`zedsim.pmu` give v_c at any time between them.
 
 A run is strictly sequential and deterministic: given the same configuration,
 harvest profile and trace it reproduces bit-identical trajectories, window
-outcomes and totals. Energy bookkeeping is closed by construction: each piece
-books consumed = P*dt and harvested = dE + P*dt (plus any clamp loss), or,
-with no harvest, consumed = -dE. So initial buffer energy plus harvested
-energy equals final buffer energy plus load debits plus the energy discarded
-while the capacitor is pinned at its ceiling.
+outcomes and totals, so a replay is a result that compares equal. Energy
+bookkeeping is closed by construction: each piece books consumed = P*dt and
+harvested = dE + P*dt (plus any clamp loss), or, with no harvest, consumed =
+-dE. So initial buffer energy plus harvested energy equals final buffer energy
+plus load debits plus the energy discarded while the capacitor is pinned at its
+ceiling.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .config import DeviceConfig, config_hash
+from .energy import CapacitorSpec
 from .errors import ConfigError, DomainError, SimulationFault
 from .pmu import HarvestProfile, charge_time, mode_value, voltage_after
 from .policy import ExitTaken, InferenceInstance
@@ -107,24 +110,27 @@ class SimResult:
     events: List[Tuple[float, str]]
     windows: List[WindowOutcome]
     totals: SimTotals
-    trajectory: "Trajectory" = field(repr=False, compare=False)
+    trajectory: "Trajectory" = field(repr=False)
 
     @property
     def config_sha256(self) -> str:
         return config_hash(self.config)
 
 
+@dataclass(frozen=True)
 class Trajectory:
-    """A run's (time, v_c, mode) knots: one per recorded piece, plus the close."""
+    """A run's closed piece record; iterates its (time, v_c, mode) knots."""
 
-    def __init__(self, engine: "_Engine"):
-        self._engine = engine
+    columns: Tuple[array, ...]
+    capacitor: CapacitorSpec
 
     def __len__(self) -> int:
-        return len(self._engine._pieces[0]) + 1
+        return len(self.columns[0])
 
     def __iter__(self) -> Iterator[Tuple[float, float, str]]:
-        return self._engine.knots()
+        t0, v0, _, _, latched = self.columns
+        for t, v, on in zip(t0, v0, latched):
+            yield t, v, mode_value(v, self.capacitor, on)
 
 
 class _Engine:
@@ -136,8 +142,10 @@ class _Engine:
     harvest segment boundary, the voltage reaching v_off (a power failure
     inside a stage, or latch-off under idle draw), v_on while latched off
     (which switches the idle draw on), or v_max (after which the buffer stays
-    pinned and the surplus is clamp loss). Every piece is recorded, and its
-    start is a knot of the trajectory.
+    pinned and the surplus is clamp loss). Every piece that moves the clock
+    appends its start, current, power and latch to ``pieces``; :meth:`close`
+    ends the record with the current state. ``time``, ``outputs_enabled``,
+    ``stored_energy`` and the ledger are plain attributes.
     """
 
     def __init__(self, device: DeviceConfig, harvest: HarvestProfile, initial_v: float):
@@ -153,10 +161,10 @@ class _Engine:
         self._stages = {name: (prof.duration_seconds, prof.power_watts / self._eta)
                         for name, prof in device.stages.items()}
 
-        self._t = 0.0
+        self.time = 0.0
         self._v = initial_v
-        self._e = self._energy(initial_v)
-        self._enabled = initial_v >= cap.v_on
+        self.stored_energy = self._energy(initial_v)
+        self.outputs_enabled = initial_v >= cap.v_on
 
         self._seg_times = harvest.times
         self._seg_currents = harvest.currents
@@ -166,46 +174,30 @@ class _Engine:
         self.consumed = 0.0
         self.clamp_loss = 0.0
 
-        # per piece: start time, start and end voltage, current, power, latch
-        self._pieces: Tuple[array, ...] = (*(array("d") for _ in range(5)), array("b"))
+        # per piece: start time, start voltage, current, power, latch
+        self.pieces: Tuple[array, ...] = (*(array("d") for _ in range(4)), array("b"))
         self.events: List[Tuple[float, str]] = []
 
     def _energy(self, v: float) -> float:
         return 0.5 * self._c * v**2
 
-    @property
-    def time(self) -> float:
-        return self._t
-
-    @property
-    def stored_energy(self) -> float:
-        return self._e
-
-    @property
-    def outputs_enabled(self) -> bool:
-        return self._enabled
-
-    @property
-    def load_energy_spent(self) -> float:
-        return self.consumed
-
     def usable_energy(self) -> float:
-        return max(0.0, self._e - self._cap.energy_floor)
+        return max(0.0, self.stored_energy - self._cap.energy_floor)
 
     def log_event(self, label: str) -> None:
-        self.events.append((self._t, label))
+        self.events.append((self.time, label))
 
     def advance_to(self, t_target: float) -> None:
-        if t_target > self._t + _T_EPS:
+        if t_target > self.time + _T_EPS:
             self._advance(t_target, None)
 
     def run_stage(self, name: str) -> bool:
         """Run one pipeline stage; False if the voltage fell to the cutoff."""
         duration, draw = self._stages[name]
-        if draw > 0 and not self._enabled:
-            raise SimulationFault(f"stage {name!r} requested at t={self._t} with outputs disabled")
+        if draw > 0 and not self.outputs_enabled:
+            raise SimulationFault(f"stage {name!r} requested at t={self.time} with outputs disabled")
         self.log_event("stage:" + name)
-        return not self._advance(self._t + duration, draw)
+        return not self._advance(self.time + duration, draw)
 
     def _advance(self, end: float, draw: Optional[float]) -> bool:
         """Move to ``end`` under a stage's ``draw``, or idle when it is None.
@@ -214,18 +206,18 @@ class _Engine:
         """
         cap = self._cap
         times = self._seg_times
-        while end - self._t > _T_EPS:
-            t, v = self._t, self._v
+        while end - self.time > _T_EPS:
+            t, v = self.time, self._v
             k = self._seg_k
             while k + 1 < len(times) and times[k + 1] <= t + _T_EPS:
                 k += 1
             self._seg_k = k
             limit = times[k + 1] if k + 1 < len(times) and times[k + 1] < end else end
             i = self._seg_currents[k]
-            p = (self._idle_draw if self._enabled else 0.0) if draw is None else draw
+            p = (self._idle_draw if self.outputs_enabled else 0.0) if draw is None else draw
             a = i * v - p
             if a > 0 and v < cap.v_max:
-                bound = cap.v_max if self._enabled else cap.v_on
+                bound = cap.v_max if self.outputs_enabled else cap.v_on
             elif a < 0:
                 bound = cap.v_off
             else:  # no net flow, or pinned at the ceiling
@@ -244,48 +236,41 @@ class _Engine:
                     v1, t1 = voltage_after(v, bound, i, p, self._c, limit - t), limit
             self._piece(t, t1, v, v1, i, p, clamp)
             if v1 >= cap.v_on:
-                self._enabled = True
+                self.outputs_enabled = True
             elif v1 <= cap.v_off:
-                self._enabled = False
+                self.outputs_enabled = False
             if hit and bound == cap.v_off and draw is not None:
                 return True
         return False
 
     def _piece(self, t: float, t1: float, v: float, v1: float, i: float, p: float,
                clamp: float) -> None:
-        """Book one piece into the ledger and the trajectory record; a piece too short to
-        move the clock is not recorded, but moves v1 of the last one off its closed form."""
+        """Book one piece into the ledger and append its row to the record; a piece
+        too short to move the clock only moves the state, which the next row's v0 carries."""
         dt = t1 - t
-        e1 = self._e if v1 == v else self._energy(v1)
+        e0 = self.stored_energy
+        e1 = e0 if v1 == v else self._energy(v1)
         if i == 0.0:  # the buffer alone feeds the load
-            self.consumed += self._e - e1
+            self.consumed += e0 - e1
         else:
-            self.harvested += e1 - self._e + p * dt + clamp
+            self.harvested += e1 - e0 + p * dt + clamp
             self.consumed += p * dt
             self.clamp_loss += clamp
         if dt > 0:
-            t0s, v0s, v1s, currents, powers, latched = self._pieces
+            t0s, v0s, currents, powers, latched = self.pieces
             t0s.append(t)
             v0s.append(v)
-            v1s.append(v1)
             currents.append(i)
             powers.append(p)
-            latched.append(self._enabled)
-        elif self._pieces[2]:
-            self._pieces[2][-1] = v1
-        self._t, self._v, self._e = t1, v1, e1
+            latched.append(self.outputs_enabled)
+        self.time, self._v, self.stored_energy = t1, v1, e1
 
-    def record(self) -> Tuple[array, ...]:
-        """The piece columns closed by the current state, a piece of zero length."""
-        return tuple(column + array(column.typecode, [value]) for column, value in
-                     zip(self._pieces, (self._t, self._v, self._v, 0.0, 0.0, self._enabled)))
-
-    def knots(self) -> Iterator[Tuple[float, float, str]]:
-        """(time, v_c, mode) at the start of each piece, then at the current state."""
-        t0, v0, _, _, _, latched = self._pieces
-        for t, v, on in zip(t0, v0, latched):
-            yield t, v, mode_value(v, self._cap, on)
-        yield self._t, self._v, mode_value(self._v, self._cap, self._enabled)
+    def close(self) -> Trajectory:
+        """The record, closed in place by the current state as a zero-length row."""
+        row = (self.time, self._v, 0.0, 0.0, self.outputs_enabled)
+        for column, value in zip(self.pieces, row):
+            column.append(value)
+        return Trajectory(self.pieces, self._cap)
 
 
 def simulate(
@@ -317,7 +302,7 @@ def simulate(
     engine.advance_to(cfg.horizon_seconds)
 
     totals = _aggregate(windows, engine, initial_energy, n_windows)
-    return SimResult(cfg.to_dict(), engine.events, windows, totals, Trajectory(engine))
+    return SimResult(cfg.to_dict(), engine.events, windows, totals, engine.close())
 
 
 def _aggregate(windows, engine, initial_energy, n_windows) -> SimTotals:
@@ -354,34 +339,6 @@ def energy_ledger_residual(result: SimResult) -> float:
         - t.energy_consumed_j
         - t.clamp_loss_j
     )
-
-
-def replay_check(
-    result: SimResult,
-    cfg: SimConfig,
-    harvest: HarvestProfile,
-    trace: Sequence[InferenceInstance],
-) -> Optional[str]:
-    """Re-simulate and compare bit-for-bit over totals, windows, events and
-    the piece record, whose starts are the trajectory's knots, against a result.
-    Returns the first difference, or None when the runs agree."""
-    a, b = result, simulate(cfg, harvest, trace)
-    if a.totals != b.totals:
-        return f"totals differ: {a.totals} != {b.totals}"
-    if a.windows != b.windows:
-        for wa, wb in zip(a.windows, b.windows):
-            if wa != wb:
-                return f"window {wa.window_index} differs: {wa} != {wb}"
-        return "window counts differ"
-    ra, rb = a.trajectory._engine.record(), b.trajectory._engine.record()
-    if ra != rb:
-        for k, (pa, pb) in enumerate(zip(zip(*ra), zip(*rb))):
-            if pa != pb:
-                return f"piece {k} differs: {pa} != {pb}"
-        return f"piece counts differ: {len(ra[0])} != {len(rb[0])}"
-    if a.events != b.events:
-        return "event logs differ"
-    return None
 
 
 @dataclass

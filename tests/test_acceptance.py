@@ -22,7 +22,7 @@ from zedsim.policy import (
     evaluate_ex2,
     sweep_thresholds,
 )
-from zedsim.sim import SimConfig, energy_ledger_residual, replay_check, simulate
+from zedsim.sim import SimConfig, energy_ledger_residual, simulate
 from zedsim.traces import GeneratorSpec, generate_trace
 
 DEVICE = DeviceConfig.default()
@@ -291,8 +291,7 @@ def test_criterion_10_determinism(calibrated_trace):
     _ensure_runs(calibrated_trace)
     failures = []
     for label, cfg, harvest, trace, result in _RUNS:
-        detail = replay_check(result, cfg, harvest, trace)
-        if detail is not None:
-            failures.append((label, detail))
+        if simulate(cfg, harvest, trace) != result:
+            failures.append(label)
     ok = not failures
     assert report(10, "determinism", ok, f"({len(_RUNS)} runs replayed bit-for-bit)"), failures

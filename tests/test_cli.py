@@ -189,6 +189,24 @@ class TestRejectsMalformedInputs:
         assert main(argv) == 2
         assert "capacitor.capacitance_farads: must be a finite number" in capsys.readouterr().err
 
+    def test_stored_energy_overflow(self, tmp_path, trace_file, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"capacitor": {"v_max": 1e200}}))
+        assert self._run(tmp_path, trace_file, "--config", str(cfg), "--initial-v", "1e199") == 2
+        err = capsys.readouterr().err
+        assert "C*v_max^2/2 must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "totals.txt").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_attempts_closer_than_one_measurement(self, tmp_path, trace_file, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schedule": {"n_attempts": 100000000}}))
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--trace", str(trace_file), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "closer than one 0.004145 s measurement" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_defaults_ok(self, capsys):
@@ -291,6 +309,30 @@ class TestSweeps:
             assert main([*argv, "--jobs", jobs, "--out", str(out)]) == 0
             written.append((out / "sweep_capacitance.csv").read_bytes())
         assert written[0] == written[1]
+
+
+class TestLayerAttribution:
+    """The benchmark times ``simulate`` by wrapping ``zedsim.cli.simulate``, so
+    every simulation a command runs must go through that name."""
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["sweep-capacitance", "--capacitance", "0.1,0.5,1.5",
+          "--variants", "proposed", "baseline"], 6),
+        (["run"], 1),
+    ])
+    def test_each_simulation_calls_cli_simulate(self, tmp_path, trace_file, monkeypatch,
+                                                argv, calls):
+        seen = []
+        simulate = zedsim.cli.simulate
+
+        def counted(*args):
+            seen.append(args)
+            return simulate(*args)
+
+        monkeypatch.setattr(zedsim.cli, "simulate", counted)
+        assert main([*argv, "--trace", str(trace_file), "--horizon", "30",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(seen) == calls
 
 
 class TestCompare:

@@ -125,6 +125,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="window"):
             d.validate()
 
+    @pytest.mark.parametrize("schedule, ok", [
+        ({"n_attempts": 965}, True),  # 4 s / 965 still holds one 4.145 ms measurement
+        ({"n_attempts": 966}, False),
+        ({"n_attempts": 1, "deadline_seconds": 0.0}, True),
+        ({"n_attempts": 2, "deadline_seconds": 0.0}, False),
+    ])
+    def test_attempts_no_closer_than_one_measurement(self, schedule, ok):
+        problems = DeviceConfig.from_dict({"schedule": schedule}).problems()
+        assert (problems == []) == ok
+        assert all("closer than one" in p for p in problems)
+
     def test_deadline_checked_under_every_gating(self):
         # a slow load-switch capture overruns the window only under that
         # gating; the mosfet paths and the baseline still fit

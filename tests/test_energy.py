@@ -233,6 +233,13 @@ class TestTypes:
         with pytest.raises(DomainError):
             CapacitorSpec(1.5, 3.6, 4.5, 4.5)
 
+    def test_capacitor_energy_at_v_max_must_be_finite(self):
+        # v_max*v_max overflows, or C*v_max^2/2 does; just inside, both hold
+        for farads, v_max in [(1.5, 1e200), (1e-300, 1e200), (1e308, 4.5)]:
+            with pytest.raises(DomainError, match="finite"):
+                CapacitorSpec(farads, 3.6, 3.92, v_max)
+        CapacitorSpec(1e-300, 3.6, 3.92, 1e154)
+
     def test_stage_invariants(self):
         with pytest.raises(DomainError):
             StageProfile("x", -1e-3, 0.1)

@@ -38,7 +38,7 @@ class ScriptedClock:
         self.readings = list(readings)
         self.time = 0.0
         self.outputs_enabled = True
-        self.load_energy_spent = 0.0
+        self.consumed = 0.0
         self.events = []
 
     def advance_to(self, t):

@@ -24,11 +24,9 @@ from zedsim.policy import (
 )
 from zedsim.sim import (
     SimConfig,
-    Trajectory,
     _Engine,
     compare_policies,
     energy_ledger_residual,
-    replay_check,
     simulate,
     write_trajectory_csv,
 )
@@ -120,11 +118,11 @@ class TestSimulate:
         harvest = HarvestProfile.constant(2e-3)
         for horizon in (50.0, 20.005):
             result = simulate(SimConfig(DEVICE, 4.5, horizon, "proposed"), harvest, trace5000)
-            engine = result.trajectory._engine
-            t0, v0 = engine._pieces[:2]
+            t0, v0, current, power, _ = result.trajectory.columns
             knots = [(t, v) for t, v, _ in result.trajectory]
-            # the engine's stored floats, then the state the run closes in
-            assert knots == [*zip(t0, v0), (horizon, engine._v)]
+            # the engine's stored floats, the last row the state the run closes in
+            assert knots == [*zip(t0, v0)]
+            assert (t0[-1], current[-1], power[-1]) == (horizon, 0.0, 0.0)
             assert len(result.trajectory) == len(knots)
             # every event happens at a knot: a stage or window starts a piece
             assert {t for t, _ in result.events} <= {t for t, _ in knots}
@@ -290,27 +288,23 @@ class TestReplay:
         cfg = SimConfig(DEVICE, 4.5, 100.0, "proposed")
         harvest = HarvestProfile.constant(2e-3)
         result = simulate(cfg, harvest, trace5000)
-        assert replay_check(result, cfg, harvest, trace5000) is None
+        assert simulate(cfg, harvest, trace5000) == result
 
     def test_replay_with_different_trace_fails_with_diff(self, trace5000):
         cfg = SimConfig(DEVICE, 4.5, 100.0, "proposed")
         harvest = HarvestProfile.constant(0.0)
         result = simulate(cfg, harvest, trace5000)
         other = generate_trace(GeneratorSpec(5000, 0.7265, 0.8309, 0.5386, 8))
-        detail = replay_check(result, cfg, harvest, other)
-        assert detail is not None
-        assert detail
+        assert simulate(cfg, harvest, other) != result
 
     def test_one_ulp_in_one_piece_is_reported(self, trace5000):
         cfg = SimConfig(DEVICE, 4.5, 100.0, "proposed")
         harvest = HarvestProfile.constant(2e-3)
         result = simulate(cfg, harvest, trace5000)
-        end_v = result.trajectory._engine._pieces[2]  # each piece's end voltage
-        k = len(end_v) // 2
-        end_v[k] = math.nextafter(end_v[k], math.inf)
-        detail = replay_check(result, cfg, harvest, trace5000)
-        assert detail is not None
-        assert detail.startswith(f"piece {k} differs")
+        start_v = result.trajectory.columns[1]  # each piece's start voltage
+        k = len(start_v) // 2
+        start_v[k] = math.nextafter(start_v[k], math.inf)
+        assert simulate(cfg, harvest, trace5000) != result
 
     def test_euler_oracle_converges_to_exact_run(self, trace5000):
         # replay the run's stage loads through the Euler step: its error in
@@ -318,7 +312,7 @@ class TestReplay:
         cfg = SimConfig(DEVICE, 4.0, 20.0, "proposed")
         harvest = HarvestProfile.constant(8e-3)
         result = simulate(cfg, harvest, trace5000)
-        assert replay_check(result, cfg, harvest, trace5000) is None
+        assert simulate(cfg, harvest, trace5000) == result
         assert result.totals.completed_pipelines == 2
 
         loads = []
@@ -405,7 +399,7 @@ class TestEventEngine:
         assert not engine.run_stage("capture_preprocess")
         assert engine.time == pytest.approx(t_fail, rel=1e-12)
         assert engine._v == v_off and not engine.outputs_enabled
-        assert engine.load_energy_spent == pytest.approx(p * t_fail, rel=1e-12)
+        assert engine.consumed == pytest.approx(p * t_fail, rel=1e-12)
         e0 = 0.5 * 0.05 * v0**2
         assert e0 + engine.harvested - engine.stored_energy - engine.consumed == pytest.approx(
             0.0, abs=1e-15
@@ -425,7 +419,7 @@ class TestEventEngine:
         engine.advance_to(t_on + 0.5)
         assert engine.outputs_enabled
         assert engine.consumed == pytest.approx(p_idle * (t_off + 0.5), rel=1e-9)
-        knots = list(Trajectory(engine))
+        knots = list(engine.close())
         # latched off at v_off, still off at the advance_to split, on again at
         # v_on, and past v_on the idle draw outweighs the harvest again
         assert [m for _, _, m in knots] == [
@@ -441,7 +435,7 @@ class TestEventEngine:
         t_full = 0.1 * 0.1 / 30e-3
         assert engine._v == 4.5
         assert engine.clamp_loss == pytest.approx(30e-3 * 4.5 * (10.0 - t_full), rel=1e-12)
-        start, full, end = Trajectory(engine)
+        start, full, end = engine.close()
         assert start == (0.0, 4.4, "operate")
         assert full[0] == pytest.approx(1 / 3, rel=1e-12) and full[1:] == (4.5, "full")
         assert end == (10.0, 4.5, "full")
