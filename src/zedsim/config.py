@@ -105,8 +105,18 @@ class DeviceConfig:
             if name not in self.stages:
                 out.append(f"stages.{name}: missing stage profile")
         if not out:
+            # a band below one measurement, or an idle draw above it, makes the supply chatter
+            cap, measurement = self.capacitor, self.stage("measurement")
+            band = 0.5 * cap.capacitance_farads * (cap.v_on**2 - cap.v_off**2)
+            e_measure = self.stage_energy("measurement")
+            if band < e_measure:
+                out.append(f"capacitor: the v_off..v_on band holds {band:.4g} J, "
+                           f"less than one {e_measure:.4g} J measurement")
+            if self.idle_current_amps > measurement.current_amps:
+                out.append(f"idle_current_amps: {self.idle_current_amps} A draws more than "
+                           f"the measurement's {measurement.current_amps:.4g} A")
             window, deadline = self.schedule.window_seconds, self.schedule.deadline_seconds
-            n, measure = self.schedule.n_attempts, self.stage("measurement").duration_seconds
+            n, measure = self.schedule.n_attempts, measurement.duration_seconds
             if n > 1 and deadline / n < measure:
                 out.append(f"schedule: {n} attempts in a {deadline} s deadline are closer "
                            f"than one {measure} s measurement")

@@ -8,12 +8,12 @@ happens depends on the energy check at that moment. Ties at 0.5 resolve to
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import accumulate
-from operator import attrgetter
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Union
 
 from .errors import DomainError
 
@@ -43,12 +43,48 @@ class InferenceInstance:
     label: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.o1 <= 1.0:
-            raise DomainError(f"instance {self.id}: o1={self.o1} outside [0, 1]")
-        if not 0.0 <= self.o2 <= 1.0:
-            raise DomainError(f"instance {self.id}: o2={self.o2} outside [0, 1]")
-        if self.label not in (0, 1):
-            raise DomainError(f"instance {self.id}: label must be 0 or 1")
+        check_instance(self.id, self.o1, self.o2, self.label)
+
+
+def check_instance(id: int, o1: float, o2: float, label: int) -> None:
+    """Raise DomainError unless both scores are in [0, 1] and the label is 0 or 1."""
+    if not 0.0 <= o1 <= 1.0:
+        raise DomainError(f"instance {id}: o1={o1} outside [0, 1]")
+    if not 0.0 <= o2 <= 1.0:
+        raise DomainError(f"instance {id}: o2={o2} outside [0, 1]")
+    if label not in (0, 1):
+        raise DomainError(f"instance {id}: label must be 0 or 1")
+
+
+@dataclass(frozen=True)
+class Trace:
+    """A trace as columns. Row k is ``InferenceInstance(ids[k], o1[k], o2[k],
+    labels[k])``, built only when indexed or iterated; a slice is a Trace."""
+
+    ids: list
+    o1: array  # 'd'
+    o2: array  # 'd'
+    labels: array  # 'b'
+
+    @classmethod
+    def of(cls, trace: Union["Trace", Iterable[InferenceInstance]]) -> "Trace":
+        """``trace`` itself if it is a Trace, else its instances packed into columns."""
+        if isinstance(trace, cls):
+            return trace
+        rows = list(trace)
+        return cls([i.id for i in rows], array("d", [i.o1 for i in rows]),
+                   array("d", [i.o2 for i in rows]), array("b", [i.label for i in rows]))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Trace(self.ids[k], self.o1[k], self.o2[k], self.labels[k])
+        return InferenceInstance(self.ids[k], self.o1[k], self.o2[k], self.labels[k])
+
+    def __iter__(self) -> Iterator[InferenceInstance]:
+        return map(InferenceInstance, self.ids, self.o1, self.o2, self.labels)
 
 
 @dataclass(frozen=True)
@@ -114,12 +150,13 @@ SWEEP_HEADER = [f.name for f in fields(SweepCell)]
 
 
 def sweep_thresholds(
-    trace: Sequence[InferenceInstance], grid: Iterable[Thresholds]
+    trace: Union[Trace, Iterable[InferenceInstance]], grid: Iterable[Thresholds]
 ) -> List[SweepCell]:
     """Evaluate every threshold pair over the trace with unlimited energy.
 
-    The shallow scores are sorted once, with prefix counts of person labels
-    and of correct deep-exit calls in that order. Each cell then reads its
+    The row indices are sorted once by shallow score (a stable sort, so equal
+    scores keep trace order), with prefix counts of person labels and of
+    correct deep-exit calls in that order. Each cell then reads its
     counts at two cut points, bisecting the sorted scores: ``hi``, the first
     score >= gamma2, and ``lo``, the first score > gamma1, capped at ``hi``.
     Scores from ``hi`` on exit as PERSON, scores below ``lo`` exit as
@@ -129,15 +166,17 @@ def sweep_thresholds(
     gamma1 = gamma2 = 0.5 a score of 0.5 is PERSON. The cost is O(n log n)
     for the sort plus O(log n) per cell.
     """
+    trace = Trace.of(trace)
     n = len(trace)
     if not n:
         raise DomainError("trace must be non-empty")
-    ordered = sorted(trace, key=attrgetter("o1"))
-    s1 = [inst.o1 for inst in ordered]
+    o1, o2, labels = trace.o1, trace.o2, trace.labels
+    order = sorted(range(n), key=o1.__getitem__)
+    s1 = [o1[k] for k in order]
     # among the k lowest shallow scores: persons[k] person labels, deep_ok[k]
     # instances the deep exit calls right
-    persons = list(accumulate((inst.label for inst in ordered), initial=0))
-    deep_ok = list(accumulate(((inst.o2 >= 0.5) == inst.label for inst in ordered), initial=0))
+    persons = list(accumulate((labels[k] for k in order), initial=0))
+    deep_ok = list(accumulate(((o2[k] >= 0.5) == labels[k] for k in order), initial=0))
     cells = []
     for th in grid:
         hi = bisect_left(s1, th.gamma2)

@@ -291,12 +291,13 @@ def simulate(
     compiled = plan(device, cfg.policy_variant, cfg.gating_variant)
 
     windows: List[WindowOutcome] = []
-    next_instance = 0
+    instances = iter(trace)
+    instance = next(instances, None)
     for k in range(n_windows):
         engine.advance_to(k * sched.window_seconds)
-        outcome = run_window(k, engine, device, trace[next_instance], compiled)
+        outcome = run_window(k, engine, device, instance, compiled)
         if outcome.started_at is not None:
-            next_instance += 1
+            instance = next(instances, None)
         windows.append(outcome)
         engine.advance_to((k + 1) * sched.window_seconds)
     engine.advance_to(cfg.horizon_seconds)

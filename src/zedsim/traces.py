@@ -4,6 +4,10 @@ Trace CSV: header ``id,o1,o2,label``, one row per input with both exit scores
 and the ground-truth label. Harvest CSV: header ``t_start_s,i_h_ma``,
 piecewise-constant segments. All numbers are decimal with a dot separator.
 
+In memory a trace is a :class:`~zedsim.policy.Trace` of four columns, with no
+Python object per row: the loader and the generator fill them, the writer and
+the statistics read them (and pack any iterable of instances first).
+
 The generator stands in for real validation scores. Per head it draws from a
 two-component mixture: a confident component concentrated near the correct
 pole and a mid-range ambiguous component that is right only half the time.
@@ -19,12 +23,13 @@ from __future__ import annotations
 
 import csv
 import warnings
+from array import array
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Iterable, List, Union
 
 from .errors import DomainError, FitError, TraceError
 from .pmu import HarvestProfile
-from .policy import InferenceInstance
+from .policy import InferenceInstance, Trace, check_instance
 
 TRACE_HEADER = ["id", "o1", "o2", "label"]
 HARVEST_HEADER = ["t_start_s", "i_h_ma"]
@@ -35,15 +40,15 @@ _CONFIDENT_BETA = (1.0, 6.0)
 _AMBIGUOUS_BETA = (1.0, 3.5)
 
 
-def load_trace(path) -> List[InferenceInstance]:
+def load_trace(path) -> Trace:
     """Read and validate a trace CSV; raises TraceError with the line number."""
-    instances: List[InferenceInstance] = []
+    trace = Trace([], array("d"), array("d"), array("b"))
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             warnings.warn(f"{path}: empty trace file")
-            return instances
+            return trace
         if [h.strip() for h in header] != TRACE_HEADER:
             raise TraceError(f"{path}:1: expected header {','.join(TRACE_HEADER)}")
         last_id = None
@@ -60,23 +65,28 @@ def load_trace(path) -> List[InferenceInstance]:
             except ValueError as exc:
                 raise TraceError(f"{path}:{lineno}: {exc}") from None
             try:
-                inst = InferenceInstance(ident, o1, o2, label)
+                check_instance(ident, o1, o2, label)
             except DomainError as exc:
                 raise TraceError(f"{path}:{lineno}: {exc}") from None
             if last_id is not None and ident <= last_id:
                 raise TraceError(f"{path}:{lineno}: ids must be unique and ascending")
             last_id = ident
-            instances.append(inst)
-    if not instances:
+            trace.ids.append(ident)
+            trace.o1.append(o1)
+            trace.o2.append(o2)
+            trace.labels.append(label)
+    if not trace.ids:
         warnings.warn(f"{path}: trace file has no data rows")
-    return instances
+    return trace
 
 
-def save_trace(trace: Sequence[InferenceInstance], path) -> None:
+def save_trace(trace: Union[Trace, Iterable[InferenceInstance]], path) -> None:
+    t = Trace.of(trace)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(TRACE_HEADER)
         # float reprs and ints never need quoting
-        fh.writelines(f"{inst.id},{inst.o1!r},{inst.o2!r},{inst.label}\r\n" for inst in trace)
+        fh.writelines(f"{i},{s1!r},{s2!r},{label}\r\n"
+                      for i, s1, s2, label in zip(t.ids, t.o1, t.o2, t.labels))
 
 
 def load_harvest(path) -> HarvestProfile:
@@ -135,7 +145,7 @@ class GeneratorSpec:
             raise FitError(f"seed must be >= 0, got {self.seed}")
 
 
-def generate_trace(spec: GeneratorSpec) -> List[InferenceInstance]:
+def generate_trace(spec: GeneratorSpec) -> Trace:
     """Seeded synthetic trace hitting the accuracy targets to within 1/n."""
     import numpy as np
     rng = np.random.default_rng(spec.seed)
@@ -159,10 +169,9 @@ def generate_trace(spec: GeneratorSpec) -> List[InferenceInstance]:
     o1 = _scores(rng, labels, conf1, correct1)
     o2 = _scores(rng, labels, conf2, correct2)
 
-    return [
-        InferenceInstance(i, s1, s2, label)
-        for i, (s1, s2, label) in enumerate(zip(o1.tolist(), o2.tolist(), labels.tolist()))
-    ]
+    # float64 bytes in native order are array('d')'s own: the scores move bit for bit
+    return Trace(list(range(n)), array("d", o1.tobytes()), array("d", o2.tobytes()),
+                 array("b", labels.tolist()))
 
 
 def _assign_correct(rng, confident, target_correct: int):
@@ -206,12 +215,13 @@ class TraceStats:
     n: int
 
 
-def trace_statistics(trace: Sequence[InferenceInstance]) -> TraceStats:
+def trace_statistics(trace: Union[Trace, Iterable[InferenceInstance]]) -> TraceStats:
     """Empirical balanced-threshold accuracies and label balance."""
-    if not trace:
+    t = Trace.of(trace)
+    n = len(t)
+    if not n:
         raise DomainError("trace must be non-empty")
-    n = len(trace)
-    ok1 = sum((inst.o1 >= 0.5) == bool(inst.label) for inst in trace)
-    ok2 = sum((inst.o2 >= 0.5) == bool(inst.label) for inst in trace)
-    persons = sum(inst.label for inst in trace)
+    ok1 = sum((s >= 0.5) == bool(label) for s, label in zip(t.o1, t.labels))
+    ok2 = sum((s >= 0.5) == bool(label) for s, label in zip(t.o2, t.labels))
+    persons = sum(t.labels)
     return TraceStats(ok1 / n, ok2 / n, persons / n, n)

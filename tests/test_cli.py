@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -46,6 +47,12 @@ class TestGenTrace:
         captured = capsys.readouterr().out
         assert "acc_at_half_ex1=" in captured
         assert "person_fraction=" in captured
+
+    def test_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["gen-trace", "--n", "2000", "--seed", "0", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "2f3d91fe45e105c7883e8aaf28be69ccddeeb2edb8a4b05102e2453a39c0e483")
 
 
 class TestRun:
@@ -206,6 +213,25 @@ class TestRejectsMalformedInputs:
             argv += ["--trace", str(trace_file), "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         assert "closer than one 0.004145 s measurement" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("config, problem", [
+        # a 1 nF buffer latches on and off ~550 000 times a second under a 1 mA idle draw
+        ({"capacitor": {"capacitance_farads": 1e-9}, "idle_current_amps": 1e-3},
+         "less than one 0.0008934 J measurement"),
+        ({"idle_current_amps": 0.1}, "draws more than the measurement's 0.06531 A"),
+    ])
+    def test_supply_that_would_chatter(self, tmp_path, trace_file, capsys, command, config,
+                                       problem):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--trace", str(trace_file), "--harvest-ma", "0.1", "--horizon", "1",
+                     "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestValidate:

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from zedsim.errors import DomainError, FitError, TraceError
 from zedsim.pmu import HarvestProfile
-from zedsim.policy import InferenceInstance
+from zedsim.policy import InferenceInstance, Thresholds, Trace, sweep_thresholds
 from zedsim.traces import (
     TRACE_HEADER,
     GeneratorSpec,
@@ -52,7 +53,7 @@ class TestTraceFiles:
         path = tmp_path / "t.csv"
         path.write_text("")
         with pytest.warns(UserWarning):
-            assert load_trace(path) == []
+            assert len(load_trace(path)) == 0
 
     def test_ids_must_ascend(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -94,6 +95,43 @@ class TestTraceFiles:
         path.write_text("time,current\n0,1\n")
         with pytest.raises(TraceError):
             load_harvest(path)
+
+
+class TestColumns:
+    @given(traces, st.integers(0, 31))
+    def test_columns_hold_the_instances(self, xs, k):
+        columns = Trace.of(xs)
+        assert Trace.of(columns) is columns
+        assert len(columns) == len(xs)
+        assert list(columns) == xs
+        assert [columns[j] for j in range(-len(xs), len(xs))] == xs + xs
+        assert columns[:k] == Trace.of(xs[:k])
+
+    @given(traces)
+    def test_consumers_read_columns_as_instances(self, xs):
+        with tempfile.TemporaryDirectory() as tmp:
+            rows, columns = Path(tmp) / "rows.csv", Path(tmp) / "columns.csv"
+            save_trace(xs, rows)
+            save_trace(Trace.of(xs), columns)
+            assert rows.read_bytes() == columns.read_bytes()
+        if xs:
+            grid = [Thresholds(g1, g2) for g1 in (0.0, 0.3, 0.5) for g2 in (0.5, 0.7, 1.0)]
+            assert sweep_thresholds(Trace.of(xs), grid) == sweep_thresholds(xs, grid)
+            assert trace_statistics(Trace.of(xs)) == trace_statistics(xs)
+
+    def test_generator_retains_no_object_per_row(self):
+        spec = GeneratorSpec(20000, 0.7265, 0.8309, 0.5386, 0)
+        generate_trace(GeneratorSpec(10, 0.7265, 0.8309, 0.5386, 0))  # imports numpy
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = generate_trace(spec)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == spec.n
+        # four columns: an int per id plus 8 + 8 + 1 bytes of scores and label
+        assert retained <= 80 * spec.n
 
 
 class TestGenerator:
