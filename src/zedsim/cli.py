@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -161,7 +160,7 @@ def _cmd_sweep_thresholds(args) -> int:
     cells = sweep_thresholds(trace, grid)
     out = _out_dir(args)
     digest = _write_resolved(device.to_dict(), out)
-    write_rows_csv([asdict(c) for c in cells], SWEEP_HEADER, out / "sweep_thresholds.csv", digest)
+    write_rows_csv([c._asdict() for c in cells], SWEEP_HEADER, out / "sweep_thresholds.csv", digest)
     print(f"wrote {len(cells)} cells to {out / 'sweep_thresholds.csv'}")
     return 0
 
@@ -226,8 +225,9 @@ def _cmd_validate(args) -> int:
         return 2
     problems = device.problems()
     # admission reachability at full charge, per variant and gating path: the
-    # admission measurement plus the cheapest option it can admit
-    for variant in VARIANTS:
+    # admission measurement plus the cheapest option it can admit (energies are
+    # divided by the converter efficiency, which problems() requires positive)
+    for variant in VARIANTS if device.converter_efficiency > 0 else ():
         for gating in GATINGS:
             admission, _ = plan(device, variant, gating)
             need = requirement(device, (admission,))

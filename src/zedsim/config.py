@@ -12,8 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .energy import CapacitorSpec, StageProfile, state_energy
 from .errors import ConfigError
@@ -71,8 +70,7 @@ def derive_escalation_stage(ex1: StageProfile, ex2: StageProfile) -> StageProfil
     return StageProfile("inference_ex1_to_ex2", current, duration, ex2.supply_volts)
 
 
-@dataclass(frozen=True)
-class DeviceConfig:
+class DeviceConfig(NamedTuple):
     capacitor: CapacitorSpec
     stages: Dict[str, StageProfile]
     thresholds: Thresholds
@@ -228,7 +226,7 @@ class DeviceConfig:
         )
 
     def with_capacitance(self, capacitance_farads: float) -> "DeviceConfig":
-        return replace(self, capacitor=replace(self.capacitor, capacitance_farads=capacitance_farads))
+        return self._replace(capacitor=self.capacitor._replace(capacitance_farads=capacitance_farads))
 
 
 def _section(data: dict, key: str, allowed: set) -> dict:

@@ -10,13 +10,13 @@ load.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
-from .errors import DomainError, UnreachableRequirementError
+from .errors import DomainError, UnreachableRequirementError, checked
 
 
-@dataclass(frozen=True)
-class CapacitorSpec:
+@checked
+class CapacitorSpec(NamedTuple):
     """Storage capacitor plus the three supply thresholds acting on it."""
 
     capacitance_farads: float
@@ -24,8 +24,8 @@ class CapacitorSpec:
     v_on: float
     v_max: float
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, astuple(self))):
+    def check(self) -> None:
+        if not all(map(math.isfinite, self)):
             raise DomainError(f"capacitance and thresholds must be finite, got {self}")
         if self.capacitance_farads <= 0:
             raise DomainError(f"capacitance must be positive, got {self.capacitance_farads}")
@@ -44,8 +44,8 @@ class CapacitorSpec:
         return 0.5 * self.capacitance_farads * self.v_off**2
 
 
-@dataclass(frozen=True)
-class StageProfile:
+@checked
+class StageProfile(NamedTuple):
     """Measured load profile of one pipeline state at the regulated rail.
 
     The energy of the stage is exactly supply_volts * duration_seconds *
@@ -58,7 +58,7 @@ class StageProfile:
     duration_seconds: float
     supply_volts: float = 3.3
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if self.current_amps < 0:
             raise DomainError(f"stage {self.name!r}: current must be >= 0")
         if self.duration_seconds < 0:

@@ -26,11 +26,10 @@ next event. :func:`charge_time` evaluates this form and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .energy import CapacitorSpec
-from .errors import DomainError
+from .errors import DomainError, checked
 
 _V_MAX_REL_TOL = 1e-12
 
@@ -51,14 +50,14 @@ def mode_value(v_c: float, spec: CapacitorSpec, outputs_latched_on: bool) -> str
     return "hysteresis_on" if outputs_latched_on else "hysteresis_off"
 
 
-@dataclass(frozen=True)
-class HarvestProfile:
+@checked
+class HarvestProfile(NamedTuple):
     """Piecewise-constant harvested current: (start time, amps) segments."""
 
     times: Tuple[float, ...]
     currents: Tuple[float, ...]
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if len(self.times) != len(self.currents) or not self.times:
             raise DomainError("profile needs matching, non-empty time and current lists")
         if self.times[0] != 0.0:
@@ -79,18 +78,16 @@ class HarvestProfile:
         return cls((0.0,), (current_amps,))
 
 
-# s(x) = sum(_S_SERIES[k] * x**k) below |x| = _S_SERIES_BELOW, where the
-# direct form loses digits to cancellation; the first omitted term is ~x**8/10
-_S_SERIES = (-1 / 2, 1 / 3, -1 / 4, 1 / 5, -1 / 6, 1 / 7, -1 / 8, 1 / 9)
+# s(x) = sum((-1)**(k+1) * x**k / (k+2), k = 0..7) below |x| = _S_SERIES_BELOW, where
+# the direct form loses digits to cancellation; the first omitted term is ~x**8/10
 _S_SERIES_BELOW = 1e-2
 _NEWTON_ITERATIONS = 60
 
 
 def _s_series(x):
-    acc = _S_SERIES[-1]
-    for coef in _S_SERIES[-2::-1]:
-        acc = coef + x * acc
-    return acc
+    # Horner's rule, unrolled
+    return -1 / 2 + x * (1 / 3 + x * (-1 / 4 + x * (1 / 5 + x * (-1 / 6 + x * (
+        1 / 7 + x * (-1 / 8 + x * (1 / 9)))))))
 
 
 def charge_time(v0: float, v1: float, current: float, power: float, capacitance: float) -> float:
@@ -118,11 +115,13 @@ def voltage_after(
     iterates approach the root from one side.
     """
     lo, hi = (v0, bound) if v0 <= bound else (bound, v0)
-    v = min(max(math.sqrt(max(v0 * v0 + 2.0 * (current * v0 - power) * dt / capacitance, 0.0)),
-                lo), hi)
+    sq = v0 * v0 + 2.0 * (current * v0 - power) * dt / capacitance
+    v = math.sqrt(0.0 if sq < 0.0 else sq)
+    v = lo if v < lo else hi if v > hi else v
     for _ in range(_NEWTON_ITERATIONS):
         err = charge_time(v0, v, current, power, capacitance) - dt
-        nxt = min(max(v - err * (current * v - power) / (capacitance * v), lo), hi)
+        nxt = v - err * (current * v - power) / (capacitance * v)
+        nxt = lo if nxt < lo else hi if nxt > hi else nxt
         if abs(nxt - v) <= 1e-15 * v:
             return nxt
         v = nxt

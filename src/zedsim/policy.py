@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Union
 
-from .errors import DomainError
+from .errors import DomainError, checked
 
 PERSON = 1
 NO_PERSON = 0
@@ -33,8 +32,8 @@ class ExitTaken(Enum):
     EX1_FALLBACK = "ex1_fallback"
 
 
-@dataclass(frozen=True)
-class InferenceInstance:
+@checked
+class InferenceInstance(NamedTuple):
     """One input's scores at both exits plus its ground-truth label."""
 
     id: int
@@ -42,7 +41,7 @@ class InferenceInstance:
     o2: float
     label: int
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         check_instance(self.id, self.o1, self.o2, self.label)
 
 
@@ -56,15 +55,21 @@ def check_instance(id: int, o1: float, o2: float, label: int) -> None:
         raise DomainError(f"instance {id}: label must be 0 or 1")
 
 
-@dataclass(frozen=True)
 class Trace:
-    """A trace as columns. Row k is ``InferenceInstance(ids[k], o1[k], o2[k],
-    labels[k])``, built only when indexed or iterated; a slice is a Trace."""
+    """A trace as columns: ``ids`` a list, ``o1`` and ``o2`` arrays of 'd', ``labels``
+    of 'b'. Row k is ``InferenceInstance(ids[k], o1[k], o2[k], labels[k])``, built
+    only when indexed or iterated; a slice is a Trace."""
 
-    ids: list
-    o1: array  # 'd'
-    o2: array  # 'd'
-    labels: array  # 'b'
+    __slots__ = ("ids", "o1", "o2", "labels")
+
+    def __init__(self, ids: list, o1: array, o2: array, labels: array) -> None:
+        self.ids, self.o1, self.o2, self.labels = ids, o1, o2, labels
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ids, self.o1, self.o2, self.labels)
+                == (other.ids, other.o1, other.o2, other.labels))
 
     @classmethod
     def of(cls, trace: Union["Trace", Iterable[InferenceInstance]]) -> "Trace":
@@ -87,28 +92,28 @@ class Trace:
         return map(InferenceInstance, self.ids, self.o1, self.o2, self.labels)
 
 
-@dataclass(frozen=True)
-class Thresholds:
+@checked
+class Thresholds(NamedTuple):
     """Ambiguity band (gamma1, gamma2) around the balanced threshold 0.5."""
 
     gamma1: float
     gamma2: float
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if not 0.0 <= self.gamma1 <= 0.5 <= self.gamma2 <= 1.0:
             raise DomainError(
                 f"need 0 <= gamma1 <= 0.5 <= gamma2 <= 1, got ({self.gamma1}, {self.gamma2})"
             )
 
 
-@dataclass(frozen=True)
-class ExitDecision:
+@checked
+class ExitDecision(NamedTuple):
     exit_taken: ExitTaken
     prediction: int
     escalation_requested: bool = False
     energy_denied: bool = False
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if self.prediction not in (PERSON, NO_PERSON):
             raise DomainError(f"prediction must be {PERSON} or {NO_PERSON}, got {self.prediction!r}")
 
@@ -130,8 +135,7 @@ def evaluate_ex2(o2: float) -> int:
     return PERSON if o2 >= 0.5 else NO_PERSON
 
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(NamedTuple):
     """Exit counts and accuracies of one threshold pair over a trace.
 
     Accuracy fields are None when no instance landed in that exit.
@@ -146,7 +150,7 @@ class SweepCell:
     n_ex2: int
 
 
-SWEEP_HEADER = [f.name for f in fields(SweepCell)]
+SWEEP_HEADER = list(SweepCell._fields)
 
 
 def sweep_thresholds(

@@ -34,10 +34,9 @@ against floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, checked
 from .policy import (
     NO_PERSON,
     PERSON,
@@ -63,14 +62,14 @@ GATINGS = (GATING_MOSFET, GATING_LOAD_SWITCH)
 _RESULT_LEDS = ("led_blue", "led_red")
 
 
-@dataclass(frozen=True)
-class ScheduleConfig:
+@checked
+class ScheduleConfig(NamedTuple):
     window_seconds: float
     deadline_seconds: float
     n_attempts: int
     guard_delta: float = 0.0
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if self.window_seconds <= 0:
             raise DomainError("window duration must be positive")
         if self.deadline_seconds < 0:
@@ -81,8 +80,7 @@ class ScheduleConfig:
             raise DomainError("guard margin must be >= 0")
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """Measure, then continue with the first option whose need the usable energy
     covers. ``needs`` holds each option's requirement plus ``guard_delta``;
     :func:`plan` fills it in for its device."""
@@ -93,15 +91,13 @@ class Check:
     needs: Tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(NamedTuple):
     """Exit at the shallow head outside the ambiguity band, else run ``ambiguous``."""
 
     ambiguous: tuple
 
 
-@dataclass(frozen=True)
-class Exit:
+class Exit(NamedTuple):
     """Indicate the call of the ``taken`` exit and end the pipeline."""
 
     taken: ExitTaken
@@ -156,8 +152,7 @@ def worst_case_time(device, steps: tuple) -> float:
     return _walk(steps, 0.0, lambda name: device.stage(name).duration_seconds, max)
 
 
-@dataclass(frozen=True)
-class WindowOutcome:
+class WindowOutcome(NamedTuple):
     """What happened in one window.
 
     ``deferred`` windows never started a pipeline and consumed no input; a

@@ -31,13 +31,12 @@ import csv
 import heapq
 import math
 from array import array
-from dataclasses import dataclass, field, fields, replace
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .config import DeviceConfig, config_hash
 from .energy import CapacitorSpec
-from .errors import ConfigError, DomainError, SimulationFault
+from .errors import ConfigError, DomainError, SimulationFault, checked
 from .pmu import HarvestProfile, charge_time, mode_value, voltage_after
 from .policy import ExitTaken, InferenceInstance
 from .scheduler import (
@@ -53,15 +52,15 @@ from .scheduler import (
 _T_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class SimConfig:
+@checked
+class SimConfig(NamedTuple):
     device: DeviceConfig
     initial_v: float
     horizon_seconds: float
     policy_variant: str = VARIANT_PROPOSED
     gating_variant: str = GATING_MOSFET
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         cap = self.device.capacitor
         for name in ("initial_v", "horizon_seconds"):
             if not math.isfinite(getattr(self, name)):
@@ -87,8 +86,7 @@ class SimConfig:
         }
 
 
-@dataclass
-class SimTotals:
+class SimTotals(NamedTuple):
     energy_consumed_j: float
     harvested_j: float
     clamp_loss_j: float
@@ -104,25 +102,33 @@ class SimTotals:
     accuracy_total: Optional[float]
 
 
-@dataclass
-class SimResult:
+class SimResult(NamedTuple):
     config: dict
     events: List[Tuple[float, str]]
     windows: List[WindowOutcome]
     totals: SimTotals
-    trajectory: "Trajectory" = field(repr=False)
+    trajectory: "Trajectory"
 
     @property
     def config_sha256(self) -> str:
         return config_hash(self.config)
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """A run's closed piece record; iterates its (time, v_c, mode) knots."""
 
-    columns: Tuple[array, ...]
-    capacitor: CapacitorSpec
+    __slots__ = ("columns", "capacitor")
+
+    def __init__(self, columns: Tuple[array, ...], capacitor: CapacitorSpec) -> None:
+        self.columns, self.capacitor = columns, capacitor
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.columns, self.capacitor) == (other.columns, other.capacitor)
+
+    def __repr__(self) -> str:
+        return f"Trajectory({len(self)} rows)"
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -342,8 +348,7 @@ def energy_ledger_residual(result: SimResult) -> float:
     )
 
 
-@dataclass
-class PolicyComparison:
+class PolicyComparison(NamedTuple):
     results: Dict[str, SimResult]
     rows: List[dict]
 
@@ -363,7 +368,7 @@ def compare_policies(
         raise DomainError("need at least one variant")
     results: Dict[str, SimResult] = {}
     for variant in variants:
-        results[variant] = simulate(replace(cfg_base, policy_variant=variant), harvest, trace)
+        results[variant] = simulate(cfg_base._replace(policy_variant=variant), harvest, trace)
     base = results[variants[0]].totals
     rows = []
     for variant in variants:
@@ -418,9 +423,8 @@ def totals_text(result: SimResult) -> str:
     """Single structured-text summary record of one run: each total as its
     repr, None as an empty value."""
     lines = [f"config_sha256={result.config_sha256}"]
-    for f in fields(SimTotals):
-        value = getattr(result.totals, f.name)
-        lines.append(f"{f.name}={'' if value is None else repr(value)}")
+    for name, value in result.totals._asdict().items():
+        lines.append(f"{name}={'' if value is None else repr(value)}")
     lines.append(f"ledger_residual_j={energy_ledger_residual(result)!r}")
     return "\n".join(lines) + "\n"
 

@@ -24,10 +24,9 @@ from __future__ import annotations
 import csv
 import warnings
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, List, Union
+from typing import Iterable, List, NamedTuple, Union
 
-from .errors import DomainError, FitError, TraceError
+from .errors import DomainError, FitError, TraceError, checked
 from .pmu import HarvestProfile
 from .policy import InferenceInstance, Trace, check_instance
 
@@ -122,8 +121,8 @@ def save_harvest(profile: HarvestProfile, path) -> None:
             writer.writerow([repr(t), repr(i * 1e3)])
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+@checked
+class GeneratorSpec(NamedTuple):
     """Targets for the synthetic trace: balanced-threshold accuracies per head."""
 
     n: int
@@ -132,7 +131,7 @@ class GeneratorSpec:
     person_fraction: float
     seed: int
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
         if self.n < 1:
             raise FitError("n must be >= 1")
         if not 0.5 <= self.target_acc1 <= self.target_acc2 <= 1.0:
@@ -207,8 +206,7 @@ def _scores(rng, labels, confident, correct):
     return np.clip(scores, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class TraceStats:
+class TraceStats(NamedTuple):
     acc_at_half_ex1: float
     acc_at_half_ex2: float
     person_fraction: float

@@ -7,7 +7,6 @@ run performed by the earlier criteria, via a shared run registry.
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -164,7 +163,7 @@ def test_criterion_6_scheduling_rule_dominance(calibrated_trace):
     )
     adaptive = sim_run("c6-adaptive", SimConfig(device, 4.0, 1000.0, "proposed"),
                        harvest, calibrated_trace)
-    one_attempt = replace(device, schedule=replace(device.schedule, n_attempts=1))
+    one_attempt = device._replace(schedule=device.schedule._replace(n_attempts=1))
     fixed = sim_run("c6-fixed", SimConfig(one_attempt, 4.0, 1000.0, "proposed"),
                     harvest, calibrated_trace)
 
@@ -195,7 +194,7 @@ def test_criterion_6_scheduling_rule_dominance(calibrated_trace):
 
 def _random_scenario(rng):
     c = rng.uniform(0.05, 1.5)
-    device = replace(DEVICE.with_capacitance(c), thresholds=Thresholds(
+    device = DEVICE.with_capacitance(c)._replace(thresholds=Thresholds(
         round(rng.uniform(0.0, 0.5), 3), round(rng.uniform(0.5, 1.0), 3)
     ))
     v0 = rng.uniform(device.capacitor.v_off, device.capacitor.v_max)

@@ -416,7 +416,7 @@ class TestStartup:
         # sweeps in one process load neither
         code = (
             "import json, sys, zedsim.cli\n"
-            "lazy = {'numpy', 'concurrent.futures.process'}\n"
+            "lazy = {'numpy', 'concurrent.futures.process', 'dataclasses', 'inspect'}\n"
             "print('loaded', sorted(lazy & set(sys.modules)))\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert zedsim.cli.main(argv) == 0\n"

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -163,7 +162,7 @@ class TestRequiredEnergy:
         for name in ("capture_preprocess", "led_green", "led_red", "measurement"):
             stages = {k: v for k, v in self.device.stages.items() if k != name}
             with pytest.raises(ConfigError, match=name):
-                requirement(replace(self.device, stages=stages), attempt)
+                requirement(self.device._replace(stages=stages), attempt)
 
     def test_escalation_additivity(self):
         # the shallow path plus the escalation requirement never exceed the

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -56,7 +55,7 @@ class ScriptedClock:
 
 def decide(variant, inst, readings, device=DEVICE):
     """One window of ``variant`` with a single admission instant."""
-    one_attempt = replace(device, schedule=replace(device.schedule, n_attempts=1))
+    one_attempt = device._replace(schedule=device.schedule._replace(n_attempts=1))
     return run_window(0, ScriptedClock(readings), one_attempt, inst,
                       plan(one_attempt, variant, "mosfet"))
 
@@ -164,7 +163,7 @@ class TestDecideProposed:
         # the admission reading never arrives: the window is deferred, not failed
         inst = InferenceInstance(0, 0.9, 0.9, 1)
         clock = ScriptedClock([])
-        one_attempt = replace(DEVICE, schedule=replace(DEVICE.schedule, n_attempts=1))
+        one_attempt = DEVICE._replace(schedule=DEVICE.schedule._replace(n_attempts=1))
         out = run_window(0, clock, one_attempt, inst, plan(one_attempt, "proposed", "mosfet"))
         assert out.deferred and not out.power_failure
         assert clock.events == ["window:0", "measurement_brownout"]
@@ -192,7 +191,7 @@ class TestDecideProposed:
             InferenceInstance(i, rng.random(), rng.random(), rng.randint(0, 1))
             for i in range(100)
         ]
-        device = replace(DEVICE, thresholds=Thresholds(0.2, 0.8))
+        device = DEVICE._replace(thresholds=Thresholds(0.2, 0.8))
         a = [decide("proposed", i, [1.0, 1.0], device) for i in instances]
         b = [decide("proposed", i, [1.0, 1.0], device) for i in instances]
         assert a == b

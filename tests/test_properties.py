@@ -7,7 +7,6 @@ in time order."""
 
 import math
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -35,10 +34,9 @@ RAIL = DEVICE.stage("measurement").supply_volts
 @st.composite
 def devices(draw):
     device = DEVICE.with_capacitance(draw(st.floats(0.05, 1.5)))
-    return replace(
-        device,
+    return device._replace(
         thresholds=Thresholds(draw(st.floats(0.0, 0.5)), draw(st.floats(0.5, 1.0))),
-        schedule=replace(device.schedule, n_attempts=draw(st.integers(1, 20))),
+        schedule=device.schedule._replace(n_attempts=draw(st.integers(1, 20))),
         idle_current_amps=draw(st.sampled_from([0.0, 0.0, 1e-4, 2e-3])),
         converter_efficiency=draw(st.sampled_from([1.0, 0.9, 0.6])),
     )
@@ -84,7 +82,7 @@ def near_admission(draw):
     need = requirement(device, (admission,)) + device.schedule.guard_delta
     usable = max(need + draw(st.floats(-1e-3, 8e-3)), 0.0)
     v0 = min(math.sqrt(V_OFF**2 + 2 * usable / c), V_MAX)
-    return replace(cfg, device=device, initial_v=v0, gating_variant=gating), harvest, trace
+    return cfg._replace(device=device, initial_v=v0, gating_variant=gating), harvest, trace
 
 
 def checks(steps):
@@ -100,7 +98,7 @@ def checks(steps):
 
 @given(devices(), st.one_of(st.just(0.0), st.floats(1e-12, 0.05)))
 def test_compiled_needs_are_the_walked_requirements(device, guard):
-    device = replace(device, schedule=replace(device.schedule, guard_delta=guard))
+    device = device._replace(schedule=device.schedule._replace(guard_delta=guard))
     for variant in VARIANTS:
         for gating in GATINGS:
             admission, _ = plan(device, variant, gating)
@@ -160,7 +158,7 @@ def test_escalates_exactly_when_the_reading_covers_it(scenario, spare):
     admit = sum(map(device.stage_energy, (
         "measurement", "capture_preprocess", "inference_ex1", "led_red", "measurement")))
     v0 = math.sqrt(V_OFF**2 + 2 * (admit + spare) / 0.05)
-    cfg = replace(cfg, device=device, initial_v=min(v0, V_MAX))
+    cfg = cfg._replace(device=device, initial_v=min(v0, V_MAX))
     # escalation stage, green LED and the dearer result LED, by hand
     need = (
         device.stage_energy("inference_ex1_to_ex2")
@@ -177,7 +175,7 @@ def test_admission_covers_converter_losses():
     # found by the property above: with the requirements sized at the rail,
     # the one admitted pipeline ran the buffer down to v_off
     device = DEVICE.with_capacitance(0.0508)
-    device = replace(device, schedule=replace(device.schedule, n_attempts=1),
+    device = device._replace(schedule=device.schedule._replace(n_attempts=1),
                      converter_efficiency=0.6)
     trace = [InferenceInstance(0, 0.9, 0.9, 1)]
     totals = simulate(SimConfig(device, 4.25, 10.0), HarvestProfile.constant(0.0), trace).totals

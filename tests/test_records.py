@@ -1,0 +1,57 @@
+"""Every record that checks its fields checks them however it is built: from
+its constructor, from ``_replace`` and from ``_make``."""
+
+import pytest
+
+from zedsim.cli import main
+from zedsim.config import DeviceConfig
+from zedsim.energy import CapacitorSpec, StageProfile
+from zedsim.errors import ConfigError, DomainError, FitError
+from zedsim.pmu import HarvestProfile
+from zedsim.policy import ExitDecision, ExitTaken, InferenceInstance, Thresholds
+from zedsim.scheduler import ScheduleConfig
+from zedsim.sim import SimConfig
+from zedsim.traces import GeneratorSpec
+
+# a sound record of each checked type, a field value that breaks it, and its error
+CHECKED = [
+    (CapacitorSpec(1.5, 3.6, 3.92, 4.5), {"capacitance_farads": 0.0}, DomainError),
+    (StageProfile("capture", 15e-3, 1.4), {"duration_seconds": -1.0}, DomainError),
+    (HarvestProfile((0.0, 5.0), (1e-3, 2e-3)), {"currents": (1e-3, -1.0)}, DomainError),
+    (InferenceInstance(7, 0.2, 0.8, 1), {"o1": 1.5}, DomainError),
+    (Thresholds(0.3, 0.7), {"gamma1": 0.6}, DomainError),
+    (ExitDecision(ExitTaken.EX1, 1), {"prediction": 2}, DomainError),
+    (ScheduleConfig(10.0, 4.0, 20), {"n_attempts": 0}, DomainError),
+    (SimConfig(DeviceConfig.default(), 4.5, 100.0), {"initial_v": 4.6}, ConfigError),
+    (GeneratorSpec(100, 0.7, 0.8, 0.5, 0), {"seed": -1}, FitError),
+]
+
+
+@pytest.mark.parametrize("record, bad, error", CHECKED,
+                         ids=[type(record).__name__ for record, _, _ in CHECKED])
+def test_every_construction_path_is_checked(record, bad, error):
+    cls = type(record)
+    assert record._replace() == record and cls._make(record) == record
+    values = [bad.get(name, value) for name, value in zip(record._fields, record)]
+    with pytest.raises(error) as built:
+        cls(*values)
+    for build in (lambda: record._replace(**bad), lambda: cls._make(values)):
+        with pytest.raises(error) as exc:
+            build()
+        assert type(exc.value) is type(built.value)
+        assert str(exc.value) == str(built.value)
+
+
+def test_with_capacitance_is_checked():
+    with pytest.raises(DomainError, match="capacitance must be positive"):
+        DeviceConfig.default().with_capacitance(0.0)
+
+
+def test_sweep_at_zero_capacitance_exits_2(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("id,o1,o2,label\n" + "".join(f"{k},0.2,0.8,1\n" for k in range(5)))
+    out = tmp_path / "out"
+    assert main(["sweep-capacitance", "--trace", str(trace), "--horizon", "30",
+                 "--capacitance", "0", "--out", str(out)]) == 2
+    assert "capacitance must be positive" in capsys.readouterr().err
+    assert not out.exists()

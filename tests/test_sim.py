@@ -1,7 +1,6 @@
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -128,24 +127,24 @@ class TestSimulate:
             assert {t for t, _ in result.events} <= {t for t, _ in knots}
 
     def test_idle_current_drains_only_while_enabled(self):
-        small = replace(DEVICE, idle_current_amps=5e-3)
-        cfg = SimConfig(replace(small, schedule=replace(small.schedule, window_seconds=100.0)),
+        small = DEVICE._replace(idle_current_amps=5e-3)
+        cfg = SimConfig(small._replace(schedule=small.schedule._replace(window_seconds=100.0)),
                         4.5, 50.0, "proposed")
         result = simulate(cfg, HarvestProfile.constant(0.0), [])
         rail = DEVICE.stage("measurement").supply_volts
         expected = rail * 5e-3 * 50.0
         assert result.totals.energy_consumed_j == pytest.approx(expected, rel=1e-6)
         # latched-off device draws nothing
-        cfg_off = replace(cfg, initial_v=3.7)
+        cfg_off = cfg._replace(initial_v=3.7)
         off = simulate(cfg_off, HarvestProfile.constant(0.0), [])
         assert off.totals.energy_consumed_j == 0.0
 
     def test_converter_efficiency_scales_buffer_draw(self):
-        lossy = replace(DEVICE, converter_efficiency=0.5)
+        lossy = DEVICE._replace(converter_efficiency=0.5)
         cfg = SimConfig(DEVICE, 4.5, 10.0, "proposed")
         trace = [InferenceInstance(0, 0.9, 0.9, 1)]
         ideal = simulate(cfg, HarvestProfile.constant(0.0), trace)
-        halved = simulate(replace(cfg, device=lossy), HarvestProfile.constant(0.0), trace)
+        halved = simulate(cfg._replace(device=lossy), HarvestProfile.constant(0.0), trace)
         assert halved.totals.energy_consumed_j == pytest.approx(
             2.0 * ideal.totals.energy_consumed_j, rel=1e-9
         )
@@ -216,7 +215,7 @@ class TestSimulate:
     def test_narrowing_band_never_costs_more(self, trace5000):
         energies = []
         for g1, g2 in ((0.45, 0.55), (0.3, 0.7), (0.1, 0.9)):
-            cfg = SimConfig(replace(DEVICE, thresholds=Thresholds(g1, g2)), 4.5, 100.0, "proposed")
+            cfg = SimConfig(DEVICE._replace(thresholds=Thresholds(g1, g2)), 4.5, 100.0, "proposed")
             energies.append(
                 simulate(cfg, HarvestProfile.constant(2e-3), trace5000).totals.energy_consumed_j
             )
@@ -253,7 +252,7 @@ class TestSimulate:
             v0 = rng.uniform(3.6, 4.5)
             harvest = HarvestProfile.constant(rng.uniform(0, 4e-3))
             device = DEVICE.with_capacitance(c)
-            one_attempt = replace(device, schedule=replace(device.schedule, n_attempts=1))
+            one_attempt = device._replace(schedule=device.schedule._replace(n_attempts=1))
             fixed = simulate(SimConfig(one_attempt, v0, 10.0), harvest, trace5000)
             adaptive = simulate(SimConfig(device, v0, 10.0), harvest, trace5000)
             if fixed.windows[0].started_at is not None:
@@ -384,7 +383,7 @@ class TestEngineMatchesPmuStep:
 
 def low_v_on_device(capacitance):
     """Default stages on a buffer whose outputs turn on at 3.65 V."""
-    return replace(DEVICE, capacitor=CapacitorSpec(capacitance, 3.6, 3.65, 4.5))
+    return DEVICE._replace(capacitor=CapacitorSpec(capacitance, 3.6, 3.65, 4.5))
 
 
 class TestEventEngine:
@@ -406,7 +405,7 @@ class TestEventEngine:
         )
 
     def test_idle_draw_latches_off_then_recovers_at_v_on(self):
-        device = replace(low_v_on_device(0.1), idle_current_amps=5e-3)
+        device = low_v_on_device(0.1)._replace(idle_current_amps=5e-3)
         i = 1e-3
         engine = _Engine(device, HarvestProfile.constant(i), 3.7)
         p_idle = 3.3 * 5e-3
