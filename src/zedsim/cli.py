@@ -40,13 +40,8 @@ from .traces import (
     trace_statistics,
 )
 
-_POLICY_FLAGS = {
-    "proposed": "proposed",
-    "policy-i": "policy_i",
-    "policy-ii": "policy_ii",
-    "baseline": "baseline",
-}
-_GATING_FLAGS = {"mosfet": "mosfet", "load-switch": "load_switch"}
+_POLICY_FLAGS = {v.replace("_", "-"): v for v in VARIANTS}
+_GATING_FLAGS = {g.replace("_", "-"): g for g in GATINGS}
 
 
 def _float_list(text: str) -> List[float]:
@@ -189,14 +184,7 @@ def _cmd_sweep_capacitance(args) -> int:
             cfg = SimConfig(device.with_capacitance(c), args.initial_v, args.horizon,
                             variant, gating)
             totals = simulate(cfg, harvest, trace).totals
-            rows.append({
-                "c_farads": c,
-                "variant": variant,
-                "completed_pipelines": totals.completed_pipelines,
-                "energy_consumed_j": totals.energy_consumed_j,
-                "power_failures": totals.power_failures,
-                "accuracy_total": totals.accuracy_total,
-            })
+            rows.append({"c_farads": c, "variant": variant, **totals._asdict()})
     out = _out_dir(args)
     digest = _write_resolved(device.to_dict(), out)
     path = out / "sweep_capacitance.csv"
@@ -211,9 +199,8 @@ def _cmd_gen_trace(args) -> int:
     save_trace(trace, args.out)
     stats = trace_statistics(trace)
     print(f"wrote {stats.n} instances to {args.out}")
-    print(f"acc_at_half_ex1={stats.acc_at_half_ex1!r}")
-    print(f"acc_at_half_ex2={stats.acc_at_half_ex2!r}")
-    print(f"person_fraction={stats.person_fraction!r}")
+    for name, value in zip(stats._fields[:-1], stats):  # every statistic but n
+        print(f"{name}={value!r}")
     return 0
 
 
@@ -232,7 +219,7 @@ def _cmd_validate(args) -> int:
             admission, _ = plan(device, variant, gating)
             need = requirement(device, (admission,))
             try:
-                min_start_voltage(device.capacitor, need, device.schedule.guard_delta)
+                min_start_voltage(device.capacitor, need, device.schedule.guard_delta_joules)
             except UnreachableRequirementError as exc:
                 problems.append(f"{variant}[{gating}]: {exc}")
     if problems:

@@ -5,6 +5,12 @@ controller with a 0.3 MP camera behind a MOSFET power gate, fed from a
 1.5 F capacitor at a 3.3 V regulated rail. Every default can be overridden
 from a JSON file; unspecified keys take the defaults and the fully resolved
 tree is echoed back into every artifact for provenance.
+
+The JSON keys are the records' field names: the root's are
+:class:`DeviceConfig`'s, each section's those of its record
+(:class:`~zedsim.energy.CapacitorSpec`, :class:`~zedsim.policy.Thresholds`,
+:class:`~zedsim.scheduler.ScheduleConfig`), and a stage's those of
+:class:`~zedsim.energy.StageProfile` but its ``name``, which keys the stage.
 """
 
 from __future__ import annotations
@@ -38,11 +44,9 @@ _DEFAULT_STAGE_TABLE: Dict[str, Tuple[float, float]] = {
 
 STAGE_NAMES = tuple(_DEFAULT_STAGE_TABLE) + ("inference_ex1_to_ex2",)
 
-_DEFAULT_CAPACITOR = dict(capacitance_farads=1.5, v_off=3.6, v_on=3.92, v_max=4.5)
-_DEFAULT_THRESHOLDS = dict(gamma1=0.3, gamma2=0.7)
-_DEFAULT_SCHEDULE = dict(
-    window_seconds=10.0, deadline_seconds=4.0, n_attempts=20, guard_delta_joules=0.0
-)
+_DEFAULT_CAPACITOR = CapacitorSpec(1.5, 3.6, 3.92, 4.5)
+_DEFAULT_THRESHOLDS = Thresholds(0.3, 0.7)
+_DEFAULT_SCHEDULE = ScheduleConfig(10.0, 4.0, 20, 0.0)
 
 
 def default_stages() -> Dict[str, StageProfile]:
@@ -136,106 +140,63 @@ class DeviceConfig(NamedTuple):
             raise ConfigError("; ".join(problems))
 
     def to_dict(self) -> dict:
-        cap = self.capacitor
         return {
-            "capacitor": {
-                "capacitance_farads": cap.capacitance_farads,
-                "v_off": cap.v_off,
-                "v_on": cap.v_on,
-                "v_max": cap.v_max,
-            },
-            "stages": {
-                name: {
-                    "current_amps": p.current_amps,
-                    "duration_seconds": p.duration_seconds,
-                    "supply_volts": p.supply_volts,
-                }
-                for name, p in sorted(self.stages.items())
-            },
-            "thresholds": {"gamma1": self.thresholds.gamma1, "gamma2": self.thresholds.gamma2},
-            "schedule": {
-                "window_seconds": self.schedule.window_seconds,
-                "deadline_seconds": self.schedule.deadline_seconds,
-                "n_attempts": self.schedule.n_attempts,
-                "guard_delta_joules": self.schedule.guard_delta,
-            },
-            "converter_efficiency": self.converter_efficiency,
-            "idle_current_amps": self.idle_current_amps,
+            **self._asdict(),
+            "capacitor": self.capacitor._asdict(),
+            "stages": {name: dict(zip(StageProfile._fields[1:], p[1:]))
+                       for name, p in sorted(self.stages.items())},
+            "thresholds": self.thresholds._asdict(),
+            "schedule": self.schedule._asdict(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "DeviceConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
-        known = {
-            "capacitor", "stages", "thresholds", "schedule",
-            "converter_efficiency", "idle_current_amps",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-        cap_kw = dict(_DEFAULT_CAPACITOR)
-        cap_kw.update(_numbers(_section(data, "capacitor", set(cap_kw)), "capacitor"))
-        th_kw = dict(_DEFAULT_THRESHOLDS)
-        th_kw.update(_numbers(_section(data, "thresholds", set(th_kw)), "thresholds"))
-        sch_kw = dict(_DEFAULT_SCHEDULE)
-        sch_kw.update(_numbers(_section(data, "schedule", set(sch_kw)), "schedule"))
-        n_attempts = sch_kw["n_attempts"]
+        sections = {
+            key: _numbers(_section(data, key, default._fields), key)
+            for key, default in (("capacitor", _DEFAULT_CAPACITOR),
+                                 ("thresholds", _DEFAULT_THRESHOLDS),
+                                 ("schedule", _DEFAULT_SCHEDULE))
+        }
+        n_attempts = sections["schedule"].get("n_attempts", _DEFAULT_SCHEDULE.n_attempts)
         if not isinstance(n_attempts, int):
             raise ConfigError(f"schedule.n_attempts: must be an integer, got {n_attempts!r}")
-        top = _numbers(
-            {k: data[k] for k in ("converter_efficiency", "idle_current_amps") if k in data}, ""
-        )
+        top = _numbers({k: data[k] for k in cls._field_defaults if k in data}, "")
 
         stages = default_stages()
-        explicit_escalation = False
-        for name, entry in _section(data, "stages", set(STAGE_NAMES)).items():
-            if not isinstance(entry, dict):
-                raise ConfigError(f"stages.{name}: must be an object")
-            bad = set(entry) - {"current_amps", "duration_seconds", "supply_volts"}
-            if bad:
-                raise ConfigError(f"stages.{name}: unknown keys {sorted(bad)}")
-            _numbers(entry, f"stages.{name}")
-            base = stages[name]
-            stages[name] = StageProfile(
-                name,
-                entry.get("current_amps", base.current_amps),
-                entry.get("duration_seconds", base.duration_seconds),
-                entry.get("supply_volts", base.supply_volts),
-            )
-            if name == "inference_ex1_to_ex2":
-                explicit_escalation = True
-        if not explicit_escalation:
+        overrides = _section(data, "stages", STAGE_NAMES)
+        for name in overrides:
+            entry = _section(overrides, name, StageProfile._fields[1:], "stages.")
+            stages[name] = stages[name]._replace(**_numbers(entry, f"stages.{name}"))
+        if "inference_ex1_to_ex2" not in overrides:
             stages["inference_ex1_to_ex2"] = derive_escalation_stage(
                 stages["inference_ex1"], stages["inference_ex2"]
             )
 
         return cls(
-            capacitor=CapacitorSpec(**cap_kw),
-            stages=stages,
-            thresholds=Thresholds(**th_kw),
-            schedule=ScheduleConfig(
-                window_seconds=sch_kw["window_seconds"],
-                deadline_seconds=sch_kw["deadline_seconds"],
-                n_attempts=sch_kw["n_attempts"],
-                guard_delta=sch_kw["guard_delta_joules"],
-            ),
-            converter_efficiency=top.get("converter_efficiency", 1.0),
-            idle_current_amps=top.get("idle_current_amps", 0.0),
+            _DEFAULT_CAPACITOR._replace(**sections["capacitor"]),
+            stages,
+            _DEFAULT_THRESHOLDS._replace(**sections["thresholds"]),
+            _DEFAULT_SCHEDULE._replace(**sections["schedule"]),
+            **top,
         )
 
     def with_capacitance(self, capacitance_farads: float) -> "DeviceConfig":
         return self._replace(capacitor=self.capacitor._replace(capacitance_farads=capacitance_farads))
 
 
-def _section(data: dict, key: str, allowed: set) -> dict:
+def _section(data: dict, key: str, allowed, prefix: str = "") -> dict:
+    """``data[key]`` (empty when absent), once it is an object of ``allowed`` keys."""
     entry = data.get(key, {})
     if not isinstance(entry, dict):
-        raise ConfigError(f"{key}: must be an object")
-    unknown = set(entry) - allowed
+        raise ConfigError(f"{prefix}{key}: must be an object")
+    unknown = set(entry) - set(allowed)
     if unknown:
-        raise ConfigError(f"{key}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{prefix}{key}: unknown keys {sorted(unknown)}")
     return entry
 
 

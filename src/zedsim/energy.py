@@ -65,6 +65,8 @@ class StageProfile(NamedTuple):
             raise DomainError(f"stage {self.name!r}: duration must be >= 0")
         if self.supply_volts <= 0:
             raise DomainError(f"stage {self.name!r}: supply voltage must be positive")
+        if not (math.isfinite(self.power_watts) and math.isfinite(state_energy(self))):
+            raise DomainError(f"stage {self.name!r}: power and energy must be finite")
 
     @property
     def power_watts(self) -> float:

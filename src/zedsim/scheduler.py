@@ -12,9 +12,10 @@ Each variant is described once, by :func:`plan`, as a tuple of steps:
 
 - a stage name: run that stage;
 - ``Check(options, otherwise, enforced, needs)``: measure, then take the
-  first option whose need, its requirement plus ``guard_delta``, the usable
-  energy covers, else ``otherwise`` (at admission, ``None``: try the next instant). An
-  unenforced check takes its first option, but still measures;
+  first option whose need, its requirement plus ``guard_delta_joules``, the
+  usable energy covers, else ``otherwise`` (at admission, ``None``: try the
+  next instant). An unenforced check takes its first option, but still
+  measures;
 - ``Split(ambiguous)``: outside the open band (gamma1, gamma2) exit at the
   shallow head with the region's call, inside it run ``ambiguous``;
 - ``Exit(taken)``: light the result LED for the exit's call and stop.
@@ -67,7 +68,7 @@ class ScheduleConfig(NamedTuple):
     window_seconds: float
     deadline_seconds: float
     n_attempts: int
-    guard_delta: float = 0.0
+    guard_delta_joules: float = 0.0
 
     def check(self) -> None:
         if self.window_seconds <= 0:
@@ -76,14 +77,14 @@ class ScheduleConfig(NamedTuple):
             raise DomainError("deadline must be >= 0")
         if self.n_attempts < 1 or int(self.n_attempts) != self.n_attempts:
             raise DomainError("n_attempts must be an integer >= 1")
-        if self.guard_delta < 0:
+        if self.guard_delta_joules < 0:
             raise DomainError("guard margin must be >= 0")
 
 
 class Check(NamedTuple):
     """Measure, then continue with the first option whose need the usable energy
-    covers. ``needs`` holds each option's requirement plus ``guard_delta``;
-    :func:`plan` fills it in for its device."""
+    covers. ``needs`` holds each option's requirement plus the schedule's
+    ``guard_delta_joules``; :func:`plan` fills it in for its device."""
 
     options: tuple
     otherwise: Optional[tuple] = None
@@ -106,7 +107,7 @@ class Exit(NamedTuple):
 def plan(device, variant: str, gating: str) -> Tuple[Check, Optional[int]]:
     """The admission check of ``variant`` and its cap on admission instants
     (None: every candidate instant of the schedule), compiled for ``device``."""
-    delta = device.schedule.guard_delta
+    delta = device.schedule.guard_delta_joules
 
     def check(options, otherwise=None, enforced=True):
         return Check(options, otherwise, enforced,

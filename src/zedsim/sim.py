@@ -77,13 +77,7 @@ class SimConfig(NamedTuple):
             raise ConfigError(f"unknown gating variant {self.gating_variant!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "device": self.device.to_dict(),
-            "initial_v": self.initial_v,
-            "horizon_seconds": self.horizon_seconds,
-            "policy_variant": self.policy_variant,
-            "gating_variant": self.gating_variant,
-        }
+        return {**self._asdict(), "device": self.device.to_dict()}
 
 
 class SimTotals(NamedTuple):
@@ -379,21 +373,13 @@ def compare_policies(
         acc_delta = None
         if t.accuracy_total is not None and base.accuracy_total is not None:
             acc_delta = t.accuracy_total - base.accuracy_total
-        rows.append(
-            {
-                "variant": variant,
-                "energy_consumed_j": t.energy_consumed_j,
-                "accuracy_total": t.accuracy_total,
-                "completed_pipelines": t.completed_pipelines,
-                "power_failures": t.power_failures,
-                "n_ex1": t.n_ex1,
-                "n_ex2": t.n_ex2,
-                "n_fallback": t.n_fallback,
-                "energy_delta_pct": energy_delta,
-                "accuracy_delta": acc_delta,
-                "completed_delta": t.completed_pipelines - base.completed_pipelines,
-            }
-        )
+        rows.append({
+            "variant": variant,
+            **t._asdict(),
+            "energy_delta_pct": energy_delta,
+            "accuracy_delta": acc_delta,
+            "completed_delta": t.completed_pipelines - base.completed_pipelines,
+        })
     return PolicyComparison(results, rows)
 
 

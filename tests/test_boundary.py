@@ -1,7 +1,9 @@
 """The input boundary under generated inputs: ``validate`` and ``run`` on config
 trees with odd leaves, and odd ``--initial-v``, ``--harvest-ma`` and
-``--horizon`` values, exit 0 or 2 without a traceback; a run that exits 0 has
-finite totals and stays within a budget of trajectory rows per simulated second."""
+``--horizon`` values under every ``--policy`` and ``--gating``, exit 0 or 2
+without a traceback; a run that exits 2 leaves no output directory, and one that
+exits 0 has finite totals and stays within a budget of trajectory rows per
+simulated second."""
 
 import contextlib
 import copy
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from zedsim.cli import main
+from zedsim.cli import _GATING_FLAGS, _POLICY_FLAGS, main
 from zedsim.config import DeviceConfig
 
 DEFAULT = DeviceConfig.default().to_dict()
@@ -115,31 +117,42 @@ def _main(argv):
     initial_v=flag_values(3.6, 4.5),
     harvest_ma=flag_values(0.0, 30.0),
     horizon=st.one_of(st.floats(1e-3, 100.0), st.sampled_from([0.0, 1e-300, 100.0])).map(repr),
+    policy=st.sampled_from(sorted(_POLICY_FLAGS)),
+    gating=st.sampled_from(sorted(_GATING_FLAGS)),
 )
 # the three probes of the input boundary: stored-energy overflow, a list of
 # 10^8 admission instants, and a 1 nF buffer that chatters under its idle draw
-@example("run", {"capacitor": {"v_max": 1e200}}, "1e199", "0.0", "100.0")
-@example("run", {"schedule": {"n_attempts": 100000000}}, "4.5", "0.0", "100.0")
+@example("run", {"capacitor": {"v_max": 1e200}}, "1e199", "0.0", "100.0", "proposed", "mosfet")
+@example("run", {"schedule": {"n_attempts": 100000000}}, "4.5", "0.0", "100.0", "proposed",
+         "mosfet")
 @example("run", {"capacitor": {"capacitance_farads": 1e-9}, "idle_current_amps": 1e-3},
-         "4.5", "0.1", "100.0")
+         "4.5", "0.1", "100.0", "proposed", "mosfet")
 @example("run", {"capacitor": {"capacitance_farads": 1e-300}, "idle_current_amps": 1e-3},
-         "4.5", "0.1", "100.0")
+         "4.5", "0.1", "100.0", "proposed", "mosfet")
 # the edge of the chatter rule: a 0.90 mJ band under a 65 mA idle draw
 @example("run", {"capacitor": {"capacitance_farads": 0.75e-3}, "idle_current_amps": 0.065},
-         "3.7", "28.5", "100.0")
-@example("validate", {"converter_efficiency": 0.0}, "4.5", "0.0", "100.0")
-def test_main_exits_cleanly(trace_file, command, config, initial_v, harvest_ma, horizon):
+         "3.7", "28.5", "100.0", "proposed", "mosfet")
+@example("validate", {"converter_efficiency": 0.0}, "4.5", "0.0", "100.0", "proposed", "mosfet")
+# a stage whose power overflows, reached by policy-ii's unenforced escalation
+@example("run", {"stages": {"led_green": {"current_amps": 1e300, "supply_volts": 1e300}}},
+         "4.5", "0.0", "100.0", "policy-ii", "mosfet")
+def test_main_exits_cleanly(trace_file, command, config, initial_v, harvest_ma, horizon, policy,
+                            gating):
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
         cfg.write_text(json.dumps(config))
         argv = [command, "--config", str(cfg)]
         if command == "run":
             argv += ["--trace", str(trace_file), "--horizon", horizon, "--initial-v", initial_v,
-                     "--harvest-ma", harvest_ma, "--out", str(out)]
+                     "--harvest-ma", harvest_ma, "--policy", policy, "--gating", gating,
+                     "--out", str(out)]
         code, err = _main(argv)
         assert code in (0, 2), err
         assert "Traceback" not in err
-        if command != "run" or code != 0:
+        if command != "run":
+            return
+        if code != 0:
+            assert not out.exists(), err
             return
         for line in (out / "totals.txt").read_text().splitlines()[1:]:
             value = line.partition("=")[2]

@@ -233,6 +233,28 @@ class TestRejectsMalformedInputs:
         assert problem in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("stage, entry", [
+        # power 1e300 V * 1e300 A overflows; the unenforced escalation drove v_c to nan
+        ("led_green", {"current_amps": 1e300, "supply_volts": 1e300}),
+        ("inference_ex1_to_ex2", {"current_amps": 1e300, "supply_volts": 1e300}),
+        # finite power 1e280 W, but supply * duration overflows the energy
+        ("led_green", {"current_amps": 1e-20, "duration_seconds": 1e10, "supply_volts": 1e300}),
+    ])
+    def test_stage_power_or_energy_overflow(self, tmp_path, trace_file, capsys, command, stage,
+                                            entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stages": {stage: entry}}))
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--trace", str(trace_file), "--policy", "policy-ii", "--horizon", "100",
+                     "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"stage {stage!r}: power and energy must be finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestValidate:
     def test_defaults_ok(self, capsys):

@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given
+from test_boundary import config_trees
 
 from zedsim.config import DeviceConfig, config_hash, derive_escalation_stage, load_config
 from zedsim.energy import state_energy
-from zedsim.errors import ConfigError
+from zedsim.errors import ConfigError, ZedSimError
 from zedsim.scheduler import GATINGS, VARIANTS, Split, plan, requirement
 
 
@@ -49,10 +51,23 @@ class TestDefaults:
         )
 
 
+# sha256 of the default resolved tree, the hash that heads every artifact of a
+# default run; it moves only when a key, a default or the tree's shape does
+DEFAULT_CONFIG_SHA256 = "af5a19bdce914fb4c63614ff52fb5a29bdd0005b30dd0eedf26233f81f6fb343"
+
+
 class TestSerialization:
-    def test_round_trip(self):
-        d = DeviceConfig.default()
+    def test_default_hash_is_pinned(self):
+        assert config_hash(DeviceConfig.default().to_dict()) == DEFAULT_CONFIG_SHA256
+
+    @given(config_trees())
+    def test_round_trip(self, tree):
+        try:
+            d = DeviceConfig.from_dict(tree)
+        except ZedSimError:
+            return
         assert DeviceConfig.from_dict(d.to_dict()) == d
+        assert DeviceConfig.from_dict(json.loads(json.dumps(d.to_dict()))) == d
 
     def test_partial_dict_takes_defaults(self):
         d = DeviceConfig.from_dict({"capacitor": {"capacitance_farads": 0.1}})

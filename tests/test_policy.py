@@ -171,7 +171,7 @@ class TestDecideProposed:
     def test_energy_safety_property(self):
         # a deep exit is never reported when the second reading is short
         rng = random.Random(5)
-        need = ESCALATION_J + DEVICE.schedule.guard_delta
+        need = ESCALATION_J + DEVICE.schedule.guard_delta_joules
         for _ in range(500):
             inst = InferenceInstance(0, rng.random(), rng.random(), rng.randint(0, 1))
             second = rng.uniform(0.0, 2.0 * need)

@@ -79,7 +79,7 @@ def near_admission(draw):
     c = draw(st.floats(0.05, 0.1))
     device = cfg.device.with_capacitance(c)
     admission, _ = plan(device, "proposed", gating)
-    need = requirement(device, (admission,)) + device.schedule.guard_delta
+    need = requirement(device, (admission,)) + device.schedule.guard_delta_joules
     usable = max(need + draw(st.floats(-1e-3, 8e-3)), 0.0)
     v0 = min(math.sqrt(V_OFF**2 + 2 * usable / c), V_MAX)
     return cfg._replace(device=device, initial_v=v0, gating_variant=gating), harvest, trace
@@ -98,7 +98,7 @@ def checks(steps):
 
 @given(devices(), st.one_of(st.just(0.0), st.floats(1e-12, 0.05)))
 def test_compiled_needs_are_the_walked_requirements(device, guard):
-    device = device._replace(schedule=device.schedule._replace(guard_delta=guard))
+    device = device._replace(schedule=device.schedule._replace(guard_delta_joules=guard))
     for variant in VARIANTS:
         for gating in GATINGS:
             admission, _ = plan(device, variant, gating)
@@ -164,7 +164,7 @@ def test_escalates_exactly_when_the_reading_covers_it(scenario, spare):
         device.stage_energy("inference_ex1_to_ex2")
         + device.stage_energy("led_green")
         + max(device.stage_energy("led_blue"), device.stage_energy("led_red"))
-        + device.schedule.guard_delta
+        + device.schedule.guard_delta_joules
     )
     for w in simulate(cfg, harvest, trace).windows:
         if w.escalation_usable is not None:

@@ -163,6 +163,6 @@ def _first_admitted_candidate_oracle(device, harvest, v0, substeps=4):
             step = min(dt, end - t)
             e += (harvest_current_at(harvest, t) * math.sqrt(2 * e / c) - p_meas) * step
             t += step
-        if e - floor >= admission_requirement(device) + device.schedule.guard_delta:
+        if e - floor >= admission_requirement(device) + device.schedule.guard_delta_joules:
             return i
     return None

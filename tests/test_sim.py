@@ -48,7 +48,7 @@ def decide_proposed(inst, device, readings):
     energy read at admission and, for an ambiguous shallow score, before
     escalating. None when the admission reading is short."""
     readings = iter(readings)
-    guard = device.schedule.guard_delta
+    guard = device.schedule.guard_delta_joules
     # the shallow path with the dearer LED, plus the escalation measurement
     admit = stage_sum(device, "capture_preprocess", "inference_ex1", "led_red", "measurement")
     if next(readings) < admit + guard:
