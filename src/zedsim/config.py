@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from typing import Dict, List, NamedTuple, Tuple
 
 from .energy import CapacitorSpec, StageProfile, state_energy
@@ -206,7 +206,7 @@ def _numbers(entry: dict, prefix: str) -> dict:
         if (
             isinstance(value, bool)
             or not isinstance(value, (int, float))
-            or not math.isfinite(value)
+            or not abs(value) <= sys.float_info.max  # nan, inf, or an int no float holds
         ):
             name = f"{prefix}.{key}" if prefix else key
             raise ConfigError(f"{name}: must be a finite number, got {value!r}")
@@ -217,7 +217,8 @@ def load_config(path) -> DeviceConfig:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError also covers undecodable bytes and integers too long to convert
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     return DeviceConfig.from_dict(data)
 

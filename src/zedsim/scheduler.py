@@ -206,7 +206,9 @@ def run_window(
     carrying stage profiles, thresholds and the schedule, and ``compiled`` is what
     :func:`plan` gives for it.
 
-    The instance is consumed only if the pipeline starts (``started_at`` set).
+    An admitted pipeline runs to its exit or a power failure and consumes the
+    instance (``started_at`` set); a window that no instant admits, or whose
+    admission measurement browns out, is deferred.
     """
     sched = device.schedule
     t_k = window_index * sched.window_seconds
@@ -214,7 +216,6 @@ def run_window(
     clock.log_event(f"window:{window_index}")
     admission, attempts = compiled
 
-    started_at = None
     for s in candidate_start_times(t_k, sched)[:attempts]:
         clock.advance_to(s)
         if not clock.outputs_enabled:
@@ -223,49 +224,31 @@ def run_window(
             # monitoring brownout before anything was admitted: the window is
             # deferred and the device cold-starts; no pipeline work was lost
             clock.log_event("measurement_brownout")
-            return WindowOutcome(
-                window_index, None, None, clock.consumed - spent0,
-                deferred=True, power_failure=False,
-            )
+            break
         admission_usable = clock.usable_energy()
         steps = _choose(admission, admission_usable)
         if steps is not None:
-            started_at = s
             clock.log_event("admit")
-            break
-
-    if started_at is None:
-        clock.log_event("defer")
-        return WindowOutcome(
-            window_index, None, None, clock.consumed - spent0,
-            deferred=True, power_failure=False,
-        )
-
-    decision, escalation_usable, failed = _execute(clock, device, instance, steps)
-    if failed:
-        clock.log_event("power_failure")
+            decision, escalation_usable = _execute(clock, device, instance, steps)
+            clock.log_event("power_failure" if decision is None
+                            else "exit:" + decision.exit_taken.value)
+            return WindowOutcome(
+                window_index, s, decision, clock.consumed - spent0,
+                deferred=False, power_failure=decision is None, instance_id=instance.id,
+                correct=None if decision is None else decision.prediction == instance.label,
+                admission_usable=admission_usable, escalation_usable=escalation_usable,
+            )
     else:
-        clock.log_event("exit:" + decision.exit_taken.value)
-    correct = None
-    if decision is not None:
-        correct = decision.prediction == instance.label
+        clock.log_event("defer")
     return WindowOutcome(
-        window_index,
-        started_at,
-        decision,
-        clock.consumed - spent0,
-        deferred=False,
-        power_failure=failed,
-        instance_id=instance.id,
-        correct=correct,
-        admission_usable=admission_usable,
-        escalation_usable=escalation_usable,
+        window_index, None, None, clock.consumed - spent0,
+        deferred=True, power_failure=False,
     )
 
 
 def _execute(clock, device, instance, steps):
-    """Run admitted steps to their exit; returns (decision, usable at the
-    escalation check, failed)."""
+    """Run admitted steps to their exit and light the LED of its call; returns
+    (decision, usable at the escalation check), the decision None on a power failure."""
     requested = denied = False
     usable = None
     k = 0
@@ -274,30 +257,26 @@ def _execute(clock, device, instance, steps):
         k += 1
         if isinstance(step, Check):
             if not clock.run_stage("measurement"):
-                return None, usable, True
+                return None, usable
             usable = clock.usable_energy()
             steps, k = _choose(step, usable), 0
             if steps is None:
                 steps, denied = step.otherwise, True
         elif isinstance(step, Split):
             region = evaluate_ex1(instance.o1, device.thresholds)
-            if region is Region.AMBIGUOUS:
-                steps, k, requested = step.ambiguous, 0, True
-            else:
+            if region is not Region.AMBIGUOUS:
                 pred = PERSON if region is Region.PERSON else NO_PERSON
-                return _indicate(clock, ExitDecision(ExitTaken.EX1, pred), usable)
+                decision = ExitDecision(ExitTaken.EX1, pred)
+                break
+            steps, k, requested = step.ambiguous, 0, True
         elif isinstance(step, Exit):
             if step.taken is ExitTaken.EX2:
                 pred = evaluate_ex2(instance.o2)
             else:
                 pred = fallback_label(instance.o1)
-            return _indicate(clock, ExitDecision(step.taken, pred, requested, denied), usable)
+            decision = ExitDecision(step.taken, pred, requested, denied)
+            break
         elif not clock.run_stage(step):
-            return None, usable, True
-
-
-def _indicate(clock, decision: ExitDecision, usable):
+            return None, usable
     led = "led_blue" if decision.prediction == PERSON else "led_red"
-    if not clock.run_stage(led):
-        return None, usable, True
-    return decision, usable, False
+    return (decision if clock.run_stage(led) else None), usable

@@ -294,7 +294,6 @@ def simulate(
     instances = iter(trace)
     instance = next(instances, None)
     for k in range(n_windows):
-        engine.advance_to(k * sched.window_seconds)
         outcome = run_window(k, engine, device, instance, compiled)
         if outcome.started_at is not None:
             instance = next(instances, None)
@@ -303,7 +302,14 @@ def simulate(
     engine.advance_to(cfg.horizon_seconds)
 
     totals = _aggregate(windows, engine, initial_energy, n_windows)
-    return SimResult(cfg.to_dict(), engine.events, windows, totals, engine.close())
+    result = SimResult(cfg.to_dict(), engine.events, windows, totals, engine.close())
+    energies = {k: v for k, v in totals._asdict().items() if k.endswith("_j")}
+    energies["ledger_residual_j"] = energy_ledger_residual(result)
+    overflowed = [f"{k}={v!r}" for k, v in energies.items() if not math.isfinite(v)]
+    if overflowed:
+        raise DomainError(f"energy totals not finite ({', '.join(overflowed)}): "
+                          "the harvest current or the stage energies are too large")
+    return result
 
 
 def _aggregate(windows, engine, initial_energy, n_windows) -> SimTotals:

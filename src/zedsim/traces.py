@@ -21,6 +21,7 @@ only user of numpy, which it imports when called.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import warnings
 from array import array
@@ -39,11 +40,21 @@ _CONFIDENT_BETA = (1.0, 6.0)
 _AMBIGUOUS_BETA = (1.0, 3.5)
 
 
+@contextlib.contextmanager
+def _csv_reader(path):
+    """A CSV reader over ``path``; a byte that does not decode or an oversized
+    field raises TraceError naming the file."""
+    with open(path, newline="") as fh:
+        try:
+            yield csv.reader(fh)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise TraceError(f"{path}: {exc}") from None
+
+
 def load_trace(path) -> Trace:
     """Read and validate a trace CSV; raises TraceError with the line number."""
     trace = Trace([], array("d"), array("d"), array("b"))
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
             warnings.warn(f"{path}: empty trace file")
@@ -92,8 +103,7 @@ def load_harvest(path) -> HarvestProfile:
     """Read a piecewise-constant harvest profile CSV (currents in mA)."""
     times: List[float] = []
     currents: List[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != HARVEST_HEADER:
             raise TraceError(f"{path}:1: expected header {','.join(HARVEST_HEADER)}")

@@ -1,15 +1,18 @@
 """The input boundary under generated inputs: ``validate`` and ``run`` on config
 trees with odd leaves, and odd ``--initial-v``, ``--harvest-ma`` and
-``--horizon`` values under every ``--policy`` and ``--gating``, exit 0 or 2
-without a traceback; a run that exits 2 leaves no output directory, and one that
-exits 0 has finite totals and stays within a budget of trajectory rows per
-simulated second."""
+``--horizon`` values under every ``--policy`` and ``--gating``, and ``run``,
+``sweep-thresholds`` and ``validate`` on trace, harvest and config files with
+mutated bytes, exit 0 or 2 without a traceback; a command that exits 2 leaves no
+output directory, and a run that exits 0 has finite totals and stays within a
+budget of trajectory rows per simulated second."""
 
 import contextlib
 import copy
 import io
 import json
 import math
+import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -100,15 +103,30 @@ def trace_file(tmp_path_factory):
     return path
 
 
-def _main(argv):
-    """Exit status and stderr of ``main(argv)``; argparse's rejections exit too."""
+def _exits_cleanly(argv, out):
+    """``main(argv)``'s exit status, once it is 0 or 2 with no traceback, and an
+    exit 2 left no ``out``; argparse's rejections exit too."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or not out.exists(), err.getvalue()
+    return code
+
+
+def _assert_sound_run(out, horizon):
+    """The run in ``out`` has finite totals and its row budget over ``horizon`` s."""
+    for line in (out / "totals.txt").read_text().splitlines()[1:]:
+        value = line.partition("=")[2]
+        assert value == "" or math.isfinite(float(value)), line
+    with open(out / "trajectory.csv") as fh:
+        rows = fh.readlines()[2:]  # after the config hash and the header
+    knots = sum(1 for row in rows if row.split(",")[2])  # events have no mode
+    assert knots <= ROWS_PER_SECOND * horizon + ROWS_SLACK
 
 
 @given(
@@ -133,6 +151,8 @@ def _main(argv):
 @example("run", {"capacitor": {"capacitance_farads": 0.75e-3}, "idle_current_amps": 0.065},
          "3.7", "28.5", "100.0", "proposed", "mosfet")
 @example("validate", {"converter_efficiency": 0.0}, "4.5", "0.0", "100.0", "proposed", "mosfet")
+# a harvest so large that the harvested energy overflows to inf
+@example("run", {}, "4.5", "1.7e308", "1000.0", "proposed", "mosfet")
 # a stage whose power overflows, reached by policy-ii's unenforced escalation
 @example("run", {"stages": {"led_green": {"current_amps": 1e300, "supply_volts": 1e300}}},
          "4.5", "0.0", "100.0", "policy-ii", "mosfet")
@@ -146,18 +166,77 @@ def test_main_exits_cleanly(trace_file, command, config, initial_v, harvest_ma, 
             argv += ["--trace", str(trace_file), "--horizon", horizon, "--initial-v", initial_v,
                      "--harvest-ma", harvest_ma, "--policy", policy, "--gating", gating,
                      "--out", str(out)]
-        code, err = _main(argv)
-        assert code in (0, 2), err
-        assert "Traceback" not in err
-        if command != "run":
-            return
-        if code != 0:
-            assert not out.exists(), err
-            return
-        for line in (out / "totals.txt").read_text().splitlines()[1:]:
-            value = line.partition("=")[2]
-            assert value == "" or math.isfinite(float(value)), line
-        with open(out / "trajectory.csv") as fh:
-            rows = fh.readlines()[2:]  # after the config hash and the header
-        knots = sum(1 for row in rows if row.split(",")[2])  # events have no mode
-        assert knots <= ROWS_PER_SECOND * float(horizon) + ROWS_SLACK
+        if _exits_cleanly(argv, out) == 0 and command == "run":
+            _assert_sound_run(out, float(horizon))
+
+
+_rng = random.Random(0)
+# a valid file of each kind, as ``run`` reads it beside the other two
+FILES = {
+    "--trace": ("id,o1,o2,label\r\n" + "".join(
+        f"{i},{_rng.random()!r},{_rng.random()!r},{_rng.randint(0, 1)}\r\n" for i in range(20)
+    )).encode(),
+    "--harvest": b"t_start_s,i_h_ma\n0.0,0.0\n20.0,10.0\n40.0,3.0\n60.0,6.0\n80.0,0.0\n",
+    "--config": json.dumps(DEFAULT, indent=1).encode(),
+}
+FILE_HORIZON = 100.0  # ten windows
+# the commands that read each kind of file
+FILE_COMMANDS = {"--trace": ("run", "sweep-thresholds"), "--harvest": ("run",),
+                 "--config": ("run", "validate")}
+ODD_TOKENS = [b"0", b"1", b"-1", b"-0", b"1e-300", b"1e300", b"5e-324", b"-1e-320", b"1e999",
+              b"nan", b"inf", b"-inf", b"0x10", b"1_0", b" 1 ", b"", b"true", b"null", b"[]",
+              b"{}", b'""', b"\xff", b"1" * 400, b"9" * 5000, b"7" * 200_000]
+TOKEN = re.compile(rb'[^,:\s{}\[\]"]+')
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """``data`` after one to three mutations: a token (a CSV field, a JSON number or
+    key) replaced by an odd one, a ``\\xff``, NUL, quote or CR byte inserted, or
+    a line dropped or duplicated."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["token", "byte", "drop", "duplicate"]))
+        if kind == "token":
+            spans = [m.span() for m in TOKEN.finditer(data)]
+            if spans:
+                start, end = draw(st.sampled_from(spans))
+                data = data[:start] + draw(st.sampled_from(ODD_TOKENS)) + data[end:]
+        elif kind == "byte":
+            i = draw(st.integers(0, len(data)))
+            data = data[:i] + draw(st.sampled_from([b"\xff", b"\x00", b'"', b"\r"])) + data[i:]
+        else:
+            lines = data.split(b"\n")
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i:i + 1] = [] if kind == "drop" else [lines[i]] * 2
+            data = b"\n".join(lines)
+    return data
+
+
+@given(file=st.sampled_from(sorted(FILES)).flatmap(
+    lambda flag: mutated(FILES[flag]).map(lambda data: (flag, data))))
+# the unreadable files: an undecodable byte in each kind, a field beyond the CSV
+# reader's limit, nesting beyond the recursion limit, an integer too long to
+# convert, and one that converts but that no float holds
+@example(("--trace", FILES["--trace"].replace(b"\n1,", b"\n1\xff,")))
+@example(("--harvest", b"t_start_s,i_h_ma\n0.0,1.\xff0\n"))
+@example(("--config", b'{"capacitor": {"v_max": 4.\xff5}}'))
+@example(("--trace", FILES["--trace"] + b"20,0.5,0.5," + b"1" * 200_000 + b"\r\n"))
+@example(("--config", b"[" * 200_000))
+@example(("--config", b'{"capacitor": {"v_max": ' + b"4" * 5000 + b"}}"))
+@example(("--config", b'{"capacitor": {"v_max": ' + b"4" * 400 + b"}}"))
+def test_mutated_input_files_exit_cleanly(file):
+    flag, data = file
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / name.lstrip("-") for name in FILES}
+        for name, path in paths.items():
+            path.write_bytes(data if name == flag else FILES[name])
+        for command in FILE_COMMANDS[flag]:
+            out = Path(tmp) / command
+            argv = [command, "--config", str(paths["--config"])]
+            if command == "run":
+                argv += ["--trace", str(paths["--trace"]), "--harvest", str(paths["--harvest"]),
+                         "--horizon", repr(FILE_HORIZON), "--out", str(out)]
+            elif command == "sweep-thresholds":
+                argv += ["--trace", str(paths["--trace"]), "--out", str(out)]
+            if _exits_cleanly(argv, out) == 0 and command == "run":
+                _assert_sound_run(out, FILE_HORIZON)

@@ -255,6 +255,40 @@ class TestRejectsMalformedInputs:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, content, problem", [
+        ("--trace", b"id,o1,o2,label\n0,0.5\xff,0.5,1\n", "can't decode byte 0xff"),
+        ("--harvest", b"t_start_s,i_h_ma\n0.0,1.\xff0\n", "can't decode byte 0xff"),
+        ("--config", b'{"capacitor": {"v_max": 4.\xff5}}', "can't decode byte 0xff"),
+        ("--trace", b"id,o1,o2,label\n0,0.5,0.5," + b"1" * 200_000 + b"\n",
+         "field larger than field limit"),
+        ("--config", b"[" * 200_000, "maximum recursion depth"),
+        ("--config", b'{"capacitor": {"v_max": ' + b"4" * 5000 + b"}}",
+         "integer string conversion"),
+    ], ids=["trace-0xff", "harvest-0xff", "config-0xff", "trace-long-field", "config-nesting",
+            "config-5000-digits"])
+    def test_unreadable_input_file(self, tmp_path, trace_file, harvest_file, capsys, flag,
+                                   content, problem):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        files = {"--trace": trace_file, "--harvest": harvest_file, flag: path}
+        argv = ["run", *(arg for pair in files.items() for arg in map(str, pair))]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and problem in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_integer_no_float_holds(self, tmp_path, trace_file, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"capacitor": {"v_max": ' + "4" * 400 + "}}")
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--trace", str(trace_file), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "capacitor.v_max: must be a finite number" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestValidate:
     def test_defaults_ok(self, capsys):

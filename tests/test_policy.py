@@ -31,10 +31,12 @@ ESCALATION_J = sum(map(DEVICE.stage_energy, ("inference_ex1_to_ex2", "led_green"
 
 class ScriptedClock:
     """The clock protocol of ``run_window``, reading usable energy from a
-    script; a measurement with no reading left browns out."""
+    script; a measurement with no reading left browns out, and so does the
+    stage named ``fail_at``."""
 
-    def __init__(self, readings):
+    def __init__(self, readings, fail_at=None):
         self.readings = list(readings)
+        self.fail_at = fail_at
         self.time = 0.0
         self.outputs_enabled = True
         self.consumed = 0.0
@@ -44,7 +46,7 @@ class ScriptedClock:
         self.time = t
 
     def run_stage(self, name):
-        return name != "measurement" or bool(self.readings)
+        return name != self.fail_at and (name != "measurement" or bool(self.readings))
 
     def usable_energy(self):
         return self.readings.pop(0)
@@ -195,6 +197,32 @@ class TestDecideProposed:
         a = [decide("proposed", i, [1.0, 1.0], device) for i in instances]
         b = [decide("proposed", i, [1.0, 1.0], device) for i in instances]
         assert a == b
+
+
+class TestPowerFailureAfterAdmission:
+    """A pipeline that browns out once admitted is a power failure: it consumed
+    its instance but made no call."""
+
+    @pytest.mark.parametrize("variant, inst, readings, fail_at, escalation_usable", [
+        # the escalation measurement of an ambiguous instance gets no reading
+        ("proposed", InferenceInstance(0, 0.55, 0.2, 0), [1.0], None, None),
+        ("proposed", InferenceInstance(0, 0.9, 0.9, 1), [1.0], "capture_preprocess", None),
+        # the result LED of each exit browns out
+        ("proposed", InferenceInstance(0, 0.9, 0.9, 1), [1.0], "led_blue", None),
+        ("proposed", InferenceInstance(0, 0.55, 0.2, 0), [1.0, 1.0], "led_red", 1.0),
+        ("proposed", InferenceInstance(0, 0.55, 0.2, 0), [1.0, 0.0], "led_blue", 0.0),
+        ("baseline", InferenceInstance(0, 0.2, 0.9, 1), [1.0], "led_blue", None),
+    ], ids=["escalation-measurement", "capture", "led-ex1", "led-ex2", "led-fallback",
+            "led-baseline"])
+    def test_no_decision(self, variant, inst, readings, fail_at, escalation_usable):
+        clock = ScriptedClock(readings, fail_at)
+        one_attempt = DEVICE._replace(schedule=DEVICE.schedule._replace(n_attempts=1))
+        out = run_window(0, clock, one_attempt, inst, plan(one_attempt, variant, "mosfet"))
+        assert out.power_failure and not out.deferred
+        assert out.decision is None and out.correct is None
+        assert out.started_at == 0.0 and out.instance_id == 0
+        assert out.escalation_usable == escalation_usable
+        assert clock.events == ["window:0", "admit", "power_failure"]
 
 
 @pytest.fixture(scope="module")
