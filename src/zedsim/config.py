@@ -47,6 +47,7 @@ STAGE_NAMES = tuple(_DEFAULT_STAGE_TABLE) + ("inference_ex1_to_ex2",)
 _DEFAULT_CAPACITOR = CapacitorSpec(1.5, 3.6, 3.92, 4.5)
 _DEFAULT_THRESHOLDS = Thresholds(0.3, 0.7)
 _DEFAULT_SCHEDULE = ScheduleConfig(10.0, 4.0, 20, 0.0)
+_MIN_LATCH_SECONDS = 0.1  # at most ten latch cycles a second under the idle draw alone
 
 
 def default_stages() -> Dict[str, StageProfile]:
@@ -107,7 +108,8 @@ class DeviceConfig(NamedTuple):
             if name not in self.stages:
                 out.append(f"stages.{name}: missing stage profile")
         if not out:
-            # a band below one measurement, or an idle draw above it, makes the supply chatter
+            # a band below one measurement, an idle draw above it, or one that empties the
+            # band in under _MIN_LATCH_SECONDS makes the supply chatter
             cap, measurement = self.capacitor, self.stage("measurement")
             band = 0.5 * cap.capacitance_farads * (cap.v_on**2 - cap.v_off**2)
             e_measure = self.stage_energy("measurement")
@@ -117,6 +119,10 @@ class DeviceConfig(NamedTuple):
             if self.idle_current_amps > measurement.current_amps:
                 out.append(f"idle_current_amps: {self.idle_current_amps} A draws more than "
                            f"the measurement's {measurement.current_amps:.4g} A")
+            idle = measurement.supply_volts * self.idle_current_amps / self.converter_efficiency
+            if band < idle * _MIN_LATCH_SECONDS:
+                out.append(f"capacitor: the v_off..v_on band feeds the {idle:.4g} W idle draw "
+                           f"for {band / idle:.4g} s, less than {_MIN_LATCH_SECONDS} s")
             window, deadline = self.schedule.window_seconds, self.schedule.deadline_seconds
             n, measure = self.schedule.n_attempts, measurement.duration_seconds
             if n > 1 and deadline / n < measure:

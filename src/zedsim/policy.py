@@ -110,8 +110,6 @@ class Thresholds(NamedTuple):
 class ExitDecision(NamedTuple):
     exit_taken: ExitTaken
     prediction: int
-    escalation_requested: bool = False
-    energy_denied: bool = False
 
     def check(self) -> None:
         if self.prediction not in (PERSON, NO_PERSON):

@@ -154,24 +154,29 @@ def worst_case_time(device, steps: tuple) -> float:
 
 
 class WindowOutcome(NamedTuple):
-    """What happened in one window.
+    """What happened in one window; the fields hold only what cannot be derived.
 
-    ``deferred`` windows never started a pipeline and consumed no input; a
-    brownout during an admission measurement still counts as a deferral
-    (nothing in flight was lost). ``power_failure`` marks a pipeline that was
-    admitted and then aborted below the cutoff, wasting its energy.
+    Two flags are derived. ``deferred``: no pipeline started (``started_at`` is
+    None) and no input was consumed; a brownout during an admission measurement
+    still counts (nothing in flight was lost). ``power_failure``: a pipeline
+    started and reached no decision, aborted below the cutoff.
     """
 
     window_index: int
     started_at: Optional[float]
     decision: Optional[ExitDecision]
-    energy_spent: float
-    deferred: bool
-    power_failure: bool
     instance_id: Optional[int] = None
     correct: Optional[bool] = None
     admission_usable: Optional[float] = None
     escalation_usable: Optional[float] = None
+
+    @property
+    def deferred(self) -> bool:
+        return self.started_at is None
+
+    @property
+    def power_failure(self) -> bool:
+        return self.started_at is not None and self.decision is None
 
 
 def candidate_start_times(t_k: float, cfg: ScheduleConfig) -> List[float]:
@@ -181,13 +186,13 @@ def candidate_start_times(t_k: float, cfg: ScheduleConfig) -> List[float]:
 
 
 def _choose(check: Check, usable: float) -> Optional[tuple]:
-    """The first option of ``check`` whose need ``usable`` covers, else None."""
+    """The first option of ``check`` whose need ``usable`` covers, else ``otherwise``."""
     if not check.enforced:
         return check.options[0]
     for option, need in zip(check.options, check.needs):
         if usable >= need:
             return option
-    return None
+    return check.otherwise
 
 
 def run_window(
@@ -200,11 +205,10 @@ def run_window(
     """Attempt one pipeline in the given window.
 
     ``clock`` is the simulation engine driving the capacitor: it must provide the
-    attributes ``time``, ``outputs_enabled`` and ``consumed`` (load energy spent so
-    far), and ``usable_energy()`` (>= 0), ``advance_to(t)``, ``run_stage(name) -> bool``
-    (False on power failure) and ``log_event(label)``. ``device`` is the DeviceConfig
-    carrying stage profiles, thresholds and the schedule, and ``compiled`` is what
-    :func:`plan` gives for it.
+    attributes ``time`` and ``outputs_enabled``, and ``usable_energy()`` (>= 0),
+    ``advance_to(t)``, ``run_stage(name) -> bool`` (False on power failure) and
+    ``log_event(label)``. ``device`` is the DeviceConfig carrying stage profiles,
+    thresholds and the schedule, and ``compiled`` is what :func:`plan` gives for it.
 
     An admitted pipeline runs to its exit or a power failure and consumes the
     instance (``started_at`` set); a window that no instant admits, or whose
@@ -212,7 +216,6 @@ def run_window(
     """
     sched = device.schedule
     t_k = window_index * sched.window_seconds
-    spent0 = clock.consumed
     clock.log_event(f"window:{window_index}")
     admission, attempts = compiled
 
@@ -233,23 +236,18 @@ def run_window(
             clock.log_event("power_failure" if decision is None
                             else "exit:" + decision.exit_taken.value)
             return WindowOutcome(
-                window_index, s, decision, clock.consumed - spent0,
-                deferred=False, power_failure=decision is None, instance_id=instance.id,
+                window_index, s, decision, instance.id,
                 correct=None if decision is None else decision.prediction == instance.label,
                 admission_usable=admission_usable, escalation_usable=escalation_usable,
             )
     else:
         clock.log_event("defer")
-    return WindowOutcome(
-        window_index, None, None, clock.consumed - spent0,
-        deferred=True, power_failure=False,
-    )
+    return WindowOutcome(window_index, None, None)
 
 
 def _execute(clock, device, instance, steps):
     """Run admitted steps to their exit and light the LED of its call; returns
     (decision, usable at the escalation check), the decision None on a power failure."""
-    requested = denied = False
     usable = None
     k = 0
     while True:
@@ -260,21 +258,17 @@ def _execute(clock, device, instance, steps):
                 return None, usable
             usable = clock.usable_energy()
             steps, k = _choose(step, usable), 0
-            if steps is None:
-                steps, denied = step.otherwise, True
         elif isinstance(step, Split):
             region = evaluate_ex1(instance.o1, device.thresholds)
             if region is not Region.AMBIGUOUS:
                 pred = PERSON if region is Region.PERSON else NO_PERSON
                 decision = ExitDecision(ExitTaken.EX1, pred)
                 break
-            steps, k, requested = step.ambiguous, 0, True
+            steps, k = step.ambiguous, 0
         elif isinstance(step, Exit):
-            if step.taken is ExitTaken.EX2:
-                pred = evaluate_ex2(instance.o2)
-            else:
-                pred = fallback_label(instance.o1)
-            decision = ExitDecision(step.taken, pred, requested, denied)
+            pred = (evaluate_ex2(instance.o2) if step.taken is ExitTaken.EX2
+                    else fallback_label(instance.o1))
+            decision = ExitDecision(step.taken, pred)
             break
         elif not clock.run_stage(step):
             return None, usable

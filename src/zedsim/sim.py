@@ -17,12 +17,12 @@ closed forms of :mod:`zedsim.pmu` give v_c at any time between them.
 
 A run is strictly sequential and deterministic: given the same configuration,
 harvest profile and trace it reproduces bit-identical trajectories, window
-outcomes and totals, so a replay is a result that compares equal. Energy
-bookkeeping is closed by construction: each piece books consumed = P*dt and
-harvested = dE + P*dt (plus any clamp loss), or, with no harvest, consumed =
--dE. So initial buffer energy plus harvested energy equals final buffer energy
-plus load debits plus the energy discarded while the capacitor is pinned at its
-ceiling.
+outcomes and totals, so a replay is a result that compares equal. The record
+is the only ledger: the energy totals are folded from it once the run closes
+(:meth:`Trajectory.ledger`), each as one exact sum in which the C*v^2/2 terms
+of adjacent pieces cancel. So initial buffer energy plus harvested energy equals
+final buffer energy plus load debits plus the energy discarded while the
+capacitor is pinned at its ceiling, to within one rounding of each total.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ import csv
 import heapq
 import math
 from array import array
-from operator import itemgetter
+from collections import Counter
+from itertools import chain, compress
+from operator import itemgetter, mul, neg, sub
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .config import DeviceConfig, config_hash
@@ -132,6 +134,34 @@ class Trajectory:
         for t, v, on in zip(t0, v0, latched):
             yield t, v, mode_value(v, self.capacitor, on)
 
+    def ledger(self) -> Tuple[float, float, float, float, float]:
+        """The record's energies in :class:`SimTotals`' order: consumed, harvested
+        and clamp loss, each its pieces' terms summed exactly and rounded once, then
+        E(v) at the first and the last row. A piece with harvest consumes p*dt and
+        harvests E(v1) - E(v0) + p*dt plus its clamp loss, the surplus i*v - p while
+        pinned at v_max; a piece without harvest consumes E(v0) - E(v1)."""
+        t0, v0, current, power, _ = self.columns
+        cap = self.capacitor
+        e0 = [0.5 * cap.capacitance_farads * v**2 for v in v0]  # as the engine computes E
+        e1 = e0[1:]  # each piece ends where the next row starts
+        dt = list(map(sub, t0[1:], t0))
+        work = list(map(mul, power, dt))
+        lit = list(map(bool, current[:-1]))
+        dark = [not x for x in lit]
+        clamp = [(i * v - p) * d for v, i, p, d in zip(v0, current, power, dt)
+                 if v >= cap.v_max and i * v > p]
+        return (_fsum(compress(work, lit), compress(e0, dark), map(neg, compress(e1, dark))),
+                _fsum(compress(e1, lit), map(neg, compress(e0, lit)), compress(work, lit), clamp),
+                _fsum(clamp), e0[0], e0[-1])
+
+
+def _fsum(*terms) -> float:
+    """``math.fsum`` of the chained terms; nan on an intermediate overflow or inf - inf."""
+    try:
+        return math.fsum(chain(*terms))
+    except (OverflowError, ValueError):
+        return math.nan
+
 
 class _Engine:
     """Event-driven capacitor integrator and stage runner; the scheduler's clock.
@@ -144,8 +174,8 @@ class _Engine:
     (which switches the idle draw on), or v_max (after which the buffer stays
     pinned and the surplus is clamp loss). Every piece that moves the clock
     appends its start, current, power and latch to ``pieces``; :meth:`close`
-    ends the record with the current state. ``time``, ``outputs_enabled``,
-    ``stored_energy`` and the ledger are plain attributes.
+    ends the record with the current state, and the record is the run's only
+    ledger. ``time`` and ``outputs_enabled`` are plain attributes.
     """
 
     def __init__(self, device: DeviceConfig, harvest: HarvestProfile, initial_v: float):
@@ -153,36 +183,26 @@ class _Engine:
         self._cap = cap
         self._c = cap.capacitance_farads
         self._eta = device.converter_efficiency
-        self._idle_draw = 0.0
-        if device.idle_current_amps > 0:
-            rail = device.stage("measurement").supply_volts
-            self._idle_draw = rail * device.idle_current_amps / self._eta
+        rail = device.stage("measurement").supply_volts
+        self._idle_draw = rail * device.idle_current_amps / self._eta
         # per stage: duration and the draw on the buffer, converter losses included
         self._stages = {name: (prof.duration_seconds, prof.power_watts / self._eta)
                         for name, prof in device.stages.items()}
 
         self.time = 0.0
         self._v = initial_v
-        self.stored_energy = self._energy(initial_v)
         self.outputs_enabled = initial_v >= cap.v_on
 
         self._seg_times = harvest.times
         self._seg_currents = harvest.currents
         self._seg_k = 0
 
-        self.harvested = 0.0
-        self.consumed = 0.0
-        self.clamp_loss = 0.0
-
         # per piece: start time, start voltage, current, power, latch
         self.pieces: Tuple[array, ...] = (*(array("d") for _ in range(4)), array("b"))
         self.events: List[Tuple[float, str]] = []
 
-    def _energy(self, v: float) -> float:
-        return 0.5 * self._c * v**2
-
     def usable_energy(self) -> float:
-        return max(0.0, self.stored_energy - self._cap.energy_floor)
+        return max(0.0, 0.5 * self._c * self._v**2 - self._cap.energy_floor)
 
     def log_event(self, label: str) -> None:
         self.events.append((self.time, label))
@@ -222,19 +242,16 @@ class _Engine:
                 bound = cap.v_off
             else:  # no net flow, or pinned at the ceiling
                 bound = v
-            hit = False
             if bound == v:
-                v1, t1 = v, limit
-                clamp = max(a, 0.0) * (limit - t)
+                v1, t1, hit = v, limit, False
             else:
-                clamp = 0.0
                 tau = charge_time(v, bound, i, p, self._c)
                 hit = tau <= limit - t
                 if hit:
                     v1, t1 = bound, t + tau
                 else:
                     v1, t1 = voltage_after(v, bound, i, p, self._c, limit - t), limit
-            self._piece(t, t1, v, v1, i, p, clamp)
+            self._piece(t, t1, v, v1, i, p)
             if v1 >= cap.v_on:
                 self.outputs_enabled = True
             elif v1 <= cap.v_off:
@@ -243,27 +260,20 @@ class _Engine:
                 return True
         return False
 
-    def _piece(self, t: float, t1: float, v: float, v1: float, i: float, p: float,
-               clamp: float) -> None:
-        """Book one piece into the ledger and append its row to the record; a piece
-        too short to move the clock only moves the state, which the next row's v0 carries."""
-        dt = t1 - t
-        e0 = self.stored_energy
-        e1 = e0 if v1 == v else self._energy(v1)
-        if i == 0.0:  # the buffer alone feeds the load
-            self.consumed += e0 - e1
-        else:
-            self.harvested += e1 - e0 + p * dt + clamp
-            self.consumed += p * dt
-            self.clamp_loss += clamp
-        if dt > 0:
-            t0s, v0s, currents, powers, latched = self.pieces
+    def _piece(self, t: float, t1: float, v: float, v1: float, i: float, p: float) -> None:
+        """Move the state to the end of one piece and append its row to the record.
+        A piece too short to move the clock only moves the state, which the next
+        row's v0 carries, and a static dark piece (no current, no power) that
+        repeats the last row's v0 and latch only lengthens that row."""
+        t0s, v0s, currents, powers, latched = self.pieces
+        if t1 > t and not (i == p == 0.0 and v0s and v0s[-1] == v and currents[-1] == 0.0
+                           and powers[-1] == 0.0 and latched[-1] == self.outputs_enabled):
             t0s.append(t)
             v0s.append(v)
             currents.append(i)
             powers.append(p)
             latched.append(self.outputs_enabled)
-        self.time, self._v, self.stored_energy = t1, v1, e1
+        self.time, self._v = t1, v1
 
     def close(self) -> Trajectory:
         """The record, closed in place by the current state as a zero-length row."""
@@ -287,7 +297,6 @@ def simulate(
         )
 
     engine = _Engine(device, harvest, cfg.initial_v)
-    initial_energy = engine.stored_energy
     compiled = plan(device, cfg.policy_variant, cfg.gating_variant)
 
     windows: List[WindowOutcome] = []
@@ -301,8 +310,9 @@ def simulate(
         engine.advance_to((k + 1) * sched.window_seconds)
     engine.advance_to(cfg.horizon_seconds)
 
-    totals = _aggregate(windows, engine, initial_energy, n_windows)
-    result = SimResult(cfg.to_dict(), engine.events, windows, totals, engine.close())
+    trajectory = engine.close()
+    totals = _aggregate(windows, trajectory, n_windows)
+    result = SimResult(cfg.to_dict(), engine.events, windows, totals, trajectory)
     energies = {k: v for k, v in totals._asdict().items() if k.endswith("_j")}
     energies["ledger_residual_j"] = energy_ledger_residual(result)
     overflowed = [f"{k}={v!r}" for k, v in energies.items() if not math.isfinite(v)]
@@ -312,19 +322,11 @@ def simulate(
     return result
 
 
-def _aggregate(windows, engine, initial_energy, n_windows) -> SimTotals:
-    completed = [w for w in windows if w.started_at is not None and not w.power_failure]
-    exits = {ExitTaken.EX1: 0, ExitTaken.EX2: 0, ExitTaken.EX1_FALLBACK: 0}
-    n_correct = 0
-    for w in completed:
-        exits[w.decision.exit_taken] += 1
-        n_correct += bool(w.correct)
+def _aggregate(windows, trajectory, n_windows) -> SimTotals:
+    completed = [w for w in windows if w.decision is not None]
+    exits = Counter(w.decision.exit_taken for w in completed)
     return SimTotals(
-        energy_consumed_j=engine.consumed,
-        harvested_j=engine.harvested,
-        clamp_loss_j=engine.clamp_loss,
-        initial_energy_j=initial_energy,
-        final_energy_j=engine.stored_energy,
+        *trajectory.ledger(),  # the five energies, energy_consumed_j to final_energy_j
         n_windows=n_windows,
         completed_pipelines=len(completed),
         deferred_windows=sum(w.deferred for w in windows),
@@ -332,7 +334,7 @@ def _aggregate(windows, engine, initial_energy, n_windows) -> SimTotals:
         n_ex1=exits[ExitTaken.EX1],
         n_ex2=exits[ExitTaken.EX2],
         n_fallback=exits[ExitTaken.EX1_FALLBACK],
-        accuracy_total=n_correct / len(completed) if completed else None,
+        accuracy_total=sum(w.correct for w in completed) / len(completed) if completed else None,
     )
 
 

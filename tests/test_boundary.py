@@ -147,9 +147,13 @@ def _assert_sound_run(out, horizon):
          "4.5", "0.1", "100.0", "proposed", "mosfet")
 @example("run", {"capacitor": {"capacitance_farads": 1e-300}, "idle_current_amps": 1e-3},
          "4.5", "0.1", "100.0", "proposed", "mosfet")
-# the edge of the chatter rule: a 0.90 mJ band under a 65 mA idle draw
+# a 0.90 mJ band that a 65 mA idle draw empties in 4.2 ms, under the latch floor
 @example("run", {"capacitor": {"capacitance_farads": 0.75e-3}, "idle_current_amps": 0.065},
          "3.7", "28.5", "100.0", "proposed", "mosfet")
+# a band that holds one 10 us measurement, and that the idle draw empties in 10 us
+@example("run", {"stages": {"measurement": {"duration_seconds": 1e-5}},
+                 "capacitor": {"capacitance_farads": 1.81e-6}, "idle_current_amps": 0.065},
+         "3.7", "28.5", "10.0", "proposed", "mosfet")
 @example("validate", {"converter_efficiency": 0.0}, "4.5", "0.0", "100.0", "proposed", "mosfet")
 # a harvest so large that the harvested energy overflows to inf
 @example("run", {}, "4.5", "1.7e308", "1000.0", "proposed", "mosfet")

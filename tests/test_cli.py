@@ -220,6 +220,10 @@ class TestRejectsMalformedInputs:
         ({"capacitor": {"capacitance_farads": 1e-9}, "idle_current_amps": 1e-3},
          "less than one 0.0008934 J measurement"),
         ({"idle_current_amps": 0.1}, "draws more than the measurement's 0.06531 A"),
+        # a 10 us measurement fits the band, but the idle draw empties it in 10 us
+        ({"stages": {"measurement": {"duration_seconds": 1e-5}},
+          "capacitor": {"capacitance_farads": 1.81e-6}, "idle_current_amps": 0.065},
+         "for 1.015e-05 s, less than 0.1 s"),
     ])
     def test_supply_that_would_chatter(self, tmp_path, trace_file, capsys, command, config,
                                        problem):

@@ -39,7 +39,6 @@ class ScriptedClock:
         self.fail_at = fail_at
         self.time = 0.0
         self.outputs_enabled = True
-        self.consumed = 0.0
         self.events = []
 
     def advance_to(self, t):
@@ -128,17 +127,20 @@ class TestPolicyISelect:
 class TestDecideProposed:
     def test_confident_early_exit(self):
         inst = InferenceInstance(0, 0.9, 0.9, 1)
-        d = decide("proposed", inst, [100.0]).decision
+        out = decide("proposed", inst, [100.0])
+        d = out.decision
         assert d.exit_taken is ExitTaken.EX1
         assert d.prediction == PERSON
-        assert not d.escalation_requested and not d.energy_denied
+        # no escalation requested, so none denied
+        assert out.escalation_usable is None and d.exit_taken is not ExitTaken.EX1_FALLBACK
 
     def test_ambiguous_escalates(self):
         inst = InferenceInstance(0, 0.55, 0.2, 0)
-        d = decide("proposed", inst, [100.0, 100.0]).decision
+        out = decide("proposed", inst, [100.0, 100.0])
+        d = out.decision
         assert d.exit_taken is ExitTaken.EX2
         assert d.prediction == NO_PERSON
-        assert d.escalation_requested
+        assert out.escalation_usable is not None  # escalation requested
 
     def test_escalation_denied_falls_back(self):
         inst = InferenceInstance(0, 0.55, 0.2, 0)
@@ -146,7 +148,8 @@ class TestDecideProposed:
         d = out.decision
         assert d.exit_taken is ExitTaken.EX1_FALLBACK
         assert d.prediction == PERSON  # 0.5 <= o1 < gamma2
-        assert d.energy_denied and d.escalation_requested
+        # escalation requested, then denied
+        assert out.escalation_usable is not None and d.exit_taken is ExitTaken.EX1_FALLBACK
         assert out.escalation_usable == 1e-6
 
     def test_admission_boundary_is_the_compiled_need(self):

@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from euler_oracle import initial_state, step
@@ -248,6 +248,22 @@ def test_knots_agree_with_the_closed_form(scenario):
             ulps = max(8 * math.ulp(v) * c * v / abs(current[k] * v - power[k])
                        for v in (v0[k], v1[k]))
             assert took == pytest.approx(t0[k + 1] - t0[k], rel=1e-9, abs=ulps)
+
+
+DARK_TRACE = [InferenceInstance(k, 0.9, 0.9, 1) for k in range(6)]
+
+
+@given(st.one_of(scenarios(), near_admission()))
+# latched off below v_on with no harvest: every candidate instant splits a dark piece
+@example((SimConfig(DEVICE, 3.7, 30.0), HarvestProfile.constant(0.0), DARK_TRACE))
+def test_no_piece_repeats_a_static_dark_piece(scenario):
+    # a piece with no current and no power, from the v0 and latch of the piece
+    # before it, only lengthens that piece; the closing row, the final state,
+    # may repeat the last piece
+    _, v0, current, power, latched = simulate(*scenario).trajectory.columns
+    pieces = list(zip(v0, current, power, latched))[:-1]
+    for a, b in zip(pieces, pieces[1:]):
+        assert not (a == b and a[1] == a[2] == 0.0), a
 
 
 @given(st.one_of(scenarios(), near_admission()))

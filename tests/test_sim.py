@@ -7,7 +7,7 @@ import pytest
 from euler_oracle import initial_state, step, usable_energy
 from zedsim.config import DeviceConfig
 from zedsim.energy import CapacitorSpec
-from zedsim.errors import ConfigError
+from zedsim.errors import ConfigError, DomainError
 from zedsim.pmu import HarvestProfile, charge_time
 from zedsim.policy import (
     NO_PERSON,
@@ -24,6 +24,7 @@ from zedsim.policy import (
 from zedsim.sim import (
     SimConfig,
     _Engine,
+    _fsum,
     compare_policies,
     energy_ledger_residual,
     simulate,
@@ -58,11 +59,8 @@ def decide_proposed(inst, device, readings):
         return ExitDecision(ExitTaken.EX1, PERSON if region is Region.PERSON else NO_PERSON)
     escalate = stage_sum(device, "inference_ex1_to_ex2", "led_green", "led_red")
     if next(readings) >= escalate + guard:
-        return ExitDecision(ExitTaken.EX2, evaluate_ex2(inst.o2), escalation_requested=True)
-    return ExitDecision(
-        ExitTaken.EX1_FALLBACK, fallback_label(inst.o1),
-        escalation_requested=True, energy_denied=True,
-    )
+        return ExitDecision(ExitTaken.EX2, evaluate_ex2(inst.o2))
+    return ExitDecision(ExitTaken.EX1_FALLBACK, fallback_label(inst.o1))
 
 
 def tight_budget_device():
@@ -123,7 +121,8 @@ class TestSimulate:
             assert knots == [*zip(t0, v0)]
             assert (t0[-1], current[-1], power[-1]) == (horizon, 0.0, 0.0)
             assert len(result.trajectory) == len(knots)
-            # every event happens at a knot: a stage or window starts a piece
+            # with harvest, every event happens at a knot: a stage or window starts a
+            # piece (a static dark stretch is one piece, whatever events it spans)
             assert {t for t, _ in result.events} <= {t for t, _ in knots}
 
     def test_idle_current_drains_only_while_enabled(self):
@@ -154,6 +153,27 @@ class TestSimulate:
             cfg = SimConfig(DEVICE.with_capacitance(0.25), 4.3, 120.0, "proposed")
             result = simulate(cfg, harvest, trace5000)
             assert abs(energy_ledger_residual(result)) < 1e-6
+
+    def test_totals_no_float_holds_are_a_domain_error(self, trace5000):
+        # fsum raises on an intermediate overflow and on inf - inf; both are nan
+        assert math.isnan(_fsum([1.7e308, 1.7e308], [-1e308]))
+        assert math.isnan(_fsum([math.inf], [-math.inf]))
+        cfg = SimConfig(DEVICE, 4.5, 1000.0, "proposed")
+        with pytest.raises(DomainError, match="energy totals not finite"):
+            simulate(cfg, HarvestProfile.constant(1.7e308), trace5000)
+
+    def test_ledger_closes_to_one_ulp_over_a_week(self):
+        # seven days of a clipped-sine harvest peaking at 5 mA, in 600 s windows:
+        # a long horizon with few windows, over which rounding would accumulate
+        day = 86400.0
+        sine = [5e-3 * max(0.0, math.sin(math.pi * (h + 0.5 - 6.0) / 12.0)) for h in range(24)]
+        harvest = HarvestProfile.from_pairs(
+            [(d * day + h * day / 24, i) for d in range(7) for h, i in enumerate(sine)])
+        device = DEVICE._replace(schedule=DEVICE.schedule._replace(window_seconds=600.0))
+        trace = generate_trace(GeneratorSpec(1008, 0.7265, 0.8309, 0.5386, 0))
+        result = simulate(SimConfig(device, 4.5, 7 * day, "proposed"), harvest, trace)
+        assert result.totals.n_windows == 1008
+        assert abs(energy_ledger_residual(result)) <= math.ulp(result.totals.harvested_j)
 
     def test_wall_time_gap_between_exits(self, trace5000):
         cfg = SimConfig(DEVICE, 4.5, 200.0, "proposed")
@@ -190,9 +210,13 @@ class TestSimulate:
             for w in result.windows:
                 if w.decision is None:
                     continue
+                inst = trace_by_id[w.instance_id]
                 readings = [w.admission_usable, w.escalation_usable]
-                d = decide_proposed(trace_by_id[w.instance_id], device, readings)
+                d = decide_proposed(inst, device, readings)
                 assert d == w.decision
+                # an escalation was requested, and read, exactly for an ambiguous score
+                ambiguous = evaluate_ex1(inst.o1, device.thresholds) is Region.AMBIGUOUS
+                assert (w.escalation_usable is not None) == ambiguous
                 kinds.add(d.exit_taken)
             return kinds
 
@@ -398,27 +422,36 @@ class TestEventEngine:
         assert not engine.run_stage("capture_preprocess")
         assert engine.time == pytest.approx(t_fail, rel=1e-12)
         assert engine._v == v_off and not engine.outputs_enabled
-        assert engine.consumed == pytest.approx(p * t_fail, rel=1e-12)
+        consumed, harvested, _, _, e1 = engine.close().ledger()
+        assert consumed == pytest.approx(p * t_fail, rel=1e-12)
         e0 = 0.5 * 0.05 * v0**2
-        assert e0 + engine.harvested - engine.stored_energy - engine.consumed == pytest.approx(
-            0.0, abs=1e-15
-        )
+        assert e1 == 0.5 * 0.05 * v_off**2
+        assert e0 + harvested - e1 - consumed == pytest.approx(0.0, abs=1e-15)
 
     def test_idle_draw_latches_off_then_recovers_at_v_on(self):
         device = low_v_on_device(0.1)._replace(idle_current_amps=5e-3)
         i = 1e-3
-        engine = _Engine(device, HarvestProfile.constant(i), 3.7)
         p_idle = 3.3 * 5e-3
         t_off = charge_time(3.7, 3.6, i, p_idle, 0.1)
         t_on = t_off + 0.1 * (3.65 - 3.6) / i  # latched off: no draw, v rises at i/C
-        engine.advance_to(t_off + 1.0)
+
+        def advanced(*ends):
+            engine = _Engine(device, HarvestProfile.constant(i), 3.7)
+            for end in ends:
+                engine.advance_to(end)
+            return engine
+
+        engine = advanced(t_off + 1.0)
         assert not engine.outputs_enabled
         assert engine._v == pytest.approx(3.6 + i * 1.0 / 0.1, rel=1e-14)
-        assert engine.consumed == pytest.approx(p_idle * t_off, rel=1e-12)
-        engine.advance_to(t_on + 0.5)
+        consumed, *_ = engine.close().ledger()
+        assert consumed == pytest.approx(p_idle * t_off, rel=1e-12)
+        engine = advanced(t_off + 1.0, t_on + 0.5)
         assert engine.outputs_enabled
-        assert engine.consumed == pytest.approx(p_idle * (t_off + 0.5), rel=1e-9)
-        knots = list(engine.close())
+        trajectory = engine.close()
+        consumed, *_ = trajectory.ledger()
+        assert consumed == pytest.approx(p_idle * (t_off + 0.5), rel=1e-9)
+        knots = list(trajectory)
         # latched off at v_off, still off at the advance_to split, on again at
         # v_on, and past v_on the idle draw outweighs the harvest again
         assert [m for _, _, m in knots] == [
@@ -433,8 +466,10 @@ class TestEventEngine:
         engine.advance_to(10.0)
         t_full = 0.1 * 0.1 / 30e-3
         assert engine._v == 4.5
-        assert engine.clamp_loss == pytest.approx(30e-3 * 4.5 * (10.0 - t_full), rel=1e-12)
-        start, full, end = engine.close()
+        trajectory = engine.close()
+        _, _, clamp_loss, _, _ = trajectory.ledger()
+        assert clamp_loss == pytest.approx(30e-3 * 4.5 * (10.0 - t_full), rel=1e-12)
+        start, full, end = trajectory
         assert start == (0.0, 4.4, "operate")
         assert full[0] == pytest.approx(1 / 3, rel=1e-12) and full[1:] == (4.5, "full")
         assert end == (10.0, 4.5, "full")
