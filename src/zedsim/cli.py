@@ -42,6 +42,7 @@ from .traces import (
 
 _POLICY_FLAGS = {v.replace("_", "-"): v for v in VARIANTS}
 _GATING_FLAGS = {g.replace("_", "-"): g for g in GATINGS}
+_MAX_RANGE_POINTS = 1000
 
 
 def _float_list(text: str) -> List[float]:
@@ -52,14 +53,12 @@ def _float_list(text: str) -> List[float]:
             raise argparse.ArgumentTypeError(
                 "range must be start:stop:step, all finite, with step > 0")
         start, stop, step = parts
-        out, k = [], 0
-        while True:
-            v = start + k * step
-            if v > stop + 1e-9:
-                break
-            out.append(round(v, 12))
-            k += 1
-        return out
+        n = 0  # count the points before building any; start + n*step never falls as n grows
+        while n <= _MAX_RANGE_POINTS and start + n * step <= stop + 1e-9:
+            n += 1
+        if n > _MAX_RANGE_POINTS:
+            raise argparse.ArgumentTypeError(f"range has more than {_MAX_RANGE_POINTS} points")
+        return [round(start + k * step, 12) for k in range(n)]
     return [float(p) for p in text.split(",") if p]
 
 
@@ -121,8 +120,9 @@ def _cmd_run(args) -> int:
     out = _out_dir(args)
     _write_resolved(result.config, out)
     write_trajectory_csv(result, out / "trajectory.csv")
-    (out / "totals.txt").write_text(totals_text(result))
-    print(totals_text(result), end="")
+    totals = totals_text(result)
+    (out / "totals.txt").write_text(totals)
+    print(totals, end="")
     return 0
 
 

@@ -41,7 +41,7 @@ class CapacitorSpec(NamedTuple):
     @property
     def energy_floor(self) -> float:
         """Energy stored at v_off; reserved, never available to the load."""
-        return 0.5 * self.capacitance_farads * self.v_off**2
+        return 0.5 * self.capacitance_farads * (self.v_off * self.v_off)
 
 
 @checked
@@ -87,7 +87,7 @@ def min_start_voltage(spec: CapacitorSpec, e_req: float, delta: float = 0.0) -> 
     """
     if e_req < 0 or delta < 0:
         raise DomainError("energy requirement and guard margin must be >= 0")
-    v = math.sqrt(spec.v_off**2 + 2.0 * (e_req + delta) / spec.capacitance_farads)
+    v = math.sqrt(spec.v_off * spec.v_off + 2.0 * (e_req + delta) / spec.capacitance_farads)
     if v > spec.v_max * (1.0 + 1e-12):
         raise UnreachableRequirementError(
             f"requirement {e_req + delta} J needs {v:.4f} V, above v_max={spec.v_max} V; "

@@ -17,11 +17,13 @@ closed forms of :mod:`zedsim.pmu` give v_c at any time between them.
 
 A run is strictly sequential and deterministic: given the same configuration,
 harvest profile and trace it reproduces bit-identical trajectories, window
-outcomes and totals, so a replay is a result that compares equal. The record
+outcomes and totals, so a replay compares equal. Times are compared exactly and
+squares are products, rounded correctly where pow may not be, so a run is
+invariant under power-of-two scaling of time, current and voltage. The record
 is the only ledger: the energy totals are folded from it once the run closes
 (:meth:`Trajectory.ledger`), each as one exact sum in which the C*v^2/2 terms
-of adjacent pieces cancel. So initial buffer energy plus harvested energy equals
-final buffer energy plus load debits plus the energy discarded while the
+of adjacent pieces cancel. So initial buffer energy plus harvested energy
+equals final buffer energy plus load debits plus the energy discarded while the
 capacitor is pinned at its ceiling, to within one rounding of each total.
 """
 
@@ -50,8 +52,6 @@ from .scheduler import (
     plan,
     run_window,
 )
-
-_T_EPS = 1e-12
 
 
 @checked
@@ -142,7 +142,7 @@ class Trajectory:
         pinned at v_max; a piece without harvest consumes E(v0) - E(v1)."""
         t0, v0, current, power, _ = self.columns
         cap = self.capacitor
-        e0 = [0.5 * cap.capacitance_farads * v**2 for v in v0]  # as the engine computes E
+        e0 = [0.5 * cap.capacitance_farads * (v * v) for v in v0]  # as the engine computes E
         e1 = e0[1:]  # each piece ends where the next row starts
         dt = list(map(sub, t0[1:], t0))
         work = list(map(mul, power, dt))
@@ -166,16 +166,17 @@ def _fsum(*terms) -> float:
 class _Engine:
     """Event-driven capacitor integrator and stage runner; the scheduler's clock.
 
-    Between events the harvest current and the load power are constant, so
-    each piece of the run is solved in closed form. A piece ends at the
-    earliest of: the requested time (a stage end or a scheduler instant), a
-    harvest segment boundary, the voltage reaching v_off (a power failure
-    inside a stage, or latch-off under idle draw), v_on while latched off
-    (which switches the idle draw on), or v_max (after which the buffer stays
-    pinned and the surplus is clamp loss). Every piece that moves the clock
-    appends its start, current, power and latch to ``pieces``; :meth:`close`
-    ends the record with the current state, and the record is the run's only
-    ledger. ``time`` and ``outputs_enabled`` are plain attributes.
+    Between events the harvest current and the load power are constant, so each
+    piece of the run is solved in closed form. A piece ends at the earliest of:
+    the requested time (a stage end or a scheduler instant), a harvest segment
+    boundary, the voltage reaching v_off (a power failure inside a stage, or
+    latch-off under idle draw), v_on while latched off (which switches the idle
+    draw on), or v_max (after which the buffer stays pinned and the surplus is
+    clamp loss). Times are compared exactly, so the run is invariant under
+    power-of-two scaling of time, current and voltage. Every piece that moves
+    the clock appends its start, current, power and latch to ``pieces``;
+    :meth:`close` ends the record with the current state, and the record is the
+    run's only ledger. ``time`` and ``outputs_enabled`` are plain attributes.
     """
 
     def __init__(self, device: DeviceConfig, harvest: HarvestProfile, initial_v: float):
@@ -193,7 +194,7 @@ class _Engine:
         self._v = initial_v
         self.outputs_enabled = initial_v >= cap.v_on
 
-        self._seg_times = harvest.times
+        self._seg_times = (*harvest.times, math.inf)  # the last segment never ends
         self._seg_currents = harvest.currents
         self._seg_k = 0
 
@@ -202,14 +203,13 @@ class _Engine:
         self.events: List[Tuple[float, str]] = []
 
     def usable_energy(self) -> float:
-        return max(0.0, 0.5 * self._c * self._v**2 - self._cap.energy_floor)
+        return max(0.0, 0.5 * self._c * (self._v * self._v) - self._cap.energy_floor)
 
     def log_event(self, label: str) -> None:
         self.events.append((self.time, label))
 
     def advance_to(self, t_target: float) -> None:
-        if t_target > self.time + _T_EPS:
-            self._advance(t_target, None)
+        self._advance(t_target, None)
 
     def run_stage(self, name: str) -> bool:
         """Run one pipeline stage; False if the voltage fell to the cutoff."""
@@ -226,13 +226,13 @@ class _Engine:
         """
         cap = self._cap
         times = self._seg_times
-        while end - self.time > _T_EPS:
+        while end > self.time:
             t, v = self.time, self._v
             k = self._seg_k
-            while k + 1 < len(times) and times[k + 1] <= t + _T_EPS:
+            while times[k + 1] <= t:
                 k += 1
             self._seg_k = k
-            limit = times[k + 1] if k + 1 < len(times) and times[k + 1] < end else end
+            limit = min(times[k + 1], end)
             i = self._seg_currents[k]
             p = (self._idle_draw if self.outputs_enabled else 0.0) if draw is None else draw
             a = i * v - p
@@ -431,12 +431,11 @@ COMPARISON_HEADER = [
 
 
 def write_rows_csv(
-    rows: Sequence[dict], header: Sequence[str], path, config_hash_hex: Optional[str] = None
+    rows: Sequence[dict], header: Sequence[str], path, config_hash_hex: str
 ) -> None:
     """The ``header`` columns of dict rows: floats as repr, None as an empty field."""
     with open(path, "w", newline="") as fh:
-        if config_hash_hex:
-            fh.write(f"# config_sha256={config_hash_hex}\n")
+        fh.write(f"# config_sha256={config_hash_hex}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:

@@ -153,6 +153,19 @@ class TestRejectsMalformedInputs:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--gamma1", "--gamma2", "--capacitance"])
+    # about 10^300 points, which are rejected before any is built, and one too many
+    @pytest.mark.parametrize("value", ["0:0.5:1e-300", "1:1001:1"])
+    def test_range_of_too_many_points(self, tmp_path, trace_file, capsys, flag, value):
+        command = "sweep-capacitance" if flag == "--capacitance" else "sweep-thresholds"
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--trace", str(trace_file), flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "more than 1000 points" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_negative_jobs(self, tmp_path, trace_file, capsys):
         out = tmp_path / "out"
         assert main([
@@ -336,6 +349,11 @@ class TestValidate:
 
 
 class TestSweeps:
+    def test_range_at_the_point_limit_keeps_every_point(self):
+        args = build_parser().parse_args(
+            ["sweep-thresholds", "--trace", "trace.csv", "--gamma1", "1:1000:1"])
+        assert args.gamma1 == [float(k) for k in range(1, 1001)]
+
     def test_threshold_sweep_grid_and_spot_check(self, tmp_path, trace_file):
         out = tmp_path / "out"
         assert main([

@@ -1,16 +1,17 @@
 """Invariants of the simulator over generated devices, harvest profiles and
 traces: ledger closure, the totals' partition, no power failures under the
 variants that check energy before every stage, escalation exactly when the
-reading covers it, exact replay, agreement with the Euler oracle, and
-trajectory knots that agree with the closed form and reach the CSV whole and
-in time order."""
+reading covers it, exact replay, agreement with the Euler oracle, runs that
+scale exactly with the units of time, current and voltage, and trajectory
+knots that agree with the closed form and reach the CSV whole and in time
+order."""
 
 import math
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from euler_oracle import initial_state, step
@@ -264,6 +265,63 @@ def test_no_piece_repeats_a_static_dark_piece(scenario):
     pieces = list(zip(v0, current, power, latched))[:-1]
     for a, b in zip(pieces, pieces[1:]):
         assert not (a == b and a[1] == a[2] == 0.0), a
+
+
+def scaled(cfg, harvest, f, g, k):
+    """The scenario with every time scaled by f, every current by g and every
+    voltage by k: C*v*dv/dt = i*v - P then holds with C scaled by g*f/k, powers
+    by g*k and energies by f*g*k."""
+    device = cfg.device
+    cap, sched = device.capacitor, device.schedule
+    device = device._replace(
+        capacitor=cap._replace(capacitance_farads=cap.capacitance_farads * (g * f / k),
+                               v_off=cap.v_off * k, v_on=cap.v_on * k, v_max=cap.v_max * k),
+        stages={name: s._replace(current_amps=s.current_amps * g,
+                                 duration_seconds=s.duration_seconds * f,
+                                 supply_volts=s.supply_volts * k)
+                for name, s in device.stages.items()},
+        schedule=sched._replace(window_seconds=sched.window_seconds * f,
+                                deadline_seconds=sched.deadline_seconds * f,
+                                guard_delta_joules=sched.guard_delta_joules * (f * g * k)),
+        idle_current_amps=device.idle_current_amps * g,
+    )
+    cfg = cfg._replace(device=device, initial_v=cfg.initial_v * k,
+                       horizon_seconds=cfg.horizon_seconds * f)
+    return cfg, HarvestProfile(tuple(t * f for t in harvest.times),
+                               tuple(i * g for i in harvest.currents))
+
+
+@given(st.one_of(scenarios(), near_admission()), st.integers(-32, 16), st.integers(-30, 30),
+       st.integers(-8, 8))
+# a measurement of about 1 ps: the run must not depend on the unit of time
+@example((SimConfig(DEVICE, 4.5, 30.0), HarvestProfile.constant(1e-3), DARK_TRACE), -32, 0, 0)
+# a voltage whose square pow rounds off by one ulp once scaled by 2^8
+@example((SimConfig(DEVICE, 3.970919944447376, 5.0), HarvestProfile.constant(0.0), []), 0, 0, 8)
+def test_scaling_time_current_and_voltage_scales_the_run(scenario, ef, eg, ek):
+    # powers of two make every scaled product exact, so the model's dimensional
+    # invariance holds bit for bit: a metamorphic oracle for the whole run
+    cfg, harvest, trace = scenario
+    f, g, k = 2.0**ef, 2.0**eg, 2.0**ek
+    e = f * g * k
+    # a current near the subnormal range would round when scaled
+    assume(all(i == 0.0 or min(i, i * g) >= 2.0**-900 for i in harvest.currents))
+    scaled_cfg, scaled_harvest = scaled(cfg, harvest, f, g, k)
+    # the chatter rule's 0.1 s floor is absolute: it rejects small f under an idle draw
+    assume(not scaled_cfg.device.problems())
+    a = simulate(cfg, harvest, trace)
+    b = simulate(scaled_cfg, scaled_harvest, trace)
+    t0, v0, current, power, latched = a.trajectory.columns
+    assert [list(c) for c in b.trajectory.columns] == [
+        [t * f for t in t0], [v * k for v in v0], [i * g for i in current],
+        [p * (g * k) for p in power], list(latched)]
+    assert b.events == [(t * f, label) for t, label in a.events]
+    assert b.windows == [w._replace(
+        started_at=None if w.started_at is None else w.started_at * f,
+        admission_usable=None if w.admission_usable is None else w.admission_usable * e,
+        escalation_usable=None if w.escalation_usable is None else w.escalation_usable * e,
+    ) for w in a.windows]
+    assert b.totals == a.totals._replace(**{
+        name: value * e for name, value in a.totals._asdict().items() if name.endswith("_j")})
 
 
 @given(st.one_of(scenarios(), near_admission()))

@@ -474,6 +474,26 @@ class TestEventEngine:
         assert full[0] == pytest.approx(1 / 3, rel=1e-12) and full[1:] == (4.5, "full")
         assert end == (10.0, 4.5, "full")
 
+    def test_advance_to_now_or_earlier_does_nothing(self):
+        engine = _Engine(DEVICE, HarvestProfile.constant(1e-3), 4.0)
+        engine.advance_to(2.0)
+        pieces = [list(column) for column in engine.pieces]
+        for t in (2.0, 1.0, 0.0):
+            engine.advance_to(t)
+        assert engine.time == 2.0 and engine.events == []
+        assert [list(column) for column in engine.pieces] == pieces
+
+    def test_harvest_boundary_one_ulp_after_a_stage_gets_its_own_knot(self):
+        # times compare exactly: the new current starts at the boundary, not before
+        end = DEVICE.stage("measurement").duration_seconds
+        boundary = math.nextafter(end, math.inf)
+        engine = _Engine(DEVICE, HarvestProfile((0.0, boundary), (1e-3, 2e-3)), 4.0)
+        assert engine.run_stage("measurement")
+        engine.advance_to(1.0)
+        t0, _, current, _, _ = engine.close().columns
+        assert list(t0) == [0.0, end, boundary, 1.0]
+        assert list(current) == [1e-3, 1e-3, 2e-3, 0.0]
+
 
 class TestTrajectoryMemory:
     def test_writer_peak_does_not_grow_with_horizon(self, tmp_path, trace5000):
