@@ -2,7 +2,7 @@
 two-exit person detector under capacitor energy constraints."""
 
 from .config import DeviceConfig, load_config, config_hash
-from .energy import CapacitorSpec, StageProfile, min_start_voltage, state_energy
+from .energy import CapacitorSpec, StageProfile, state_energy
 from .pmu import HarvestProfile
 from .policy import (
     ExitDecision,

@@ -17,11 +17,10 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .config import DeviceConfig, config_hash, load_config
-from .energy import min_start_voltage
-from .errors import UnreachableRequirementError, ZedSimError
+from .errors import ZedSimError
 from .pmu import HarvestProfile
 from .policy import SWEEP_HEADER, Thresholds, sweep_thresholds
-from .scheduler import GATINGS, VARIANTS, plan, requirement
+from .scheduler import GATINGS, VARIANTS, plan
 from .sim import (
     COMPARISON_HEADER,
     SimConfig,
@@ -212,16 +211,19 @@ def _cmd_validate(args) -> int:
         return 2
     problems = device.problems()
     # admission reachability at full charge, per variant and gating path: the
-    # admission measurement plus the cheapest option it can admit (energies are
-    # divided by the converter efficiency, which problems() requires positive)
+    # admission measurement plus the cheapest need the compiled check can admit,
+    # against the usable energy the engine reads at v_max (energies are divided
+    # by the converter efficiency, which problems() requires positive)
+    cap = device.capacitor
+    usable = 0.5 * cap.capacitance_farads * (cap.v_max * cap.v_max) - cap.energy_floor
     for variant in VARIANTS if device.converter_efficiency > 0 else ():
         for gating in GATINGS:
             admission, _ = plan(device, variant, gating)
-            need = requirement(device, (admission,))
-            try:
-                min_start_voltage(device.capacitor, need, device.schedule.guard_delta_joules)
-            except UnreachableRequirementError as exc:
-                problems.append(f"{variant}[{gating}]: {exc}")
+            need = min(admission.needs) + device.stage_energy("measurement")
+            if need > usable:
+                problems.append(f"{variant}[{gating}]: requirement {need} J exceeds the "
+                                f"{usable} J usable at v_max={cap.v_max} V; "
+                                "the pipeline can never be admitted")
     if problems:
         for p in problems:
             print(f"invalid: {p}", file=sys.stderr)

@@ -48,6 +48,7 @@ _DEFAULT_CAPACITOR = CapacitorSpec(1.5, 3.6, 3.92, 4.5)
 _DEFAULT_THRESHOLDS = Thresholds(0.3, 0.7)
 _DEFAULT_SCHEDULE = ScheduleConfig(10.0, 4.0, 20, 0.0)
 _MIN_LATCH_SECONDS = 0.1  # at most ten latch cycles a second under the idle draw alone
+_MAX_ATTEMPTS = 1000  # admission instants per window, whatever their spacing
 
 
 def default_stages() -> Dict[str, StageProfile]:
@@ -128,6 +129,8 @@ class DeviceConfig(NamedTuple):
             if n > 1 and deadline / n < measure:
                 out.append(f"schedule: {n} attempts in a {deadline} s deadline are closer "
                            f"than one {measure} s measurement")
+            if n > _MAX_ATTEMPTS:
+                out.append(f"schedule: {n} attempts per window, more than {_MAX_ATTEMPTS}")
             for variant in VARIANTS:
                 for gating in GATINGS:
                     admission, _ = plan(self, variant, gating)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, UnreachableRequirementError, checked
+from .errors import DomainError, checked
 
 
 @checked
@@ -77,20 +77,3 @@ def state_energy(profile: StageProfile) -> float:
     """Energy drawn by one run of the stage: supply * duration * current."""
     return profile.supply_volts * profile.duration_seconds * profile.current_amps
 
-
-def min_start_voltage(spec: CapacitorSpec, e_req: float, delta: float = 0.0) -> float:
-    """Minimum capacitor voltage at which ``e_req + delta`` is usable.
-
-    Inverse of the usable energy C*(v^2 - v_off^2)/2 on [v_off, v_max]. Raises
-    UnreachableRequirementError when the requirement exceeds what even a full
-    capacitor can supply.
-    """
-    if e_req < 0 or delta < 0:
-        raise DomainError("energy requirement and guard margin must be >= 0")
-    v = math.sqrt(spec.v_off * spec.v_off + 2.0 * (e_req + delta) / spec.capacitance_farads)
-    if v > spec.v_max * (1.0 + 1e-12):
-        raise UnreachableRequirementError(
-            f"requirement {e_req + delta} J needs {v:.4f} V, above v_max={spec.v_max} V; "
-            "the pipeline can never be admitted"
-        )
-    return min(v, spec.v_max)

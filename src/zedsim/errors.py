@@ -14,10 +14,6 @@ class ConfigError(ZedSimError, ValueError):
     """A configuration value or combination violates an invariant."""
 
 
-class UnreachableRequirementError(ConfigError):
-    """An energy requirement that can never be met below the voltage ceiling."""
-
-
 class TraceError(ZedSimError, ValueError):
     """A trace or harvest file failed to parse or validate."""
 

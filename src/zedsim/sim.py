@@ -212,7 +212,7 @@ class _Engine:
         self._advance(t_target, None)
 
     def run_stage(self, name: str) -> bool:
-        """Run one pipeline stage; False if the voltage fell to the cutoff."""
+        """Run one pipeline stage; False if the supply latched off during it."""
         duration, draw = self._stages[name]
         if draw > 0 and not self.outputs_enabled:
             raise SimulationFault(f"stage {name!r} requested at t={self.time} with outputs disabled")
@@ -222,7 +222,9 @@ class _Engine:
     def _advance(self, end: float, draw: Optional[float]) -> bool:
         """Move to ``end`` under a stage's ``draw``, or idle when it is None.
 
-        Returns True when a stage's voltage reached v_off, which stops it there.
+        Returns True when the supply latched off during a stage, which stops it
+        there: the one test that turns the latch off also ends the stage, so a
+        stage whose end voltage rounds onto v_off fails as one that crosses it.
         """
         cap = self._cap
         times = self._seg_times
@@ -243,11 +245,10 @@ class _Engine:
             else:  # no net flow, or pinned at the ceiling
                 bound = v
             if bound == v:
-                v1, t1, hit = v, limit, False
+                v1, t1 = v, limit
             else:
                 tau = charge_time(v, bound, i, p, self._c)
-                hit = tau <= limit - t
-                if hit:
+                if tau <= limit - t:
                     v1, t1 = bound, t + tau
                 else:
                     v1, t1 = voltage_after(v, bound, i, p, self._c, limit - t), limit
@@ -256,8 +257,8 @@ class _Engine:
                 self.outputs_enabled = True
             elif v1 <= cap.v_off:
                 self.outputs_enabled = False
-            if hit and bound == cap.v_off and draw is not None:
-                return True
+                if draw is not None:
+                    return True
         return False
 
     def _piece(self, t: float, t1: float, v: float, v1: float, i: float, p: float) -> None:

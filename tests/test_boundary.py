@@ -154,6 +154,12 @@ def _assert_sound_run(out, horizon):
 @example("run", {"stages": {"measurement": {"duration_seconds": 1e-5}},
                  "capacitor": {"capacitance_farads": 1.81e-6}, "idle_current_amps": 0.065},
          "3.7", "28.5", "10.0", "proposed", "mosfet")
+# 400 000 admission instants 10 us apart, each a measurement, against an admission
+# no buffer can reach
+@example("run", {"schedule": {"n_attempts": 400000},
+                 "stages": {"measurement": {"duration_seconds": 1e-5},
+                            "capture_preprocess": {"current_amps": 10}}},
+         "4.5", "0.0", "10", "proposed", "mosfet")
 @example("validate", {"converter_efficiency": 0.0}, "4.5", "0.0", "100.0", "proposed", "mosfet")
 # a harvest so large that the harvested energy overflows to inf
 @example("run", {}, "4.5", "1.7e308", "1000.0", "proposed", "mosfet")

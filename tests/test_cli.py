@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ import pytest
 
 import zedsim
 from zedsim.cli import build_parser, main
+from zedsim.config import DeviceConfig
 from zedsim.policy import Thresholds, sweep_thresholds
+from zedsim.scheduler import plan
 from zedsim.traces import load_trace
 
 
@@ -228,6 +231,21 @@ class TestRejectsMalformedInputs:
         assert "closer than one 0.004145 s measurement" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_attempts_above_the_cap(self, tmp_path, trace_file, capsys, command):
+        # 4 s / 1001 attempts still holds a 10 us measurement: only the cap fires
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schedule": {"n_attempts": 1001},
+                                   "stages": {"measurement": {"duration_seconds": 1e-5}}}))
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--trace", str(trace_file), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "1001 attempts per window, more than 1000" in err
+        assert "closer than one" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("config, problem", [
         # a 1 nF buffer latches on and off ~550 000 times a second under a 1 mA idle draw
         ({"capacitor": {"capacitance_farads": 1e-9}, "idle_current_amps": 1e-3},
@@ -340,6 +358,30 @@ class TestValidate:
             assert f"invalid: {name}: requirement" in err
         # the mosfet paths of the two-exit variants still fit
         assert "proposed[mosfet]" not in err and "policy_i[mosfet]" not in err
+
+    def test_reachability_is_exact_at_the_boundary(self, tmp_path, capsys):
+        # the smallest capacitance whose usable energy at v_max covers the
+        # proposed load-switch admission and its measurement is accepted, and
+        # the float one ulp below it is not
+        device = DeviceConfig.default()
+        admission, _ = plan(device, "proposed", "load_switch")
+        need = min(admission.needs) + device.stage_energy("measurement")
+        cap = device.capacitor
+
+        def usable(farads):
+            return 0.5 * farads * (cap.v_max * cap.v_max) - 0.5 * farads * (cap.v_off * cap.v_off)
+
+        farads = need / usable(1.0)
+        while usable(farads) < need:
+            farads = math.nextafter(farads, math.inf)
+        while usable(math.nextafter(farads, 0.0)) >= need:
+            farads = math.nextafter(farads, 0.0)
+        cfg = tmp_path / "cfg.json"
+        for c, diagnosed in ((farads, False), (math.nextafter(farads, 0.0), True)):
+            cfg.write_text(json.dumps({"capacitor": {"capacitance_farads": c}}))
+            main(["validate", "--config", str(cfg)])
+            assert ("invalid: proposed[load_switch]: requirement" in capsys.readouterr().err
+                    ) == diagnosed
 
     def test_unknown_key_diagnosed(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"

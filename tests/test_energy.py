@@ -1,12 +1,11 @@
 import math
-import random
 
 import pytest
 
 from euler_oracle import stored_energy, usable_energy
 from zedsim.config import STAGE_NAMES, DeviceConfig
-from zedsim.energy import CapacitorSpec, StageProfile, min_start_voltage, state_energy
-from zedsim.errors import ConfigError, DomainError, UnreachableRequirementError
+from zedsim.energy import CapacitorSpec, StageProfile, state_energy
+from zedsim.errors import ConfigError, DomainError
 from zedsim.scheduler import GATINGS, VARIANTS, plan, requirement
 
 SPEC = CapacitorSpec(1.5, 3.6, 3.92, 4.5)
@@ -23,21 +22,6 @@ PUBLISHED_MJ = {
     "led_blue": 0.1885,
     "led_red": 0.3931,
 }
-
-
-def bisect_inverse_usable(spec, target, lo=None, hi=None, tol=1e-14):
-    """Independent oracle: solve usable_energy(v) = target by bisection."""
-    lo = spec.v_off if lo is None else lo
-    hi = spec.v_max if hi is None else hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if usable_energy(spec, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
 
 
 class TestStoredEnergy:
@@ -188,39 +172,6 @@ class TestRequiredEnergy:
             (attempt,) = admission_options("baseline", gating)
             assert requirement(self.device, attempt) == pytest.approx(
                 (110.442 + 13.390 + 0.3931) * 1e-3, rel=5e-3)
-
-
-class TestMinStartVoltage:
-    def test_zero_requirement(self):
-        assert min_start_voltage(SPEC, 0.0, 0.0) == pytest.approx(3.6, rel=1e-12)
-
-    def test_inverse_of_usable_example(self):
-        assert min_start_voltage(SPEC, 5.4675, 0.0) == pytest.approx(4.5, rel=1e-12)
-
-    def test_small_capacitor_requirement(self):
-        # frozen from the bisection oracle below
-        got = min_start_voltage(SMALL, 81.407e-3, 0.0)
-        assert got == pytest.approx(3.819442367676, abs=1e-9)
-        assert got == pytest.approx(bisect_inverse_usable(SMALL, 81.407e-3), abs=1e-9)
-
-    def test_unreachable(self):
-        with pytest.raises(UnreachableRequirementError):
-            min_start_voltage(SMALL, 10.0, 0.0)
-
-    def test_negative_inputs(self):
-        with pytest.raises(DomainError):
-            min_start_voltage(SPEC, -1.0, 0.0)
-        with pytest.raises(DomainError):
-            min_start_voltage(SPEC, 1.0, -1.0)
-
-    def test_round_trip_property(self):
-        rng = random.Random(42)
-        for _ in range(200):
-            spec = CapacitorSpec(rng.uniform(0.05, 2.0), 3.6, 3.92, 4.5)
-            e_req = rng.uniform(0.0, usable_energy(spec, spec.v_max) * 0.7)
-            delta = rng.uniform(0.0, usable_energy(spec, spec.v_max) * 0.2)
-            v = min_start_voltage(spec, e_req, delta)
-            assert usable_energy(spec, v) == pytest.approx(e_req + delta, rel=1e-9, abs=1e-15)
 
 
 class TestTypes:

@@ -257,6 +257,27 @@ class TestSimulate:
         assert safe.totals.n_fallback == 1
         assert abs(energy_ledger_residual(risky)) < 1e-6
 
+    def test_escalation_ending_ulps_before_v_off_is_a_power_failure(self):
+        # a 1.65 W escalation drains the buffer; find where it starts, then end it
+        # one to five ulps before its v_off crossing
+        def device(duration):
+            return DeviceConfig.from_dict({
+                "schedule": {"window_seconds": 60.0},
+                "stages": {"inference_ex1_to_ex2": {"current_amps": 0.5,
+                                                    "duration_seconds": duration}}})
+
+        trace = [InferenceInstance(0, 0.5, 0.9, 1)]
+        harvest = HarvestProfile.constant(0.0)
+        first = simulate(SimConfig(device(10.0), 4.5, 60.0, "policy_ii"), harvest, trace)
+        start = next(t for t, label in first.events if label == "stage:inference_ex1_to_ex2")
+        t0, v0, *_ = first.trajectory.columns
+        v_start = v0[list(t0).index(start)]
+        duration = charge_time(v_start, 3.6, 0.0, 0.5 * 3.3, 1.5)
+        for _ in range(5):
+            duration = math.nextafter(duration, 0.0)
+            cfg = SimConfig(device(duration), 4.5, 60.0, "policy_ii")
+            assert simulate(cfg, harvest, trace).totals.power_failures == 1
+
     def test_no_power_failures_proposed_random_scenarios(self, trace5000):
         rng = random.Random(99)
         for _ in range(5):
@@ -427,6 +448,24 @@ class TestEventEngine:
         e0 = 0.5 * 0.05 * v0**2
         assert e1 == 0.5 * 0.05 * v_off**2
         assert e0 + harvested - e1 - consumed == pytest.approx(0.0, abs=1e-15)
+
+    def test_stage_ulps_short_of_v_off_fails_exactly_when_the_latch_turns_off(self):
+        # a stage that ends a few ulps before its v_off crossing may have its end
+        # voltage rounded onto v_off: the latch then turns off, and the stage fails
+        device = DEVICE.with_capacitance(0.05)
+        capture = device.stage("capture_preprocess")
+        duration = charge_time(3.95, 3.6, 0.0, capture.power_watts, 0.05)
+        succeeded = []
+        for _ in range(5):
+            duration = math.nextafter(duration, 0.0)
+            stages = {**device.stages,
+                      "capture_preprocess": capture._replace(duration_seconds=duration)}
+            engine = _Engine(device._replace(stages=stages), HarvestProfile.constant(0.0), 3.95)
+            ok = engine.run_stage("capture_preprocess")
+            assert ok == engine.outputs_enabled
+            assert ok or engine._v == 3.6
+            succeeded.append(ok)
+        assert not succeeded[0]  # one ulp short, the end voltage rounds onto v_off
 
     def test_idle_draw_latches_off_then_recovers_at_v_on(self):
         device = low_v_on_device(0.1)._replace(idle_current_amps=5e-3)
