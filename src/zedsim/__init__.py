@@ -25,11 +25,9 @@ from .scheduler import (
     worst_case_time,
 )
 from .sim import (
-    PolicyComparison,
     SimConfig,
     SimResult,
     SimTotals,
-    compare_policies,
     energy_ledger_residual,
     simulate,
 )

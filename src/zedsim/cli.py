@@ -1,8 +1,10 @@
 """Command-line front end: single runs, policy comparisons, threshold and
 capacitance sweeps, trace generation, and config validation.
 
-Every artifact embeds the sha256 of the fully resolved configuration, and
-re-running the same command reproduces byte-identical files. Power failures
+The simulation modules compute; this module writes every artifact and owns its
+format. Each embeds the sha256 of the fully resolved configuration, which its
+command computes once, holds floats as their repr and None as an empty value,
+and re-running the same command reproduces byte-identical files. Power failures
 inside a simulation are data, not process errors; only configuration problems
 yield a nonzero exit status.
 """
@@ -10,9 +12,12 @@ yield a nonzero exit status.
 from __future__ import annotations
 
 import argparse
+import csv
+import heapq
 import json
 import math
 import sys
+from operator import itemgetter
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -21,15 +26,7 @@ from .errors import ZedSimError
 from .pmu import HarvestProfile
 from .policy import SWEEP_HEADER, Thresholds, sweep_thresholds
 from .scheduler import GATINGS, VARIANTS, plan
-from .sim import (
-    COMPARISON_HEADER,
-    SimConfig,
-    compare_policies,
-    simulate,
-    totals_text,
-    write_rows_csv,
-    write_trajectory_csv,
-)
+from .sim import SimConfig, SimResult, energy_ledger_residual, simulate
 from .traces import (
     GeneratorSpec,
     generate_trace,
@@ -45,7 +42,8 @@ _MAX_RANGE_POINTS = 1000
 
 
 def _float_list(text: str) -> List[float]:
-    """Parse '0.1,0.2' or 'start:stop:step' (stop inclusive within 1e-9)."""
+    """Parse '0.1,0.2' or 'start:stop:step': the stop is inclusive within 1e-9 of a
+    step, and each point is rounded to 12 digits of the range's largest magnitude."""
     if ":" in text:
         parts = [float(p) for p in text.split(":")]
         if len(parts) != 3 or not all(map(math.isfinite, parts)) or parts[2] <= 0:
@@ -53,11 +51,12 @@ def _float_list(text: str) -> List[float]:
                 "range must be start:stop:step, all finite, with step > 0")
         start, stop, step = parts
         n = 0  # count the points before building any; start + n*step never falls as n grows
-        while n <= _MAX_RANGE_POINTS and start + n * step <= stop + 1e-9:
+        while n <= _MAX_RANGE_POINTS and start + n * step <= stop + 1e-9 * step:
             n += 1
         if n > _MAX_RANGE_POINTS:
             raise argparse.ArgumentTypeError(f"range has more than {_MAX_RANGE_POINTS} points")
-        return [round(start + k * step, 12) for k in range(n)]
+        digits = 11 - math.floor(math.log10(max(abs(start), abs(stop), step)))
+        return [round(start + k * step, digits) for k in range(n)]
     return [float(p) for p in text.split(",") if p]
 
 
@@ -112,30 +111,97 @@ def _write_resolved(cfg_dict: dict, out: Path) -> str:
     return digest
 
 
+TRAJECTORY_HEADER = ["time_s", "v_c", "mode", "event"]
+
+
+def write_trajectory_csv(result: SimResult, path, digest: str) -> None:
+    """The trajectory's knots and the run's events, merged in time order.
+
+    A knot row is ``time_s,v_c,mode,``: the start of one recorded piece, or
+    the state the run closes in, as the engine stored it, with the supply mode
+    its latch gives. An event row is ``time_s,,,label``. At equal times the
+    knot comes first. Rows hold only float reprs, mode names and event labels
+    made of stage names and fixed words, which never need quoting, so they are
+    formatted directly, and streamed as they are formatted.
+    """
+    knots = ((t, f"{t!r},{v!r},{mode},\r\n") for t, v, mode in result.trajectory)
+    events = ((t, f"{t!r},,,{label}\r\n") for t, label in result.events)
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# config_sha256={digest}\n")
+        csv.writer(fh).writerow(TRAJECTORY_HEADER)
+        # merge keeps its inputs' order among equal keys: knots before events
+        fh.writelines(row for _, row in heapq.merge(knots, events, key=itemgetter(0)))
+
+
+def totals_text(result: SimResult, digest: str) -> str:
+    """Single structured-text summary record of one run: each total as its
+    repr, None as an empty value."""
+    lines = [f"config_sha256={digest}"]
+    for name, value in result.totals._asdict().items():
+        lines.append(f"{name}={'' if value is None else repr(value)}")
+    lines.append(f"ledger_residual_j={energy_ledger_residual(result)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def write_rows_csv(rows: Sequence[dict], header: Sequence[str], path, digest: str) -> None:
+    """The ``header`` columns of dict rows: floats as repr, None as an empty field."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# config_sha256={digest}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                ["" if row[k] is None else (repr(row[k]) if isinstance(row[k], float) else row[k])
+                 for k in header]
+            )
+
+
 def _cmd_run(args) -> int:
     cfg = _sim_config(args, _POLICY_FLAGS[args.policy])
     trace = load_trace(args.trace)
     result = simulate(cfg, _harvest(args), trace)
     out = _out_dir(args)
-    _write_resolved(result.config, out)
-    write_trajectory_csv(result, out / "trajectory.csv")
-    totals = totals_text(result)
+    digest = _write_resolved(result.config, out)
+    write_trajectory_csv(result, out / "trajectory.csv", digest)
+    totals = totals_text(result, digest)
     (out / "totals.txt").write_text(totals)
     print(totals, end="")
     return 0
 
 
+COMPARISON_HEADER = [
+    "variant", "energy_consumed_j", "accuracy_total", "completed_pipelines",
+    "power_failures", "n_ex1", "n_ex2", "n_fallback",
+    "energy_delta_pct", "accuracy_delta", "completed_delta",
+]
+
+
 def _cmd_compare(args) -> int:
+    """Each variant on identical inputs, with deltas against the first listed."""
     variants = [_POLICY_FLAGS[v] for v in args.variants]
     cfg = _sim_config(args, variants[0])  # the reference variant
     trace = load_trace(args.trace)
-    comparison = compare_policies(cfg, variants, _harvest(args), trace)
+    harvest = _harvest(args)
+    results = [simulate(cfg._replace(policy_variant=v), harvest, trace) for v in variants]
+    base = results[0].totals
+    rows = []
+    for variant, result in zip(variants, results):
+        t = result.totals
+        energy_delta = accuracy_delta = None
+        if base.energy_consumed_j > 0:
+            energy_delta = (100.0 * (t.energy_consumed_j - base.energy_consumed_j)
+                            / base.energy_consumed_j)
+        if t.accuracy_total is not None and base.accuracy_total is not None:
+            accuracy_delta = t.accuracy_total - base.accuracy_total
+        rows.append({"variant": variant, **t._asdict(), "energy_delta_pct": energy_delta,
+                     "accuracy_delta": accuracy_delta,
+                     "completed_delta": t.completed_pipelines - base.completed_pipelines})
     out = _out_dir(args)
     digest = _write_resolved(cfg.to_dict(), out)
-    write_rows_csv(comparison.rows, COMPARISON_HEADER, out / "comparison.csv", digest)
-    for variant, result in comparison.results.items():
-        (out / f"totals_{variant}.txt").write_text(totals_text(result))
-    for row in comparison.rows:
+    write_rows_csv(rows, COMPARISON_HEADER, out / "comparison.csv", digest)
+    for variant, result in zip(variants, results):
+        (out / f"totals_{variant}.txt").write_text(totals_text(result, config_hash(result.config)))
+    for row in rows:
         print(
             f"{row['variant']}: energy={row['energy_consumed_j']:.6f} J "
             f"completed={row['completed_pipelines']} failures={row['power_failures']} "

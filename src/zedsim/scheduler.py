@@ -205,7 +205,7 @@ def run_window(
     """Attempt one pipeline in the given window.
 
     ``clock`` is the simulation engine driving the capacitor: it must provide the
-    attributes ``time`` and ``outputs_enabled``, and ``usable_energy()`` (>= 0),
+    attribute ``outputs_enabled`` and the methods ``usable_energy()`` (>= 0),
     ``advance_to(t)``, ``run_stage(name) -> bool`` (False on power failure) and
     ``log_event(label)``. ``device`` is the DeviceConfig carrying stage profiles,
     thresholds and the schedule, and ``compiled`` is what :func:`plan` gives for it.

@@ -1,4 +1,5 @@
 """Event-driven simulation engine tying supply, scheduler and policy together.
+It only simulates and writes no file: :mod:`zedsim.cli` formats every artifact.
 
 The engine integrates the capacitor exactly: between events the harvest
 current and the load power are constant, so each piece has a closed form
@@ -29,16 +30,14 @@ capacitor is pinned at its ceiling, to within one rounding of each total.
 
 from __future__ import annotations
 
-import csv
-import heapq
 import math
 from array import array
 from collections import Counter
 from itertools import chain, compress
-from operator import itemgetter, mul, neg, sub
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from operator import mul, neg, sub
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .config import DeviceConfig, config_hash
+from .config import DeviceConfig
 from .energy import CapacitorSpec
 from .errors import ConfigError, DomainError, SimulationFault, checked
 from .pmu import HarvestProfile, charge_time, mode_value, voltage_after
@@ -104,10 +103,6 @@ class SimResult(NamedTuple):
     windows: List[WindowOutcome]
     totals: SimTotals
     trajectory: "Trajectory"
-
-    @property
-    def config_sha256(self) -> str:
-        return config_hash(self.config)
 
 
 class Trajectory:
@@ -349,98 +344,3 @@ def energy_ledger_residual(result: SimResult) -> float:
         - t.energy_consumed_j
         - t.clamp_loss_j
     )
-
-
-class PolicyComparison(NamedTuple):
-    results: Dict[str, SimResult]
-    rows: List[dict]
-
-
-def compare_policies(
-    cfg_base: SimConfig,
-    variants: Sequence[str],
-    harvest: HarvestProfile,
-    trace: Sequence[InferenceInstance],
-) -> PolicyComparison:
-    """Run several policy variants over identical inputs and tabulate deltas.
-
-    The first variant is the reference: energy deltas are percentages of its
-    total, accuracy and pipeline-count deltas are plain differences.
-    """
-    if not variants:
-        raise DomainError("need at least one variant")
-    results: Dict[str, SimResult] = {}
-    for variant in variants:
-        results[variant] = simulate(cfg_base._replace(policy_variant=variant), harvest, trace)
-    base = results[variants[0]].totals
-    rows = []
-    for variant in variants:
-        t = results[variant].totals
-        energy_delta = None
-        if base.energy_consumed_j > 0:
-            energy_delta = 100.0 * (t.energy_consumed_j - base.energy_consumed_j) / base.energy_consumed_j
-        acc_delta = None
-        if t.accuracy_total is not None and base.accuracy_total is not None:
-            acc_delta = t.accuracy_total - base.accuracy_total
-        rows.append({
-            "variant": variant,
-            **t._asdict(),
-            "energy_delta_pct": energy_delta,
-            "accuracy_delta": acc_delta,
-            "completed_delta": t.completed_pipelines - base.completed_pipelines,
-        })
-    return PolicyComparison(results, rows)
-
-
-TRAJECTORY_HEADER = ["time_s", "v_c", "mode", "event"]
-
-
-def write_trajectory_csv(result: SimResult, path) -> None:
-    """The trajectory's knots and the run's events, merged in time order.
-
-    A knot row is ``time_s,v_c,mode,``: the start of one recorded piece, or
-    the state the run closes in, as the engine stored it, with the supply mode
-    its latch gives. An event row is ``time_s,,,label``. At equal times the
-    knot comes first. Rows hold only float reprs, mode names and event labels
-    made of stage names and fixed words, which never need quoting, so they are
-    formatted directly, and streamed as they are formatted.
-    """
-    knots = ((t, f"{t!r},{v!r},{mode},\r\n") for t, v, mode in result.trajectory)
-    events = ((t, f"{t!r},,,{label}\r\n") for t, label in result.events)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_sha256={result.config_sha256}\n")
-        csv.writer(fh).writerow(TRAJECTORY_HEADER)
-        # merge keeps its inputs' order among equal keys: knots before events
-        fh.writelines(row for _, row in heapq.merge(knots, events, key=itemgetter(0)))
-
-
-def totals_text(result: SimResult) -> str:
-    """Single structured-text summary record of one run: each total as its
-    repr, None as an empty value."""
-    lines = [f"config_sha256={result.config_sha256}"]
-    for name, value in result.totals._asdict().items():
-        lines.append(f"{name}={'' if value is None else repr(value)}")
-    lines.append(f"ledger_residual_j={energy_ledger_residual(result)!r}")
-    return "\n".join(lines) + "\n"
-
-
-COMPARISON_HEADER = [
-    "variant", "energy_consumed_j", "accuracy_total", "completed_pipelines",
-    "power_failures", "n_ex1", "n_ex2", "n_fallback",
-    "energy_delta_pct", "accuracy_delta", "completed_delta",
-]
-
-
-def write_rows_csv(
-    rows: Sequence[dict], header: Sequence[str], path, config_hash_hex: str
-) -> None:
-    """The ``header`` columns of dict rows: floats as repr, None as an empty field."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_sha256={config_hash_hex}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                ["" if row[k] is None else (repr(row[k]) if isinstance(row[k], float) else row[k])
-                 for k in header]
-            )

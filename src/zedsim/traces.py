@@ -33,6 +33,7 @@ from .policy import InferenceInstance, Trace, check_instance
 
 TRACE_HEADER = ["id", "o1", "o2", "label"]
 HARVEST_HEADER = ["t_start_s", "i_h_ma"]
+_MAX_INSTANCES = 10**7  # generated; over 3 years of 10 s windows, 10**6 peak near 150 MB
 
 # Mixture shapes: distance from the pole for confident draws, offset from 0.5
 # for ambiguous draws (both scaled by 0.5).
@@ -142,8 +143,8 @@ class GeneratorSpec(NamedTuple):
     seed: int
 
     def check(self) -> None:
-        if self.n < 1:
-            raise FitError("n must be >= 1")
+        if not 1 <= self.n <= _MAX_INSTANCES:
+            raise FitError(f"n must be in [1, {_MAX_INSTANCES}], got {self.n}")
         if not 0.5 <= self.target_acc1 <= self.target_acc2 <= 1.0:
             raise FitError(
                 f"need 0.5 <= acc1 <= acc2 <= 1, got ({self.target_acc1}, {self.target_acc2})"

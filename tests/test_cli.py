@@ -73,6 +73,20 @@ class TestRun:
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
 
+    def test_blank_lines_in_inputs_are_skipped(self, tmp_path, trace_file, harvest_file):
+        written = []
+        for name, blank in (("plain", ""), ("blank", "\n")):
+            out = tmp_path / name
+            out.mkdir()
+            argv = ["run", "--horizon", "60", "--out", str(out)]
+            for flag, path in (("--trace", trace_file), ("--harvest", harvest_file)):
+                copy = out / path.name
+                copy.write_text("".join(line + blank for line in path.read_text().splitlines(True)))
+                argv += [flag, str(copy)]
+            assert main(argv) == 0
+            written.append([(out / f).read_bytes() for f in ("totals.txt", "trajectory.csv")])
+        assert written[0] == written[1]
+
     def test_totals_contents(self, tmp_path, trace_file):
         out = tmp_path / "out"
         main(["run", "--trace", str(trace_file), "--horizon", "30", "--out", str(out)])
@@ -185,6 +199,44 @@ class TestRejectsMalformedInputs:
                      "--out", str(out)]) == 2
         assert "empty threshold grid" in capsys.readouterr().err
         assert not (out / "sweep_thresholds.csv").exists()
+
+    @pytest.mark.parametrize("argv, files, problem", [
+        (["run"], {"--config": "[]"}, "config root must be a JSON object"),
+        (["run"], {"--config": '{"capacitor": 5}'}, "capacitor: must be an object"),
+        (["run"], {"--config": '{"stages": {"led_red": 3}}'}, "stages.led_red: must be an object"),
+        (["run"], {"--config": '{"idle_current_amps": -1e-6}'}, "idle_current_amps: must be >= 0"),
+        (["run"], {"--config": '{"stages": {"measurement": {"supply_volts": 0}}}'},
+         "stage 'measurement': supply voltage must be positive"),
+        (["run"], {"--config": '{"schedule": {"window_seconds": 0}}'},
+         "window duration must be positive"),
+        (["run"], {"--config": '{"schedule": {"deadline_seconds": -1}}'}, "deadline must be >= 0"),
+        (["run", "--horizon", "0"], {}, "horizon must be positive"),
+        (["run"], {"--trace": "id,o1,o2,label\n0,0.5,0.5\n"}, ":2: expected 4 fields, got 3"),
+        (["run"], {"--harvest": "t_start_s,i_h_ma\n0.0,1.0,2.0\n"},
+         ":2: expected 2 fields, got 3"),
+        (["run"], {"--trace": "id,o1,o2,label\n"},
+         "trace has 0 instances but the horizon holds 20 windows"),
+        (["sweep-thresholds"], {"--trace": "id,o1,o2,label\n"}, "trace must be non-empty"),
+        (["sweep-capacitance", "--capacitance="], {}, "empty capacitance grid"),
+        # numpy would ask for 7.45 GiB per array
+        (["gen-trace", "--n", "1000000000"], {}, "n must be in [1, 10000000], got 1000000000"),
+    ], ids=["config-root-list", "capacitor-number", "stage-number", "negative-idle-current",
+            "zero-supply", "zero-window", "negative-deadline", "zero-horizon", "trace-3-fields",
+            "harvest-3-fields", "header-only-trace-run", "header-only-trace-sweep",
+            "empty-capacitance-grid", "gen-trace-above-the-cap"])
+    @pytest.mark.filterwarnings("ignore:.*no data rows")
+    def test_rejected_before_any_output(self, tmp_path, trace_file, capsys, argv, files,
+                                        problem):
+        for flag, content in files.items():
+            path = tmp_path / f"input{flag}"
+            path.write_text(content)
+            argv = [*argv, flag, str(path)]
+        if argv[0] != "gen-trace" and "--trace" not in files:
+            argv += ["--trace", str(trace_file)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert problem in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_generator_seed(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -396,6 +448,16 @@ class TestSweeps:
             ["sweep-thresholds", "--trace", "trace.csv", "--gamma1", "1:1000:1"])
         assert args.gamma1 == [float(k) for k in range(1, 1001)]
 
+    @pytest.mark.parametrize("text, points", [
+        ("1e-10:5e-10:1e-10", [float(f"{k}e-10") for k in range(1, 6)]),
+        ("1e-13:5e-13:1e-13", [float(f"{k}e-13") for k in range(1, 6)]),
+        ("0:1e-11:1e-12", [float(f"{k}e-12") for k in range(11)]),
+    ])
+    def test_range_is_the_same_at_any_scale(self, text, points):
+        args = build_parser().parse_args(
+            ["sweep-capacitance", "--trace", "trace.csv", "--capacitance", text])
+        assert args.capacitance == points
+
     def test_threshold_sweep_grid_and_spot_check(self, tmp_path, trace_file):
         out = tmp_path / "out"
         assert main([
@@ -465,6 +527,7 @@ class TestLayerAttribution:
         (["sweep-capacitance", "--capacitance", "0.1,0.5,1.5",
           "--variants", "proposed", "baseline"], 6),
         (["run"], 1),
+        (["compare", "--variants", "baseline", "proposed", "policy-i"], 3),
     ])
     def test_each_simulation_calls_cli_simulate(self, tmp_path, trace_file, monkeypatch,
                                                 argv, calls):
@@ -497,6 +560,19 @@ class TestCompare:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["policy_variant"] == "baseline"
 
+    def test_rows_and_deltas(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        assert main(["gen-trace", "--n", "5000", "--seed", "7", "--out", str(trace)]) == 0
+        out = tmp_path / "out"
+        assert main([
+            "compare", "--trace", str(trace), "--horizon", "100", "--initial-v", "4.5",
+            "--harvest-ma", "0", "--variants", "baseline", "proposed", "--out", str(out),
+        ]) == 0
+        rows = {r["variant"]: r for r in _rows(out / "comparison.csv")}
+        assert float(rows["baseline"]["energy_delta_pct"]) == 0.0
+        assert float(rows["proposed"]["energy_delta_pct"]) < 0
+        assert int(rows["proposed"]["completed_delta"]) >= 0
+
 
 class TestEveryFlagIsRead:
     """Each subcommand's handler reads every option its parser accepts."""
@@ -528,6 +604,30 @@ class TestEveryFlagIsRead:
     def test_gen_trace_and_validate(self, tmp_path):
         assert self._unread(["gen-trace", "--n", "20", "--out", str(tmp_path / "t.csv")]) == set()
         assert self._unread(["validate"]) == set()
+
+
+class TestAcrossProcesses:
+    def test_same_bytes_under_any_hash_seed(self, tmp_path, trace_file, harvest_file):
+        # the hash seed orders sets of strings; no artifact, table or stdout may follow it
+        code = ("import json, sys, zedsim.cli\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    assert zedsim.cli.main(argv) == 0\n")
+        common = ["--trace", str(trace_file), "--harvest", str(harvest_file), "--horizon", "60"]
+        written = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"seed{seed}"
+            commands = [["run", *common, "--out", str(out / "run")],
+                        ["compare", *common, "--variants", "baseline", "proposed", "policy-i",
+                         "policy-ii", "--out", str(out / "compare")]]
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": str(Path(zedsim.__file__).parents[1])}
+            done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            written.append((files, done.stdout))
+        assert len(written[0][0]) == 9  # run: 3 files; compare: config, table, 4 totals
+        assert written[0] == written[1]
 
 
 class TestStartup:

@@ -50,6 +50,13 @@ class TestDefaults:
             0.8934e-3, rel=1e-9
         )
 
+    def test_capture_gating_energy_ratio(self):
+        d = DeviceConfig.default()
+        ratio = d.stage_energy("capture_preprocess") / d.stage_energy(
+            "capture_preprocess_load_switch"
+        )
+        assert ratio == pytest.approx(0.660, abs=5e-3)
+
 
 # sha256 of the default resolved tree, the hash that heads every artifact of a
 # default run; it moves only when a key, a default or the tree's shape does

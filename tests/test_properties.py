@@ -15,16 +15,12 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from euler_oracle import initial_state, step
+from zedsim.cli import write_trajectory_csv
 from zedsim.config import DeviceConfig
 from zedsim.pmu import HarvestProfile, charge_time
 from zedsim.policy import ExitTaken, InferenceInstance, Thresholds
 from zedsim.scheduler import GATINGS, VARIANTS, Check, Split, plan, requirement
-from zedsim.sim import (
-    SimConfig,
-    energy_ledger_residual,
-    simulate,
-    write_trajectory_csv,
-)
+from zedsim.sim import SimConfig, energy_ledger_residual, simulate
 
 DEVICE = DeviceConfig.default()
 V_OFF, V_MAX = DEVICE.capacitor.v_off, DEVICE.capacitor.v_max
@@ -329,7 +325,7 @@ def test_trajectory_csv_rows_are_knots_and_events_in_time_order(scenario):
     result = simulate(*scenario)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trajectory.csv"
-        write_trajectory_csv(result, path)
+        write_trajectory_csv(result, path, "0" * 64)
         lines = path.read_text().splitlines()
     assert len(lines) == 2 + len(result.trajectory) + len(result.events)
     rows = [line.split(",") for line in lines[2:]]

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from euler_oracle import initial_state, step, usable_energy
+from zedsim.cli import write_trajectory_csv
 from zedsim.config import DeviceConfig
 from zedsim.energy import CapacitorSpec
 from zedsim.errors import ConfigError, DomainError
@@ -21,15 +22,7 @@ from zedsim.policy import (
     evaluate_ex2,
     fallback_label,
 )
-from zedsim.sim import (
-    SimConfig,
-    _Engine,
-    _fsum,
-    compare_policies,
-    energy_ledger_residual,
-    simulate,
-    write_trajectory_csv,
-)
+from zedsim.sim import SimConfig, _Engine, _fsum, energy_ledger_residual, simulate
 from zedsim.traces import GeneratorSpec, generate_trace
 
 DEVICE = DeviceConfig.default()
@@ -381,22 +374,6 @@ class TestReplay:
             assert coarse / fine == pytest.approx(2.0, rel=0.01)
 
 
-class TestComparePolicies:
-    def test_rows_and_deltas(self, trace5000):
-        cfg = SimConfig(DEVICE, 4.5, 100.0, "baseline")
-        comparison = compare_policies(cfg, ["baseline", "proposed"], HarvestProfile.constant(0.0), trace5000)
-        rows = {r["variant"]: r for r in comparison.rows}
-        assert rows["baseline"]["energy_delta_pct"] == 0.0
-        assert rows["proposed"]["energy_delta_pct"] < 0
-        assert rows["proposed"]["completed_delta"] >= 0
-
-    def test_capture_gating_energy_ratio(self):
-        ratio = DEVICE.stage_energy("capture_preprocess") / DEVICE.stage_energy(
-            "capture_preprocess_load_switch"
-        )
-        assert ratio == pytest.approx(0.660, abs=5e-3)
-
-
 class TestEngineMatchesPmuStep:
     def test_pure_harvest_span_equivalence(self):
         # a zero-window run is pure charging, v rising at i/C: the engine is
@@ -543,7 +520,7 @@ class TestTrajectoryMemory:
             result = simulate(cfg, HarvestProfile.constant(2e-3), trace5000)
             tracemalloc.start()
             try:
-                write_trajectory_csv(result, tmp_path / "trajectory.csv")
+                write_trajectory_csv(result, tmp_path / "trajectory.csv", "0" * 64)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
