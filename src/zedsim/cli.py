@@ -177,16 +177,18 @@ COMPARISON_HEADER = [
 
 
 def _cmd_compare(args) -> int:
-    """Each variant on identical inputs, with deltas against the first listed."""
+    """Each variant on identical inputs, with deltas against the first listed; a run
+    is deterministic, so a variant listed twice is simulated once and keeps both rows."""
     variants = [_POLICY_FLAGS[v] for v in args.variants]
     cfg = _sim_config(args, variants[0])  # the reference variant
     trace = load_trace(args.trace)
     harvest = _harvest(args)
-    results = [simulate(cfg._replace(policy_variant=v), harvest, trace) for v in variants]
-    base = results[0].totals
+    results = {v: simulate(cfg._replace(policy_variant=v), harvest, trace)
+               for v in dict.fromkeys(variants)}
+    base = results[variants[0]].totals
     rows = []
-    for variant, result in zip(variants, results):
-        t = result.totals
+    for variant in variants:
+        t = results[variant].totals
         energy_delta = accuracy_delta = None
         if base.energy_consumed_j > 0:
             energy_delta = (100.0 * (t.energy_consumed_j - base.energy_consumed_j)
@@ -199,7 +201,7 @@ def _cmd_compare(args) -> int:
     out = _out_dir(args)
     digest = _write_resolved(cfg.to_dict(), out)
     write_rows_csv(rows, COMPARISON_HEADER, out / "comparison.csv", digest)
-    for variant, result in zip(variants, results):
+    for variant, result in results.items():
         (out / f"totals_{variant}.txt").write_text(totals_text(result, config_hash(result.config)))
     for row in rows:
         print(

@@ -31,17 +31,15 @@ from typing import NamedTuple, Sequence, Tuple
 from .energy import CapacitorSpec
 from .errors import DomainError, checked
 
-_V_MAX_REL_TOL = 1e-12
-
 
 def mode_value(v_c: float, spec: CapacitorSpec, outputs_latched_on: bool) -> str:
-    """Supply mode of a voltage: ``full`` at the ceiling v_max, ``operate``
-    from v_on, ``cold_start`` at or below v_off, and in the hysteretic band
-    between, ``hysteresis_on`` or ``hysteresis_off`` as ``outputs_latched_on``
-    says whether v_on was reached since v_off."""
-    if not 0.0 <= v_c <= spec.v_max * (1.0 + _V_MAX_REL_TOL):
+    """Supply mode of a voltage in exactly [0, v_max], else DomainError: ``full``
+    at v_max, ``operate`` from v_on, ``cold_start`` at or below v_off, and in the
+    hysteretic band between, ``hysteresis_on`` or ``hysteresis_off`` as
+    ``outputs_latched_on`` says whether v_on was reached since v_off."""
+    if not 0.0 <= v_c <= spec.v_max:
         raise DomainError(f"voltage {v_c} outside [0, {spec.v_max}]")
-    if v_c >= spec.v_max * (1.0 - _V_MAX_REL_TOL):
+    if v_c >= spec.v_max:
         return "full"
     if v_c >= spec.v_on:
         return "operate"

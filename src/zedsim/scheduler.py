@@ -205,10 +205,12 @@ def run_window(
     """Attempt one pipeline in the given window.
 
     ``clock`` is the simulation engine driving the capacitor: it must provide the
-    attribute ``outputs_enabled`` and the methods ``usable_energy()`` (>= 0),
-    ``advance_to(t)``, ``run_stage(name) -> bool`` (False on power failure) and
-    ``log_event(label)``. ``device`` is the DeviceConfig carrying stage profiles,
-    thresholds and the schedule, and ``compiled`` is what :func:`plan` gives for it.
+    attribute ``outputs_enabled`` and the methods ``usable_energy()`` (>= 0: read
+    only after a measurement that left v above v_off, and E(v) - E(v_off) rounds
+    in the order of the voltages), ``advance_to(t)``, ``run_stage(name) -> bool``
+    (False on power failure) and ``log_event(label)``. ``device`` is the
+    DeviceConfig carrying stage profiles, thresholds and the schedule, and
+    ``compiled`` is what :func:`plan` gives for it.
 
     An admitted pipeline runs to its exit or a power failure and consumes the
     instance (``started_at`` set); a window that no instant admits, or whose

@@ -162,13 +162,13 @@ class _Engine:
     """Event-driven capacitor integrator and stage runner; the scheduler's clock.
 
     Between events the harvest current and the load power are constant, so each
-    piece of the run is solved in closed form. A piece ends at the earliest of:
-    the requested time (a stage end or a scheduler instant), a harvest segment
-    boundary, the voltage reaching v_off (a power failure inside a stage, or
-    latch-off under idle draw), v_on while latched off (which switches the idle
-    draw on), or v_max (after which the buffer stays pinned and the surplus is
-    clamp loss). Times are compared exactly, so the run is invariant under
-    power-of-two scaling of time, current and voltage. Every piece that moves
+    piece of the run is solved in closed form. A piece ends at the earliest of: the
+    requested time (a stage end or a scheduler instant), a harvest segment boundary,
+    the voltage reaching v_off (a power failure inside a stage, or latch-off under
+    idle draw), v_on while latched off (which switches the idle draw on), or v_max
+    (after which the buffer stays pinned and the surplus is clamp loss), so every
+    knot lies in [v_off, v_max]. Times are compared exactly, so the run is invariant
+    under power-of-two scaling of time, current and voltage. Every piece that moves
     the clock appends its start, current, power and latch to ``pieces``;
     :meth:`close` ends the record with the current state, and the record is the
     run's only ledger. ``time`` and ``outputs_enabled`` are plain attributes.
@@ -198,7 +198,7 @@ class _Engine:
         self.events: List[Tuple[float, str]] = []
 
     def usable_energy(self) -> float:
-        return max(0.0, 0.5 * self._c * (self._v * self._v) - self._cap.energy_floor)
+        return 0.5 * self._c * (self._v * self._v) - self._cap.energy_floor
 
     def log_event(self, label: str) -> None:
         self.events.append((self.time, label))
@@ -233,12 +233,10 @@ class _Engine:
             i = self._seg_currents[k]
             p = (self._idle_draw if self.outputs_enabled else 0.0) if draw is None else draw
             a = i * v - p
-            if a > 0 and v < cap.v_max:
+            if a > 0:  # pinned at the ceiling when v is v_max: latched off only below v_on
                 bound = cap.v_max if self.outputs_enabled else cap.v_on
-            elif a < 0:
-                bound = cap.v_off
-            else:  # no net flow, or pinned at the ceiling
-                bound = v
+            else:  # a net draw falls to v_off, and no net flow stays
+                bound = cap.v_off if a < 0 else v
             if bound == v:
                 v1, t1 = v, limit
             else:
@@ -260,10 +258,10 @@ class _Engine:
         """Move the state to the end of one piece and append its row to the record.
         A piece too short to move the clock only moves the state, which the next
         row's v0 carries, and a static dark piece (no current, no power) that
-        repeats the last row's v0 and latch only lengthens that row."""
+        repeats the last row's v0 only lengthens that row, whose latch it shares."""
         t0s, v0s, currents, powers, latched = self.pieces
         if t1 > t and not (i == p == 0.0 and v0s and v0s[-1] == v and currents[-1] == 0.0
-                           and powers[-1] == 0.0 and latched[-1] == self.outputs_enabled):
+                           and powers[-1] == 0.0):
             t0s.append(t)
             v0s.append(v)
             currents.append(i)

@@ -528,6 +528,7 @@ class TestLayerAttribution:
           "--variants", "proposed", "baseline"], 6),
         (["run"], 1),
         (["compare", "--variants", "baseline", "proposed", "policy-i"], 3),
+        (["compare", "--variants", "proposed", "proposed"], 1),
     ])
     def test_each_simulation_calls_cli_simulate(self, tmp_path, trace_file, monkeypatch,
                                                 argv, calls):
@@ -572,6 +573,26 @@ class TestCompare:
         assert float(rows["baseline"]["energy_delta_pct"]) == 0.0
         assert float(rows["proposed"]["energy_delta_pct"]) < 0
         assert int(rows["proposed"]["completed_delta"]) >= 0
+
+
+    def test_reference_that_consumes_nothing(self, tmp_path, trace_file):
+        # latched off at v_off with no harvest, no variant draws a joule: no energy
+        # delta exists against a 0 J reference, so the field is empty
+        out = tmp_path / "out"
+        assert main(["compare", "--trace", str(trace_file), "--initial-v", "3.6",
+                     "--harvest-ma", "0", "--horizon", "100", "--out", str(out)]) == 0
+        rows = _rows(out / "comparison.csv")
+        assert [r["energy_consumed_j"] for r in rows] == ["0.0", "0.0"]
+        assert [r["energy_delta_pct"] for r in rows] == ["", ""]
+
+    def test_variant_listed_twice(self, tmp_path, trace_file):
+        out = tmp_path / "out"
+        assert main(["compare", "--trace", str(trace_file), "--horizon", "60",
+                     "--variants", "proposed", "proposed", "--out", str(out)]) == 0
+        rows = _rows(out / "comparison.csv")
+        assert len(rows) == 2 and rows[0] == rows[1]
+        assert rows[1]["energy_delta_pct"] == "0.0"
+        assert [p.name for p in out.glob("totals_*.txt")] == ["totals_proposed.txt"]
 
 
 class TestEveryFlagIsRead:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -7,7 +8,7 @@ from test_boundary import config_trees
 from zedsim.config import DeviceConfig, config_hash, derive_escalation_stage, load_config
 from zedsim.energy import state_energy
 from zedsim.errors import ConfigError, ZedSimError
-from zedsim.scheduler import GATINGS, VARIANTS, Split, plan, requirement
+from zedsim.scheduler import GATINGS, VARIANTS, Split, plan, requirement, worst_case_time
 
 
 def admission_options(variant, gating="mosfet"):
@@ -157,6 +158,24 @@ class TestValidation:
         problems = DeviceConfig.from_dict({"schedule": schedule}).problems()
         assert (problems == []) == ok
         assert all("closer than one" in p for p in problems)
+
+    def test_deadline_plus_execution_exactly_the_window(self):
+        # a window equal to the very sum problems() computes is too short; one ulp more fits
+        d = DeviceConfig.default()
+        t_exe = max(worst_case_time(d, (plan(d, v, g)[0],)) for v in VARIANTS for g in GATINGS)
+        edge = d.schedule.deadline_seconds + t_exe
+        for window, ok in ((edge, False), (math.nextafter(edge, math.inf), True)):
+            problems = d._replace(schedule=d.schedule._replace(window_seconds=window)).problems()
+            assert (problems == []) == ok
+            assert all("deadline + execution time >= window" in p for p in problems)
+
+    def test_attempts_exactly_one_measurement_apart(self):
+        # n a power of two: the deadline n measurements long divides back exactly
+        measure = DeviceConfig.default().stage("measurement").duration_seconds
+        edge = measure * 512
+        for deadline, ok in ((edge, True), (math.nextafter(edge, 0.0), False)):
+            schedule = {"n_attempts": 512, "deadline_seconds": deadline}
+            assert (DeviceConfig.from_dict({"schedule": schedule}).problems() == []) == ok
 
     def test_deadline_checked_under_every_gating(self):
         # a slow load-switch capture overruns the window only under that

@@ -1,7 +1,10 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from euler_oracle import EnergyState, PmuMode, harvest_current_at, initial_state, mode_of, step
 from zedsim.energy import CapacitorSpec
@@ -77,7 +80,7 @@ class TestModeOf:
 
     def test_mode_values_match_mode_of(self):
         rng = random.Random(5)
-        edges = [0.0, SPEC.v_off, SPEC.v_on, SPEC.v_max, SPEC.v_max * (1 + 1e-13)]
+        edges = [0.0, SPEC.v_off, SPEC.v_on, SPEC.v_max]
         volts = edges + [rng.uniform(0, 4.5) for _ in range(500)]
         latched = [rng.random() < 0.5 for _ in volts]
         got = [mode_value(v, SPEC, latch) for v, latch in zip(volts, latched)]
@@ -85,7 +88,9 @@ class TestModeOf:
         # the shared enum strings, not one new string per row
         assert all(g is mode_of(v, SPEC, latch).value for g, v, latch in zip(got, volts, latched))
 
-    @pytest.mark.parametrize("v", [-0.1, 4.5 * (1 + 1e-9)])
+    # exactly [0, v_max]: the engine pins v at v_max, so one ulp above is outside
+    @pytest.mark.parametrize("v", [-0.1, -5e-324, 4.5 * (1 + 1e-13), math.nextafter(4.5, 5.0),
+                                   4.5 * (1 + 1e-9)])
     def test_mode_values_domain(self, v):
         with pytest.raises(DomainError):
             mode_value(v, SPEC, True)
@@ -220,3 +225,69 @@ class TestClosedForms:
         expected = (C / 2e-3) * (-0.4 + 25.0 * math.log((2e-3 * 3.6 - 0.05) / (2e-3 * 4.0 - 0.05)))
         assert expected == pytest.approx(53.78, abs=0.01)  # 2.28 J at about 42 mW net
         assert charge_time(4.0, 3.6, 2e-3, 0.05, C) == pytest.approx(expected, rel=1e-12)
+
+
+def exact_charge_time(v0, v1, current, power, capacitance):
+    """charge_time's formula evaluated in 60 digits from the exact binary inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        v0, v1, i, p, c = map(Decimal, (v0, v1, current, power, capacitance))
+        a, dv = i * v0 - p, v1 - v0
+        x = i * dv / a
+        if abs(x) < Decimal("1e-6"):  # 1 + x would lose x's digits: s's series to x**11
+            s = Decimal(0)
+            for k in reversed(range(12)):
+                s = s * x + Decimal((-1) ** (k + 1)) / (k + 2)
+        else:
+            s = ((1 + x).ln() - x) / (x * x)
+        return c * dv * (v0 + p * dv * s / a) / a
+
+
+@st.composite
+def flows(draw, max_share=1.0):
+    """(v0, v1, bound, current, power, C) for flows that move v0 through v1 toward
+    bound, three distinct voltages in [1, 4.5] V. The smaller flow is ``share`` <
+    ``max_share`` of the larger (the load P of the harvest i*v0 when v rises, else
+    the reverse), so the net flow a = i*v0 - P nears 0, v0 nears the equilibrium
+    P/i and the inversion runs long as share nears 1."""
+    lo, mid, hi = sorted(draw(st.lists(st.floats(1.0, 4.5), min_size=3, max_size=3,
+                                       unique=True)))
+    share = draw(st.floats(0.0, max_share, exclude_max=True))
+    c = draw(st.floats(1e-3, 2.0))
+    if draw(st.booleans()):
+        i = draw(st.floats(1e-4, 0.1))
+        return lo, mid, hi, i, share * i * lo, c
+    p = draw(st.floats(1e-3, 1.0))
+    return hi, mid, lo, share * p / hi, p, c
+
+
+class TestClosedFormAccuracy:
+    """The closed forms against the formula evaluated exactly, in ulps."""
+
+    # share < 1/2 keeps a = i*v0 - P, rounded once, within a few ulps of exact.
+    # Just above the series cut (x = 1e-2) log1p(x) - x cancels to about x**2/2,
+    # so an ulp of log1p costs up to 2/x ulps of s: 95 ulps of t were seen there
+    @given(flows(max_share=0.5))
+    @example((4.5, 1.0, 0.5, 0.0, 0.5, 1.0))  # no harvest: x = 0
+    @example((4.5, 4.4, 1.0, 1e-3, 0.5, 1.0))  # x = 2.0e-4, below the cut
+    @example((4.5, 2.0, 1.0, 0.01, 0.5, 1.0))  # x = 0.055, above it
+    def test_charge_time_is_within_160_ulps_of_exact(self, flow):
+        v0, v1, _, i, p, c = flow
+        exact = exact_charge_time(v0, v1, i, p, c)
+        error = abs(Decimal(charge_time(v0, v1, i, p, c)) - exact)
+        assert error <= 160 * Decimal(math.ulp(float(exact)))
+
+    @given(flows())
+    @example((4.5, 1.0, 0.999999999, 2e-4, 1e-3, 1.0))  # share 0.9: x = 7, 7 Newton steps
+    @example((2.00000001, 2.00000002, 2.00000003, 1e-3, 2e-3, 0.1))  # 1e-8 V above P/i
+    def test_voltage_after_inverts_charge_time(self, flow):
+        v0, v1, bound, i, p, c = flow
+        # beyond x = 32, v0 + P*dv*s/a cancels and the round trip drifts further:
+        # 5e7 ulps at x = 1.4e8, from a start 1e-8 V off P/i
+        assume(i * v0 != p and i * (v1 - v0) / (i * v0 - p) <= 32)
+        t = charge_time(v0, v1, i, p, c)
+        # the unit is an ulp of v1 plus the move of v in an ulp of t, as an error of
+        # charge_time moves the root by itself times dv/dt; the root lands where the
+        # errors at v1 and at the root cancel, so twice the first property's bound
+        scale = math.ulp(v1) + math.ulp(t) * abs(i * v1 - p) / (c * v1)
+        assert abs(voltage_after(v0, bound, i, p, c, t) - v1) <= 320 * scale

@@ -2,13 +2,15 @@
 traces: ledger closure, the totals' partition, no power failures under the
 variants that check energy before every stage, escalation exactly when the
 reading covers it, exact replay, agreement with the Euler oracle, runs that
-scale exactly with the units of time, current and voltage, and trajectory
-knots that agree with the closed form and reach the CSV whole and in time
-order."""
+scale exactly with the units of time, current and voltage, trajectory knots
+that agree with the closed form and reach the CSV whole and in time order, and
+the engine's bounds: knots in [v_off, v_max], readings >= 0, the latch off
+only below v_on and unchanged between static pieces at one voltage."""
 
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given
@@ -20,7 +22,7 @@ from zedsim.config import DeviceConfig
 from zedsim.pmu import HarvestProfile, charge_time
 from zedsim.policy import ExitTaken, InferenceInstance, Thresholds
 from zedsim.scheduler import GATINGS, VARIANTS, Check, Split, plan, requirement
-from zedsim.sim import SimConfig, energy_ledger_residual, simulate
+from zedsim.sim import SimConfig, _Engine, energy_ledger_residual, simulate
 
 DEVICE = DeviceConfig.default()
 V_OFF, V_MAX = DEVICE.capacitor.v_off, DEVICE.capacitor.v_max
@@ -261,6 +263,72 @@ def test_no_piece_repeats_a_static_dark_piece(scenario):
     pieces = list(zip(v0, current, power, latched))[:-1]
     for a, b in zip(pieces, pieces[1:]):
         assert not (a == b and a[1] == a[2] == 0.0), a
+
+
+def instrumented(scenario):
+    """The run, every usable energy the controller read in it, and every piece
+    that moved the clock as (v0, current, power, latch), before any merge."""
+    reads, pieces = [], []
+    usable_energy, piece = _Engine.usable_energy, _Engine._piece
+
+    def read(engine):
+        reads.append(usable_energy(engine))
+        return reads[-1]
+
+    def record(engine, t, t1, v, v1, i, p):
+        if t1 > t:
+            pieces.append((v, i, p, engine.outputs_enabled))
+        piece(engine, t, t1, v, v1, i, p)
+
+    with mock.patch.object(_Engine, "usable_energy", read), \
+            mock.patch.object(_Engine, "_piece", record):
+        return simulate(*scenario), reads, pieces
+
+
+# the engine's bounds, each an invariant that lets it drop a guard: pinned at v_max
+# with harvest to spare, and idle-drawn from v_on down to v_off, where it latches off
+BOUNDS = (
+    (SimConfig(DEVICE, 4.5, 30.0), HarvestProfile.constant(1e-3), DARK_TRACE),
+    (SimConfig(DEVICE._replace(idle_current_amps=2e-3).with_capacitance(0.05), 3.92, 60.0),
+     HarvestProfile.constant(0.0), DARK_TRACE),
+)
+
+
+@given(st.one_of(scenarios(), near_admission()))
+@example(BOUNDS[0])
+@example(BOUNDS[1])
+def test_every_knot_lies_in_v_off_to_v_max(scenario):
+    cap = scenario[0].device.capacitor
+    _, v0, _, _, _ = simulate(*scenario).trajectory.columns
+    assert all(cap.v_off <= v <= cap.v_max for v in v0)
+
+
+@given(st.one_of(scenarios(), near_admission()))
+@example(BOUNDS[1])
+def test_usable_energy_is_never_negative(scenario):
+    # read only after a measurement that left v above v_off
+    _, reads, _ = instrumented(scenario)
+    assert all(usable >= 0.0 for usable in reads)
+
+
+@given(st.one_of(scenarios(), near_admission()))
+@example(BOUNDS[1])
+def test_no_knot_is_latched_off_at_or_above_v_on(scenario):
+    v_on = scenario[0].device.capacitor.v_on
+    _, v0, _, _, latched = simulate(*scenario).trajectory.columns
+    assert all(on or v < v_on for v, on in zip(v0, latched))
+
+
+@given(st.one_of(scenarios(), near_admission()))
+@example((SimConfig(DEVICE, 3.7, 30.0), HarvestProfile.constant(0.0), DARK_TRACE))
+@example(BOUNDS[1])
+def test_static_pieces_at_equal_v_share_their_latch(scenario):
+    # the latch changes only where a flow takes v to a threshold, so the record
+    # may lengthen a static dark row with the next static piece at its voltage
+    _, _, pieces = instrumented(scenario)
+    for (v, i, p, on), (w, j, q, on_next) in zip(pieces, pieces[1:]):
+        if i == p == j == q == 0.0 and v == w:
+            assert on == on_next, (v, on)
 
 
 def scaled(cfg, harvest, f, g, k):
