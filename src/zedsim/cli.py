@@ -144,16 +144,12 @@ def totals_text(result: SimResult, digest: str) -> str:
 
 
 def write_rows_csv(rows: Sequence[dict], header: Sequence[str], path, digest: str) -> None:
-    """The ``header`` columns of dict rows: floats as repr, None as an empty field."""
+    """The ``header`` columns of dict rows; csv.writer renders a float as its repr, None empty."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_sha256={digest}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                ["" if row[k] is None else (repr(row[k]) if isinstance(row[k], float) else row[k])
-                 for k in header]
-            )
+        writer.writerows([row[k] for k in header] for row in rows)
 
 
 def _cmd_run(args) -> int:
@@ -161,7 +157,7 @@ def _cmd_run(args) -> int:
     trace = load_trace(args.trace)
     result = simulate(cfg, _harvest(args), trace)
     out = _out_dir(args)
-    digest = _write_resolved(result.config, out)
+    digest = _write_resolved(cfg.to_dict(), out)
     write_trajectory_csv(result, out / "trajectory.csv", digest)
     totals = totals_text(result, digest)
     (out / "totals.txt").write_text(totals)
@@ -202,7 +198,8 @@ def _cmd_compare(args) -> int:
     digest = _write_resolved(cfg.to_dict(), out)
     write_rows_csv(rows, COMPARISON_HEADER, out / "comparison.csv", digest)
     for variant, result in results.items():
-        (out / f"totals_{variant}.txt").write_text(totals_text(result, config_hash(result.config)))
+        variant_digest = config_hash(cfg._replace(policy_variant=variant).to_dict())
+        (out / f"totals_{variant}.txt").write_text(totals_text(result, variant_digest))
     for row in rows:
         print(
             f"{row['variant']}: energy={row['energy_consumed_j']:.6f} J "

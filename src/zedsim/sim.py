@@ -1,5 +1,6 @@
 """Event-driven simulation engine tying supply, scheduler and policy together.
-It only simulates and writes no file: :mod:`zedsim.cli` formats every artifact.
+It only simulates and writes no file: :mod:`zedsim.cli` formats every artifact
+and serializes the resolved config.
 
 The engine integrates the capacitor exactly: between events the harvest
 current and the load power are constant, so each piece has a closed form
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import mul, neg, sub
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -98,7 +99,6 @@ class SimTotals(NamedTuple):
 
 
 class SimResult(NamedTuple):
-    config: dict
     events: List[Tuple[float, str]]
     windows: List[WindowOutcome]
     totals: SimTotals
@@ -137,14 +137,14 @@ class Trajectory:
         pinned at v_max; a piece without harvest consumes E(v0) - E(v1)."""
         t0, v0, current, power, _ = self.columns
         cap = self.capacitor
-        e0 = [0.5 * cap.capacitance_farads * (v * v) for v in v0]  # as the engine computes E
+        e0 = array("d", (0.5 * cap.capacitance_farads * (v * v) for v in v0))  # as the engine does
         e1 = e0[1:]  # each piece ends where the next row starts
-        dt = list(map(sub, t0[1:], t0))
-        work = list(map(mul, power, dt))
-        lit = list(map(bool, current[:-1]))
-        dark = [not x for x in lit]
-        clamp = [(i * v - p) * d for v, i, p, d in zip(v0, current, power, dt)
-                 if v >= cap.v_max and i * v > p]
+        dt = array("d", map(sub, islice(t0, 1, None), t0))
+        work = array("d", map(mul, power, dt))
+        lit = bytes(map(bool, islice(current, len(dt))))
+        dark = bytes(not x for x in lit)
+        clamp = array("d", ((i * v - p) * d for v, i, p, d in zip(v0, current, power, dt)
+                            if v >= cap.v_max and i * v > p))
         return (_fsum(compress(work, lit), compress(e0, dark), map(neg, compress(e1, dark))),
                 _fsum(compress(e1, lit), map(neg, compress(e0, lit)), compress(work, lit), clamp),
                 _fsum(clamp), e0[0], e0[-1])
@@ -181,8 +181,8 @@ class _Engine:
         self._eta = device.converter_efficiency
         rail = device.stage("measurement").supply_volts
         self._idle_draw = rail * device.idle_current_amps / self._eta
-        # per stage: duration and the draw on the buffer, converter losses included
-        self._stages = {name: (prof.duration_seconds, prof.power_watts / self._eta)
+        # per stage: event label, duration and the draw on the buffer, converter losses included
+        self._stages = {name: ("stage:" + name, prof.duration_seconds, prof.power_watts / self._eta)
                         for name, prof in device.stages.items()}
 
         self.time = 0.0
@@ -208,10 +208,10 @@ class _Engine:
 
     def run_stage(self, name: str) -> bool:
         """Run one pipeline stage; False if the supply latched off during it."""
-        duration, draw = self._stages[name]
+        label, duration, draw = self._stages[name]
         if draw > 0 and not self.outputs_enabled:
             raise SimulationFault(f"stage {name!r} requested at t={self.time} with outputs disabled")
-        self.log_event("stage:" + name)
+        self.log_event(label)
         return not self._advance(self.time + duration, draw)
 
     def _advance(self, end: float, draw: Optional[float]) -> bool:
@@ -306,7 +306,7 @@ def simulate(
 
     trajectory = engine.close()
     totals = _aggregate(windows, trajectory, n_windows)
-    result = SimResult(cfg.to_dict(), engine.events, windows, totals, trajectory)
+    result = SimResult(engine.events, windows, totals, trajectory)
     energies = {k: v for k, v in totals._asdict().items() if k.endswith("_j")}
     energies["ledger_residual_j"] = energy_ledger_residual(result)
     overflowed = [f"{k}={v!r}" for k, v in energies.items() if not math.isfinite(v)]

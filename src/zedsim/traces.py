@@ -128,8 +128,7 @@ def save_harvest(profile: HarvestProfile, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HARVEST_HEADER)
-        for t, i in zip(profile.times, profile.currents):
-            writer.writerow([repr(t), repr(i * 1e3)])
+        writer.writerows((t, i * 1e3) for t, i in zip(profile.times, profile.currents))
 
 
 @checked

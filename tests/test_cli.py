@@ -676,3 +676,15 @@ class TestStartup:
         assert done.returncode == 0, done.stderr
         loaded = [line for line in done.stdout.splitlines() if line.startswith("loaded")]
         assert loaded == ["loaded []"] * 5
+
+    def test_importing_a_module_loads_only_its_dependencies(self):
+        # the package itself imports nothing, so the trace module pulls in no
+        # config, scheduler or engine
+        code = ("import sys, zedsim.traces\n"
+                "print(*(m for m in sys.modules if m.split('.')[0] == 'zedsim'))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(zedsim.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert sorted(done.stdout.split()) == ["zedsim", "zedsim.energy", "zedsim.errors",
+                                               "zedsim.pmu", "zedsim.policy", "zedsim.traces"]
