@@ -280,7 +280,7 @@ def _cmd_validate(args) -> int:
     # against the usable energy the engine reads at v_max (energies are divided
     # by the converter efficiency, which problems() requires positive)
     cap = device.capacitor
-    usable = 0.5 * cap.capacitance_farads * (cap.v_max * cap.v_max) - cap.energy_floor
+    usable = cap.usable(cap.v_max)
     for variant in VARIANTS if device.converter_efficiency > 0 else ():
         for gating in GATINGS:
             admission, _ = plan(device, variant, gating)

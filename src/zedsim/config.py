@@ -112,7 +112,7 @@ class DeviceConfig(NamedTuple):
             # a band below one measurement, an idle draw above it, or one that empties the
             # band in under _MIN_LATCH_SECONDS makes the supply chatter
             cap, measurement = self.capacitor, self.stage("measurement")
-            band = 0.5 * cap.capacitance_farads * (cap.v_on * cap.v_on - cap.v_off * cap.v_off)
+            band = cap.usable(cap.v_on)
             e_measure = self.stage_energy("measurement")
             if band < e_measure:
                 out.append(f"capacitor: the v_off..v_on band holds {band:.4g} J, "

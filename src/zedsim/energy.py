@@ -4,7 +4,9 @@ All quantities are SI (joules, volts, farads, amps, seconds). The storage
 element is an ideal capacitor, E = C*v^2/2. Only the share stored above the
 supply cutoff voltage ``v_off`` counts as usable: the power management unit
 shuts the outputs down at that floor, so energy below it can never reach the
-load.
+load. :meth:`CapacitorSpec.energy` and :meth:`CapacitorSpec.usable` are the
+one home of stored energy: the engine's readings, the ledger, the supply
+band and ``validate``'s reachability test all call them.
 """
 
 from __future__ import annotations
@@ -34,14 +36,17 @@ class CapacitorSpec(NamedTuple):
                 "thresholds must satisfy 0 < v_off < v_on < v_max, got "
                 f"v_off={self.v_off}, v_on={self.v_on}, v_max={self.v_max}"
             )
-        if not math.isfinite(0.5 * self.capacitance_farads * (self.v_max * self.v_max)):
+        if not math.isfinite(self.energy(self.v_max)):
             raise DomainError("energy C*v_max^2/2 must be finite, got "
                               f"C={self.capacitance_farads}, v_max={self.v_max}")
 
-    @property
-    def energy_floor(self) -> float:
-        """Energy stored at v_off; reserved, never available to the load."""
-        return 0.5 * self.capacitance_farads * (self.v_off * self.v_off)
+    def energy(self, v: float) -> float:
+        """Energy stored at ``v``, C*v^2/2, the square a product."""
+        return 0.5 * self.capacitance_farads * (v * v)
+
+    def usable(self, v: float) -> float:
+        """Energy stored at ``v`` above the v_off floor, which the load never reaches."""
+        return self.energy(v) - self.energy(self.v_off)
 
 
 @checked

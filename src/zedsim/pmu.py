@@ -110,7 +110,10 @@ def voltage_after(
 
     Inverts :func:`charge_time` by Newton's method clipped to [v0, bound].
     The time is concave in the voltage, so after at most one step the
-    iterates approach the root from one side.
+    iterates approach the root from one side. Just off the unstable
+    equilibrium P/i, charge_time is noisy in v and the iterates may never
+    settle: after ``_NEWTON_ITERATIONS`` steps the last iterate, clipped to
+    [v0, bound], is returned.
     """
     lo, hi = (v0, bound) if v0 <= bound else (bound, v0)
     sq = v0 * v0 + 2.0 * (current * v0 - power) * dt / capacitance

@@ -1,9 +1,10 @@
 """Exit-selection rules for the two-exit detector and trace-level statistics.
 
-A score in the open ambiguity band (gamma1, gamma2) means the shallow head is
-not trusted and escalation to the deep head is requested; whether it actually
-happens depends on the energy check at that moment. Ties at 0.5 resolve to
-"person" everywhere.
+A call is ``PERSON`` or ``NO_PERSON``. The shallow head calls outside the open
+ambiguity band (gamma1, gamma2); inside it :func:`evaluate_ex1` returns None,
+which means escalate to the deep head, and whether that actually happens
+depends on the energy check at that moment. Every other call is
+:func:`balanced_call`, so ties at 0.5 resolve to "person" everywhere.
 """
 
 from __future__ import annotations
@@ -18,12 +19,6 @@ from .errors import DomainError, checked
 
 PERSON = 1
 NO_PERSON = 0
-
-
-class Region(Enum):
-    PERSON = "person"
-    NO_PERSON = "no_person"
-    AMBIGUOUS = "ambiguous"
 
 
 class ExitTaken(Enum):
@@ -116,21 +111,19 @@ class ExitDecision(NamedTuple):
             raise DomainError(f"prediction must be {PERSON} or {NO_PERSON}, got {self.prediction!r}")
 
 
-def evaluate_ex1(o1: float, th: Thresholds) -> Region:
-    """Shallow-head verdict: decide outside the open band, escalate inside."""
+def evaluate_ex1(o1: float, th: Thresholds) -> Optional[int]:
+    """Shallow-head call outside the open band; None, escalate, inside it."""
     if o1 >= th.gamma2:
-        return Region.PERSON
+        return PERSON
     if o1 <= th.gamma1:
-        return Region.NO_PERSON
-    return Region.AMBIGUOUS
+        return NO_PERSON
+    return None
 
-def fallback_label(o1: float) -> int:
-    """Balanced-threshold call on the shallow score when escalation is denied."""
-    return PERSON if o1 >= 0.5 else NO_PERSON
 
-def evaluate_ex2(o2: float) -> int:
-    """Balanced-threshold call on the deep score."""
-    return PERSON if o2 >= 0.5 else NO_PERSON
+def balanced_call(score: float) -> int:
+    """Balanced-threshold call on either head's score: the deep exit's, and the
+    shallow one's when escalation is denied."""
+    return PERSON if score >= 0.5 else NO_PERSON
 
 
 class SweepCell(NamedTuple):
@@ -166,7 +159,8 @@ def sweep_thresholds(
     These are the tie rules of :func:`evaluate_ex1`: a score equal to gamma2
     is PERSON, one equal to gamma1 (and below gamma2) is NO_PERSON, so with
     gamma1 = gamma2 = 0.5 a score of 0.5 is PERSON. The cost is O(n log n)
-    for the sort plus O(log n) per cell.
+    for the sort plus O(log n) per cell. The deep exit's counts inline
+    :func:`balanced_call` as ``>= 0.5``.
     """
     trace = Trace.of(trace)
     n = len(trace)

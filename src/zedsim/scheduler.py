@@ -17,7 +17,7 @@ Each variant is described once, by :func:`plan`, as a tuple of steps:
   next instant). An unenforced check takes its first option, but still
   measures;
 - ``Split(ambiguous)``: outside the open band (gamma1, gamma2) exit at the
-  shallow head with the region's call, inside it run ``ambiguous``;
+  shallow head with its call, inside it run ``ambiguous``;
 - ``Exit(taken)``: light the result LED for the exit's call and stop.
 
 The requirement of a step sequence is the worst-case buffer energy from
@@ -44,10 +44,8 @@ from .policy import (
     ExitDecision,
     ExitTaken,
     InferenceInstance,
-    Region,
+    balanced_call,
     evaluate_ex1,
-    evaluate_ex2,
-    fallback_label,
 )
 
 VARIANT_PROPOSED = "proposed"
@@ -60,7 +58,7 @@ GATING_MOSFET = "mosfet"
 GATING_LOAD_SWITCH = "load_switch"
 GATINGS = (GATING_MOSFET, GATING_LOAD_SWITCH)
 
-_RESULT_LEDS = ("led_blue", "led_red")
+_RESULT_LEDS = {PERSON: "led_blue", NO_PERSON: "led_red"}
 
 
 @checked
@@ -139,7 +137,7 @@ def _walk(steps: tuple, total: float, cost: Callable[[str], float], pick) -> flo
         if isinstance(step, Split):
             return max(_walk((Exit(ExitTaken.EX1),), total, cost, pick),
                        _walk(step.ambiguous, total, cost, pick))
-        total += max(cost(led) for led in _RESULT_LEDS) if isinstance(step, Exit) else cost(step)
+        total += max(map(cost, _RESULT_LEDS.values())) if isinstance(step, Exit) else cost(step)
     return total
 
 
@@ -261,18 +259,15 @@ def _execute(clock, device, instance, steps):
             usable = clock.usable_energy()
             steps, k = _choose(step, usable), 0
         elif isinstance(step, Split):
-            region = evaluate_ex1(instance.o1, device.thresholds)
-            if region is not Region.AMBIGUOUS:
-                pred = PERSON if region is Region.PERSON else NO_PERSON
-                decision = ExitDecision(ExitTaken.EX1, pred)
+            call = evaluate_ex1(instance.o1, device.thresholds)
+            if call is not None:
+                decision = ExitDecision(ExitTaken.EX1, call)
                 break
             steps, k = step.ambiguous, 0
         elif isinstance(step, Exit):
-            pred = (evaluate_ex2(instance.o2) if step.taken is ExitTaken.EX2
-                    else fallback_label(instance.o1))
-            decision = ExitDecision(step.taken, pred)
+            score = instance.o2 if step.taken is ExitTaken.EX2 else instance.o1
+            decision = ExitDecision(step.taken, balanced_call(score))
             break
         elif not clock.run_stage(step):
             return None, usable
-    led = "led_blue" if decision.prediction == PERSON else "led_red"
-    return (decision if clock.run_stage(led) else None), usable
+    return (decision if clock.run_stage(_RESULT_LEDS[decision.prediction]) else None), usable

@@ -137,7 +137,7 @@ class Trajectory:
         pinned at v_max; a piece without harvest consumes E(v0) - E(v1)."""
         t0, v0, current, power, _ = self.columns
         cap = self.capacitor
-        e0 = array("d", (0.5 * cap.capacitance_farads * (v * v) for v in v0))  # as the engine does
+        e0 = array("d", map(cap.energy, v0))
         e1 = e0[1:]  # each piece ends where the next row starts
         dt = array("d", map(sub, islice(t0, 1, None), t0))
         work = array("d", map(mul, power, dt))
@@ -198,7 +198,7 @@ class _Engine:
         self.events: List[Tuple[float, str]] = []
 
     def usable_energy(self) -> float:
-        return 0.5 * self._c * (self._v * self._v) - self._cap.energy_floor
+        return self._cap.usable(self._v)
 
     def log_event(self, label: str) -> None:
         self.events.append((self.time, label))

@@ -29,7 +29,7 @@ from typing import Iterable, List, NamedTuple, Union
 
 from .errors import DomainError, FitError, TraceError, checked
 from .pmu import HarvestProfile
-from .policy import InferenceInstance, Trace, check_instance
+from .policy import InferenceInstance, Trace, balanced_call, check_instance
 
 TRACE_HEADER = ["id", "o1", "o2", "label"]
 HARVEST_HEADER = ["t_start_s", "i_h_ma"]
@@ -229,7 +229,7 @@ def trace_statistics(trace: Union[Trace, Iterable[InferenceInstance]]) -> TraceS
     n = len(t)
     if not n:
         raise DomainError("trace must be non-empty")
-    ok1 = sum((s >= 0.5) == bool(label) for s, label in zip(t.o1, t.labels))
-    ok2 = sum((s >= 0.5) == bool(label) for s, label in zip(t.o2, t.labels))
+    ok1 = sum(balanced_call(s) == label for s, label in zip(t.o1, t.labels))
+    ok2 = sum(balanced_call(s) == label for s, label in zip(t.o2, t.labels))
     persons = sum(t.labels)
     return TraceStats(ok1 / n, ok2 / n, persons / n, n)

@@ -15,10 +15,9 @@ from zedsim.energy import state_energy
 from zedsim.pmu import HarvestProfile
 from zedsim.policy import (
     InferenceInstance,
-    Region,
     Thresholds,
+    balanced_call,
     evaluate_ex1,
-    evaluate_ex2,
     sweep_thresholds,
 )
 from zedsim.sim import SimConfig, energy_ledger_residual, simulate
@@ -103,14 +102,12 @@ def _expected_energy_per_policy(device, trace, n_windows):
     proposed = baseline = 0.0
     for inst in trace[:n_windows]:
         e = meas + device.stage_energy("capture_preprocess") + device.stage_energy("inference_ex1")
-        region = evaluate_ex1(inst.o1, th)
-        if region is Region.AMBIGUOUS:
+        pred = evaluate_ex1(inst.o1, th)
+        if pred is None:
             e += meas + device.stage_energy("inference_ex1_to_ex2") + device.stage_energy("led_green")
-            pred = evaluate_ex2(inst.o2)
-        else:
-            pred = 1 if region is Region.PERSON else 0
+            pred = balanced_call(inst.o2)
         proposed += e + led[pred]
-        pred_b = evaluate_ex2(inst.o2)
+        pred_b = balanced_call(inst.o2)
         baseline += (
             meas
             + device.stage_energy("capture_preprocess_load_switch")
@@ -248,9 +245,8 @@ def test_criterion_8_threshold_degeneracy_and_monotonicity(calibrated_trace):
     (degenerate,) = sweep_thresholds(calibrated_trace, [Thresholds(0.5, 0.5)])
     degeneracy = degenerate.n_ex2 == 0
     for inst in calibrated_trace:
-        region = evaluate_ex1(inst.o1, Thresholds(0.5, 0.5))
         single = 1 if inst.o1 >= 0.5 else 0
-        degeneracy &= (1 if region is Region.PERSON else 0) == single
+        degeneracy &= evaluate_ex1(inst.o1, Thresholds(0.5, 0.5)) == single
 
     widths = (0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
     cells = sweep_thresholds(

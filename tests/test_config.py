@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from test_boundary import config_trees
 
-from zedsim.config import DeviceConfig, config_hash, derive_escalation_stage, load_config
+from zedsim.config import (
+    STAGE_NAMES,
+    DeviceConfig,
+    config_hash,
+    derive_escalation_stage,
+    load_config,
+)
 from zedsim.energy import state_energy
 from zedsim.errors import ConfigError, ZedSimError
 from zedsim.scheduler import GATINGS, VARIANTS, Split, plan, requirement, worst_case_time
@@ -158,6 +164,12 @@ class TestValidation:
         problems = DeviceConfig.from_dict({"schedule": schedule}).problems()
         assert (problems == []) == ok
         assert all("closer than one" in p for p in problems)
+
+    @pytest.mark.parametrize("name", STAGE_NAMES)
+    def test_missing_stage_is_the_one_problem(self, name):
+        d = DeviceConfig.default()
+        d = d._replace(stages={k: v for k, v in d.stages.items() if k != name})
+        assert d.problems() == [f"stages.{name}: missing stage profile"]
 
     def test_deadline_plus_execution_exactly_the_window(self):
         # a window equal to the very sum problems() computes is too short; one ulp more fits

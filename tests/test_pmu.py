@@ -7,6 +7,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from euler_oracle import EnergyState, PmuMode, harvest_current_at, initial_state, mode_of, step
+from zedsim import pmu
 from zedsim.energy import CapacitorSpec
 from zedsim.errors import DomainError, SimulationFault
 from zedsim.pmu import HarvestProfile, charge_time, mode_value, voltage_after
@@ -291,3 +292,18 @@ class TestClosedFormAccuracy:
         # errors at v1 and at the root cancel, so twice the first property's bound
         scale = math.ulp(v1) + math.ulp(t) * abs(i * v1 - p) / (c * v1)
         assert abs(voltage_after(v0, bound, i, p, c, t) - v1) <= 320 * scale
+
+    def test_voltage_after_at_its_iteration_cap_returns_the_clipped_last_iterate(
+            self, monkeypatch):
+        # v0 1e-8 V above the equilibrium P/i: charge_time is noisy in v there, so
+        # the Newton iterates never settle and the cap ends the search
+        v0, v1, i, p, c = (1.06584556269497, 2.591009898276178, 0.06019181488959691,
+                           0.0641551781521169, 0.28321435526920485)
+        dt = charge_time(v0, v1, i, p, c)
+        calls = []
+        monkeypatch.setattr(pmu, "charge_time", lambda *a: calls.append(a) or charge_time(*a))
+        v = voltage_after(v0, 4.5, i, p, c, dt)
+        assert len(calls) == pmu._NEWTON_ITERATIONS
+        assert v0 <= v <= 4.5
+        # 2.6e-9 of dt off is measured: 1e-8 leaves room for a libm an ulp apart
+        assert charge_time(v0, v, i, p, c) == pytest.approx(dt, rel=1e-8)

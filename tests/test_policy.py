@@ -13,12 +13,10 @@ from zedsim.policy import (
     ExitDecision,
     ExitTaken,
     InferenceInstance,
-    Region,
     SweepCell,
     Thresholds,
+    balanced_call,
     evaluate_ex1,
-    evaluate_ex2,
-    fallback_label,
     sweep_thresholds,
 )
 from zedsim.scheduler import plan, run_window
@@ -63,37 +61,37 @@ def decide(variant, inst, readings, device=DEVICE):
 
 class TestEvaluateEx1:
     def test_confident_person(self):
-        assert evaluate_ex1(0.95, Thresholds(0.3, 0.7)) is Region.PERSON
+        assert evaluate_ex1(0.95, Thresholds(0.3, 0.7)) == PERSON
 
     def test_boundary_no_person(self):
-        assert evaluate_ex1(0.3, Thresholds(0.3, 0.7)) is Region.NO_PERSON
+        assert evaluate_ex1(0.3, Thresholds(0.3, 0.7)) == NO_PERSON
 
     def test_degenerate_band_person_wins(self):
-        assert evaluate_ex1(0.5, Thresholds(0.5, 0.5)) is Region.PERSON
+        assert evaluate_ex1(0.5, Thresholds(0.5, 0.5)) == PERSON
 
     def test_ambiguous_open_interval(self):
         th = Thresholds(0.3, 0.7)
-        assert evaluate_ex1(0.31, th) is Region.AMBIGUOUS
-        assert evaluate_ex1(0.69, th) is Region.AMBIGUOUS
-        assert evaluate_ex1(0.7, th) is Region.PERSON
+        assert evaluate_ex1(0.31, th) is None
+        assert evaluate_ex1(0.69, th) is None
+        assert evaluate_ex1(0.7, th) == PERSON
 
 
 class TestFallbackAndEx2:
     def test_fallback_tie_is_person(self):
-        assert fallback_label(0.5) == PERSON
+        assert balanced_call(0.5) == PERSON
 
     def test_fallback_below(self):
-        assert fallback_label(0.49) == NO_PERSON
+        assert balanced_call(0.49) == NO_PERSON
 
     def test_fallback_upper_band(self):
-        assert fallback_label(0.69) == PERSON
+        assert balanced_call(0.69) == PERSON
 
     def test_ex2_tie_is_person(self):
-        assert evaluate_ex2(0.5) == PERSON
+        assert balanced_call(0.5) == PERSON
 
     def test_ex2_extremes(self):
-        assert evaluate_ex2(0.0) == NO_PERSON
-        assert evaluate_ex2(1.0) == PERSON
+        assert balanced_call(0.0) == NO_PERSON
+        assert balanced_call(1.0) == PERSON
 
 
 class TestPolicyISelect:
@@ -280,19 +278,18 @@ class TestSweep:
 
 
 def _sweep_oracle(trace, grid):
-    """Reference sweep: every instance through evaluate_ex1/evaluate_ex2, per cell."""
+    """Reference sweep: every instance through evaluate_ex1/balanced_call, per cell."""
     cells = []
     for th in grid:
         n_ex1 = n_ex2 = ok_ex1 = ok_ex2 = 0
         for inst in trace:
-            region = evaluate_ex1(inst.o1, th)
-            if region is Region.AMBIGUOUS:
+            call = evaluate_ex1(inst.o1, th)
+            if call is None:
                 n_ex2 += 1
-                ok_ex2 += evaluate_ex2(inst.o2) == inst.label
+                ok_ex2 += balanced_call(inst.o2) == inst.label
             else:
                 n_ex1 += 1
-                pred = PERSON if region is Region.PERSON else NO_PERSON
-                ok_ex1 += pred == inst.label
+                ok_ex1 += call == inst.label
         cells.append(
             SweepCell(
                 th.gamma1,

@@ -18,17 +18,28 @@ CHECKED = [
     (CapacitorSpec(1.5, 3.6, 3.92, 4.5), {"capacitance_farads": 0.0}, DomainError),
     (StageProfile("capture", 15e-3, 1.4), {"duration_seconds": -1.0}, DomainError),
     (HarvestProfile((0.0, 5.0), (1e-3, 2e-3)), {"currents": (1e-3, -1.0)}, DomainError),
+    (HarvestProfile((0.0, 5.0), (1e-3, 2e-3)), {"times": (0.0,)}, DomainError),
     (InferenceInstance(7, 0.2, 0.8, 1), {"o1": 1.5}, DomainError),
     (Thresholds(0.3, 0.7), {"gamma1": 0.6}, DomainError),
     (ExitDecision(ExitTaken.EX1, 1), {"prediction": 2}, DomainError),
     (ScheduleConfig(10.0, 4.0, 20), {"n_attempts": 0}, DomainError),
     (SimConfig(DeviceConfig.default(), 4.5, 100.0), {"initial_v": 4.6}, ConfigError),
+    (SimConfig(DeviceConfig.default(), 4.5, 100.0), {"policy_variant": "greedy"}, ConfigError),
+    (SimConfig(DeviceConfig.default(), 4.5, 100.0), {"gating_variant": "relay"}, ConfigError),
     (GeneratorSpec(100, 0.7, 0.8, 0.5, 0), {"seed": -1}, FitError),
 ]
 
 
-@pytest.mark.parametrize("record, bad, error", CHECKED,
-                         ids=[type(record).__name__ for record, _, _ in CHECKED])
+def _ids(cases):
+    """Each case's record type, then the broken field for a type's later cases."""
+    ids = []
+    for record, bad, _ in cases:
+        name = type(record).__name__
+        ids.append(f"{name}-{'-'.join(bad)}" if name in ids else name)
+    return ids
+
+
+@pytest.mark.parametrize("record, bad, error", CHECKED, ids=_ids(CHECKED))
 def test_every_construction_path_is_checked(record, bad, error):
     cls = type(record)
     assert record._replace() == record and cls._make(record) == record

@@ -8,19 +8,15 @@ from euler_oracle import initial_state, step, usable_energy
 from zedsim.cli import write_trajectory_csv
 from zedsim.config import DeviceConfig
 from zedsim.energy import CapacitorSpec
-from zedsim.errors import ConfigError, DomainError
+from zedsim.errors import ConfigError, DomainError, SimulationFault
 from zedsim.pmu import HarvestProfile, charge_time
 from zedsim.policy import (
-    NO_PERSON,
-    PERSON,
     ExitDecision,
     ExitTaken,
     InferenceInstance,
-    Region,
     Thresholds,
+    balanced_call,
     evaluate_ex1,
-    evaluate_ex2,
-    fallback_label,
 )
 from zedsim.sim import SimConfig, _Engine, _fsum, energy_ledger_residual, simulate
 from zedsim.traces import GeneratorSpec, generate_trace
@@ -47,13 +43,13 @@ def decide_proposed(inst, device, readings):
     admit = stage_sum(device, "capture_preprocess", "inference_ex1", "led_red", "measurement")
     if next(readings) < admit + guard:
         return None
-    region = evaluate_ex1(inst.o1, device.thresholds)
-    if region is not Region.AMBIGUOUS:
-        return ExitDecision(ExitTaken.EX1, PERSON if region is Region.PERSON else NO_PERSON)
+    call = evaluate_ex1(inst.o1, device.thresholds)
+    if call is not None:
+        return ExitDecision(ExitTaken.EX1, call)
     escalate = stage_sum(device, "inference_ex1_to_ex2", "led_green", "led_red")
     if next(readings) >= escalate + guard:
-        return ExitDecision(ExitTaken.EX2, evaluate_ex2(inst.o2))
-    return ExitDecision(ExitTaken.EX1_FALLBACK, fallback_label(inst.o1))
+        return ExitDecision(ExitTaken.EX2, balanced_call(inst.o2))
+    return ExitDecision(ExitTaken.EX1_FALLBACK, balanced_call(inst.o1))
 
 
 def tight_budget_device():
@@ -208,7 +204,7 @@ class TestSimulate:
                 d = decide_proposed(inst, device, readings)
                 assert d == w.decision
                 # an escalation was requested, and read, exactly for an ambiguous score
-                ambiguous = evaluate_ex1(inst.o1, device.thresholds) is Region.AMBIGUOUS
+                ambiguous = evaluate_ex1(inst.o1, device.thresholds) is None
                 assert (w.escalation_usable is not None) == ambiguous
                 kinds.add(d.exit_taken)
             return kinds
@@ -409,6 +405,13 @@ def low_v_on_device(capacitance):
 
 
 class TestEventEngine:
+    def test_stage_requested_with_outputs_off_is_a_fault(self):
+        # 3.7 V is below v_on = 3.92 V: the engine starts latched off
+        engine = _Engine(DEVICE, HarvestProfile.constant(1e-3), 3.7)
+        assert not engine.outputs_enabled
+        with pytest.raises(SimulationFault, match="with outputs disabled"):
+            engine.run_stage("measurement")
+
     def test_stage_fails_at_v_off_crossing_instant(self):
         device = low_v_on_device(0.05)
         engine = _Engine(device, HarvestProfile.constant(1e-3), 3.7)
