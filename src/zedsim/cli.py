@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .config import DeviceConfig, config_hash, load_config
-from .errors import ZedSimError
+from .errors import ConfigError, ZedSimError
 from .pmu import HarvestProfile
 from .policy import SWEEP_HEADER, Thresholds, sweep_thresholds
 from .scheduler import GATINGS, VARIANTS, plan
@@ -213,8 +213,7 @@ def _cmd_sweep_thresholds(args) -> int:
     device = _device(args)
     trace = load_trace(args.trace)
     if not args.gamma1 or not args.gamma2:
-        print("error: empty threshold grid", file=sys.stderr)
-        return 2
+        raise ConfigError("empty threshold grid")
     grid = [Thresholds(a, b) for a in args.gamma1 for b in args.gamma2]  # row-major: gamma1 outer
     cells = sweep_thresholds(trace, grid)
     out = _out_dir(args)
@@ -235,11 +234,9 @@ def _cmd_sweep_capacitance(args) -> int:
     trace = load_trace(args.trace)
     harvest = _harvest(args)
     if not args.capacitance:
-        print("error: empty capacitance grid", file=sys.stderr)
-        return 2
+        raise ConfigError("empty capacitance grid")
     if args.jobs < 0:
-        print(f"error: --jobs must be >= 0, got {args.jobs}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--jobs must be >= 0, got {args.jobs}")
     variants = [_POLICY_FLAGS[v] for v in args.variants]
     gating = _GATING_FLAGS[args.gating]
     rows = []

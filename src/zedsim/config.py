@@ -3,29 +3,66 @@
 The bundled defaults describe the reference device: an nRF52840-class
 controller with a 0.3 MP camera behind a MOSFET power gate, fed from a
 1.5 F capacitor at a 3.3 V regulated rail. Every default can be overridden
-from a JSON file; unspecified keys take the defaults and the fully resolved
-tree is echoed back into every artifact for provenance.
+from a JSON file; unspecified keys take the defaults. For provenance each
+command writes the fully resolved tree once, to ``resolved_config.json``, and
+every artifact carries only its SHA-256.
 
 The JSON keys are the records' field names: the root's are
 :class:`DeviceConfig`'s, each section's those of its record
-(:class:`~zedsim.energy.CapacitorSpec`, :class:`~zedsim.policy.Thresholds`,
+(:class:`~zedsim.pmu.CapacitorSpec`, :class:`~zedsim.policy.Thresholds`,
 :class:`~zedsim.scheduler.ScheduleConfig`), and a stage's those of
-:class:`~zedsim.energy.StageProfile` but its ``name``, which keys the stage.
+:class:`StageProfile` but its ``name``, which keys the stage.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from typing import Dict, List, NamedTuple, Tuple
 
-from .energy import CapacitorSpec, StageProfile, state_energy
-from .errors import ConfigError
+from .errors import ConfigError, DomainError, checked
+from .pmu import CapacitorSpec
 from .policy import Thresholds
 from .scheduler import GATINGS, VARIANTS, ScheduleConfig, plan, worst_case_time
 
 RAIL_VOLTS = 3.3
+
+
+@checked
+class StageProfile(NamedTuple):
+    """Measured load profile of one pipeline state at the regulated rail.
+
+    The energy of the stage is exactly supply_volts * duration_seconds *
+    current_amps (see :func:`state_energy`); current is the energy-equivalent
+    mean over the stage.
+    """
+
+    name: str
+    current_amps: float
+    duration_seconds: float
+    supply_volts: float = RAIL_VOLTS
+
+    def check(self) -> None:
+        if self.current_amps < 0:
+            raise DomainError(f"stage {self.name!r}: current must be >= 0")
+        if self.duration_seconds < 0:
+            raise DomainError(f"stage {self.name!r}: duration must be >= 0")
+        if self.supply_volts <= 0:
+            raise DomainError(f"stage {self.name!r}: supply voltage must be positive")
+        if not (math.isfinite(self.power_watts) and math.isfinite(state_energy(self))):
+            raise DomainError(f"stage {self.name!r}: power and energy must be finite")
+
+    @property
+    def power_watts(self) -> float:
+        return self.supply_volts * self.current_amps
+
+
+def state_energy(profile: StageProfile) -> float:
+    """Energy drawn by one run of the stage: supply * duration * current."""
+    return profile.supply_volts * profile.duration_seconds * profile.current_amps
+
 
 # Measured device characterization at the 3.3 V rail: mean current draw (A)
 # and duration (s) per pipeline state. The voltage-measurement pulse is spiky,
@@ -171,9 +208,6 @@ class DeviceConfig(NamedTuple):
                                  ("thresholds", _DEFAULT_THRESHOLDS),
                                  ("schedule", _DEFAULT_SCHEDULE))
         }
-        n_attempts = sections["schedule"].get("n_attempts", _DEFAULT_SCHEDULE.n_attempts)
-        if not isinstance(n_attempts, int):
-            raise ConfigError(f"schedule.n_attempts: must be an integer, got {n_attempts!r}")
         top = _numbers({k: data[k] for k in cls._field_defaults if k in data}, "")
 
         stages = default_stages()

@@ -1,4 +1,9 @@
-"""Hysteretic supply-state machine and the capacitor's closed-form dynamics.
+"""Capacitor spec, hysteretic supply-state machine and the capacitor's closed-form dynamics.
+
+All quantities are SI (joules, volts, farads, amps, seconds). The storage
+element is an ideal capacitor, E = C*v^2/2. Only the share stored above the
+supply cutoff voltage ``v_off`` counts as usable: the outputs shut down at
+that floor, so energy below it can never reach the load.
 
 The supply classifies the capacitor voltage into four modes. Between the
 cutoff ``v_off`` and the turn-on ``v_on`` the mode is hysteretic: whether the
@@ -28,8 +33,43 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence, Tuple
 
-from .energy import CapacitorSpec
 from .errors import DomainError, checked
+
+
+@checked
+class CapacitorSpec(NamedTuple):
+    """Storage capacitor plus the three supply thresholds acting on it.
+
+    :meth:`energy` and :meth:`usable` are the one home of stored energy: the
+    engine's readings, the ledger, the supply band and ``validate``'s
+    reachability test all call them."""
+
+    capacitance_farads: float
+    v_off: float
+    v_on: float
+    v_max: float
+
+    def check(self) -> None:
+        if not all(map(math.isfinite, self)):
+            raise DomainError(f"capacitance and thresholds must be finite, got {self}")
+        if self.capacitance_farads <= 0:
+            raise DomainError(f"capacitance must be positive, got {self.capacitance_farads}")
+        if not (0 < self.v_off < self.v_on < self.v_max):
+            raise DomainError(
+                "thresholds must satisfy 0 < v_off < v_on < v_max, got "
+                f"v_off={self.v_off}, v_on={self.v_on}, v_max={self.v_max}"
+            )
+        if not math.isfinite(self.energy(self.v_max)):
+            raise DomainError("energy C*v_max^2/2 must be finite, got "
+                              f"C={self.capacitance_farads}, v_max={self.v_max}")
+
+    def energy(self, v: float) -> float:
+        """Energy stored at ``v``, C*v^2/2, the square a product."""
+        return 0.5 * self.capacitance_farads * (v * v)
+
+    def usable(self, v: float) -> float:
+        """Energy stored at ``v`` above the v_off floor, which the load never reaches."""
+        return self.energy(v) - self.energy(self.v_off)
 
 
 def mode_value(v_c: float, spec: CapacitorSpec, outputs_latched_on: bool) -> str:

@@ -73,8 +73,8 @@ class ScheduleConfig(NamedTuple):
             raise DomainError("window duration must be positive")
         if self.deadline_seconds < 0:
             raise DomainError("deadline must be >= 0")
-        if self.n_attempts < 1 or int(self.n_attempts) != self.n_attempts:
-            raise DomainError("n_attempts must be an integer >= 1")
+        if not isinstance(self.n_attempts, int) or self.n_attempts < 1:
+            raise DomainError(f"n_attempts must be an integer >= 1, got {self.n_attempts!r}")
         if self.guard_delta_joules < 0:
             raise DomainError("guard margin must be >= 0")
 

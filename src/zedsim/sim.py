@@ -39,9 +39,8 @@ from operator import mul, neg, sub
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .config import DeviceConfig
-from .energy import CapacitorSpec
 from .errors import ConfigError, DomainError, SimulationFault, checked
-from .pmu import HarvestProfile, charge_time, mode_value, voltage_after
+from .pmu import CapacitorSpec, HarvestProfile, charge_time, mode_value, voltage_after
 from .policy import ExitTaken, InferenceInstance
 from .scheduler import (
     GATING_MOSFET,

@@ -184,16 +184,11 @@ def generate_trace(spec: GeneratorSpec) -> Trace:
 
 
 def _assign_correct(rng, confident, target_correct: int):
-    """Confident instances are always correct; top up among the ambiguous."""
+    """Confident instances are always correct; top up among the ambiguous. The
+    spec's 0.5 <= acc <= 1 puts ``target_correct`` between the confident count and n."""
     import numpy as np
-    n = confident.size
-    n_conf = int(confident.sum())
-    remaining = target_correct - n_conf
+    remaining = target_correct - int(confident.sum())
     ambiguous = np.flatnonzero(~confident)
-    if remaining < 0 or remaining > ambiguous.size:
-        raise FitError(
-            f"cannot place {target_correct} correct instances with {n_conf} confident of {n}"
-        )
     correct = confident.copy()
     if remaining:
         correct[rng.choice(ambiguous, size=remaining, replace=False)] = True

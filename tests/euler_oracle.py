@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from zedsim.energy import CapacitorSpec
 from zedsim.errors import DomainError, SimulationFault
-from zedsim.pmu import HarvestProfile
+from zedsim.pmu import CapacitorSpec, HarvestProfile
 
 _V_MAX_REL_TOL = 1e-12
 

@@ -10,8 +10,7 @@ import random
 
 import pytest
 
-from zedsim.config import DeviceConfig
-from zedsim.energy import state_energy
+from zedsim.config import DeviceConfig, state_energy
 from zedsim.pmu import HarvestProfile
 from zedsim.policy import (
     InferenceInstance,

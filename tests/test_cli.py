@@ -686,5 +686,5 @@ class TestStartup:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert sorted(done.stdout.split()) == ["zedsim", "zedsim.energy", "zedsim.errors",
-                                               "zedsim.pmu", "zedsim.policy", "zedsim.traces"]
+        assert sorted(done.stdout.split()) == ["zedsim", "zedsim.errors", "zedsim.pmu",
+                                               "zedsim.policy", "zedsim.traces"]

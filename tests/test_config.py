@@ -11,9 +11,9 @@ from zedsim.config import (
     config_hash,
     derive_escalation_stage,
     load_config,
+    state_energy,
 )
-from zedsim.energy import state_energy
-from zedsim.errors import ConfigError, ZedSimError
+from zedsim.errors import ConfigError, DomainError, ZedSimError
 from zedsim.scheduler import GATINGS, VARIANTS, Split, plan, requirement, worst_case_time
 
 
@@ -117,7 +117,7 @@ class TestSerialization:
             DeviceConfig.from_dict(data)
 
     def test_float_attempt_count_rejected(self):
-        with pytest.raises(ConfigError, match="schedule.n_attempts: must be an integer"):
+        with pytest.raises(DomainError, match=r"n_attempts must be an integer >= 1, got 20\.0"):
             DeviceConfig.from_dict({"schedule": {"n_attempts": 20.0}})
 
     def test_stage_override_keeps_other_fields(self):

@@ -3,9 +3,9 @@ import math
 import pytest
 
 from euler_oracle import stored_energy, usable_energy
-from zedsim.config import STAGE_NAMES, DeviceConfig
-from zedsim.energy import CapacitorSpec, StageProfile, state_energy
+from zedsim.config import STAGE_NAMES, DeviceConfig, StageProfile, state_energy
 from zedsim.errors import ConfigError, DomainError
+from zedsim.pmu import CapacitorSpec
 from zedsim.scheduler import GATINGS, VARIANTS, plan, requirement
 
 SPEC = CapacitorSpec(1.5, 3.6, 3.92, 4.5)

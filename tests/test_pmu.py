@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from euler_oracle import EnergyState, PmuMode, harvest_current_at, initial_state, mode_of, step
 from zedsim import pmu
-from zedsim.energy import CapacitorSpec
 from zedsim.errors import DomainError, SimulationFault
-from zedsim.pmu import HarvestProfile, charge_time, mode_value, voltage_after
+from zedsim.pmu import CapacitorSpec, HarvestProfile, charge_time, mode_value, voltage_after
 
 SPEC = CapacitorSpec(1.5, 3.6, 3.92, 4.5)
 

@@ -1,13 +1,14 @@
 """Every record that checks its fields checks them however it is built: from
 its constructor, from ``_replace`` and from ``_make``."""
 
+import math
+
 import pytest
 
 from zedsim.cli import main
-from zedsim.config import DeviceConfig
-from zedsim.energy import CapacitorSpec, StageProfile
+from zedsim.config import DeviceConfig, StageProfile
 from zedsim.errors import ConfigError, DomainError, FitError
-from zedsim.pmu import HarvestProfile
+from zedsim.pmu import CapacitorSpec, HarvestProfile
 from zedsim.policy import ExitDecision, ExitTaken, InferenceInstance, Thresholds
 from zedsim.scheduler import ScheduleConfig
 from zedsim.sim import SimConfig
@@ -23,6 +24,8 @@ CHECKED = [
     (Thresholds(0.3, 0.7), {"gamma1": 0.6}, DomainError),
     (ExitDecision(ExitTaken.EX1, 1), {"prediction": 2}, DomainError),
     (ScheduleConfig(10.0, 4.0, 20), {"n_attempts": 0}, DomainError),
+    (ScheduleConfig(10.0, 4.0, 20), {"n_attempts": 20.0}, DomainError),
+    (ScheduleConfig(10.0, 4.0, 20), {"n_attempts": math.nan}, DomainError),
     (SimConfig(DeviceConfig.default(), 4.5, 100.0), {"initial_v": 4.6}, ConfigError),
     (SimConfig(DeviceConfig.default(), 4.5, 100.0), {"policy_variant": "greedy"}, ConfigError),
     (SimConfig(DeviceConfig.default(), 4.5, 100.0), {"gating_variant": "relay"}, ConfigError),
@@ -31,11 +34,16 @@ CHECKED = [
 
 
 def _ids(cases):
-    """Each case's record type, then the broken field for a type's later cases."""
+    """Each case's record type, then the broken field for a type's later cases,
+    then its value where the field repeats."""
     ids = []
     for record, bad, _ in cases:
         name = type(record).__name__
-        ids.append(f"{name}-{'-'.join(bad)}" if name in ids else name)
+        if name in ids:
+            name = f"{name}-{'-'.join(bad)}"
+        if name in ids:
+            name = f"{name}-{'-'.join(map(repr, bad.values()))}"
+        ids.append(name)
     return ids
 
 

@@ -4,8 +4,7 @@ import pytest
 
 from euler_oracle import harvest_current_at, usable_energy
 from zedsim.config import DeviceConfig
-from zedsim.energy import CapacitorSpec, state_energy
-from zedsim.pmu import HarvestProfile
+from zedsim.pmu import CapacitorSpec, HarvestProfile
 from zedsim.policy import ExitTaken, InferenceInstance
 from zedsim.scheduler import (
     Check,

@@ -7,9 +7,8 @@ import pytest
 from euler_oracle import initial_state, step, usable_energy
 from zedsim.cli import write_trajectory_csv
 from zedsim.config import DeviceConfig
-from zedsim.energy import CapacitorSpec
 from zedsim.errors import ConfigError, DomainError, SimulationFault
-from zedsim.pmu import HarvestProfile, charge_time
+from zedsim.pmu import CapacitorSpec, HarvestProfile, charge_time
 from zedsim.policy import (
     ExitDecision,
     ExitTaken,
@@ -329,6 +328,13 @@ class TestReplay:
         result = simulate(cfg, harvest, trace5000)
         other = generate_trace(GeneratorSpec(5000, 0.7265, 0.8309, 0.5386, 8))
         assert simulate(cfg, harvest, other) != result
+
+    def test_a_trajectory_equals_only_a_trajectory(self, trace5000):
+        cfg = SimConfig(DEVICE, 4.5, 100.0, "proposed")
+        trajectory = simulate(cfg, HarvestProfile.constant(2e-3), trace5000).trajectory
+        assert trajectory.__eq__(list(trajectory)) is NotImplemented
+        assert trajectory != list(trajectory)
+        assert repr(trajectory) == f"Trajectory({len(trajectory.columns[0])} rows)"
 
     def test_one_ulp_in_one_piece_is_reported(self, trace5000):
         cfg = SimConfig(DEVICE, 4.5, 100.0, "proposed")

@@ -119,6 +119,12 @@ class TestColumns:
             assert sweep_thresholds(Trace.of(xs), grid) == sweep_thresholds(xs, grid)
             assert trace_statistics(Trace.of(xs)) == trace_statistics(xs)
 
+    def test_a_trace_equals_only_a_trace(self):
+        xs = [InferenceInstance(0, 0.2, 0.8, 1), InferenceInstance(1, 0.6, 0.4, 0)]
+        columns = Trace.of(xs)
+        assert columns.__eq__(xs) is NotImplemented
+        assert columns != xs and columns == Trace.of(list(columns))
+
     def test_generator_retains_no_object_per_row(self):
         spec = GeneratorSpec(20000, 0.7265, 0.8309, 0.5386, 0)
         generate_trace(GeneratorSpec(10, 0.7265, 0.8309, 0.5386, 0))  # imports numpy
