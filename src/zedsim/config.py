@@ -202,12 +202,15 @@ class DeviceConfig(NamedTuple):
         unknown = set(data) - set(cls._fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        sections = {
-            key: _numbers(_section(data, key, default._fields), key)
-            for key, default in (("capacitor", _DEFAULT_CAPACITOR),
-                                 ("thresholds", _DEFAULT_THRESHOLDS),
-                                 ("schedule", _DEFAULT_SCHEDULE))
-        }
+        sections = {}
+        for key, default in (("capacitor", _DEFAULT_CAPACITOR),
+                             ("thresholds", _DEFAULT_THRESHOLDS),
+                             ("schedule", _DEFAULT_SCHEDULE)):
+            fields = _numbers(_section(data, key, default._fields), key)
+            try:
+                sections[key] = default._replace(**fields)
+            except DomainError as exc:
+                raise type(exc)(f"{key}: {exc}") from None
         top = _numbers({k: data[k] for k in cls._field_defaults if k in data}, "")
 
         stages = default_stages()
@@ -220,13 +223,8 @@ class DeviceConfig(NamedTuple):
                 stages["inference_ex1"], stages["inference_ex2"]
             )
 
-        return cls(
-            _DEFAULT_CAPACITOR._replace(**sections["capacitor"]),
-            stages,
-            _DEFAULT_THRESHOLDS._replace(**sections["thresholds"]),
-            _DEFAULT_SCHEDULE._replace(**sections["schedule"]),
-            **top,
-        )
+        return cls(sections["capacitor"], stages, sections["thresholds"],
+                   sections["schedule"], **top)
 
     def with_capacitance(self, capacitance_farads: float) -> "DeviceConfig":
         return self._replace(capacitor=self.capacitor._replace(capacitance_farads=capacitance_farads))
@@ -256,10 +254,21 @@ def _numbers(entry: dict, prefix: str) -> dict:
     return entry
 
 
+def _object(pairs) -> dict:
+    """A JSON object as a dict; a key given twice raises ConfigError naming it,
+    where ``json`` would keep only the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> DeviceConfig:
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_object)
         except (ValueError, RecursionError) as exc:
             # ValueError also covers undecodable bytes and integers too long to convert
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None

@@ -13,7 +13,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 from .errors import DomainError, checked
 
@@ -52,8 +52,7 @@ def check_instance(id: int, o1: float, o2: float, label: int) -> None:
 
 class Trace:
     """A trace as columns: ``ids`` a list, ``o1`` and ``o2`` arrays of 'd', ``labels``
-    of 'b'. Row k is ``InferenceInstance(ids[k], o1[k], o2[k], labels[k])``, built
-    only when indexed or iterated; a slice is a Trace."""
+    of 'b'. Iteration yields row k as ``InferenceInstance(ids[k], o1[k], o2[k], labels[k])``."""
 
     __slots__ = ("ids", "o1", "o2", "labels")
 
@@ -66,22 +65,8 @@ class Trace:
         return ((self.ids, self.o1, self.o2, self.labels)
                 == (other.ids, other.o1, other.o2, other.labels))
 
-    @classmethod
-    def of(cls, trace: Union["Trace", Iterable[InferenceInstance]]) -> "Trace":
-        """``trace`` itself if it is a Trace, else its instances packed into columns."""
-        if isinstance(trace, cls):
-            return trace
-        rows = list(trace)
-        return cls([i.id for i in rows], array("d", [i.o1 for i in rows]),
-                   array("d", [i.o2 for i in rows]), array("b", [i.label for i in rows]))
-
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return Trace(self.ids[k], self.o1[k], self.o2[k], self.labels[k])
-        return InferenceInstance(self.ids[k], self.o1[k], self.o2[k], self.labels[k])
 
     def __iter__(self) -> Iterator[InferenceInstance]:
         return map(InferenceInstance, self.ids, self.o1, self.o2, self.labels)
@@ -144,9 +129,7 @@ class SweepCell(NamedTuple):
 SWEEP_HEADER = list(SweepCell._fields)
 
 
-def sweep_thresholds(
-    trace: Union[Trace, Iterable[InferenceInstance]], grid: Iterable[Thresholds]
-) -> List[SweepCell]:
+def sweep_thresholds(trace: Trace, grid: Iterable[Thresholds]) -> List[SweepCell]:
     """Evaluate every threshold pair over the trace with unlimited energy.
 
     The row indices are sorted once by shallow score (a stable sort, so equal
@@ -162,7 +145,6 @@ def sweep_thresholds(
     for the sort plus O(log n) per cell. The deep exit's counts inline
     :func:`balanced_call` as ``>= 0.5``.
     """
-    trace = Trace.of(trace)
     n = len(trace)
     if not n:
         raise DomainError("trace must be non-empty")

@@ -36,7 +36,7 @@ from array import array
 from collections import Counter
 from itertools import chain, compress, islice
 from operator import mul, neg, sub
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Collection, Iterator, List, NamedTuple, Optional, Tuple
 
 from .config import DeviceConfig
 from .errors import ConfigError, DomainError, SimulationFault, checked
@@ -277,9 +277,10 @@ class _Engine:
 
 
 def simulate(
-    cfg: SimConfig, harvest: HarvestProfile, trace: Sequence[InferenceInstance]
+    cfg: SimConfig, harvest: HarvestProfile, trace: Collection[InferenceInstance]
 ) -> SimResult:
-    """Run one end-to-end experiment; deterministic in all inputs."""
+    """Run one end-to-end experiment; deterministic in all inputs. ``trace`` is
+    read only by ``len`` and iteration: a Trace, or a list of instances."""
     device = cfg.device
     device.validate()
     sched = device.schedule

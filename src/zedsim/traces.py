@@ -6,7 +6,7 @@ piecewise-constant segments. All numbers are decimal with a dot separator.
 
 In memory a trace is a :class:`~zedsim.policy.Trace` of four columns, with no
 Python object per row: the loader and the generator fill them, the writer and
-the statistics read them (and pack any iterable of instances first).
+the statistics read them.
 
 The generator stands in for real validation scores. Per head it draws from a
 two-component mixture: a confident component concentrated near the correct
@@ -25,11 +25,11 @@ import contextlib
 import csv
 import warnings
 from array import array
-from typing import Iterable, List, NamedTuple, Union
+from typing import List, NamedTuple
 
 from .errors import DomainError, FitError, TraceError, checked
 from .pmu import HarvestProfile
-from .policy import InferenceInstance, Trace, balanced_call, check_instance
+from .policy import Trace, balanced_call, check_instance
 
 TRACE_HEADER = ["id", "o1", "o2", "label"]
 HARVEST_HEADER = ["t_start_s", "i_h_ma"]
@@ -61,7 +61,8 @@ def load_trace(path) -> Trace:
             warnings.warn(f"{path}: empty trace file")
             return trace
         if [h.strip() for h in header] != TRACE_HEADER:
-            raise TraceError(f"{path}:1: expected header {','.join(TRACE_HEADER)}")
+            raise TraceError(f"{path}:1: expected header {','.join(TRACE_HEADER)}, "
+                             f"read {header!r}")
         last_id = None
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -91,13 +92,12 @@ def load_trace(path) -> Trace:
     return trace
 
 
-def save_trace(trace: Union[Trace, Iterable[InferenceInstance]], path) -> None:
-    t = Trace.of(trace)
+def save_trace(trace: Trace, path) -> None:
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(TRACE_HEADER)
         # float reprs and ints never need quoting
         fh.writelines(f"{i},{s1!r},{s2!r},{label}\r\n"
-                      for i, s1, s2, label in zip(t.ids, t.o1, t.o2, t.labels))
+                      for i, s1, s2, label in zip(trace.ids, trace.o1, trace.o2, trace.labels))
 
 
 def load_harvest(path) -> HarvestProfile:
@@ -107,7 +107,8 @@ def load_harvest(path) -> HarvestProfile:
     with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != HARVEST_HEADER:
-            raise TraceError(f"{path}:1: expected header {','.join(HARVEST_HEADER)}")
+            raise TraceError(f"{path}:1: expected header {','.join(HARVEST_HEADER)}, "
+                             f"read {header!r}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -218,13 +219,12 @@ class TraceStats(NamedTuple):
     n: int
 
 
-def trace_statistics(trace: Union[Trace, Iterable[InferenceInstance]]) -> TraceStats:
+def trace_statistics(trace: Trace) -> TraceStats:
     """Empirical balanced-threshold accuracies and label balance."""
-    t = Trace.of(trace)
-    n = len(t)
+    n = len(trace)
     if not n:
         raise DomainError("trace must be non-empty")
-    ok1 = sum(balanced_call(s) == label for s, label in zip(t.o1, t.labels))
-    ok2 = sum(balanced_call(s) == label for s, label in zip(t.o2, t.labels))
-    persons = sum(t.labels)
+    ok1 = sum(balanced_call(s) == label for s, label in zip(trace.o1, trace.labels))
+    ok2 = sum(balanced_call(s) == label for s, label in zip(trace.o2, trace.labels))
+    persons = sum(trace.labels)
     return TraceStats(ok1 / n, ok2 / n, persons / n, n)

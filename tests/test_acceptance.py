@@ -7,6 +7,7 @@ run performed by the earlier criteria, via a shared run registry.
 
 import math
 import random
+from itertools import islice
 
 import pytest
 
@@ -99,7 +100,7 @@ def _expected_energy_per_policy(device, trace, n_windows):
     meas = device.stage_energy("measurement")
     led = {1: device.stage_energy("led_blue"), 0: device.stage_energy("led_red")}
     proposed = baseline = 0.0
-    for inst in trace[:n_windows]:
+    for inst in islice(trace, n_windows):
         e = meas + device.stage_energy("capture_preprocess") + device.stage_energy("inference_ex1")
         pred = evaluate_ex1(inst.o1, th)
         if pred is None:

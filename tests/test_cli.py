@@ -208,10 +208,18 @@ class TestRejectsMalformedInputs:
         (["run"], {"--config": '{"stages": {"measurement": {"supply_volts": 0}}}'},
          "stage 'measurement': supply voltage must be positive"),
         (["run"], {"--config": '{"schedule": {"window_seconds": 0}}'},
-         "window duration must be positive"),
+         "schedule: window duration must be positive"),
+        (["run"], {"--config": '{"capacitor": {"v_on": 5}}'},
+         "capacitor: thresholds must satisfy 0 < v_off < v_on < v_max"),
+        (["run"],
+         {"--config": '{"schedule": {"window_seconds": 3.0}, "schedule": {"n_attempts": 5}}'},
+         "duplicate key 'schedule'"),
         (["run"], {"--config": '{"schedule": {"deadline_seconds": -1}}'}, "deadline must be >= 0"),
         (["run", "--horizon", "0"], {}, "horizon must be positive"),
         (["run"], {"--trace": "id,o1,o2,label\n0,0.5,0.5\n"}, ":2: expected 4 fields, got 3"),
+        # a byte-order mark is read as part of the first column's name
+        (["run"], {"--trace": "\ufeffid,o1,o2,label\n0,0.5,0.5,1\n"},
+         ":1: expected header id,o1,o2,label, read ['\\ufeffid', 'o1', 'o2', 'label']"),
         (["run"], {"--harvest": "t_start_s,i_h_ma\n0.0,1.0,2.0\n"},
          ":2: expected 2 fields, got 3"),
         (["run"], {"--trace": "id,o1,o2,label\n"},
@@ -221,7 +229,8 @@ class TestRejectsMalformedInputs:
         # numpy would ask for 7.45 GiB per array
         (["gen-trace", "--n", "1000000000"], {}, "n must be in [1, 10000000], got 1000000000"),
     ], ids=["config-root-list", "capacitor-number", "stage-number", "negative-idle-current",
-            "zero-supply", "zero-window", "negative-deadline", "zero-horizon", "trace-3-fields",
+            "zero-supply", "zero-window", "capacitor-v-on-above-v-max", "duplicate-section",
+            "negative-deadline", "zero-horizon", "trace-3-fields", "trace-with-bom",
             "harvest-3-fields", "header-only-trace-run", "header-only-trace-sweep",
             "empty-capacitance-grid", "gen-trace-above-the-cap"])
     @pytest.mark.filterwarnings("ignore:.*no data rows")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from trace_columns import trace_of
 from zedsim.config import DeviceConfig
 from zedsim.errors import DomainError
 from zedsim.policy import (
@@ -243,11 +244,11 @@ class TestSweep:
         assert cell.acc_ex2 is None
 
     def test_everything_escalates(self):
-        trace = [
+        trace = trace_of([
             InferenceInstance(0, 0.4, 0.9, 1),
             InferenceInstance(1, 0.6, 0.1, 0),
             InferenceInstance(2, 0.5, 0.5, 1),
-        ]
+        ])
         (cell,) = sweep_thresholds(trace, [Thresholds(0.0, 1.0)])
         assert cell.n_ex1 == 0
         assert cell.acc_ex1 is None
@@ -274,7 +275,7 @@ class TestSweep:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(DomainError):
-            sweep_thresholds([], [Thresholds(0.3, 0.7)])
+            sweep_thresholds(trace_of([]), [Thresholds(0.3, 0.7)])
 
 
 def _sweep_oracle(trace, grid):
@@ -319,7 +320,7 @@ grid_cells = st.one_of(
 @given(sweep_rows, st.lists(grid_cells, max_size=8))
 @example([(0.4, 0.9, 1), (0.6, 0.1, 0)], [])  # (0, 1) leaves exit 1 empty
 def test_sweep_matches_per_instance_oracle(rows, drawn):
-    trace = [InferenceInstance(k, *row) for k, row in enumerate(rows)]
+    trace = trace_of(InferenceInstance(k, *row) for k, row in enumerate(rows))
     # (0.5, 0.5) leaves exit 2 empty; (0, 1) sends all but the poles to it
     grid = [Thresholds(0.5, 0.5), Thresholds(0.0, 1.0)] + drawn
     cells = sweep_thresholds(trace, iter(grid))

