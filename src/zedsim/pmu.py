@@ -155,10 +155,9 @@ def voltage_after(
     settle: after ``_NEWTON_ITERATIONS`` steps the last iterate, clipped to
     [v0, bound], is returned.
     """
-    lo, hi = (v0, bound) if v0 <= bound else (bound, v0)
+    lo, hi = sorted((v0, bound))
     sq = v0 * v0 + 2.0 * (current * v0 - power) * dt / capacitance
-    v = math.sqrt(0.0 if sq < 0.0 else sq)
-    v = lo if v < lo else hi if v > hi else v
+    v = min(max(math.sqrt(max(sq, 0.0)), lo), hi)
     for _ in range(_NEWTON_ITERATIONS):
         err = charge_time(v0, v, current, power, capacitance) - dt
         nxt = v - err * (current * v - power) / (capacitance * v)

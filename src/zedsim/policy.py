@@ -86,14 +86,11 @@ class Thresholds(NamedTuple):
             )
 
 
-@checked
 class ExitDecision(NamedTuple):
+    """The exit a pipeline took and its call, from evaluate_ex1 or balanced_call."""
+
     exit_taken: ExitTaken
     prediction: int
-
-    def check(self) -> None:
-        if self.prediction not in (PERSON, NO_PERSON):
-            raise DomainError(f"prediction must be {PERSON} or {NO_PERSON}, got {self.prediction!r}")
 
 
 def evaluate_ex1(o1: float, th: Thresholds) -> Optional[int]:

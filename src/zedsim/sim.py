@@ -208,7 +208,7 @@ class _Engine:
     def run_stage(self, name: str) -> bool:
         """Run one pipeline stage; False if the supply latched off during it."""
         label, duration, draw = self._stages[name]
-        if draw > 0 and not self.outputs_enabled:
+        if not self.outputs_enabled:
             raise SimulationFault(f"stage {name!r} requested at t={self.time} with outputs disabled")
         self.log_event(label)
         return not self._advance(self.time + duration, draw)

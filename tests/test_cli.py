@@ -104,6 +104,19 @@ class TestRun:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["device"]["capacitor"]["capacitance_farads"] == 1.5
 
+    def test_constant_harvest_is_a_one_segment_file(self, tmp_path, trace_file):
+        harvest = tmp_path / "harvest.csv"
+        harvest.write_text("t_start_s,i_h_ma\n0.0,2.0\n")
+        totals = []
+        for name, flags in (("flag", ["--harvest-ma", "2"]),
+                            ("file", ["--harvest", str(harvest)])):
+            out = tmp_path / name
+            assert main(["run", "--trace", str(trace_file), "--initial-v", "3.6",
+                         "--horizon", "60", *flags, "--out", str(out)]) == 0
+            totals.append((out / "totals.txt").read_text())
+        assert totals[0] == totals[1]
+        assert "harvested_j=0.0\n" not in totals[0]
+
     def test_missing_trace_is_clean_error(self, tmp_path, capsys):
         assert main(["run", "--trace", str(tmp_path / "nope.csv")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -181,6 +194,16 @@ class TestRejectsMalformedInputs:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "more than 1000 points" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_range_of_zero_step(self, tmp_path, trace_file, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-thresholds", "--trace", str(trace_file), "--gamma1", "0:0.5:0",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "with step > 0" in err and "points" not in err
         assert not out.exists()
 
     def test_negative_jobs(self, tmp_path, trace_file, capsys):
@@ -457,6 +480,11 @@ class TestSweeps:
             ["sweep-thresholds", "--trace", "trace.csv", "--gamma1", "1:1000:1"])
         assert args.gamma1 == [float(k) for k in range(1, 1001)]
 
+    def test_range_stop_is_inclusive_within_a_billionth_of_a_step(self):
+        args = build_parser().parse_args(
+            ["sweep-capacitance", "--trace", "trace.csv", "--capacitance", "0:0.999999999:1"])
+        assert args.capacitance == [0.0, 1.0]
+
     @pytest.mark.parametrize("text, points", [
         ("1e-10:5e-10:1e-10", [float(f"{k}e-10") for k in range(1, 6)]),
         ("1e-13:5e-13:1e-13", [float(f"{k}e-13") for k in range(1, 6)]),
@@ -578,10 +606,13 @@ class TestCompare:
             "compare", "--trace", str(trace), "--horizon", "100", "--initial-v", "4.5",
             "--harvest-ma", "0", "--variants", "baseline", "proposed", "--out", str(out),
         ]) == 0
-        rows = {r["variant"]: r for r in _rows(out / "comparison.csv")}
-        assert float(rows["baseline"]["energy_delta_pct"]) == 0.0
-        assert float(rows["proposed"]["energy_delta_pct"]) < 0
-        assert int(rows["proposed"]["completed_delta"]) >= 0
+        base, proposed = _rows(out / "comparison.csv")
+        assert (base["energy_delta_pct"], base["completed_delta"]) == ("0.0", "0")
+        energy = [float(r["energy_consumed_j"]) for r in (base, proposed)]
+        assert proposed["energy_delta_pct"] == repr(100.0 * (energy[1] - energy[0]) / energy[0])
+        assert float(proposed["energy_delta_pct"]) < 0
+        completed = [int(r["completed_pipelines"]) for r in (base, proposed)]
+        assert int(proposed["completed_delta"]) == completed[1] - completed[0] >= 0
 
 
     def test_reference_that_consumes_nothing(self, tmp_path, trace_file):
@@ -593,6 +624,26 @@ class TestCompare:
         rows = _rows(out / "comparison.csv")
         assert [r["energy_consumed_j"] for r in rows] == ["0.0", "0.0"]
         assert [r["energy_delta_pct"] for r in rows] == ["", ""]
+
+    def test_accuracy_delta_needs_both_accuracies(self, tmp_path, trace_file):
+        # 119.41 mJ usable at v_max and no harvest: the mosfet paths of the two-exit
+        # variants complete pipelines, the baseline's load-switch capture never starts
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps({"capacitor": {"capacitance_farads": 0.03276}}))
+
+        def compare(*variants):
+            out = tmp_path / "-".join(variants)
+            assert main(["compare", "--config", str(cfg), "--trace", str(trace_file),
+                         "--harvest-ma", "0", "--horizon", "60", "--variants", *variants,
+                         "--out", str(out)]) == 0
+            return _rows(out / "comparison.csv")
+
+        proposed, baseline, policy_ii = compare("proposed", "baseline", "policy-ii")
+        assert int(proposed["completed_pipelines"]) > 0 and baseline["completed_pipelines"] == "0"
+        assert [proposed["accuracy_delta"], baseline["accuracy_delta"]] == ["0.0", ""]
+        assert policy_ii["accuracy_delta"] == repr(
+            float(policy_ii["accuracy_total"]) - float(proposed["accuracy_total"]))
+        assert [r["accuracy_delta"] for r in compare("baseline", "proposed")] == ["", ""]
 
     def test_variant_listed_twice(self, tmp_path, trace_file):
         out = tmp_path / "out"

@@ -1,10 +1,12 @@
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given
 from test_boundary import config_trees
 
+from zedsim.cli import main
 from zedsim.config import (
     STAGE_NAMES,
     DeviceConfig,
@@ -51,6 +53,20 @@ class TestDefaults:
         d = DeviceConfig.default()
         with pytest.raises(ConfigError):
             derive_escalation_stage(d.stages["inference_ex2"], d.stages["inference_ex1"])
+
+    @pytest.mark.parametrize("ex2", [
+        {"current_amps": 0.008, "duration_seconds": 0.5},  # no longer than the shallow exit
+        {"current_amps": 0.002, "duration_seconds": 1.0},  # no dearer, to the bit
+    ], ids=["equal-durations", "equal-energies"])
+    def test_derivation_rejects_a_deep_exit_no_longer_or_no_dearer(self, tmp_path, capsys, ex2):
+        stages = {"inference_ex1": {"current_amps": 0.004, "duration_seconds": 0.5},
+                  "inference_ex2": ex2}
+        with pytest.raises(ConfigError, match="longer and cost more"):
+            DeviceConfig.from_dict({"stages": stages})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stages": stages}))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert "longer and cost more" in capsys.readouterr().err
 
     def test_measurement_energy_matches_characterization(self):
         assert DeviceConfig.default().stage_energy("measurement") == pytest.approx(
@@ -116,6 +132,11 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=f"{path}: must be a finite number"):
             DeviceConfig.from_dict(data)
 
+    def test_largest_float_accepted(self):
+        largest = sys.float_info.max
+        d = DeviceConfig.from_dict({"schedule": {"guard_delta_joules": largest}})
+        assert d.schedule.guard_delta_joules == largest
+
     def test_float_attempt_count_rejected(self):
         with pytest.raises(DomainError, match=r"n_attempts must be an integer >= 1, got 20\.0"):
             DeviceConfig.from_dict({"schedule": {"n_attempts": 20.0}})
@@ -144,6 +165,21 @@ class TestSerialization:
         assert h1 == h2
         h3 = config_hash(d.with_capacitance(0.1).to_dict())
         assert h3 != h1
+
+
+_BAND_3J = {"capacitance_farads": 2.0, "v_off": 1.0, "v_on": 2.0, "v_max": 4.0}
+_BAND_BELOW_3J = {**_BAND_3J, "v_on": math.nextafter(2.0, 0.0)}
+_MEASUREMENT_AMPS = DeviceConfig.default().stage("measurement").current_amps
+
+
+def _measurement(current, duration):
+    """A measurement stage override at a 1 V rail."""
+    return {"stages": {"measurement": {"supply_volts": 1.0, "current_amps": current,
+                                       "duration_seconds": duration}}}
+
+
+_IDLE_30W = {"converter_efficiency": 0.5, "idle_current_amps": 15.0,
+             **_measurement(30.0, 0.03125)}
 
 
 class TestValidation:
@@ -188,6 +224,27 @@ class TestValidation:
         for deadline, ok in ((edge, True), (math.nextafter(edge, 0.0), False)):
             schedule = {"n_attempts": 512, "deadline_seconds": deadline}
             assert (DeviceConfig.from_dict({"schedule": schedule}).problems() == []) == ok
+
+    @pytest.mark.parametrize("edge, beyond, problem", [
+        # a 3 J band (1 J stored at v_off, 4 J at v_on) and a 3 J measurement
+        ({"capacitor": _BAND_3J, **_measurement(24.0, 0.125)},
+         {"capacitor": _BAND_BELOW_3J, **_measurement(24.0, 0.125)}, "less than one"),
+        # an idle current as large as the measurement's
+        ({"idle_current_amps": _MEASUREMENT_AMPS},
+         {"idle_current_amps": math.nextafter(_MEASUREMENT_AMPS, 1.0)}, "draws more than"),
+        # the 3 J band under a 30 W idle draw, 15 A at 1 V through a converter of
+        # efficiency 0.5, which empties it in 0.1 s
+        ({"capacitor": _BAND_3J, **_IDLE_30W}, {"capacitor": _BAND_BELOW_3J, **_IDLE_30W},
+         "idle draw for"),
+        # the cap on admission instants, which 10 us measurements leave the only rule
+        ({"schedule": {"n_attempts": 1000}, "stages": {"measurement": {"duration_seconds": 1e-5}}},
+         {"schedule": {"n_attempts": 1001}, "stages": {"measurement": {"duration_seconds": 1e-5}}},
+         "more than 1000"),
+    ], ids=["band-holds-one-measurement", "idle-current", "band-feeds-idle", "attempt-cap"])
+    def test_supply_and_schedule_rules_at_their_edges(self, edge, beyond, problem):
+        assert DeviceConfig.from_dict(edge).problems() == []
+        problems = DeviceConfig.from_dict(beyond).problems()
+        assert len(problems) == 1 and problem in problems[0]
 
     def test_deadline_checked_under_every_gating(self):
         # a slow load-switch capture overruns the window only under that

@@ -182,6 +182,10 @@ class TestTypes:
             CapacitorSpec(1.5, 3.92, 3.6, 4.5)
         with pytest.raises(DomainError):
             CapacitorSpec(1.5, 3.6, 4.5, 4.5)
+        with pytest.raises(DomainError):
+            CapacitorSpec(1.5, 3.6, 3.6, 4.5)
+        with pytest.raises(DomainError):
+            CapacitorSpec(1.5, 0.0, 3.92, 4.5)
 
     def test_capacitor_energy_at_v_max_must_be_finite(self):
         # v_max*v_max overflows, or C*v_max^2/2 does; just inside, both hold

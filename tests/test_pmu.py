@@ -277,6 +277,15 @@ class TestClosedFormAccuracy:
         error = abs(Decimal(charge_time(v0, v1, i, p, c)) - exact)
         assert error <= 160 * Decimal(math.ulp(float(exact)))
 
+    # below the cut the series' first omitted term, x**8/10, is under an ulp of s
+    @pytest.mark.parametrize("x", [-0.0099, -1e-3, 1e-6, 4e-3, 0.0099])
+    def test_series_is_within_two_ulps_of_exact_below_the_cut(self, x):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = ((1 + Decimal(x)).ln() - Decimal(x)) / (Decimal(x) * Decimal(x))
+        error = abs(Decimal(pmu._s_series(x)) - exact)
+        assert error <= 2 * Decimal(math.ulp(float(exact)))
+
     @given(flows())
     @example((4.5, 1.0, 0.999999999, 2e-4, 1e-3, 1.0))  # share 0.9: x = 7, 7 Newton steps
     @example((2.00000001, 2.00000002, 2.00000003, 1e-3, 2e-3, 0.1))  # 1e-8 V above P/i
@@ -291,6 +300,25 @@ class TestClosedFormAccuracy:
         # errors at v1 and at the root cancel, so twice the first property's bound
         scale = math.ulp(v1) + math.ulp(t) * abs(i * v1 - p) / (c * v1)
         assert abs(voltage_after(v0, bound, i, p, c, t) - v1) <= 320 * scale
+
+    @pytest.mark.parametrize("v0, bound, i, p, share, calls", [
+        (4.5, 3.6, 0.0, 0.05, 0.5, 1), (3.9, 3.6, 0.0, 0.3, 0.5, 1),  # no harvest
+        (3.7, 4.5, 1e-3, 0.01, 1e-3, 2), (3.7, 4.5, 0.05, 0.05, 1e-3, 2),
+    ])
+    def test_newton_starts_from_the_square_law(self, monkeypatch, v0, bound, i, p, share,
+                                               calls):
+        # v*v moves at 2*(i*v0 - P)/C at the start: for all time without harvest,
+        # where Newton confirms the first guess at once, and to first order in dt
+        # otherwise, where over a ``share`` of the time to the bound one step is enough
+        c = 1.5
+        dt = share * charge_time(v0, bound, i, p, c)
+        made = []
+        monkeypatch.setattr(pmu, "charge_time", lambda *a: made.append(a) or charge_time(*a))
+        v = voltage_after(v0, bound, i, p, c, dt)
+        assert len(made) <= calls
+        if i == 0.0:
+            exact = math.sqrt(v0 * v0 - 2.0 * p * dt / c)
+            assert abs(v - exact) <= 2 * math.ulp(exact)
 
     def test_voltage_after_at_its_iteration_cap_returns_the_clipped_last_iterate(
             self, monkeypatch):

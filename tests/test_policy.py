@@ -346,9 +346,3 @@ class TestTypes:
             Thresholds(0.6, 0.7)
         with pytest.raises(DomainError):
             Thresholds(0.3, 0.4)
-
-    def test_decision_consistency(self):
-        with pytest.raises(DomainError):
-            ExitDecision(ExitTaken.EX2, 2)
-        with pytest.raises(DomainError):
-            ExitDecision(ExitTaken.EX1, None)

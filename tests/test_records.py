@@ -9,7 +9,7 @@ from zedsim.cli import main
 from zedsim.config import DeviceConfig, StageProfile
 from zedsim.errors import ConfigError, DomainError, FitError
 from zedsim.pmu import CapacitorSpec, HarvestProfile
-from zedsim.policy import ExitDecision, ExitTaken, InferenceInstance, Thresholds
+from zedsim.policy import InferenceInstance, Thresholds
 from zedsim.scheduler import ScheduleConfig
 from zedsim.sim import SimConfig
 from zedsim.traces import GeneratorSpec
@@ -22,7 +22,6 @@ CHECKED = [
     (HarvestProfile((0.0, 5.0), (1e-3, 2e-3)), {"times": (0.0,)}, DomainError),
     (InferenceInstance(7, 0.2, 0.8, 1), {"o1": 1.5}, DomainError),
     (Thresholds(0.3, 0.7), {"gamma1": 0.6}, DomainError),
-    (ExitDecision(ExitTaken.EX1, 1), {"prediction": 2}, DomainError),
     (ScheduleConfig(10.0, 4.0, 20), {"n_attempts": 0}, DomainError),
     (ScheduleConfig(10.0, 4.0, 20), {"n_attempts": 20.0}, DomainError),
     (ScheduleConfig(10.0, 4.0, 20), {"n_attempts": math.nan}, DomainError),

@@ -98,6 +98,19 @@ class TestSimulate:
         assert t.completed_pipelines + t.deferred_windows + t.power_failures >= t.n_windows
         for w in result.windows:
             assert w.deferred == (w.started_at is None)
+        correct = sum(w.correct for w in result.windows if w.decision is not None)
+        assert t.completed_pipelines > 1 and t.accuracy_total == correct / t.completed_pipelines
+
+    def test_windows_are_the_whole_windows_in_the_horizon(self, trace5000):
+        # 3 * 10.1 rounds to just below three 10.1 s windows: the horizon holds two,
+        # each logged at its start, and the run still ends at the horizon
+        device = DEVICE._replace(schedule=DEVICE.schedule._replace(window_seconds=10.1))
+        horizon = 3 * 10.1
+        harvest = HarvestProfile.constant(2e-3)
+        result = simulate(SimConfig(device, 4.5, horizon), harvest, trace5000)
+        assert result.totals.n_windows == 2
+        assert [t for t, label in result.events if label.startswith("window:")] == [0.0, 10.1]
+        assert result.trajectory.columns[0][-1] == horizon
 
     def test_trajectory_knots_are_the_piece_starts(self, trace5000):
         harvest = HarvestProfile.constant(2e-3)
@@ -412,11 +425,47 @@ def low_v_on_device(capacitance):
 
 class TestEventEngine:
     def test_stage_requested_with_outputs_off_is_a_fault(self):
-        # 3.7 V is below v_on = 3.92 V: the engine starts latched off
-        engine = _Engine(DEVICE, HarvestProfile.constant(1e-3), 3.7)
-        assert not engine.outputs_enabled
-        with pytest.raises(SimulationFault, match="with outputs disabled"):
-            engine.run_stage("measurement")
+        # 3.7 V is below v_on = 3.92 V: the engine starts latched off, and even a
+        # stage that draws nothing may not run on outputs that are off
+        dark_led = DEVICE.stage("led_green")._replace(current_amps=0.0)
+        device = DEVICE._replace(stages={**DEVICE.stages, "led_green": dark_led})
+        for stage in ("measurement", "led_green"):
+            engine = _Engine(device, HarvestProfile.constant(1e-3), 3.7)
+            assert not engine.outputs_enabled
+            with pytest.raises(SimulationFault, match="with outputs disabled"):
+                engine.run_stage(stage)
+
+    def test_piece_too_short_to_move_the_clock_adds_no_row(self):
+        # a charge_time below an ulp of t (seen with Hypothesis) moves v but not the
+        # clock: the record gains no zero-length row, and the next row's v0 carries v1
+        engine = _Engine(DEVICE, HarvestProfile.constant(1e-3), 3.6)
+        engine._piece(20.0, 20.0, 3.6, 3.600000000000002, 1e-3, 0.0)
+        assert all(len(column) == 0 for column in engine.pieces)
+        assert (engine.time, engine._v) == (20.0, 3.600000000000002)
+
+    def test_stage_ending_at_the_v_off_crossing_fails(self):
+        # the stage lasts exactly the time to fall to v_off, where Newton on that
+        # time would stop an ulp above it: the piece ends on v_off and the stage fails
+        i, v0, current = 1e-3, 4.5, 0.01
+        stage = DEVICE.stage("capture_preprocess")._replace(current_amps=current)
+        tau = charge_time(v0, 3.6, i, stage.power_watts, DEVICE.capacitor.capacitance_farads)
+        stage = stage._replace(duration_seconds=tau)
+        device = DEVICE._replace(stages={**DEVICE.stages, stage.name: stage})
+        engine = _Engine(device, HarvestProfile.constant(i), v0)
+        assert not engine.run_stage(stage.name)
+        assert (engine.time, engine._v, engine.outputs_enabled) == (tau, 3.6, False)
+
+    def test_pinned_under_load_the_surplus_is_clamp_loss(self):
+        # 225 mW harvested at v_max against the capture's 51 mW: the buffer stays
+        # pinned, the harvest feeds the stage and the rest is discarded
+        i, stage = 0.05, DEVICE.stage("capture_preprocess")
+        engine = _Engine(DEVICE, HarvestProfile.constant(i), 4.5)
+        assert engine.run_stage(stage.name)
+        consumed, harvested, clamp, e0, e1 = engine.close().ledger()
+        work = stage.power_watts * stage.duration_seconds
+        assert consumed == pytest.approx(work, rel=1e-12) and e1 == e0
+        assert clamp == pytest.approx(i * 4.5 * stage.duration_seconds - work, rel=1e-12)
+        assert harvested == pytest.approx(i * 4.5 * stage.duration_seconds, rel=1e-12)
 
     def test_stage_fails_at_v_off_crossing_instant(self):
         device = low_v_on_device(0.05)

@@ -173,6 +173,11 @@ class TestGenerator:
         for inst in generate_trace(GeneratorSpec(2000, 0.6, 0.9, 0.3, 2)):
             assert 0.0 <= inst.o1 <= 1.0 and 0.0 <= inst.o2 <= 1.0
 
+    def test_feasible_targets_at_their_edges(self):
+        # one instance or the cap, accuracies at 0.5 or 1, and equal at both heads
+        for n, acc1, acc2 in [(1, 0.5, 0.5), (10**7, 1.0, 1.0), (100, 0.5, 1.0)]:
+            assert GeneratorSpec(n, acc1, acc2, 0.5, 0).n == n
+
     def test_infeasible_targets(self):
         with pytest.raises(FitError):
             GeneratorSpec(100, 0.4, 0.8, 0.5, 1)  # acc1 below 0.5
@@ -180,6 +185,8 @@ class TestGenerator:
             GeneratorSpec(100, 0.9, 0.8, 0.5, 1)  # acc1 > acc2
         with pytest.raises(FitError):
             GeneratorSpec(100, 0.7, 0.8, 0.0, 1)  # degenerate class balance
+        with pytest.raises(FitError):
+            GeneratorSpec(100, 0.7, 0.8, 1.0, 1)
         with pytest.raises(FitError):
             GeneratorSpec(0, 0.7, 0.8, 0.5, 1)
 
