@@ -135,6 +135,11 @@ class DeviceConfig(NamedTuple):
         """Energy one run of the stage draws from the buffer, converter losses included."""
         return state_energy(self.stage(name)) / self.converter_efficiency
 
+    def idle_draw(self) -> float:
+        """Idle power drawn from the buffer at the measurement stage's rail, losses included."""
+        rail = self.stage("measurement").supply_volts
+        return rail * self.idle_current_amps / self.converter_efficiency
+
     def problems(self) -> List[str]:
         """Field-level diagnostics; empty when the configuration is sound."""
         out = []
@@ -157,7 +162,7 @@ class DeviceConfig(NamedTuple):
             if self.idle_current_amps > measurement.current_amps:
                 out.append(f"idle_current_amps: {self.idle_current_amps} A draws more than "
                            f"the measurement's {measurement.current_amps:.4g} A")
-            idle = measurement.supply_volts * self.idle_current_amps / self.converter_efficiency
+            idle = self.idle_draw()
             if band < idle * _MIN_LATCH_SECONDS:
                 out.append(f"capacitor: the v_off..v_on band feeds the {idle:.4g} W idle draw "
                            f"for {band / idle:.4g} s, less than {_MIN_LATCH_SECONDS} s")

@@ -178,8 +178,7 @@ class _Engine:
         self._cap = cap
         self._c = cap.capacitance_farads
         self._eta = device.converter_efficiency
-        rail = device.stage("measurement").supply_volts
-        self._idle_draw = rail * device.idle_current_amps / self._eta
+        self._idle_draw = device.idle_draw()
         # per stage: event label, duration and the draw on the buffer, converter losses included
         self._stages = {name: ("stage:" + name, prof.duration_seconds, prof.power_watts / self._eta)
                         for name, prof in device.stages.items()}

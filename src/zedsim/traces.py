@@ -2,7 +2,11 @@
 
 Trace CSV: header ``id,o1,o2,label``, one row per input with both exit scores
 and the ground-truth label. Harvest CSV: header ``t_start_s,i_h_ma``,
-piecewise-constant segments. All numbers are decimal with a dot separator.
+piecewise-constant segments. All numbers are decimal with a dot separator. One
+reader serves both: the header comes first, so an empty file is rejected, blank
+lines are skipped, and every row has the header's width. Each loader parses the
+fields and keeps its own rules: ascending ids for a trace, the profile's
+segment rules for a harvest.
 
 In memory a trace is a :class:`~zedsim.policy.Trace` of four columns, with no
 Python object per row: the loader and the generator fill them, the writer and
@@ -21,7 +25,6 @@ only user of numpy, which it imports when called.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import warnings
 from array import array
@@ -41,13 +44,24 @@ _CONFIDENT_BETA = (1.0, 6.0)
 _AMBIGUOUS_BETA = (1.0, 3.5)
 
 
-@contextlib.contextmanager
-def _csv_reader(path):
-    """A CSV reader over ``path``; a byte that does not decode or an oversized
-    field raises TraceError naming the file."""
+def _rows(path, header):
+    """Yield ``(line number, fields)`` for each non-blank row after ``header``. A
+    missing header, a row of another width, a byte that does not decode or an
+    oversized field raises TraceError naming the file."""
     with open(path, newline="") as fh:
         try:
-            yield csv.reader(fh)
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None or [h.strip() for h in first] != header:
+                raise TraceError(f"{path}:1: expected header {','.join(header)}, "
+                                 f"read {first!r}")
+            width = len(header)
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise TraceError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+                yield lineno, row
         except (UnicodeDecodeError, csv.Error) as exc:
             raise TraceError(f"{path}: {exc}") from None
 
@@ -55,38 +69,23 @@ def _csv_reader(path):
 def load_trace(path) -> Trace:
     """Read and validate a trace CSV; raises TraceError with the line number."""
     trace = Trace([], array("d"), array("d"), array("b"))
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
-        if header is None:
-            warnings.warn(f"{path}: empty trace file")
-            return trace
-        if [h.strip() for h in header] != TRACE_HEADER:
-            raise TraceError(f"{path}:1: expected header {','.join(TRACE_HEADER)}, "
-                             f"read {header!r}")
-        last_id = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise TraceError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            try:
-                ident = int(row[0])
-                o1 = float(row[1])
-                o2 = float(row[2])
-                label = int(row[3])
-            except ValueError as exc:
-                raise TraceError(f"{path}:{lineno}: {exc}") from None
-            try:
-                check_instance(ident, o1, o2, label)
-            except DomainError as exc:
-                raise TraceError(f"{path}:{lineno}: {exc}") from None
-            if last_id is not None and ident <= last_id:
-                raise TraceError(f"{path}:{lineno}: ids must be unique and ascending")
-            last_id = ident
-            trace.ids.append(ident)
-            trace.o1.append(o1)
-            trace.o2.append(o2)
-            trace.labels.append(label)
+    last_id = None
+    for lineno, row in _rows(path, TRACE_HEADER):
+        try:
+            ident = int(row[0])
+            o1 = float(row[1])
+            o2 = float(row[2])
+            label = int(row[3])
+            check_instance(ident, o1, o2, label)
+        except ValueError as exc:
+            raise TraceError(f"{path}:{lineno}: {exc}") from None
+        if last_id is not None and ident <= last_id:
+            raise TraceError(f"{path}:{lineno}: ids must be unique and ascending")
+        last_id = ident
+        trace.ids.append(ident)
+        trace.o1.append(o1)
+        trace.o2.append(o2)
+        trace.labels.append(label)
     if not trace.ids:
         warnings.warn(f"{path}: trace file has no data rows")
     return trace
@@ -104,21 +103,12 @@ def load_harvest(path) -> HarvestProfile:
     """Read a piecewise-constant harvest profile CSV (currents in mA)."""
     times: List[float] = []
     currents: List[float] = []
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != HARVEST_HEADER:
-            raise TraceError(f"{path}:1: expected header {','.join(HARVEST_HEADER)}, "
-                             f"read {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise TraceError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            try:
-                times.append(float(row[0]))
-                currents.append(float(row[1]) * 1e-3)
-            except ValueError as exc:
-                raise TraceError(f"{path}:{lineno}: {exc}") from None
+    for lineno, row in _rows(path, HARVEST_HEADER):
+        try:
+            times.append(float(row[0]))
+            currents.append(float(row[1]) * 1e-3)
+        except ValueError as exc:
+            raise TraceError(f"{path}:{lineno}: {exc}") from None
     try:
         return HarvestProfile(tuple(times), tuple(currents))
     except DomainError as exc:

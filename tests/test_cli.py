@@ -245,6 +245,9 @@ class TestRejectsMalformedInputs:
          ":1: expected header id,o1,o2,label, read ['\\ufeffid', 'o1', 'o2', 'label']"),
         (["run"], {"--harvest": "t_start_s,i_h_ma\n0.0,1.0,2.0\n"},
          ":2: expected 2 fields, got 3"),
+        # the horizon holds no window, so only the header check can reject the file
+        (["run", "--horizon", "5"], {"--trace": ""},
+         ":1: expected header id,o1,o2,label, read None"),
         (["run"], {"--trace": "id,o1,o2,label\n"},
          "trace has 0 instances but the horizon holds 20 windows"),
         (["sweep-thresholds"], {"--trace": "id,o1,o2,label\n"}, "trace must be non-empty"),
@@ -254,8 +257,8 @@ class TestRejectsMalformedInputs:
     ], ids=["config-root-list", "capacitor-number", "stage-number", "negative-idle-current",
             "zero-supply", "zero-window", "capacitor-v-on-above-v-max", "duplicate-section",
             "negative-deadline", "zero-horizon", "trace-3-fields", "trace-with-bom",
-            "harvest-3-fields", "header-only-trace-run", "header-only-trace-sweep",
-            "empty-capacitance-grid", "gen-trace-above-the-cap"])
+            "harvest-3-fields", "empty-trace-file", "header-only-trace-run",
+            "header-only-trace-sweep", "empty-capacitance-grid", "gen-trace-above-the-cap"])
     @pytest.mark.filterwarnings("ignore:.*no data rows")
     def test_rejected_before_any_output(self, tmp_path, trace_file, capsys, argv, files,
                                         problem):

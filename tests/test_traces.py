@@ -14,6 +14,7 @@ from zedsim.errors import DomainError, FitError, TraceError
 from zedsim.pmu import HarvestProfile
 from zedsim.policy import InferenceInstance
 from zedsim.traces import (
+    HARVEST_HEADER,
     TRACE_HEADER,
     GeneratorSpec,
     generate_trace,
@@ -50,10 +51,16 @@ class TestTraceFiles:
         with pytest.raises(TraceError, match=":3:"):
             load_trace(path)
 
-    def test_empty_file_warns(self, tmp_path):
+    def test_empty_file_is_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("")
-        with pytest.warns(UserWarning):
+        with pytest.raises(TraceError, match=":1: expected header id,o1,o2,label, read None"):
+            load_trace(path)
+
+    def test_header_only_trace_loads_empty_with_a_warning(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("id,o1,o2,label\n")
+        with pytest.warns(UserWarning, match="no data rows"):
             assert len(load_trace(path)) == 0
 
     def test_ids_must_ascend(self, tmp_path):
@@ -96,6 +103,48 @@ class TestTraceFiles:
         path.write_text("time,current\n0,1\n")
         with pytest.raises(TraceError):
             load_harvest(path)
+
+
+# each loader with its header and one valid row
+LOADERS = [pytest.param(load_trace, TRACE_HEADER, "0,0.5,0.5,1", id="trace"),
+           pytest.param(load_harvest, HARVEST_HEADER, "0.0,1.0", id="harvest")]
+
+
+class TestReader:
+    @pytest.mark.parametrize("load, header, row", LOADERS)
+    @pytest.mark.parametrize("rule", ["zero-bytes", "wrong-header", "bom-header", "wide-row",
+                                      "0xff", "long-field"])
+    def test_rules_are_worded_the_same_for_both_formats(self, tmp_path, load, header, row,
+                                                         rule):
+        names = ",".join(header)
+        upper, bom = [h.upper() for h in header], ["\ufeff" + header[0], *header[1:]]
+        content, problem = {
+            "zero-bytes": (b"", f":1: expected header {names}, read None"),
+            "wrong-header": (f"{names.upper()}\n{row}\n".encode(),
+                             f":1: expected header {names}, read {upper!r}"),
+            "bom-header": (f"\ufeff{names}\n{row}\n".encode(),
+                           f":1: expected header {names}, read {bom!r}"),
+            # a skipped blank line still counts in the line number
+            "wide-row": (f"{names}\n{row}\n\n{row},0\n".encode(),
+                         f":4: expected {len(header)} fields, got {len(header) + 1}"),
+            "0xff": (f"{names}\n{row}\n".encode() + b"\xff\n",
+                     ": 'utf-8' codec can't decode byte 0xff"),
+            "long-field": (f"{names}\n{row}".encode() + b"1" * 200_000 + b"\n",
+                           ": field larger than field limit (131072)"),
+        }[rule]
+        path = tmp_path / "input.csv"
+        path.write_bytes(content)
+        with pytest.raises(TraceError) as excinfo:
+            load(path)
+        assert str(excinfo.value).startswith(f"{path}{problem}")
+
+    @pytest.mark.parametrize("load, header, row", LOADERS)
+    def test_blank_lines_are_skipped(self, tmp_path, load, header, row):
+        names = ",".join(header)
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        plain.write_text(f"{names}\n{row}\n")
+        blank.write_text(f"{names}\n\n{row}\n\n\n")
+        assert load(blank) == load(plain)
 
 
 class TestColumns:
