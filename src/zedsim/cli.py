@@ -17,6 +17,7 @@ import heapq
 import json
 import math
 import sys
+import warnings
 from operator import itemgetter
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -26,7 +27,7 @@ from .errors import ConfigError, ZedSimError
 from .pmu import HarvestProfile
 from .policy import SWEEP_HEADER, Thresholds, sweep_thresholds
 from .scheduler import GATINGS, VARIANTS, plan
-from .sim import SimConfig, SimResult, energy_ledger_residual, simulate
+from .sim import SimConfig, SimResult, simulate
 from .traces import (
     GeneratorSpec,
     generate_trace,
@@ -139,7 +140,6 @@ def totals_text(result: SimResult, digest: str) -> str:
     lines = [f"config_sha256={digest}"]
     for name, value in result.totals._asdict().items():
         lines.append(f"{name}={'' if value is None else repr(value)}")
-    lines.append(f"ledger_residual_j={energy_ledger_residual(result)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -348,11 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ZedSimError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # a warning is one stderr line, whatever the install path or -W options
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (ZedSimError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ The JSON keys are the records' field names: the root's are
 :class:`DeviceConfig`'s, each section's those of its record
 (:class:`~zedsim.pmu.CapacitorSpec`, :class:`~zedsim.policy.Thresholds`,
 :class:`~zedsim.scheduler.ScheduleConfig`), and a stage's those of
-:class:`StageProfile` but its ``name``, which keys the stage.
+:class:`StageProfile`. A stage is its entry in ``stages``: its name is its key.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 import sys
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple
 
 from .errors import ConfigError, DomainError, checked
 from .pmu import CapacitorSpec
@@ -39,20 +39,19 @@ class StageProfile(NamedTuple):
     mean over the stage.
     """
 
-    name: str
     current_amps: float
     duration_seconds: float
     supply_volts: float = RAIL_VOLTS
 
     def check(self) -> None:
         if self.current_amps < 0:
-            raise DomainError(f"stage {self.name!r}: current must be >= 0")
+            raise DomainError("current must be >= 0")
         if self.duration_seconds < 0:
-            raise DomainError(f"stage {self.name!r}: duration must be >= 0")
+            raise DomainError("duration must be >= 0")
         if self.supply_volts <= 0:
-            raise DomainError(f"stage {self.name!r}: supply voltage must be positive")
+            raise DomainError("supply voltage must be positive")
         if not (math.isfinite(self.power_watts) and math.isfinite(state_energy(self))):
-            raise DomainError(f"stage {self.name!r}: power and energy must be finite")
+            raise DomainError("power and energy must be finite")
 
     @property
     def power_watts(self) -> float:
@@ -62,41 +61,6 @@ class StageProfile(NamedTuple):
 def state_energy(profile: StageProfile) -> float:
     """Energy drawn by one run of the stage: supply * duration * current."""
     return profile.supply_volts * profile.duration_seconds * profile.current_amps
-
-
-# Measured device characterization at the 3.3 V rail: mean current draw (A)
-# and duration (s) per pipeline state. The voltage-measurement pulse is spiky,
-# so its current is the energy-equivalent mean over the 4.145 ms burst
-# (0.8934 mJ per sample).
-_DEFAULT_STAGE_TABLE: Dict[str, Tuple[float, float]] = {
-    "capture_preprocess": (15.5868e-3, 1.4172),
-    "capture_preprocess_load_switch": (23.7491e-3, 1.4092),
-    "inference_ex1": (5.6646e-3, 0.4341),
-    "inference_ex2": (5.8884e-3, 0.6891),
-    "measurement": (0.8934e-3 / (RAIL_VOLTS * 4.145e-3), 4.145e-3),
-    "led_green": (0.7162e-3, 0.050),
-    "led_blue": (0.5714e-3, 0.100),
-    "led_red": (1.1912e-3, 0.100),
-}
-
-STAGE_NAMES = tuple(_DEFAULT_STAGE_TABLE) + ("inference_ex1_to_ex2",)
-
-_DEFAULT_CAPACITOR = CapacitorSpec(1.5, 3.6, 3.92, 4.5)
-_DEFAULT_THRESHOLDS = Thresholds(0.3, 0.7)
-_DEFAULT_SCHEDULE = ScheduleConfig(10.0, 4.0, 20, 0.0)
-_MIN_LATCH_SECONDS = 0.1  # at most ten latch cycles a second under the idle draw alone
-_MAX_ATTEMPTS = 1000  # admission instants per window, whatever their spacing
-
-
-def default_stages() -> Dict[str, StageProfile]:
-    stages = {
-        name: StageProfile(name, current, duration, RAIL_VOLTS)
-        for name, (current, duration) in _DEFAULT_STAGE_TABLE.items()
-    }
-    stages["inference_ex1_to_ex2"] = derive_escalation_stage(
-        stages["inference_ex1"], stages["inference_ex2"]
-    )
-    return stages
 
 
 def derive_escalation_stage(ex1: StageProfile, ex2: StageProfile) -> StageProfile:
@@ -110,7 +74,37 @@ def derive_escalation_stage(ex1: StageProfile, ex2: StageProfile) -> StageProfil
     if duration <= 0 or extra <= 0:
         raise ConfigError("deep inference must take longer and cost more than shallow")
     current = extra / (ex2.supply_volts * duration)
-    return StageProfile("inference_ex1_to_ex2", current, duration, ex2.supply_volts)
+    try:
+        return StageProfile(current, duration, ex2.supply_volts)
+    except DomainError as exc:
+        raise DomainError(f"stages.inference_ex1_to_ex2: {exc}") from None
+
+
+# Measured device characterization at the 3.3 V rail: mean current draw (A)
+# and duration (s) per pipeline state. The voltage-measurement pulse is spiky,
+# so its current is the energy-equivalent mean over the 4.145 ms burst
+# (0.8934 mJ per sample).
+_DEFAULT_STAGES: Dict[str, StageProfile] = {
+    "capture_preprocess": StageProfile(15.5868e-3, 1.4172),
+    "capture_preprocess_load_switch": StageProfile(23.7491e-3, 1.4092),
+    "inference_ex1": StageProfile(5.6646e-3, 0.4341),
+    "inference_ex2": StageProfile(5.8884e-3, 0.6891),
+    "measurement": StageProfile(0.8934e-3 / (RAIL_VOLTS * 4.145e-3), 4.145e-3),
+    "led_green": StageProfile(0.7162e-3, 0.050),
+    "led_blue": StageProfile(0.5714e-3, 0.100),
+    "led_red": StageProfile(1.1912e-3, 0.100),
+}
+_DEFAULT_STAGES["inference_ex1_to_ex2"] = derive_escalation_stage(
+    _DEFAULT_STAGES["inference_ex1"], _DEFAULT_STAGES["inference_ex2"]
+)
+
+STAGE_NAMES = tuple(_DEFAULT_STAGES)
+
+_DEFAULT_CAPACITOR = CapacitorSpec(1.5, 3.6, 3.92, 4.5)
+_DEFAULT_THRESHOLDS = Thresholds(0.3, 0.7)
+_DEFAULT_SCHEDULE = ScheduleConfig(10.0, 4.0, 20, 0.0)
+_MIN_LATCH_SECONDS = 0.1  # at most ten latch cycles a second under the idle draw alone
+_MAX_ATTEMPTS = 1000  # admission instants per window, whatever their spacing
 
 
 class DeviceConfig(NamedTuple):
@@ -125,19 +119,13 @@ class DeviceConfig(NamedTuple):
     def default(cls) -> "DeviceConfig":
         return cls.from_dict({})
 
-    def stage(self, name: str) -> StageProfile:
-        try:
-            return self.stages[name]
-        except KeyError:
-            raise ConfigError(f"stages.{name}: missing stage profile") from None
-
     def stage_energy(self, name: str) -> float:
         """Energy one run of the stage draws from the buffer, converter losses included."""
-        return state_energy(self.stage(name)) / self.converter_efficiency
+        return state_energy(self.stages[name]) / self.converter_efficiency
 
     def idle_draw(self) -> float:
         """Idle power drawn from the buffer at the measurement stage's rail, losses included."""
-        rail = self.stage("measurement").supply_volts
+        rail = self.stages["measurement"].supply_volts
         return rail * self.idle_current_amps / self.converter_efficiency
 
     def problems(self) -> List[str]:
@@ -153,7 +141,7 @@ class DeviceConfig(NamedTuple):
         if not out:
             # a band below one measurement, an idle draw above it, or one that empties the
             # band in under _MIN_LATCH_SECONDS makes the supply chatter
-            cap, measurement = self.capacitor, self.stage("measurement")
+            cap, measurement = self.capacitor, self.stages["measurement"]
             band = cap.usable(cap.v_on)
             e_measure = self.stage_energy("measurement")
             if band < e_measure:
@@ -194,8 +182,7 @@ class DeviceConfig(NamedTuple):
         return {
             **self._asdict(),
             "capacitor": self.capacitor._asdict(),
-            "stages": {name: dict(zip(StageProfile._fields[1:], p[1:]))
-                       for name, p in sorted(self.stages.items())},
+            "stages": {name: p._asdict() for name, p in sorted(self.stages.items())},
             "thresholds": self.thresholds._asdict(),
             "schedule": self.schedule._asdict(),
         }
@@ -207,29 +194,21 @@ class DeviceConfig(NamedTuple):
         unknown = set(data) - set(cls._fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        sections = {}
-        for key, default in (("capacitor", _DEFAULT_CAPACITOR),
-                             ("thresholds", _DEFAULT_THRESHOLDS),
-                             ("schedule", _DEFAULT_SCHEDULE)):
-            fields = _numbers(_section(data, key, default._fields), key)
-            try:
-                sections[key] = default._replace(**fields)
-            except DomainError as exc:
-                raise type(exc)(f"{key}: {exc}") from None
+        capacitor = _override(_DEFAULT_CAPACITOR, data, "capacitor")
+        thresholds = _override(_DEFAULT_THRESHOLDS, data, "thresholds")
+        schedule = _override(_DEFAULT_SCHEDULE, data, "schedule")
         top = _numbers({k: data[k] for k in cls._field_defaults if k in data}, "")
 
-        stages = default_stages()
+        stages = dict(_DEFAULT_STAGES)
         overrides = _section(data, "stages", STAGE_NAMES)
         for name in overrides:
-            entry = _section(overrides, name, StageProfile._fields[1:], "stages.")
-            stages[name] = stages[name]._replace(**_numbers(entry, f"stages.{name}"))
+            stages[name] = _override(stages[name], overrides, name, "stages.")
         if "inference_ex1_to_ex2" not in overrides:
             stages["inference_ex1_to_ex2"] = derive_escalation_stage(
                 stages["inference_ex1"], stages["inference_ex2"]
             )
 
-        return cls(sections["capacitor"], stages, sections["thresholds"],
-                   sections["schedule"], **top)
+        return cls(capacitor, stages, thresholds, schedule, **top)
 
     def with_capacitance(self, capacitance_farads: float) -> "DeviceConfig":
         return self._replace(capacitor=self.capacitor._replace(capacitance_farads=capacitance_farads))
@@ -244,6 +223,15 @@ def _section(data: dict, key: str, allowed, prefix: str = "") -> dict:
     if unknown:
         raise ConfigError(f"{prefix}{key}: unknown keys {sorted(unknown)}")
     return entry
+
+
+def _override(record, data: dict, key: str, prefix: str = ""):
+    """``record`` with the fields ``data[key]`` gives; a fault names ``prefix + key``."""
+    fields = _numbers(_section(data, key, record._fields, prefix), prefix + key)
+    try:
+        return record._replace(**fields)
+    except DomainError as exc:
+        raise type(exc)(f"{prefix}{key}: {exc}") from None
 
 
 def _numbers(entry: dict, prefix: str) -> dict:

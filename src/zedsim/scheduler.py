@@ -148,7 +148,7 @@ def requirement(device, steps: tuple) -> float:
 
 def worst_case_time(device, steps: tuple) -> float:
     """Longest wall time ``steps`` can take, every check's measurement included."""
-    return _walk(steps, 0.0, lambda name: device.stage(name).duration_seconds, max)
+    return _walk(steps, 0.0, lambda name: device.stages[name].duration_seconds, max)
 
 
 class WindowOutcome(NamedTuple):

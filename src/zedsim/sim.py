@@ -95,6 +95,7 @@ class SimTotals(NamedTuple):
     n_ex2: int
     n_fallback: int
     accuracy_total: Optional[float]
+    ledger_residual_j: float  # closure error of the energy ledger; ~0 for a sound run
 
 
 class SimResult(NamedTuple):
@@ -305,21 +306,20 @@ def simulate(
 
     trajectory = engine.close()
     totals = _aggregate(windows, trajectory, n_windows)
-    result = SimResult(engine.events, windows, totals, trajectory)
-    energies = {k: v for k, v in totals._asdict().items() if k.endswith("_j")}
-    energies["ledger_residual_j"] = energy_ledger_residual(result)
-    overflowed = [f"{k}={v!r}" for k, v in energies.items() if not math.isfinite(v)]
+    overflowed = [f"{k}={v!r}" for k, v in totals._asdict().items()
+                  if k.endswith("_j") and not math.isfinite(v)]
     if overflowed:
         raise DomainError(f"energy totals not finite ({', '.join(overflowed)}): "
                           "the harvest current or the stage energies are too large")
-    return result
+    return SimResult(engine.events, windows, totals, trajectory)
 
 
 def _aggregate(windows, trajectory, n_windows) -> SimTotals:
     completed = [w for w in windows if w.decision is not None]
     exits = Counter(w.decision.exit_taken for w in completed)
+    consumed, harvested, clamp, initial, final = trajectory.ledger()
     return SimTotals(
-        *trajectory.ledger(),  # the five energies, energy_consumed_j to final_energy_j
+        consumed, harvested, clamp, initial, final,
         n_windows=n_windows,
         completed_pipelines=len(completed),
         deferred_windows=sum(w.deferred for w in windows),
@@ -328,16 +328,5 @@ def _aggregate(windows, trajectory, n_windows) -> SimTotals:
         n_ex2=exits[ExitTaken.EX2],
         n_fallback=exits[ExitTaken.EX1_FALLBACK],
         accuracy_total=sum(w.correct for w in completed) / len(completed) if completed else None,
-    )
-
-
-def energy_ledger_residual(result: SimResult) -> float:
-    """Closure error of the energy ledger; ~0 for a sound run."""
-    t = result.totals
-    return (
-        t.initial_energy_j
-        + t.harvested_j
-        - t.final_energy_j
-        - t.energy_consumed_j
-        - t.clamp_loss_j
+        ledger_residual_j=initial + harvested - final - consumed - clamp,
     )

@@ -45,7 +45,8 @@ _AMBIGUOUS_BETA = (1.0, 3.5)
 
 
 def _rows(path, header):
-    """Yield ``(line number, fields)`` for each non-blank row after ``header``. A
+    """Yield ``(line number, fields)`` for each non-blank row after ``header``,
+    numbered by the file line it ends on, since a quoted field may span lines. A
     missing header, a row of another width, a byte that does not decode or an
     oversized field raises TraceError naming the file."""
     with open(path, newline="") as fh:
@@ -56,12 +57,13 @@ def _rows(path, header):
                 raise TraceError(f"{path}:1: expected header {','.join(header)}, "
                                  f"read {first!r}")
             width = len(header)
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 if len(row) != width:
-                    raise TraceError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-                yield lineno, row
+                    raise TraceError(f"{path}:{reader.line_num}: expected {width} fields, "
+                                     f"got {len(row)}")
+                yield reader.line_num, row
         except (UnicodeDecodeError, csv.Error) as exc:
             raise TraceError(f"{path}: {exc}") from None
 

@@ -20,7 +20,7 @@ from zedsim.policy import (
     evaluate_ex1,
     sweep_thresholds,
 )
-from zedsim.sim import SimConfig, energy_ledger_residual, simulate
+from zedsim.sim import SimConfig, simulate
 from zedsim.traces import GeneratorSpec, generate_trace
 
 DEVICE = DeviceConfig.default()
@@ -46,7 +46,7 @@ _RUNS = []  # (label, cfg, harvest, trace, result) for criteria 9 and 10
 
 def sim_run(label, cfg, harvest, trace):
     result = simulate(cfg, harvest, trace)
-    assert abs(energy_ledger_residual(result)) < 1e-6, f"ledger open for {label}"
+    assert abs(result.totals.ledger_residual_j) < 1e-6, f"ledger open for {label}"
     _RUNS.append((label, cfg, harvest, trace, result))
     return result
 
@@ -274,7 +274,7 @@ def _ensure_runs(calibrated_trace):
 
 def test_criterion_9_energy_ledger_closure(calibrated_trace):
     _ensure_runs(calibrated_trace)
-    residuals = [abs(energy_ledger_residual(result)) for _, _, _, _, result in _RUNS]
+    residuals = [abs(result.totals.ledger_residual_j) for _, _, _, _, result in _RUNS]
     ok = max(residuals) < 1e-6
     assert report(
         9, "energy ledger closure", ok,

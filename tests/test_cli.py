@@ -229,7 +229,7 @@ class TestRejectsMalformedInputs:
         (["run"], {"--config": '{"stages": {"led_red": 3}}'}, "stages.led_red: must be an object"),
         (["run"], {"--config": '{"idle_current_amps": -1e-6}'}, "idle_current_amps: must be >= 0"),
         (["run"], {"--config": '{"stages": {"measurement": {"supply_volts": 0}}}'},
-         "stage 'measurement': supply voltage must be positive"),
+         "stages.measurement: supply voltage must be positive"),
         (["run"], {"--config": '{"schedule": {"window_seconds": 0}}'},
          "schedule: window duration must be positive"),
         (["run"], {"--config": '{"capacitor": {"v_on": 5}}'},
@@ -259,7 +259,6 @@ class TestRejectsMalformedInputs:
             "negative-deadline", "zero-horizon", "trace-3-fields", "trace-with-bom",
             "harvest-3-fields", "empty-trace-file", "header-only-trace-run",
             "header-only-trace-sweep", "empty-capacitance-grid", "gen-trace-above-the-cap"])
-    @pytest.mark.filterwarnings("ignore:.*no data rows")
     def test_rejected_before_any_output(self, tmp_path, trace_file, capsys, argv, files,
                                         problem):
         for flag, content in files.items():
@@ -272,6 +271,14 @@ class TestRejectsMalformedInputs:
         err = capsys.readouterr().err
         assert problem in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_header_only_trace_warns_in_one_line(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("id,o1,o2,label\n")
+        # the horizon holds no window, so the run succeeds on an empty trace
+        assert main(["run", "--trace", str(trace), "--horizon", "5",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == f"warning: {trace}: trace file has no data rows\n"
 
     def test_negative_generator_seed(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -373,7 +380,7 @@ class TestRejectsMalformedInputs:
                      "--out", str(tmp_path / "out")]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"stage {stage!r}: power and energy must be finite" in err
+        assert f"stages.{stage}: power and energy must be finite" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -141,6 +141,24 @@ class TestSerialization:
         with pytest.raises(DomainError, match=r"n_attempts must be an integer >= 1, got 20\.0"):
             DeviceConfig.from_dict({"schedule": {"n_attempts": 20.0}})
 
+    @pytest.mark.parametrize("stages, problem", [
+        ({"led_red": {"current_amps": -1e-3}}, "stages.led_red: current must be >= 0"),
+        ({"measurement": {"duration_seconds": -1.0}},
+         "stages.measurement: duration must be >= 0"),
+        ({"capture_preprocess": {"supply_volts": 0.0}},
+         "stages.capture_preprocess: supply voltage must be positive"),
+        ({"led_green": {"current_amps": 1e300, "supply_volts": 1e300}},
+         "stages.led_green: power and energy must be finite"),
+        # a sound deep exit whose extra energy overflows the derived escalation's power
+        ({"inference_ex2": {"supply_volts": 1e300, "current_amps": 1e8}},
+         "stages.inference_ex1_to_ex2: power and energy must be finite"),
+    ], ids=["negative-current", "negative-duration", "zero-supply", "infinite-power",
+            "derived-escalation"])
+    def test_a_stage_fault_names_the_stage(self, stages, problem):
+        with pytest.raises(DomainError) as excinfo:
+            DeviceConfig.from_dict({"stages": stages})
+        assert str(excinfo.value) == problem
+
     def test_stage_override_keeps_other_fields(self):
         d = DeviceConfig.from_dict({"stages": {"led_red": {"duration_seconds": 0.2}}})
         assert d.stages["led_red"].duration_seconds == 0.2
@@ -169,7 +187,7 @@ class TestSerialization:
 
 _BAND_3J = {"capacitance_farads": 2.0, "v_off": 1.0, "v_on": 2.0, "v_max": 4.0}
 _BAND_BELOW_3J = {**_BAND_3J, "v_on": math.nextafter(2.0, 0.0)}
-_MEASUREMENT_AMPS = DeviceConfig.default().stage("measurement").current_amps
+_MEASUREMENT_AMPS = DeviceConfig.default().stages["measurement"].current_amps
 
 
 def _measurement(current, duration):
@@ -219,7 +237,7 @@ class TestValidation:
 
     def test_attempts_exactly_one_measurement_apart(self):
         # n a power of two: the deadline n measurements long divides back exactly
-        measure = DeviceConfig.default().stage("measurement").duration_seconds
+        measure = DeviceConfig.default().stages["measurement"].duration_seconds
         edge = measure * 512
         for deadline, ok in ((edge, True), (math.nextafter(edge, 0.0), False)):
             schedule = {"n_attempts": 512, "deadline_seconds": deadline}

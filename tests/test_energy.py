@@ -4,7 +4,7 @@ import pytest
 
 from euler_oracle import stored_energy, usable_energy
 from zedsim.config import STAGE_NAMES, DeviceConfig, StageProfile, state_energy
-from zedsim.errors import ConfigError, DomainError
+from zedsim.errors import DomainError
 from zedsim.pmu import CapacitorSpec
 from zedsim.scheduler import GATINGS, VARIANTS, plan, requirement
 
@@ -65,18 +65,18 @@ class TestUsableEnergy:
 
 class TestStateEnergy:
     def test_shallow_inference_row(self):
-        p = StageProfile("inference_ex1", 5.6646e-3, 0.4341, 3.3)
+        p = StageProfile(5.6646e-3, 0.4341, 3.3)
         assert state_energy(p) == pytest.approx(8.118e-3, rel=5e-3)
 
     def test_deep_inference_row(self):
-        p = StageProfile("inference_ex2", 5.8884e-3, 0.6891, 3.3)
+        p = StageProfile(5.8884e-3, 0.6891, 3.3)
         assert state_energy(p) == pytest.approx(13.390e-3, rel=5e-3)
 
     def test_zero_duration(self):
-        assert state_energy(StageProfile("x", 1.0, 0.0, 3.3)) == 0.0
+        assert state_energy(StageProfile(1.0, 0.0, 3.3)) == 0.0
 
     def test_identity_with_product(self):
-        p = StageProfile("x", 0.0123, 0.456, 3.3)
+        p = StageProfile(0.0123, 0.456, 3.3)
         assert state_energy(p) == p.supply_volts * p.duration_seconds * p.current_amps
 
     def test_all_default_rows_match_published(self):
@@ -141,13 +141,6 @@ class TestRequiredEnergy:
         (escalate,) = escalation_check().options
         assert requirement(device, escalate) == pytest.approx(expected, rel=5e-3)
 
-    def test_missing_profile(self):
-        (attempt,) = admission_options("proposed")
-        for name in ("capture_preprocess", "led_green", "led_red", "measurement"):
-            stages = {k: v for k, v in self.device.stages.items() if k != name}
-            with pytest.raises(ConfigError, match=name):
-                requirement(self.device._replace(stages=stages), attempt)
-
     def test_escalation_additivity(self):
         # the shallow path plus the escalation requirement never exceed the
         # deep run that policy I admits
@@ -196,9 +189,9 @@ class TestTypes:
 
     def test_stage_invariants(self):
         with pytest.raises(DomainError):
-            StageProfile("x", -1e-3, 0.1)
+            StageProfile(-1e-3, 0.1)
         with pytest.raises(DomainError):
-            StageProfile("x", 1e-3, -0.1)
+            StageProfile(1e-3, -0.1)
 
     def test_budget_invariants(self):
         # every requirement the plans give is non-negative and covers each

@@ -22,12 +22,12 @@ from zedsim.config import DeviceConfig
 from zedsim.pmu import HarvestProfile, charge_time
 from zedsim.policy import ExitTaken, InferenceInstance, Thresholds
 from zedsim.scheduler import GATINGS, VARIANTS, Check, Split, plan, requirement
-from zedsim.sim import SimConfig, _Engine, energy_ledger_residual, simulate
+from zedsim.sim import SimConfig, _Engine, simulate
 
 DEVICE = DeviceConfig.default()
 V_OFF, V_MAX = DEVICE.capacitor.v_off, DEVICE.capacitor.v_max
 MAX_HARVEST = 10e-3
-RAIL = DEVICE.stage("measurement").supply_volts
+RAIL = DEVICE.stages["measurement"].supply_volts
 
 
 @st.composite
@@ -111,7 +111,7 @@ def test_compiled_needs_are_the_walked_requirements(device, guard):
 
 def assert_ledger_closes_and_totals_partition(result):
     t = result.totals
-    assert abs(energy_ledger_residual(result)) < 1e-9
+    assert abs(result.totals.ledger_residual_j) < 1e-9
     # each account is a sum of closed-form differences, exact to roundoff
     assert min(t.harvested_j, t.energy_consumed_j, t.clamp_loss_j) >= -1e-12
     assert t.completed_pipelines + t.deferred_windows + t.power_failures == t.n_windows
@@ -225,7 +225,7 @@ def test_knots_agree_with_the_closed_form(scenario):
     c = cap.capacitance_farads
     device = cfg.device
     p_max = max(s.power_watts for s in device.stages.values()) + (
-        device.stage("measurement").supply_volts * device.idle_current_amps)
+        device.stages["measurement"].supply_volts * device.idle_current_amps)
     # the fastest v moves: the strongest harvest, or the largest draw at v_off
     fastest = (max(harvest.currents) + p_max / device.converter_efficiency / cap.v_off) / c
     t0, v0, current, power, _ = result.trajectory.columns

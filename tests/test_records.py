@@ -17,7 +17,7 @@ from zedsim.traces import GeneratorSpec
 # a sound record of each checked type, a field value that breaks it, and its error
 CHECKED = [
     (CapacitorSpec(1.5, 3.6, 3.92, 4.5), {"capacitance_farads": 0.0}, DomainError),
-    (StageProfile("capture", 15e-3, 1.4), {"duration_seconds": -1.0}, DomainError),
+    (StageProfile(15e-3, 1.4), {"duration_seconds": -1.0}, DomainError),
     (HarvestProfile((0.0, 5.0), (1e-3, 2e-3)), {"currents": (1e-3, -1.0)}, DomainError),
     (HarvestProfile((0.0, 5.0), (1e-3, 2e-3)), {"times": (0.0,)}, DomainError),
     (InferenceInstance(7, 0.2, 0.8, 1), {"o1": 1.5}, DomainError),

@@ -155,7 +155,7 @@ def _first_admitted_candidate_oracle(device, harvest, v0, substeps=4):
     e = 0.5 * c * v0**2
     floor = 0.5 * c * cap.v_off**2
     t = 0.0
-    meas = device.stage("measurement")
+    meas = device.stages["measurement"]
     p_meas = meas.supply_volts * meas.current_amps
     for i, s in enumerate(candidate_start_times(0.0, device.schedule)):
         while t < s - 1e-12:

@@ -17,7 +17,7 @@ from zedsim.policy import (
     balanced_call,
     evaluate_ex1,
 )
-from zedsim.sim import SimConfig, _Engine, _fsum, energy_ledger_residual, simulate
+from zedsim.sim import SimConfig, _Engine, _fsum, simulate
 from zedsim.traces import GeneratorSpec, generate_trace
 
 DEVICE = DeviceConfig.default()
@@ -131,7 +131,7 @@ class TestSimulate:
         cfg = SimConfig(small._replace(schedule=small.schedule._replace(window_seconds=100.0)),
                         4.5, 50.0, "proposed")
         result = simulate(cfg, HarvestProfile.constant(0.0), [])
-        rail = DEVICE.stage("measurement").supply_volts
+        rail = DEVICE.stages["measurement"].supply_volts
         expected = rail * 5e-3 * 50.0
         assert result.totals.energy_consumed_j == pytest.approx(expected, rel=1e-6)
         # latched-off device draws nothing
@@ -153,7 +153,7 @@ class TestSimulate:
         for harvest in (HarvestProfile.constant(0.0), HarvestProfile.constant(2e-3)):
             cfg = SimConfig(DEVICE.with_capacitance(0.25), 4.3, 120.0, "proposed")
             result = simulate(cfg, harvest, trace5000)
-            assert abs(energy_ledger_residual(result)) < 1e-6
+            assert abs(result.totals.ledger_residual_j) < 1e-6
 
     def test_totals_no_float_holds_are_a_domain_error(self, trace5000):
         # fsum raises on an intermediate overflow and on inf - inf; both are nan
@@ -174,7 +174,7 @@ class TestSimulate:
         trace = generate_trace(GeneratorSpec(1008, 0.7265, 0.8309, 0.5386, 0))
         result = simulate(SimConfig(device, 4.5, 7 * day, "proposed"), harvest, trace)
         assert result.totals.n_windows == 1008
-        assert abs(energy_ledger_residual(result)) <= math.ulp(result.totals.harvested_j)
+        assert abs(result.totals.ledger_residual_j) <= math.ulp(result.totals.harvested_j)
 
     def test_wall_time_gap_between_exits(self, trace5000):
         cfg = SimConfig(DEVICE, 4.5, 200.0, "proposed")
@@ -189,15 +189,15 @@ class TestSimulate:
         assert ExitTaken.EX1 in durations and ExitTaken.EX2 in durations
         gap = min(durations[ExitTaken.EX2]) - min(durations[ExitTaken.EX1])
         expected = sum(
-            DEVICE.stage(n).duration_seconds
+            DEVICE.stages[n].duration_seconds
             for n in ("measurement", "inference_ex1_to_ex2", "led_green")
         )
         assert gap == pytest.approx(expected, abs=1e-9)
 
     def test_inference_duration_ratio(self):
-        t1 = DEVICE.stage("inference_ex1").duration_seconds
-        t2 = DEVICE.stage("inference_ex2").duration_seconds
-        esc = DEVICE.stage("inference_ex1_to_ex2").duration_seconds
+        t1 = DEVICE.stages["inference_ex1"].duration_seconds
+        t2 = DEVICE.stages["inference_ex2"].duration_seconds
+        esc = DEVICE.stages["inference_ex1_to_ex2"].duration_seconds
         assert (t1 + esc) / t1 == pytest.approx(t2 / t1, rel=1e-12)
         assert t2 / t1 == pytest.approx(1.587, abs=5e-3)
 
@@ -256,7 +256,7 @@ class TestSimulate:
         safe = simulate(SimConfig(device, v0, 10.0, "proposed"), harvest, trace)
         assert safe.totals.power_failures == 0
         assert safe.totals.n_fallback == 1
-        assert abs(energy_ledger_residual(risky)) < 1e-6
+        assert abs(risky.totals.ledger_residual_j) < 1e-6
 
     def test_escalation_ending_ulps_before_v_off_is_a_power_failure(self):
         # a 1.65 W escalation drains the buffer; find where it starts, then end it
@@ -370,7 +370,7 @@ class TestReplay:
         loads = []
         for t, label in result.events:
             if label.startswith("stage:"):
-                prof = DEVICE.stage(label[len("stage:"):])
+                prof = DEVICE.stages[label[len("stage:"):]]
                 loads.append((t, t + prof.duration_seconds, prof.power_watts))
         spec = DEVICE.capacitor
         errors = []
@@ -427,7 +427,7 @@ class TestEventEngine:
     def test_stage_requested_with_outputs_off_is_a_fault(self):
         # 3.7 V is below v_on = 3.92 V: the engine starts latched off, and even a
         # stage that draws nothing may not run on outputs that are off
-        dark_led = DEVICE.stage("led_green")._replace(current_amps=0.0)
+        dark_led = DEVICE.stages["led_green"]._replace(current_amps=0.0)
         device = DEVICE._replace(stages={**DEVICE.stages, "led_green": dark_led})
         for stage in ("measurement", "led_green"):
             engine = _Engine(device, HarvestProfile.constant(1e-3), 3.7)
@@ -447,20 +447,20 @@ class TestEventEngine:
         # the stage lasts exactly the time to fall to v_off, where Newton on that
         # time would stop an ulp above it: the piece ends on v_off and the stage fails
         i, v0, current = 1e-3, 4.5, 0.01
-        stage = DEVICE.stage("capture_preprocess")._replace(current_amps=current)
+        stage = DEVICE.stages["capture_preprocess"]._replace(current_amps=current)
         tau = charge_time(v0, 3.6, i, stage.power_watts, DEVICE.capacitor.capacitance_farads)
         stage = stage._replace(duration_seconds=tau)
-        device = DEVICE._replace(stages={**DEVICE.stages, stage.name: stage})
+        device = DEVICE._replace(stages={**DEVICE.stages, "capture_preprocess": stage})
         engine = _Engine(device, HarvestProfile.constant(i), v0)
-        assert not engine.run_stage(stage.name)
+        assert not engine.run_stage("capture_preprocess")
         assert (engine.time, engine._v, engine.outputs_enabled) == (tau, 3.6, False)
 
     def test_pinned_under_load_the_surplus_is_clamp_loss(self):
         # 225 mW harvested at v_max against the capture's 51 mW: the buffer stays
         # pinned, the harvest feeds the stage and the rest is discarded
-        i, stage = 0.05, DEVICE.stage("capture_preprocess")
+        i, stage = 0.05, DEVICE.stages["capture_preprocess"]
         engine = _Engine(DEVICE, HarvestProfile.constant(i), 4.5)
-        assert engine.run_stage(stage.name)
+        assert engine.run_stage("capture_preprocess")
         consumed, harvested, clamp, e0, e1 = engine.close().ledger()
         work = stage.power_watts * stage.duration_seconds
         assert consumed == pytest.approx(work, rel=1e-12) and e1 == e0
@@ -471,10 +471,10 @@ class TestEventEngine:
         device = low_v_on_device(0.05)
         engine = _Engine(device, HarvestProfile.constant(1e-3), 3.7)
         assert engine.outputs_enabled
-        p = device.stage("capture_preprocess").power_watts
+        p = device.stages["capture_preprocess"].power_watts
         i, v0, v_off = 1e-3, 3.7, 3.6
         t_fail = (0.05 / i) * ((v_off - v0) + (p / i) * math.log((i * v_off - p) / (i * v0 - p)))
-        assert 0 < t_fail < device.stage("capture_preprocess").duration_seconds
+        assert 0 < t_fail < device.stages["capture_preprocess"].duration_seconds
         assert not engine.run_stage("capture_preprocess")
         assert engine.time == pytest.approx(t_fail, rel=1e-12)
         assert engine._v == v_off and not engine.outputs_enabled
@@ -488,7 +488,7 @@ class TestEventEngine:
         # a stage that ends a few ulps before its v_off crossing may have its end
         # voltage rounded onto v_off: the latch then turns off, and the stage fails
         device = DEVICE.with_capacitance(0.05)
-        capture = device.stage("capture_preprocess")
+        capture = device.stages["capture_preprocess"]
         duration = charge_time(3.95, 3.6, 0.0, capture.power_watts, 0.05)
         succeeded = []
         for _ in range(5):
@@ -559,7 +559,7 @@ class TestEventEngine:
 
     def test_harvest_boundary_one_ulp_after_a_stage_gets_its_own_knot(self):
         # times compare exactly: the new current starts at the boundary, not before
-        end = DEVICE.stage("measurement").duration_seconds
+        end = DEVICE.stages["measurement"].duration_seconds
         boundary = math.nextafter(end, math.inf)
         engine = _Engine(DEVICE, HarvestProfile((0.0, boundary), (1e-3, 2e-3)), 4.0)
         assert engine.run_stage("measurement")

@@ -138,6 +138,18 @@ class TestReader:
             load(path)
         assert str(excinfo.value).startswith(f"{path}{problem}")
 
+    @pytest.mark.parametrize("load, content", [
+        (load_trace, 'id,o1,o2,label\n0,"0.5\n",0.5,1\n1,x,0.5,1\n'),
+        (load_harvest, 't_start_s,i_h_ma\n"0\n",1.0\nx,1.0\n'),
+    ], ids=["trace", "harvest"])
+    def test_line_numbers_count_file_lines(self, tmp_path, load, content):
+        # a quoted field spans lines 2 and 3, so the third record is line 4
+        path = tmp_path / "input.csv"
+        path.write_text(content)
+        with pytest.raises(TraceError) as excinfo:
+            load(path)
+        assert str(excinfo.value) == f"{path}:4: could not convert string to float: 'x'"
+
     @pytest.mark.parametrize("load, header, row", LOADERS)
     def test_blank_lines_are_skipped(self, tmp_path, load, header, row):
         names = ",".join(header)
