@@ -25,15 +25,16 @@ from typing import List, Optional, Sequence
 from .config import DeviceConfig, config_hash, load_config
 from .errors import ConfigError, ZedSimError
 from .pmu import HarvestProfile
-from .policy import SWEEP_HEADER, Thresholds, sweep_thresholds
-from .scheduler import GATINGS, VARIANTS, plan
+from .scheduler import GATINGS, VARIANTS, Thresholds, plan
 from .sim import SimConfig, SimResult, simulate
 from .traces import (
+    SWEEP_HEADER,
     GeneratorSpec,
     generate_trace,
     load_harvest,
     load_trace,
     save_trace,
+    sweep_thresholds,
     trace_statistics,
 )
 

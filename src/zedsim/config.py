@@ -9,7 +9,7 @@ every artifact carries only its SHA-256.
 
 The JSON keys are the records' field names: the root's are
 :class:`DeviceConfig`'s, each section's those of its record
-(:class:`~zedsim.pmu.CapacitorSpec`, :class:`~zedsim.policy.Thresholds`,
+(:class:`~zedsim.pmu.CapacitorSpec`, :class:`~zedsim.scheduler.Thresholds`,
 :class:`~zedsim.scheduler.ScheduleConfig`), and a stage's those of
 :class:`StageProfile`. A stage is its entry in ``stages``: its name is its key.
 """
@@ -24,8 +24,7 @@ from typing import Dict, List, NamedTuple
 
 from .errors import ConfigError, DomainError, checked
 from .pmu import CapacitorSpec
-from .policy import Thresholds
-from .scheduler import GATINGS, VARIANTS, ScheduleConfig, plan, worst_case_time
+from .scheduler import GATINGS, VARIANTS, ScheduleConfig, Thresholds, plan, worst_case_time
 
 RAIL_VOLTS = 3.3
 
@@ -35,7 +34,7 @@ class StageProfile(NamedTuple):
     """Measured load profile of one pipeline state at the regulated rail.
 
     The energy of the stage is exactly supply_volts * duration_seconds *
-    current_amps (see :func:`state_energy`); current is the energy-equivalent
+    current_amps (:attr:`energy_joules`); current is the energy-equivalent
     mean over the stage.
     """
 
@@ -50,17 +49,17 @@ class StageProfile(NamedTuple):
             raise DomainError("duration must be >= 0")
         if self.supply_volts <= 0:
             raise DomainError("supply voltage must be positive")
-        if not (math.isfinite(self.power_watts) and math.isfinite(state_energy(self))):
+        if not (math.isfinite(self.power_watts) and math.isfinite(self.energy_joules)):
             raise DomainError("power and energy must be finite")
 
     @property
     def power_watts(self) -> float:
         return self.supply_volts * self.current_amps
 
-
-def state_energy(profile: StageProfile) -> float:
-    """Energy drawn by one run of the stage: supply * duration * current."""
-    return profile.supply_volts * profile.duration_seconds * profile.current_amps
+    @property
+    def energy_joules(self) -> float:
+        """Energy drawn by one run of the stage: supply * duration * current."""
+        return self.supply_volts * self.duration_seconds * self.current_amps
 
 
 def derive_escalation_stage(ex1: StageProfile, ex2: StageProfile) -> StageProfile:
@@ -70,9 +69,10 @@ def derive_escalation_stage(ex1: StageProfile, ex2: StageProfile) -> StageProfil
     energy, so shallow + escalation reproduces the deep totals.
     """
     duration = ex2.duration_seconds - ex1.duration_seconds
-    extra = state_energy(ex2) - state_energy(ex1)
+    extra = ex2.energy_joules - ex1.energy_joules
     if duration <= 0 or extra <= 0:
-        raise ConfigError("deep inference must take longer and cost more than shallow")
+        raise ConfigError("stages.inference_ex2: must take longer and cost more than "
+                          "stages.inference_ex1")
     current = extra / (ex2.supply_volts * duration)
     try:
         return StageProfile(current, duration, ex2.supply_volts)
@@ -121,7 +121,7 @@ class DeviceConfig(NamedTuple):
 
     def stage_energy(self, name: str) -> float:
         """Energy one run of the stage draws from the buffer, converter losses included."""
-        return state_energy(self.stages[name]) / self.converter_efficiency
+        return self.stages[name].energy_joules / self.converter_efficiency
 
     def idle_draw(self) -> float:
         """Idle power drawn from the buffer at the measurement stage's rail, losses included."""

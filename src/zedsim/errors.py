@@ -18,10 +18,6 @@ class TraceError(ZedSimError, ValueError):
     """A trace or harvest file failed to parse or validate."""
 
 
-class FitError(ZedSimError, ValueError):
-    """Synthetic trace targets that the generator cannot meet."""
-
-
 class SimulationFault(ZedSimError):
     """Load was requested while the supply outputs were disabled."""
 

@@ -1,4 +1,4 @@
-"""Window-based admission control and the plan of each policy variant.
+"""Window-based admission control, the exit rules and the plan of each policy variant.
 
 Time is split into fixed windows of ``window_seconds``; at most one full
 pipeline (capture, preprocess, inference, indication) runs per window. Under
@@ -35,18 +35,11 @@ against floats.
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, checked
-from .policy import (
-    NO_PERSON,
-    PERSON,
-    ExitDecision,
-    ExitTaken,
-    InferenceInstance,
-    balanced_call,
-    evaluate_ex1,
-)
+from .traces import NO_PERSON, PERSON, InferenceInstance, balanced_call
 
 VARIANT_PROPOSED = "proposed"
 VARIANT_POLICY_I = "policy_i"
@@ -59,6 +52,44 @@ GATING_LOAD_SWITCH = "load_switch"
 GATINGS = (GATING_MOSFET, GATING_LOAD_SWITCH)
 
 _RESULT_LEDS = {PERSON: "led_blue", NO_PERSON: "led_red"}
+
+
+class ExitTaken(Enum):
+    EX1 = "ex1"
+    EX2 = "ex2"
+    EX1_FALLBACK = "ex1_fallback"
+
+
+@checked
+class Thresholds(NamedTuple):
+    """Ambiguity band (gamma1, gamma2) around the balanced threshold 0.5."""
+
+    gamma1: float
+    gamma2: float
+
+    def check(self) -> None:
+        if not 0.0 <= self.gamma1 <= 0.5 <= self.gamma2 <= 1.0:
+            raise DomainError(
+                f"need 0 <= gamma1 <= 0.5 <= gamma2 <= 1, got ({self.gamma1}, {self.gamma2})"
+            )
+
+
+class ExitDecision(NamedTuple):
+    """The exit a pipeline took and its call, from evaluate_ex1 or balanced_call."""
+
+    exit_taken: ExitTaken
+    prediction: int
+
+
+def evaluate_ex1(o1: float, th: Thresholds) -> Optional[int]:
+    """Shallow-head call outside the open band (gamma1, gamma2). Inside it, None:
+    escalate to the deep head, which happens only if the energy check at that
+    moment allows it."""
+    if o1 >= th.gamma2:
+        return PERSON
+    if o1 <= th.gamma1:
+        return NO_PERSON
+    return None
 
 
 @checked

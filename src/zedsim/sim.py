@@ -41,16 +41,17 @@ from typing import Collection, Iterator, List, NamedTuple, Optional, Tuple
 from .config import DeviceConfig
 from .errors import ConfigError, DomainError, SimulationFault, checked
 from .pmu import CapacitorSpec, HarvestProfile, charge_time, mode_value, voltage_after
-from .policy import ExitTaken, InferenceInstance
 from .scheduler import (
     GATING_MOSFET,
     GATINGS,
     VARIANT_PROPOSED,
     VARIANTS,
+    ExitTaken,
     WindowOutcome,
     plan,
     run_window,
 )
+from .traces import InferenceInstance
 
 
 @checked

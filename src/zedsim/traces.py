@@ -1,4 +1,5 @@
-"""Trace and harvest-profile files plus a calibrated synthetic trace generator.
+"""Traces in memory and on file, harvest-profile files, a calibrated synthetic
+trace generator, and a trace's statistics and threshold sweep.
 
 Trace CSV: header ``id,o1,o2,label``, one row per input with both exit scores
 and the ground-truth label. Harvest CSV: header ``t_start_s,i_h_ma``,
@@ -8,9 +9,9 @@ lines are skipped, and every row has the header's width. Each loader parses the
 fields and keeps its own rules: ascending ids for a trace, the profile's
 segment rules for a harvest.
 
-In memory a trace is a :class:`~zedsim.policy.Trace` of four columns, with no
-Python object per row: the loader and the generator fill them, the writer and
-the statistics read them.
+In memory a trace is a :class:`Trace` of four columns, with no Python object
+per row: the loader and the generator fill them, the writer, the statistics
+and the sweep read them.
 
 The generator stands in for real validation scores. Per head it draws from a
 two-component mixture: a confident component concentrated near the correct
@@ -28,11 +29,15 @@ from __future__ import annotations
 import csv
 import warnings
 from array import array
-from typing import List, NamedTuple
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from typing import Iterable, Iterator, List, NamedTuple, Optional
 
-from .errors import DomainError, FitError, TraceError, checked
+from .errors import DomainError, TraceError, checked
 from .pmu import HarvestProfile
-from .policy import Trace, balanced_call, check_instance
+
+PERSON = 1
+NO_PERSON = 0
 
 TRACE_HEADER = ["id", "o1", "o2", "label"]
 HARVEST_HEADER = ["t_start_s", "i_h_ma"]
@@ -42,6 +47,58 @@ _MAX_INSTANCES = 10**7  # generated; over 3 years of 10 s windows, 10**6 peak ne
 # for ambiguous draws (both scaled by 0.5).
 _CONFIDENT_BETA = (1.0, 6.0)
 _AMBIGUOUS_BETA = (1.0, 3.5)
+
+
+def balanced_call(score: float) -> int:
+    """Balanced-threshold call on either head's score: the deep exit's, and the
+    shallow one's when escalation is denied. Every call but the shallow head's
+    outside its band is this one, so ties at 0.5 resolve to PERSON everywhere."""
+    return PERSON if score >= 0.5 else NO_PERSON
+
+
+@checked
+class InferenceInstance(NamedTuple):
+    """One input's scores at both exits plus its ground-truth label."""
+
+    id: int
+    o1: float
+    o2: float
+    label: int
+
+    def check(self) -> None:
+        check_instance(self.id, self.o1, self.o2, self.label)
+
+
+def check_instance(id: int, o1: float, o2: float, label: int) -> None:
+    """Raise DomainError unless both scores are in [0, 1] and the label is 0 or 1."""
+    if not 0.0 <= o1 <= 1.0:
+        raise DomainError(f"instance {id}: o1={o1} outside [0, 1]")
+    if not 0.0 <= o2 <= 1.0:
+        raise DomainError(f"instance {id}: o2={o2} outside [0, 1]")
+    if label not in (0, 1):
+        raise DomainError(f"instance {id}: label must be 0 or 1")
+
+
+class Trace:
+    """A trace as columns: ``ids`` a list, ``o1`` and ``o2`` arrays of 'd', ``labels``
+    of 'b'. Iteration yields row k as ``InferenceInstance(ids[k], o1[k], o2[k], labels[k])``."""
+
+    __slots__ = ("ids", "o1", "o2", "labels")
+
+    def __init__(self, ids: list, o1: array, o2: array, labels: array) -> None:
+        self.ids, self.o1, self.o2, self.labels = ids, o1, o2, labels
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ids, self.o1, self.o2, self.labels)
+                == (other.ids, other.o1, other.o2, other.labels))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[InferenceInstance]:
+        return map(InferenceInstance, self.ids, self.o1, self.o2, self.labels)
 
 
 def _rows(path, header):
@@ -136,15 +193,15 @@ class GeneratorSpec(NamedTuple):
 
     def check(self) -> None:
         if not 1 <= self.n <= _MAX_INSTANCES:
-            raise FitError(f"n must be in [1, {_MAX_INSTANCES}], got {self.n}")
+            raise DomainError(f"n must be in [1, {_MAX_INSTANCES}], got {self.n}")
         if not 0.5 <= self.target_acc1 <= self.target_acc2 <= 1.0:
-            raise FitError(
+            raise DomainError(
                 f"need 0.5 <= acc1 <= acc2 <= 1, got ({self.target_acc1}, {self.target_acc2})"
             )
         if not 0.0 < self.person_fraction < 1.0:
-            raise FitError("person_fraction must be in (0, 1)")
+            raise DomainError("person_fraction must be in (0, 1)")
         if self.seed < 0:
-            raise FitError(f"seed must be >= 0, got {self.seed}")
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_trace(spec: GeneratorSpec) -> Trace:
@@ -220,3 +277,70 @@ def trace_statistics(trace: Trace) -> TraceStats:
     ok2 = sum(balanced_call(s) == label for s, label in zip(trace.o2, trace.labels))
     persons = sum(trace.labels)
     return TraceStats(ok1 / n, ok2 / n, persons / n, n)
+
+
+class SweepCell(NamedTuple):
+    """Exit counts and accuracies of one threshold pair over a trace.
+
+    Accuracy fields are None when no instance landed in that exit.
+    """
+
+    gamma1: float
+    gamma2: float
+    acc_ex1: Optional[float]
+    acc_ex2: Optional[float]
+    acc_total: float
+    n_ex1: int
+    n_ex2: int
+
+
+SWEEP_HEADER = list(SweepCell._fields)
+
+
+def sweep_thresholds(trace: Trace, grid: Iterable) -> List[SweepCell]:
+    """Evaluate every :class:`~zedsim.scheduler.Thresholds` of ``grid`` over the
+    trace with unlimited energy.
+
+    The row indices are sorted once by shallow score (a stable sort, so equal
+    scores keep trace order), with prefix counts of person labels and of
+    correct deep-exit calls in that order. Each cell then reads its
+    counts at two cut points, bisecting the sorted scores: ``hi``, the first
+    score >= gamma2, and ``lo``, the first score > gamma1, capped at ``hi``.
+    Scores from ``hi`` on exit as PERSON, scores below ``lo`` exit as
+    NO_PERSON, and ``[lo, hi)`` is the ambiguous band that goes to exit 2.
+    These are the tie rules of :func:`zedsim.scheduler.evaluate_ex1`: a score
+    equal to gamma2 is PERSON, one equal to gamma1 (and below gamma2) is
+    NO_PERSON, so with gamma1 = gamma2 = 0.5 a score of 0.5 is PERSON. The cost
+    is O(n log n) for the sort plus O(log n) per cell. The deep exit's counts
+    inline :func:`balanced_call` as ``>= 0.5``.
+    """
+    n = len(trace)
+    if not n:
+        raise DomainError("trace must be non-empty")
+    o1, o2, labels = trace.o1, trace.o2, trace.labels
+    order = sorted(range(n), key=o1.__getitem__)
+    s1 = [o1[k] for k in order]
+    # among the k lowest shallow scores: persons[k] person labels, deep_ok[k]
+    # instances the deep exit calls right
+    persons = list(accumulate((labels[k] for k in order), initial=0))
+    deep_ok = list(accumulate(((o2[k] >= 0.5) == labels[k] for k in order), initial=0))
+    cells = []
+    for th in grid:
+        hi = bisect_left(s1, th.gamma2)
+        lo = min(bisect_right(s1, th.gamma1), hi)
+        n_ex2 = hi - lo
+        n_ex1 = n - n_ex2
+        ok1 = (lo - persons[lo]) + (persons[n] - persons[hi])
+        ok2 = deep_ok[hi] - deep_ok[lo]
+        cells.append(
+            SweepCell(
+                th.gamma1,
+                th.gamma2,
+                ok1 / n_ex1 if n_ex1 else None,
+                ok2 / n_ex2 if n_ex2 else None,
+                (ok1 + ok2) / n,
+                n_ex1,
+                n_ex2,
+            )
+        )
+    return cells

@@ -11,17 +11,17 @@ from itertools import islice
 
 import pytest
 
-from zedsim.config import DeviceConfig, state_energy
+from zedsim.config import DeviceConfig
 from zedsim.pmu import HarvestProfile
-from zedsim.policy import (
+from zedsim.scheduler import Thresholds, evaluate_ex1
+from zedsim.sim import SimConfig, simulate
+from zedsim.traces import (
+    GeneratorSpec,
     InferenceInstance,
-    Thresholds,
     balanced_call,
-    evaluate_ex1,
+    generate_trace,
     sweep_thresholds,
 )
-from zedsim.sim import SimConfig, simulate
-from zedsim.traces import GeneratorSpec, generate_trace
 
 DEVICE = DeviceConfig.default()
 
@@ -64,7 +64,7 @@ def calibrated_trace():
 def test_criterion_1_stage_energy_consistency():
     worst = 0.0
     for name, energy_mj in PUBLISHED_MJ.items():
-        got = state_energy(DEVICE.stages[name])
+        got = DEVICE.stages[name].energy_joules
         rel = abs(got - energy_mj * 1e-3) / (energy_mj * 1e-3)
         worst = max(worst, rel)
     ok = worst <= 0.005

@@ -13,9 +13,8 @@ import pytest
 import zedsim
 from zedsim.cli import build_parser, main
 from zedsim.config import DeviceConfig
-from zedsim.policy import Thresholds, sweep_thresholds
-from zedsim.scheduler import plan
-from zedsim.traces import load_trace
+from zedsim.scheduler import Thresholds, plan
+from zedsim.traces import load_trace, sweep_thresholds
 
 
 @pytest.fixture()
@@ -747,14 +746,18 @@ class TestStartup:
         loaded = [line for line in done.stdout.splitlines() if line.startswith("loaded")]
         assert loaded == ["loaded []"] * 5
 
-    def test_importing_a_module_loads_only_its_dependencies(self):
-        # the package itself imports nothing, so the trace module pulls in no
-        # config, scheduler or engine
-        code = ("import sys, zedsim.traces\n"
+    @pytest.mark.parametrize("module, loads", [
+        ("zedsim.traces", ["zedsim", "zedsim.errors", "zedsim.pmu", "zedsim.traces"]),
+        ("zedsim.scheduler", ["zedsim", "zedsim.errors", "zedsim.pmu", "zedsim.scheduler",
+                              "zedsim.traces"]),
+    ], ids=["traces", "scheduler"])
+    def test_importing_a_module_loads_only_its_dependencies(self, module, loads):
+        # the package itself imports nothing, and imports run one way: the trace
+        # module pulls in no scheduler, the scheduler no config or engine
+        code = (f"import sys, {module}\n"
                 "print(*(m for m in sys.modules if m.split('.')[0] == 'zedsim'))\n")
         env = {**os.environ, "PYTHONPATH": str(Path(zedsim.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert sorted(done.stdout.split()) == ["zedsim", "zedsim.errors", "zedsim.pmu",
-                                               "zedsim.policy", "zedsim.traces"]
+        assert sorted(done.stdout.split()) == loads

@@ -13,7 +13,6 @@ from zedsim.config import (
     config_hash,
     derive_escalation_stage,
     load_config,
-    state_energy,
 )
 from zedsim.errors import ConfigError, DomainError, ZedSimError
 from zedsim.scheduler import GATINGS, VARIANTS, Split, plan, requirement, worst_case_time
@@ -45,8 +44,8 @@ class TestDefaults:
         assert esc.duration_seconds == pytest.approx(
             ex2.duration_seconds - ex1.duration_seconds, rel=1e-12
         )
-        assert state_energy(esc) == pytest.approx(
-            state_energy(ex2) - state_energy(ex1), rel=1e-12
+        assert esc.energy_joules == pytest.approx(
+            ex2.energy_joules - ex1.energy_joules, rel=1e-12
         )
 
     def test_derivation_rejects_non_monotone_profiles(self):
@@ -61,12 +60,15 @@ class TestDefaults:
     def test_derivation_rejects_a_deep_exit_no_longer_or_no_dearer(self, tmp_path, capsys, ex2):
         stages = {"inference_ex1": {"current_amps": 0.004, "duration_seconds": 0.5},
                   "inference_ex2": ex2}
-        with pytest.raises(ConfigError, match="longer and cost more"):
+        message = ("stages.inference_ex2: must take longer and cost more than "
+                   "stages.inference_ex1")
+        with pytest.raises(ConfigError) as info:
             DeviceConfig.from_dict({"stages": stages})
+        assert str(info.value) == message
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"stages": stages}))
         assert main(["validate", "--config", str(cfg)]) == 2
-        assert "longer and cost more" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"invalid: {message}\n"
 
     def test_measurement_energy_matches_characterization(self):
         assert DeviceConfig.default().stage_energy("measurement") == pytest.approx(

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from euler_oracle import stored_energy, usable_energy
-from zedsim.config import STAGE_NAMES, DeviceConfig, StageProfile, state_energy
+from zedsim.config import STAGE_NAMES, DeviceConfig, StageProfile
 from zedsim.errors import DomainError
 from zedsim.pmu import CapacitorSpec
 from zedsim.scheduler import GATINGS, VARIANTS, plan, requirement
@@ -66,23 +66,23 @@ class TestUsableEnergy:
 class TestStateEnergy:
     def test_shallow_inference_row(self):
         p = StageProfile(5.6646e-3, 0.4341, 3.3)
-        assert state_energy(p) == pytest.approx(8.118e-3, rel=5e-3)
+        assert p.energy_joules == pytest.approx(8.118e-3, rel=5e-3)
 
     def test_deep_inference_row(self):
         p = StageProfile(5.8884e-3, 0.6891, 3.3)
-        assert state_energy(p) == pytest.approx(13.390e-3, rel=5e-3)
+        assert p.energy_joules == pytest.approx(13.390e-3, rel=5e-3)
 
     def test_zero_duration(self):
-        assert state_energy(StageProfile(1.0, 0.0, 3.3)) == 0.0
+        assert StageProfile(1.0, 0.0, 3.3).energy_joules == 0.0
 
     def test_identity_with_product(self):
         p = StageProfile(0.0123, 0.456, 3.3)
-        assert state_energy(p) == p.supply_volts * p.duration_seconds * p.current_amps
+        assert p.energy_joules == p.supply_volts * p.duration_seconds * p.current_amps
 
     def test_all_default_rows_match_published(self):
         stages = DeviceConfig.default().stages
         for name, energy_mj in PUBLISHED_MJ.items():
-            got = state_energy(stages[name])
+            got = stages[name].energy_joules
             assert got == pytest.approx(energy_mj * 1e-3, rel=5e-3), name
 
 
@@ -145,8 +145,8 @@ class TestRequiredEnergy:
         # the shallow path plus the escalation requirement never exceed the
         # deep run that policy I admits
         ex1_path = (
-            state_energy(self.device.stages["capture_preprocess"])
-            + state_energy(self.device.stages["inference_ex1"])
+            self.device.stages["capture_preprocess"].energy_joules
+            + self.device.stages["inference_ex1"].energy_joules
         )
         (escalate,) = escalation_check().options
         deep, _ = admission_options("policy_i")

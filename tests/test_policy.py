@@ -8,20 +8,24 @@ from hypothesis import strategies as st
 from trace_columns import trace_of
 from zedsim.config import DeviceConfig
 from zedsim.errors import DomainError
-from zedsim.policy import (
-    NO_PERSON,
-    PERSON,
+from zedsim.scheduler import (
     ExitDecision,
     ExitTaken,
+    Thresholds,
+    evaluate_ex1,
+    plan,
+    run_window,
+)
+from zedsim.traces import (
+    NO_PERSON,
+    PERSON,
+    GeneratorSpec,
     InferenceInstance,
     SweepCell,
-    Thresholds,
     balanced_call,
-    evaluate_ex1,
+    generate_trace,
     sweep_thresholds,
 )
-from zedsim.scheduler import plan, run_window
-from zedsim.traces import GeneratorSpec, generate_trace
 
 DEVICE = DeviceConfig.default()
 # escalation stage, green LED and the dearer (red) result LED

@@ -20,9 +20,18 @@ from euler_oracle import initial_state, step
 from zedsim.cli import write_trajectory_csv
 from zedsim.config import DeviceConfig
 from zedsim.pmu import HarvestProfile, charge_time
-from zedsim.policy import ExitTaken, InferenceInstance, Thresholds
-from zedsim.scheduler import GATINGS, VARIANTS, Check, Split, plan, requirement
+from zedsim.scheduler import (
+    GATINGS,
+    VARIANTS,
+    Check,
+    ExitTaken,
+    Split,
+    Thresholds,
+    plan,
+    requirement,
+)
 from zedsim.sim import SimConfig, _Engine, simulate
+from zedsim.traces import InferenceInstance
 
 DEVICE = DeviceConfig.default()
 V_OFF, V_MAX = DEVICE.capacitor.v_off, DEVICE.capacitor.v_max

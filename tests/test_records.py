@@ -7,12 +7,11 @@ import pytest
 
 from zedsim.cli import main
 from zedsim.config import DeviceConfig, StageProfile
-from zedsim.errors import ConfigError, DomainError, FitError
+from zedsim.errors import ConfigError, DomainError
 from zedsim.pmu import CapacitorSpec, HarvestProfile
-from zedsim.policy import InferenceInstance, Thresholds
-from zedsim.scheduler import ScheduleConfig
+from zedsim.scheduler import ScheduleConfig, Thresholds
 from zedsim.sim import SimConfig
-from zedsim.traces import GeneratorSpec
+from zedsim.traces import GeneratorSpec, InferenceInstance
 
 # a sound record of each checked type, a field value that breaks it, and its error
 CHECKED = [
@@ -28,7 +27,7 @@ CHECKED = [
     (SimConfig(DeviceConfig.default(), 4.5, 100.0), {"initial_v": 4.6}, ConfigError),
     (SimConfig(DeviceConfig.default(), 4.5, 100.0), {"policy_variant": "greedy"}, ConfigError),
     (SimConfig(DeviceConfig.default(), 4.5, 100.0), {"gating_variant": "relay"}, ConfigError),
-    (GeneratorSpec(100, 0.7, 0.8, 0.5, 0), {"seed": -1}, FitError),
+    (GeneratorSpec(100, 0.7, 0.8, 0.5, 0), {"seed": -1}, DomainError),
 ]
 
 

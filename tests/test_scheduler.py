@@ -5,10 +5,10 @@ import pytest
 from euler_oracle import harvest_current_at, usable_energy
 from zedsim.config import DeviceConfig
 from zedsim.pmu import CapacitorSpec, HarvestProfile
-from zedsim.policy import ExitTaken, InferenceInstance
 from zedsim.scheduler import (
     Check,
     Exit,
+    ExitTaken,
     ScheduleConfig,
     _choose,
     candidate_start_times,
@@ -16,6 +16,7 @@ from zedsim.scheduler import (
     run_window,
 )
 from zedsim.sim import _Engine
+from zedsim.traces import InferenceInstance
 
 
 class TestCandidateStartTimes:

@@ -9,16 +9,9 @@ from zedsim.cli import write_trajectory_csv
 from zedsim.config import DeviceConfig
 from zedsim.errors import ConfigError, DomainError, SimulationFault
 from zedsim.pmu import CapacitorSpec, HarvestProfile, charge_time
-from zedsim.policy import (
-    ExitDecision,
-    ExitTaken,
-    InferenceInstance,
-    Thresholds,
-    balanced_call,
-    evaluate_ex1,
-)
+from zedsim.scheduler import ExitDecision, ExitTaken, Thresholds, evaluate_ex1
 from zedsim.sim import SimConfig, _Engine, _fsum, simulate
-from zedsim.traces import GeneratorSpec, generate_trace
+from zedsim.traces import GeneratorSpec, InferenceInstance, balanced_call, generate_trace
 
 DEVICE = DeviceConfig.default()
 

@@ -10,13 +10,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trace_columns import trace_of
-from zedsim.errors import DomainError, FitError, TraceError
+from zedsim.errors import DomainError, TraceError
 from zedsim.pmu import HarvestProfile
-from zedsim.policy import InferenceInstance
 from zedsim.traces import (
     HARVEST_HEADER,
     TRACE_HEADER,
     GeneratorSpec,
+    InferenceInstance,
     generate_trace,
     load_harvest,
     load_trace,
@@ -240,15 +240,15 @@ class TestGenerator:
             assert GeneratorSpec(n, acc1, acc2, 0.5, 0).n == n
 
     def test_infeasible_targets(self):
-        with pytest.raises(FitError):
+        with pytest.raises(DomainError):
             GeneratorSpec(100, 0.4, 0.8, 0.5, 1)  # acc1 below 0.5
-        with pytest.raises(FitError):
+        with pytest.raises(DomainError):
             GeneratorSpec(100, 0.9, 0.8, 0.5, 1)  # acc1 > acc2
-        with pytest.raises(FitError):
+        with pytest.raises(DomainError):
             GeneratorSpec(100, 0.7, 0.8, 0.0, 1)  # degenerate class balance
-        with pytest.raises(FitError):
+        with pytest.raises(DomainError):
             GeneratorSpec(100, 0.7, 0.8, 1.0, 1)
-        with pytest.raises(FitError):
+        with pytest.raises(DomainError):
             GeneratorSpec(0, 0.7, 0.8, 0.5, 1)
 
 

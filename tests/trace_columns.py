@@ -1,9 +1,9 @@
-"""Packs instances into a :class:`zedsim.policy.Trace`, the one trace type the
+"""Packs instances into a :class:`zedsim.traces.Trace`, the one trace type the
 library reads, so a test can write its rows as a list."""
 
 from array import array
 
-from zedsim.policy import Trace
+from zedsim.traces import Trace
 
 
 def trace_of(instances) -> Trace:
