@@ -3,6 +3,8 @@ import signal
 import pytest
 from hypothesis import settings
 
+from zedsim.traces import GeneratorSpec, generate_trace
+
 # derandomised: every run draws the same examples, so tier-1 stays
 # reproducible; no example database is written
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None,
@@ -36,3 +38,10 @@ def time_limit():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="session")
+def calibrated_trace():
+    """The seed-7 trace of 5000 instances, calibrated to the paper's exit accuracies
+    at the balanced threshold and its share of persons; no test mutates it."""
+    return generate_trace(GeneratorSpec(5000, 0.7265, 0.8309, 0.5386, 7))

@@ -15,13 +15,7 @@ from zedsim.config import DeviceConfig
 from zedsim.pmu import HarvestProfile
 from zedsim.scheduler import Thresholds, evaluate_ex1
 from zedsim.sim import SimConfig, simulate
-from zedsim.traces import (
-    GeneratorSpec,
-    InferenceInstance,
-    balanced_call,
-    generate_trace,
-    sweep_thresholds,
-)
+from zedsim.traces import InferenceInstance, balanced_call, sweep_thresholds
 
 DEVICE = DeviceConfig.default()
 
@@ -54,11 +48,6 @@ def sim_run(label, cfg, harvest, trace):
 def report(number, name, ok, detail=""):
     print(f"ACCEPTANCE {number} {name}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
     return ok
-
-
-@pytest.fixture(scope="module")
-def calibrated_trace():
-    return generate_trace(GeneratorSpec(5000, 0.7265, 0.8309, 0.5386, 7))
 
 
 def test_criterion_1_stage_energy_consistency():

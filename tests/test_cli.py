@@ -721,9 +721,11 @@ class TestAcrossProcesses:
 
 
 class TestStartup:
-    def test_numpy_and_process_pool_load_only_where_used(self, tmp_path, trace_file):
+    def test_commands_that_read_a_trace_load_no_heavy_module(self, tmp_path, trace_file):
         # importing the CLI, a run with its trajectory, a comparison and both
-        # sweeps in one process load neither
+        # sweeps in one process load none of these: numpy only generates a
+        # trace, no command starts a process pool, and dataclasses and inspect
+        # are import cost that no command needs
         code = (
             "import json, sys, zedsim.cli\n"
             "lazy = {'numpy', 'concurrent.futures.process', 'dataclasses', 'inspect'}\n"
@@ -747,13 +749,17 @@ class TestStartup:
         assert loaded == ["loaded []"] * 5
 
     @pytest.mark.parametrize("module, loads", [
+        ("zedsim.pmu", ["zedsim", "zedsim.errors", "zedsim.pmu"]),
         ("zedsim.traces", ["zedsim", "zedsim.errors", "zedsim.pmu", "zedsim.traces"]),
         ("zedsim.scheduler", ["zedsim", "zedsim.errors", "zedsim.pmu", "zedsim.scheduler",
                               "zedsim.traces"]),
-    ], ids=["traces", "scheduler"])
+        ("zedsim.config", ["zedsim", "zedsim.config", "zedsim.errors", "zedsim.pmu",
+                           "zedsim.scheduler", "zedsim.traces"]),
+    ], ids=["pmu", "traces", "scheduler", "config"])
     def test_importing_a_module_loads_only_its_dependencies(self, module, loads):
-        # the package itself imports nothing, and imports run one way: the trace
-        # module pulls in no scheduler, the scheduler no config or engine
+        # the package itself imports nothing, and imports run one way: the supply
+        # model pulls in no trace, the trace module no scheduler, the scheduler no
+        # config and the config no engine
         code = (f"import sys, {module}\n"
                 "print(*(m for m in sys.modules if m.split('.')[0] == 'zedsim'))\n")
         env = {**os.environ, "PYTHONPATH": str(Path(zedsim.__file__).parents[1])}

@@ -21,6 +21,7 @@ CHECKED = [
     (HarvestProfile((0.0, 5.0), (1e-3, 2e-3)), {"times": (0.0,)}, DomainError),
     (InferenceInstance(7, 0.2, 0.8, 1), {"o1": 1.5}, DomainError),
     (Thresholds(0.3, 0.7), {"gamma1": 0.6}, DomainError),
+    (Thresholds(0.3, 0.7), {"gamma2": 0.4}, DomainError),
     (ScheduleConfig(10.0, 4.0, 20), {"n_attempts": 0}, DomainError),
     (ScheduleConfig(10.0, 4.0, 20), {"n_attempts": 20.0}, DomainError),
     (ScheduleConfig(10.0, 4.0, 20), {"n_attempts": math.nan}, DomainError),

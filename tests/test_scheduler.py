@@ -1,22 +1,227 @@
 import math
+import random
 
 import pytest
 
 from euler_oracle import harvest_current_at, usable_energy
-from zedsim.config import DeviceConfig
+from zedsim.config import STAGE_NAMES, DeviceConfig
 from zedsim.pmu import CapacitorSpec, HarvestProfile
 from zedsim.scheduler import (
+    GATINGS,
+    VARIANTS,
     Check,
     Exit,
+    ExitDecision,
     ExitTaken,
     ScheduleConfig,
+    Thresholds,
     _choose,
     candidate_start_times,
+    evaluate_ex1,
     plan,
+    requirement,
     run_window,
 )
 from zedsim.sim import _Engine
-from zedsim.traces import InferenceInstance
+from zedsim.traces import NO_PERSON, PERSON, InferenceInstance
+
+DEVICE = DeviceConfig.default()
+# escalation stage, green LED and the dearer (red) result LED
+ESCALATION_J = sum(map(DEVICE.stage_energy, ("inference_ex1_to_ex2", "led_green", "led_red")))
+
+
+def admission_options(variant, gating="mosfet"):
+    """The options of the admission check of ``variant``'s plan on the default device."""
+    return plan(DeviceConfig.default(), variant, gating)[0].options
+
+
+def escalation_check(gating="mosfet"):
+    """The check the proposed plan makes before leaving the shallow exit."""
+    (attempt,) = admission_options("proposed", gating)
+    split = attempt[-1]
+    (check,) = split.ambiguous
+    return check
+
+
+class TestEvaluateEx1:
+    def test_confident_person(self):
+        assert evaluate_ex1(0.95, Thresholds(0.3, 0.7)) == PERSON
+
+    def test_boundary_no_person(self):
+        assert evaluate_ex1(0.3, Thresholds(0.3, 0.7)) == NO_PERSON
+
+    def test_degenerate_band_person_wins(self):
+        assert evaluate_ex1(0.5, Thresholds(0.5, 0.5)) == PERSON
+
+    def test_ambiguous_open_interval(self):
+        th = Thresholds(0.3, 0.7)
+        assert evaluate_ex1(0.31, th) is None
+        assert evaluate_ex1(0.69, th) is None
+        assert evaluate_ex1(0.7, th) == PERSON
+
+
+class ScriptedClock:
+    """The clock protocol of ``run_window``, reading usable energy from a
+    script; a measurement with no reading left browns out, and so does the
+    stage named ``fail_at``."""
+
+    def __init__(self, readings, fail_at=None):
+        self.readings = list(readings)
+        self.fail_at = fail_at
+        self.time = 0.0
+        self.outputs_enabled = True
+        self.events = []
+
+    def advance_to(self, t):
+        self.time = t
+
+    def run_stage(self, name):
+        return name != self.fail_at and (name != "measurement" or bool(self.readings))
+
+    def usable_energy(self):
+        return self.readings.pop(0)
+
+    def log_event(self, label):
+        self.events.append(label)
+
+
+def decide(variant, inst, readings, device=DEVICE):
+    """One window of ``variant`` with a single admission instant."""
+    one_attempt = device._replace(schedule=device.schedule._replace(n_attempts=1))
+    return run_window(0, ScriptedClock(readings), one_attempt, inst,
+                      plan(one_attempt, variant, "mosfet"))
+
+
+class TestPolicyISelect:
+    """Policy I admits the deepest path whose requirement the reading covers:
+    81.407 mJ shallow and 86.797 mJ deep under the mosfet gate."""
+
+    def test_deep_feasible(self):
+        out = decide("policy_i", InferenceInstance(0, 0.2, 0.9, 1), [86.9e-3])
+        assert out.decision == ExitDecision(ExitTaken.EX2, PERSON)
+        assert out.admission_usable == 86.9e-3
+
+    def test_only_shallow_feasible(self):
+        out = decide("policy_i", InferenceInstance(0, 0.2, 0.9, 1), [84e-3])
+        assert out.decision == ExitDecision(ExitTaken.EX1, NO_PERSON)
+
+    def test_nothing_feasible(self):
+        out = decide("policy_i", InferenceInstance(0, 0.2, 0.9, 1), [81e-3])
+        assert out.deferred and out.decision is None
+
+    def test_bad_order(self):
+        # a shallow path dearer than the deep one is no error: the options
+        # are tried in the plan's order, deep first
+        device = DeviceConfig.from_dict({"stages": {
+            "inference_ex1": {"current_amps": 0.1},
+            "inference_ex1_to_ex2": {"current_amps": 1e-3, "duration_seconds": 0.1},
+        }})
+        out = decide("policy_i", InferenceInstance(0, 0.9, 0.9, 1), [0.3], device)
+        assert out.decision.exit_taken is ExitTaken.EX2
+
+
+class TestDecideProposed:
+    def test_confident_early_exit(self):
+        inst = InferenceInstance(0, 0.9, 0.9, 1)
+        out = decide("proposed", inst, [100.0])
+        d = out.decision
+        assert d.exit_taken is ExitTaken.EX1
+        assert d.prediction == PERSON
+        # no escalation requested, so none denied
+        assert out.escalation_usable is None and d.exit_taken is not ExitTaken.EX1_FALLBACK
+
+    def test_ambiguous_escalates(self):
+        inst = InferenceInstance(0, 0.55, 0.2, 0)
+        out = decide("proposed", inst, [100.0, 100.0])
+        d = out.decision
+        assert d.exit_taken is ExitTaken.EX2
+        assert d.prediction == NO_PERSON
+        assert out.escalation_usable is not None  # escalation requested
+
+    def test_escalation_denied_falls_back(self):
+        inst = InferenceInstance(0, 0.55, 0.2, 0)
+        out = decide("proposed", inst, [100.0, 1e-6])
+        d = out.decision
+        assert d.exit_taken is ExitTaken.EX1_FALLBACK
+        assert d.prediction == PERSON  # 0.5 <= o1 < gamma2
+        # escalation requested, then denied
+        assert out.escalation_usable is not None and d.exit_taken is ExitTaken.EX1_FALLBACK
+        assert out.escalation_usable == 1e-6
+
+    def test_admission_boundary_is_the_compiled_need(self):
+        # a reading equal to the compiled float admits, one ulp less defers
+        (need,) = plan(DEVICE, "proposed", "mosfet")[0].needs
+        inst = InferenceInstance(0, 0.9, 0.9, 1)
+        assert decide("proposed", inst, [need]).started_at == 0.0
+        assert decide("proposed", inst, [math.nextafter(need, 0.0)]).deferred
+
+    def test_admission_denied(self):
+        inst = InferenceInstance(0, 0.9, 0.9, 1)
+        out = decide("proposed", inst, [0.0])
+        assert out.deferred and out.decision is None and out.started_at is None
+
+    def test_measurement_brownout_defers(self):
+        # the admission reading never arrives: the window is deferred, not failed
+        inst = InferenceInstance(0, 0.9, 0.9, 1)
+        clock = ScriptedClock([])
+        one_attempt = DEVICE._replace(schedule=DEVICE.schedule._replace(n_attempts=1))
+        out = run_window(0, clock, one_attempt, inst, plan(one_attempt, "proposed", "mosfet"))
+        assert out.deferred and not out.power_failure
+        assert clock.events == ["window:0", "measurement_brownout"]
+
+    def test_energy_safety_property(self):
+        # a deep exit is never reported when the second reading is short
+        rng = random.Random(5)
+        need = ESCALATION_J + DEVICE.schedule.guard_delta_joules
+        for _ in range(500):
+            inst = InferenceInstance(0, rng.random(), rng.random(), rng.randint(0, 1))
+            second = rng.uniform(0.0, 2.0 * need)
+            d = decide("proposed", inst, [1.0, second]).decision
+            if d.exit_taken is ExitTaken.EX2:
+                assert second >= need
+
+    def test_policy_ii_always_escalates_on_ambiguity(self):
+        inst = InferenceInstance(0, 0.55, 0.2, 0)
+        out = decide("policy_ii", inst, [1.0, 0.0])
+        assert out.decision.exit_taken is ExitTaken.EX2
+        assert out.escalation_usable == 0.0
+
+    def test_determinism(self):
+        rng = random.Random(9)
+        instances = [
+            InferenceInstance(i, rng.random(), rng.random(), rng.randint(0, 1))
+            for i in range(100)
+        ]
+        device = DEVICE._replace(thresholds=Thresholds(0.2, 0.8))
+        a = [decide("proposed", i, [1.0, 1.0], device) for i in instances]
+        b = [decide("proposed", i, [1.0, 1.0], device) for i in instances]
+        assert a == b
+
+
+class TestPowerFailureAfterAdmission:
+    """A pipeline that browns out once admitted is a power failure: it consumed
+    its instance but made no call."""
+
+    @pytest.mark.parametrize("variant, inst, readings, fail_at, escalation_usable", [
+        # the escalation measurement of an ambiguous instance gets no reading
+        ("proposed", InferenceInstance(0, 0.55, 0.2, 0), [1.0], None, None),
+        ("proposed", InferenceInstance(0, 0.9, 0.9, 1), [1.0], "capture_preprocess", None),
+        # the result LED of each exit browns out
+        ("proposed", InferenceInstance(0, 0.9, 0.9, 1), [1.0], "led_blue", None),
+        ("proposed", InferenceInstance(0, 0.55, 0.2, 0), [1.0, 1.0], "led_red", 1.0),
+        ("proposed", InferenceInstance(0, 0.55, 0.2, 0), [1.0, 0.0], "led_blue", 0.0),
+        ("baseline", InferenceInstance(0, 0.2, 0.9, 1), [1.0], "led_blue", None),
+    ], ids=["escalation-measurement", "capture", "led-ex1", "led-ex2", "led-fallback",
+            "led-baseline"])
+    def test_no_decision(self, variant, inst, readings, fail_at, escalation_usable):
+        clock = ScriptedClock(readings, fail_at)
+        one_attempt = DEVICE._replace(schedule=DEVICE.schedule._replace(n_attempts=1))
+        out = run_window(0, clock, one_attempt, inst, plan(one_attempt, variant, "mosfet"))
+        assert out.power_failure and not out.deferred
+        assert out.decision is None and out.correct is None
+        assert out.started_at == 0.0 and out.instance_id == 0
+        assert out.escalation_usable == escalation_usable
+        assert clock.events == ["window:0", "admit", "power_failure"]
 
 
 class TestCandidateStartTimes:
@@ -172,3 +377,85 @@ def _first_admitted_candidate_oracle(device, harvest, v0, substeps=4):
         if e - floor >= admission_requirement(device) + device.schedule.guard_delta_joules:
             return i
     return None
+
+
+class TestRequiredEnergy:
+    """The plans' requirements against hand sums of the published rows."""
+
+    def setup_method(self):
+        self.device = DeviceConfig.default()
+
+    def test_full_run_worst_led(self):
+        # capture, shallow inference and the red LED, plus the escalation
+        # measurement an ambiguous score spends before it can fall back
+        expected = (72.896 + 8.118 + 0.3931 + 0.8934) * 1e-3
+        (attempt,) = admission_options("proposed")
+        assert requirement(self.device, attempt) == pytest.approx(expected, rel=5e-3)
+        assert expected == pytest.approx(82.30e-3, abs=1e-5)
+
+    def test_all_zero_profiles(self):
+        zero = DeviceConfig.from_dict(
+            {"stages": {name: {"current_amps": 0.0} for name in STAGE_NAMES}}
+        )
+        for variant in VARIANTS:
+            for gating in GATINGS:
+                for option in admission_options(variant, gating):
+                    assert requirement(zero, option) == 0.0
+        assert requirement(zero, escalation_check().options[0]) == 0.0
+
+    def test_load_switch_substitution(self):
+        expected = (110.442 + 8.118 + 0.3931 + 0.8934) * 1e-3
+        for variant in ("proposed", "policy_ii"):
+            (attempt,) = admission_options(variant, "load_switch")
+            assert requirement(self.device, attempt) == pytest.approx(expected, rel=5e-3)
+        assert expected == pytest.approx(119.84e-3, abs=1e-5)
+
+    def test_escalation_worst_led(self):
+        expected = ((13.390 - 8.118) + 0.1182 + 0.3931) * 1e-3
+        (escalate,) = escalation_check().options
+        assert requirement(self.device, escalate) == pytest.approx(expected, rel=5e-3)
+
+    def test_escalation_blue_led(self):
+        # the result LED is charged at the dearer colour, here the blue one
+        device = DeviceConfig.from_dict({"stages": {"led_red": {"current_amps": 0.0}}})
+        expected = ((13.390 - 8.118) + 0.1182 + 0.1885) * 1e-3
+        (escalate,) = escalation_check().options
+        assert requirement(device, escalate) == pytest.approx(expected, rel=5e-3)
+
+    def test_escalation_additivity(self):
+        # the shallow path plus the escalation requirement never exceed the
+        # deep run that policy I admits
+        ex1_path = (
+            self.device.stages["capture_preprocess"].energy_joules
+            + self.device.stages["inference_ex1"].energy_joules
+        )
+        (escalate,) = escalation_check().options
+        deep, _ = admission_options("policy_i")
+        full_deep = (72.896 + 13.390 + 0.1182 + 0.3931) * 1e-3
+        assert requirement(self.device, deep) == pytest.approx(full_deep, rel=5e-3)
+        assert ex1_path + requirement(self.device, escalate) <= requirement(self.device, deep) + 1e-12
+
+    def test_policy_i_depths_and_baseline(self):
+        deep, shallow = admission_options("policy_i")
+        assert requirement(self.device, shallow) == pytest.approx(
+            (72.896 + 8.118 + 0.3931) * 1e-3, rel=5e-3)
+        assert requirement(self.device, deep) == pytest.approx(
+            (72.896 + 13.390 + 0.1182 + 0.3931) * 1e-3, rel=5e-3)
+        # the single-exit baseline always captures behind the load switch
+        for gating in GATINGS:
+            (attempt,) = admission_options("baseline", gating)
+            assert requirement(self.device, attempt) == pytest.approx(
+                (110.442 + 13.390 + 0.3931) * 1e-3, rel=5e-3)
+
+    def test_budget_invariants(self):
+        # every requirement the plans give is non-negative and covers each
+        # stage it runs before its next check
+        device = DeviceConfig.default()
+        for variant in VARIANTS:
+            for gating in GATINGS:
+                for option in admission_options(variant, gating):
+                    need = requirement(device, option)
+                    stages = [step for step in option if isinstance(step, str)]
+                    assert need >= sum(map(device.stage_energy, stages)) > 0
+        deep, shallow = admission_options("policy_i")
+        assert requirement(device, shallow) <= requirement(device, deep)

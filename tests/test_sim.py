@@ -16,11 +16,6 @@ from zedsim.traces import GeneratorSpec, InferenceInstance, balanced_call, gener
 DEVICE = DeviceConfig.default()
 
 
-@pytest.fixture(scope="module")
-def trace5000():
-    return generate_trace(GeneratorSpec(5000, 0.7265, 0.8309, 0.5386, 7))
-
-
 def stage_sum(device, *names):
     return sum(map(device.stage_energy, names))
 
@@ -54,18 +49,18 @@ def tight_budget_device():
 
 
 class TestSimulate:
-    def test_saturates_at_ceiling_under_strong_harvest(self, trace5000):
+    def test_saturates_at_ceiling_under_strong_harvest(self, calibrated_trace):
         device = DEVICE.with_capacitance(0.1)
         cfg = SimConfig(device, 4.0, 150.0, "proposed")
         harvest = HarvestProfile.from_pairs([(0.0, 1e-3), (50.0, 5e-3)])
-        result = simulate(cfg, harvest, trace5000)
+        result = simulate(cfg, harvest, calibrated_trace)
         strong = [v for t, v, _ in result.trajectory if t >= 60.0]
         assert max(strong) == device.capacitor.v_max
         assert result.totals.clamp_loss_j > 0
 
-    def test_zero_harvest_at_floor_is_flat(self, trace5000):
+    def test_zero_harvest_at_floor_is_flat(self, calibrated_trace):
         cfg = SimConfig(DEVICE, 3.6, 200.0, "proposed")
-        result = simulate(cfg, HarvestProfile.constant(0.0), trace5000)
+        result = simulate(cfg, HarvestProfile.constant(0.0), calibrated_trace)
         assert result.totals.completed_pipelines == 0
         assert result.totals.power_failures == 0
         assert result.totals.energy_consumed_j == 0.0
@@ -83,9 +78,9 @@ class TestSimulate:
         with pytest.raises(ConfigError, match="windows"):
             simulate(cfg, HarvestProfile.constant(0.0), [])
 
-    def test_totals_partition(self, trace5000):
+    def test_totals_partition(self, calibrated_trace):
         cfg = SimConfig(DEVICE, 4.5, 200.0, "proposed")
-        result = simulate(cfg, HarvestProfile.constant(2e-3), trace5000)
+        result = simulate(cfg, HarvestProfile.constant(2e-3), calibrated_trace)
         t = result.totals
         assert t.n_ex1 + t.n_ex2 + t.n_fallback == t.completed_pipelines
         assert t.completed_pipelines + t.deferred_windows + t.power_failures >= t.n_windows
@@ -94,21 +89,22 @@ class TestSimulate:
         correct = sum(w.correct for w in result.windows if w.decision is not None)
         assert t.completed_pipelines > 1 and t.accuracy_total == correct / t.completed_pipelines
 
-    def test_windows_are_the_whole_windows_in_the_horizon(self, trace5000):
+    def test_windows_are_the_whole_windows_in_the_horizon(self, calibrated_trace):
         # 3 * 10.1 rounds to just below three 10.1 s windows: the horizon holds two,
         # each logged at its start, and the run still ends at the horizon
         device = DEVICE._replace(schedule=DEVICE.schedule._replace(window_seconds=10.1))
         horizon = 3 * 10.1
         harvest = HarvestProfile.constant(2e-3)
-        result = simulate(SimConfig(device, 4.5, horizon), harvest, trace5000)
+        result = simulate(SimConfig(device, 4.5, horizon), harvest, calibrated_trace)
         assert result.totals.n_windows == 2
         assert [t for t, label in result.events if label.startswith("window:")] == [0.0, 10.1]
         assert result.trajectory.columns[0][-1] == horizon
 
-    def test_trajectory_knots_are_the_piece_starts(self, trace5000):
+    def test_trajectory_knots_are_the_piece_starts(self, calibrated_trace):
         harvest = HarvestProfile.constant(2e-3)
         for horizon in (50.0, 20.005):
-            result = simulate(SimConfig(DEVICE, 4.5, horizon, "proposed"), harvest, trace5000)
+            result = simulate(SimConfig(DEVICE, 4.5, horizon, "proposed"), harvest,
+                              calibrated_trace)
             t0, v0, current, power, _ = result.trajectory.columns
             knots = [(t, v) for t, v, _ in result.trajectory]
             # the engine's stored floats, the last row the state the run closes in
@@ -142,19 +138,19 @@ class TestSimulate:
             2.0 * ideal.totals.energy_consumed_j, rel=1e-9
         )
 
-    def test_ledger_closes(self, trace5000):
+    def test_ledger_closes(self, calibrated_trace):
         for harvest in (HarvestProfile.constant(0.0), HarvestProfile.constant(2e-3)):
             cfg = SimConfig(DEVICE.with_capacitance(0.25), 4.3, 120.0, "proposed")
-            result = simulate(cfg, harvest, trace5000)
+            result = simulate(cfg, harvest, calibrated_trace)
             assert abs(result.totals.ledger_residual_j) < 1e-6
 
-    def test_totals_no_float_holds_are_a_domain_error(self, trace5000):
+    def test_totals_no_float_holds_are_a_domain_error(self, calibrated_trace):
         # fsum raises on an intermediate overflow and on inf - inf; both are nan
         assert math.isnan(_fsum([1.7e308, 1.7e308], [-1e308]))
         assert math.isnan(_fsum([math.inf], [-math.inf]))
         cfg = SimConfig(DEVICE, 4.5, 1000.0, "proposed")
         with pytest.raises(DomainError, match="energy totals not finite"):
-            simulate(cfg, HarvestProfile.constant(1.7e308), trace5000)
+            simulate(cfg, HarvestProfile.constant(1.7e308), calibrated_trace)
 
     def test_ledger_closes_to_one_ulp_over_a_week(self):
         # seven days of a clipped-sine harvest peaking at 5 mA, in 600 s windows:
@@ -169,9 +165,9 @@ class TestSimulate:
         assert result.totals.n_windows == 1008
         assert abs(result.totals.ledger_residual_j) <= math.ulp(result.totals.harvested_j)
 
-    def test_wall_time_gap_between_exits(self, trace5000):
+    def test_wall_time_gap_between_exits(self, calibrated_trace):
         cfg = SimConfig(DEVICE, 4.5, 200.0, "proposed")
-        result = simulate(cfg, HarvestProfile.constant(2e-3), trace5000)
+        result = simulate(cfg, HarvestProfile.constant(2e-3), calibrated_trace)
         exit_events = [(t, lab) for t, lab in result.events if lab.startswith("exit:")]
         durations = {}
         for w in result.windows:
@@ -194,10 +190,10 @@ class TestSimulate:
         assert (t1 + esc) / t1 == pytest.approx(t2 / t1, rel=1e-12)
         assert t2 / t1 == pytest.approx(1.587, abs=5e-3)
 
-    def test_decisions_match_pure_policy_replay(self, trace5000):
+    def test_decisions_match_pure_policy_replay(self, calibrated_trace):
         # the engine's windowed decisions must agree with the pure decision
         # function when fed the engine's own measured energies
-        trace_by_id = {i.id: i for i in trace5000}
+        trace_by_id = {i.id: i for i in calibrated_trace}
 
         def audit(result, device):
             kinds = set()
@@ -215,7 +211,8 @@ class TestSimulate:
             return kinds
 
         ample = simulate(
-            SimConfig(DEVICE, 4.5, 200.0, "proposed"), HarvestProfile.constant(2e-3), trace5000
+            SimConfig(DEVICE, 4.5, 200.0, "proposed"), HarvestProfile.constant(2e-3),
+            calibrated_trace,
         )
         kinds = audit(ample, DEVICE)
 
@@ -230,13 +227,12 @@ class TestSimulate:
         kinds |= audit(tight, device)
         assert kinds == {ExitTaken.EX1, ExitTaken.EX2, ExitTaken.EX1_FALLBACK}
 
-    def test_narrowing_band_never_costs_more(self, trace5000):
+    def test_narrowing_band_never_costs_more(self, calibrated_trace):
         energies = []
         for g1, g2 in ((0.45, 0.55), (0.3, 0.7), (0.1, 0.9)):
             cfg = SimConfig(DEVICE._replace(thresholds=Thresholds(g1, g2)), 4.5, 100.0, "proposed")
-            energies.append(
-                simulate(cfg, HarvestProfile.constant(2e-3), trace5000).totals.energy_consumed_j
-            )
+            result = simulate(cfg, HarvestProfile.constant(2e-3), calibrated_trace)
+            energies.append(result.totals.energy_consumed_j)
         assert energies == sorted(energies)
 
     def test_policy_ii_fails_where_proposed_falls_back(self):
@@ -272,7 +268,7 @@ class TestSimulate:
             cfg = SimConfig(device(duration), 4.5, 60.0, "policy_ii")
             assert simulate(cfg, harvest, trace).totals.power_failures == 1
 
-    def test_no_power_failures_proposed_random_scenarios(self, trace5000):
+    def test_no_power_failures_proposed_random_scenarios(self, calibrated_trace):
         rng = random.Random(99)
         for _ in range(5):
             c = rng.choice([0.1, 0.5, 1.0])
@@ -281,10 +277,10 @@ class TestSimulate:
             for s in range(1, 4):
                 segs.append((s * 25.0, rng.uniform(0, 6e-3)))
             cfg = SimConfig(DEVICE.with_capacitance(c), v0, 100.0, "proposed")
-            result = simulate(cfg, HarvestProfile.from_pairs(segs), trace5000)
+            result = simulate(cfg, HarvestProfile.from_pairs(segs), calibrated_trace)
             assert result.totals.power_failures == 0
 
-    def test_fixed_rule_start_implies_adaptive_start(self, trace5000):
+    def test_fixed_rule_start_implies_adaptive_start(self, calibrated_trace):
         rng = random.Random(17)
         for _ in range(10):
             c = rng.choice([0.1, 0.5, 1.5])
@@ -292,16 +288,16 @@ class TestSimulate:
             harvest = HarvestProfile.constant(rng.uniform(0, 4e-3))
             device = DEVICE.with_capacitance(c)
             one_attempt = device._replace(schedule=device.schedule._replace(n_attempts=1))
-            fixed = simulate(SimConfig(one_attempt, v0, 10.0), harvest, trace5000)
-            adaptive = simulate(SimConfig(device, v0, 10.0), harvest, trace5000)
+            fixed = simulate(SimConfig(one_attempt, v0, 10.0), harvest, calibrated_trace)
+            adaptive = simulate(SimConfig(device, v0, 10.0), harvest, calibrated_trace)
             if fixed.windows[0].started_at is not None:
                 assert adaptive.windows[0].started_at == fixed.windows[0].started_at
 
 
 class TestPolicyIVariant:
-    def test_policy_i_runs_deep_when_ample(self, trace5000):
+    def test_policy_i_runs_deep_when_ample(self, calibrated_trace):
         cfg = SimConfig(DEVICE, 4.5, 100.0, "policy_i")
-        t = simulate(cfg, HarvestProfile.constant(2e-3), trace5000).totals
+        t = simulate(cfg, HarvestProfile.constant(2e-3), calibrated_trace).totals
         assert t.completed_pipelines == 10
         assert t.n_ex2 == 10  # ample energy always selects the deep exit
 
@@ -322,42 +318,42 @@ class TestPolicyIVariant:
 
 
 class TestReplay:
-    def test_replay_exact(self, trace5000):
+    def test_replay_exact(self, calibrated_trace):
         cfg = SimConfig(DEVICE, 4.5, 100.0, "proposed")
         harvest = HarvestProfile.constant(2e-3)
-        result = simulate(cfg, harvest, trace5000)
-        assert simulate(cfg, harvest, trace5000) == result
+        result = simulate(cfg, harvest, calibrated_trace)
+        assert simulate(cfg, harvest, calibrated_trace) == result
 
-    def test_replay_with_different_trace_fails_with_diff(self, trace5000):
+    def test_replay_with_different_trace_fails_with_diff(self, calibrated_trace):
         cfg = SimConfig(DEVICE, 4.5, 100.0, "proposed")
         harvest = HarvestProfile.constant(0.0)
-        result = simulate(cfg, harvest, trace5000)
+        result = simulate(cfg, harvest, calibrated_trace)
         other = generate_trace(GeneratorSpec(5000, 0.7265, 0.8309, 0.5386, 8))
         assert simulate(cfg, harvest, other) != result
 
-    def test_a_trajectory_equals_only_a_trajectory(self, trace5000):
+    def test_a_trajectory_equals_only_a_trajectory(self, calibrated_trace):
         cfg = SimConfig(DEVICE, 4.5, 100.0, "proposed")
-        trajectory = simulate(cfg, HarvestProfile.constant(2e-3), trace5000).trajectory
+        trajectory = simulate(cfg, HarvestProfile.constant(2e-3), calibrated_trace).trajectory
         assert trajectory.__eq__(list(trajectory)) is NotImplemented
         assert trajectory != list(trajectory)
         assert repr(trajectory) == f"Trajectory({len(trajectory.columns[0])} rows)"
 
-    def test_one_ulp_in_one_piece_is_reported(self, trace5000):
+    def test_one_ulp_in_one_piece_is_reported(self, calibrated_trace):
         cfg = SimConfig(DEVICE, 4.5, 100.0, "proposed")
         harvest = HarvestProfile.constant(2e-3)
-        result = simulate(cfg, harvest, trace5000)
+        result = simulate(cfg, harvest, calibrated_trace)
         start_v = result.trajectory.columns[1]  # each piece's start voltage
         k = len(start_v) // 2
         start_v[k] = math.nextafter(start_v[k], math.inf)
-        assert simulate(cfg, harvest, trace5000) != result
+        assert simulate(cfg, harvest, calibrated_trace) != result
 
-    def test_euler_oracle_converges_to_exact_run(self, trace5000):
+    def test_euler_oracle_converges_to_exact_run(self, calibrated_trace):
         # replay the run's stage loads through the Euler step: its error in
         # the final voltage halves with the step, toward the exact engine
         cfg = SimConfig(DEVICE, 4.0, 20.0, "proposed")
         harvest = HarvestProfile.constant(8e-3)
-        result = simulate(cfg, harvest, trace5000)
-        assert simulate(cfg, harvest, trace5000) == result
+        result = simulate(cfg, harvest, calibrated_trace)
+        assert simulate(cfg, harvest, calibrated_trace) == result
         assert result.totals.completed_pipelines == 2
 
         loads = []
@@ -563,12 +559,12 @@ class TestEventEngine:
 
 
 class TestTrajectoryMemory:
-    def test_writer_peak_does_not_grow_with_horizon(self, tmp_path, trace5000):
+    def test_writer_peak_does_not_grow_with_horizon(self, tmp_path, calibrated_trace):
         # the rows are streamed as they are formatted, so only the piece record grows
         peaks = []
         for horizon in (1200.0, 4800.0):
             cfg = SimConfig(DEVICE, 4.0, horizon, "proposed")
-            result = simulate(cfg, HarvestProfile.constant(2e-3), trace5000)
+            result = simulate(cfg, HarvestProfile.constant(2e-3), calibrated_trace)
             tracemalloc.start()
             try:
                 write_trajectory_csv(result, tmp_path / "trajectory.csv", "0" * 64)

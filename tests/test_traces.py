@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import random
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,16 +13,22 @@ from hypothesis import strategies as st
 from trace_columns import trace_of
 from zedsim.errors import DomainError, TraceError
 from zedsim.pmu import HarvestProfile
+from zedsim.scheduler import Thresholds, evaluate_ex1
 from zedsim.traces import (
     HARVEST_HEADER,
+    NO_PERSON,
+    PERSON,
     TRACE_HEADER,
     GeneratorSpec,
     InferenceInstance,
+    SweepCell,
+    balanced_call,
     generate_trace,
     load_harvest,
     load_trace,
     save_harvest,
     save_trace,
+    sweep_thresholds,
     trace_statistics,
 )
 
@@ -181,10 +188,37 @@ class TestColumns:
         assert retained <= 80 * spec.n
 
 
+class TestFallbackAndEx2:
+    def test_fallback_tie_is_person(self):
+        assert balanced_call(0.5) == PERSON
+
+    def test_fallback_below(self):
+        assert balanced_call(0.49) == NO_PERSON
+
+    def test_fallback_upper_band(self):
+        assert balanced_call(0.69) == PERSON
+
+    def test_ex2_tie_is_person(self):
+        assert balanced_call(0.5) == PERSON
+
+    def test_ex2_extremes(self):
+        assert balanced_call(0.0) == NO_PERSON
+        assert balanced_call(1.0) == PERSON
+
+
+class TestInstance:
+    def test_instance_bounds(self):
+        with pytest.raises(DomainError):
+            InferenceInstance(3, 1.2, 0.5, 1)
+        with pytest.raises(DomainError):
+            InferenceInstance(3, 0.5, -0.1, 1)
+        with pytest.raises(DomainError):
+            InferenceInstance(3, 0.5, 0.5, 2)
+
+
 class TestGenerator:
-    def test_calibration_hits_targets(self):
-        spec = GeneratorSpec(5000, 0.7265, 0.8309, 0.5386, 7)
-        stats = trace_statistics(generate_trace(spec))
+    def test_calibration_hits_targets(self, calibrated_trace):
+        stats = trace_statistics(calibrated_trace)
         assert abs(stats.acc_at_half_ex1 - 0.7265) <= 0.01
         assert abs(stats.acc_at_half_ex2 - 0.8309) <= 0.01
         assert abs(stats.person_fraction - 0.5386) <= 0.02
@@ -212,8 +246,8 @@ class TestGenerator:
         trace = generate_trace(GeneratorSpec(1000, 0.75, 0.85, 0.5386, 4))
         assert sum(i.label for i in trace) == round(1000 * 0.5386)
 
-    def test_deep_head_dominates_shallow(self):
-        trace = generate_trace(GeneratorSpec(5000, 0.7265, 0.8309, 0.5386, 7))
+    def test_deep_head_dominates_shallow(self, calibrated_trace):
+        trace = calibrated_trace
         stats = trace_statistics(trace)
         assert stats.acc_at_half_ex2 >= stats.acc_at_half_ex1
         ok2_given_ok1 = [
@@ -262,3 +296,103 @@ class TestStatistics:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             trace_statistics(trace_of([]))
+
+
+class TestSweep:
+    def test_degenerate_band_matches_single_threshold(self, calibrated_trace):
+        (cell,) = sweep_thresholds(calibrated_trace, [Thresholds(0.5, 0.5)])
+        assert cell.n_ex2 == 0
+        single = sum(
+            (inst.o1 >= 0.5) == bool(inst.label) for inst in calibrated_trace
+        ) / len(calibrated_trace)
+        assert cell.acc_total == pytest.approx(single, abs=1e-12)
+        assert cell.acc_total == cell.acc_ex1
+        assert cell.acc_ex2 is None
+
+    def test_everything_escalates(self):
+        trace = trace_of([
+            InferenceInstance(0, 0.4, 0.9, 1),
+            InferenceInstance(1, 0.6, 0.1, 0),
+            InferenceInstance(2, 0.5, 0.5, 1),
+        ])
+        (cell,) = sweep_thresholds(trace, [Thresholds(0.0, 1.0)])
+        assert cell.n_ex1 == 0
+        assert cell.acc_ex1 is None
+        assert cell.acc_total == cell.acc_ex2 == 1.0
+
+    def test_wide_band_beats_degenerate_on_calibrated_trace(self, calibrated_trace):
+        wide, degenerate = sweep_thresholds(
+            calibrated_trace, [Thresholds(0.1, 0.9), Thresholds(0.5, 0.5)]
+        )
+        assert wide.acc_total >= degenerate.acc_total
+
+    def test_partition_property(self, calibrated_trace):
+        rng = random.Random(3)
+        grid = [
+            Thresholds(rng.uniform(0, 0.5), rng.uniform(0.5, 1.0)) for _ in range(25)
+        ]
+        for cell in sweep_thresholds(calibrated_trace, grid):
+            assert cell.n_ex1 + cell.n_ex2 == len(calibrated_trace)
+
+    def test_monotone_escalation_with_band_widening(self, calibrated_trace):
+        bands = [Thresholds(0.5 - w, 0.5 + w) for w in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)]
+        counts = [c.n_ex2 for c in sweep_thresholds(calibrated_trace, bands)]
+        assert counts == sorted(counts)
+
+    def test_empty_trace_rejected(self):
+        with pytest.raises(DomainError):
+            sweep_thresholds(trace_of([]), [Thresholds(0.3, 0.7)])
+
+
+def _sweep_oracle(trace, grid):
+    """Reference sweep: every instance through evaluate_ex1/balanced_call, per cell."""
+    cells = []
+    for th in grid:
+        n_ex1 = n_ex2 = ok_ex1 = ok_ex2 = 0
+        for inst in trace:
+            call = evaluate_ex1(inst.o1, th)
+            if call is None:
+                n_ex2 += 1
+                ok_ex2 += balanced_call(inst.o2) == inst.label
+            else:
+                n_ex1 += 1
+                ok_ex1 += call == inst.label
+        cells.append(
+            SweepCell(
+                th.gamma1,
+                th.gamma2,
+                ok_ex1 / n_ex1 if n_ex1 else None,
+                ok_ex2 / n_ex2 if n_ex2 else None,
+                (ok_ex1 + ok_ex2) / len(trace),
+                n_ex1,
+                n_ex2,
+            )
+        )
+    return cells
+
+
+# scores hit the grid values often, so ties at gamma1 and gamma2 occur
+GRID_VALUES = (0.0, 0.1, 0.3, 0.45, 0.5, 0.55, 0.7, 0.9, 1.0)
+tie_scores = st.one_of(st.sampled_from(GRID_VALUES), st.floats(0.0, 1.0))
+sweep_rows = st.lists(st.tuples(tie_scores, tie_scores, st.integers(0, 1)), min_size=1,
+                      max_size=40)
+grid_cells = st.one_of(
+    st.builds(Thresholds, st.sampled_from([g for g in GRID_VALUES if g <= 0.5]),
+              st.sampled_from([g for g in GRID_VALUES if g >= 0.5])),
+    st.builds(Thresholds, st.floats(0.0, 0.5), st.floats(0.5, 1.0)),
+)
+
+
+@given(sweep_rows, st.lists(grid_cells, max_size=8))
+@example([(0.4, 0.9, 1), (0.6, 0.1, 0)], [])  # (0, 1) leaves exit 1 empty
+def test_sweep_matches_per_instance_oracle(rows, drawn):
+    trace = trace_of(InferenceInstance(k, *row) for k, row in enumerate(rows))
+    # (0.5, 0.5) leaves exit 2 empty; (0, 1) sends all but the poles to it
+    grid = [Thresholds(0.5, 0.5), Thresholds(0.0, 1.0)] + drawn
+    cells = sweep_thresholds(trace, iter(grid))
+    assert cells == _sweep_oracle(trace, grid)
+    for cell in cells:
+        assert type(cell.n_ex1) is int and type(cell.n_ex2) is int
+        assert type(cell.acc_total) is float
+        for acc in (cell.acc_ex1, cell.acc_ex2):
+            assert acc is None or type(acc) is float
