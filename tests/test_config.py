@@ -4,7 +4,6 @@ import sys
 
 import pytest
 from hypothesis import given
-from test_acceptance import PUBLISHED_MJ
 from test_boundary import config_trees
 from test_scheduler import admission_options
 
@@ -12,42 +11,12 @@ from zedsim.cli import main
 from zedsim.config import (
     STAGE_NAMES,
     DeviceConfig,
-    StageProfile,
     config_hash,
     derive_escalation_stage,
     load_config,
 )
 from zedsim.errors import ConfigError, DomainError, ZedSimError
 from zedsim.scheduler import GATINGS, VARIANTS, Split, plan, requirement, worst_case_time
-
-
-class TestStateEnergy:
-    def test_shallow_inference_row(self):
-        p = StageProfile(5.6646e-3, 0.4341, 3.3)
-        assert p.energy_joules == pytest.approx(8.118e-3, rel=5e-3)
-
-    def test_deep_inference_row(self):
-        p = StageProfile(5.8884e-3, 0.6891, 3.3)
-        assert p.energy_joules == pytest.approx(13.390e-3, rel=5e-3)
-
-    def test_zero_duration(self):
-        assert StageProfile(1.0, 0.0, 3.3).energy_joules == 0.0
-
-    def test_identity_with_product(self):
-        p = StageProfile(0.0123, 0.456, 3.3)
-        assert p.energy_joules == p.supply_volts * p.duration_seconds * p.current_amps
-
-    def test_all_default_rows_match_published(self):
-        stages = DeviceConfig.default().stages
-        for name, energy_mj in PUBLISHED_MJ.items():
-            got = stages[name].energy_joules
-            assert got == pytest.approx(energy_mj * 1e-3, rel=5e-3), name
-
-    def test_stage_invariants(self):
-        with pytest.raises(DomainError):
-            StageProfile(-1e-3, 0.1)
-        with pytest.raises(DomainError):
-            StageProfile(1e-3, -0.1)
 
 
 class TestDefaults:

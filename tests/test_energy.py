@@ -1,27 +1,20 @@
-import math
+"""The energy model against the paper's numbers, across the modules that hold
+it: the buffer's stored and usable energy (``pmu``), each stage's energy from
+its characterization row (``config``), the requirements the plans check before
+they run (``scheduler``), and the invariants of the records behind them."""
 
 import pytest
+from test_acceptance import PUBLISHED_MJ
+from test_pmu import SPEC
+from test_scheduler import admission_options
 
 from euler_oracle import stored_energy, usable_energy
 from zedsim.config import STAGE_NAMES, DeviceConfig, StageProfile
 from zedsim.errors import DomainError
 from zedsim.pmu import CapacitorSpec
-from zedsim.scheduler import GATINGS, VARIANTS, plan, requirement
+from zedsim.scheduler import GATINGS, VARIANTS, requirement
 
-SPEC = CapacitorSpec(1.5, 3.6, 3.92, 4.5)
 SMALL = CapacitorSpec(0.1, 3.6, 3.92, 4.5)
-
-# published device characterization: per-state energy in mJ
-PUBLISHED_MJ = {
-    "capture_preprocess": 72.896,
-    "capture_preprocess_load_switch": 110.442,
-    "inference_ex1": 8.118,
-    "inference_ex2": 13.390,
-    "measurement": 0.8934,
-    "led_green": 0.1182,
-    "led_blue": 0.1885,
-    "led_red": 0.3931,
-}
 
 
 class TestStoredEnergy:
@@ -84,10 +77,6 @@ class TestStateEnergy:
         for name, energy_mj in PUBLISHED_MJ.items():
             got = stages[name].energy_joules
             assert got == pytest.approx(energy_mj * 1e-3, rel=5e-3), name
-
-
-def admission_options(variant, gating="mosfet"):
-    return plan(DeviceConfig.default(), variant, gating)[0].options
 
 
 def escalation_check(gating="mosfet"):

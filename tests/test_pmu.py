@@ -6,82 +6,12 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from euler_oracle import (
-    EnergyState,
-    PmuMode,
-    harvest_current_at,
-    initial_state,
-    mode_of,
-    step,
-    stored_energy,
-    usable_energy,
-)
+from euler_oracle import EnergyState, PmuMode, harvest_current_at, initial_state, mode_of, step
 from zedsim import pmu
 from zedsim.errors import DomainError, SimulationFault
 from zedsim.pmu import CapacitorSpec, HarvestProfile, charge_time, mode_value, voltage_after
 
 SPEC = CapacitorSpec(1.5, 3.6, 3.92, 4.5)
-SMALL = CapacitorSpec(0.1, 3.6, 3.92, 4.5)
-
-
-class TestCapacitorSpec:
-    def test_capacitor_invariants(self):
-        with pytest.raises(DomainError):
-            CapacitorSpec(0.0, 3.6, 3.92, 4.5)
-        with pytest.raises(DomainError):
-            CapacitorSpec(1.5, 3.92, 3.6, 4.5)
-        with pytest.raises(DomainError):
-            CapacitorSpec(1.5, 3.6, 4.5, 4.5)
-        with pytest.raises(DomainError):
-            CapacitorSpec(1.5, 3.6, 3.6, 4.5)
-        with pytest.raises(DomainError):
-            CapacitorSpec(1.5, 0.0, 3.92, 4.5)
-
-    def test_capacitor_energy_at_v_max_must_be_finite(self):
-        # v_max*v_max overflows, or C*v_max^2/2 does; just inside, both hold
-        for farads, v_max in [(1.5, 1e200), (1e-300, 1e200), (1e308, 4.5)]:
-            with pytest.raises(DomainError, match="finite"):
-                CapacitorSpec(farads, 3.6, 3.92, v_max)
-        CapacitorSpec(1e-300, 3.6, 3.92, 1e154)
-
-
-class TestStoredEnergy:
-    def test_direct_substitution(self):
-        assert stored_energy(SPEC, 4.5) == pytest.approx(15.1875, rel=1e-12)
-
-    def test_zero(self):
-        assert stored_energy(SPEC, 0.0) == 0.0
-
-    def test_small_capacitor(self):
-        assert stored_energy(SMALL, 4.0) == pytest.approx(0.8, rel=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            stored_energy(SPEC, 4.6)
-        with pytest.raises(DomainError):
-            stored_energy(SPEC, -0.1)
-
-    def test_strictly_increasing(self):
-        vs = [i * 4.5 / 50 for i in range(51)]
-        es = [stored_energy(SPEC, v) for v in vs]
-        assert all(b > a for a, b in zip(es, es[1:]))
-
-
-class TestUsableEnergy:
-    def test_table_values(self):
-        assert usable_energy(SPEC, 4.5) == pytest.approx(5.4675, rel=1e-12)
-
-    def test_at_floor(self):
-        assert usable_energy(SPEC, 3.6) == 0.0
-
-    def test_clamped_below_floor(self):
-        assert usable_energy(SPEC, 3.0) == 0.0
-
-    def test_matches_stored_difference_above_floor(self):
-        for v in [3.6, 3.7, 4.0, 4.37, 4.5]:
-            assert usable_energy(SPEC, v) == pytest.approx(
-                stored_energy(SPEC, v) - stored_energy(SPEC, SPEC.v_off), abs=1e-12
-            )
 
 
 class TestHarvestProfile:

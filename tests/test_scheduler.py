@@ -4,11 +4,9 @@ import random
 import pytest
 
 from euler_oracle import harvest_current_at, usable_energy
-from zedsim.config import STAGE_NAMES, DeviceConfig
+from zedsim.config import DeviceConfig
 from zedsim.pmu import CapacitorSpec, HarvestProfile
 from zedsim.scheduler import (
-    GATINGS,
-    VARIANTS,
     Check,
     Exit,
     ExitDecision,
@@ -19,7 +17,6 @@ from zedsim.scheduler import (
     candidate_start_times,
     evaluate_ex1,
     plan,
-    requirement,
     run_window,
 )
 from zedsim.sim import _Engine
@@ -33,14 +30,6 @@ ESCALATION_J = sum(map(DEVICE.stage_energy, ("inference_ex1_to_ex2", "led_green"
 def admission_options(variant, gating="mosfet"):
     """The options of the admission check of ``variant``'s plan on the default device."""
     return plan(DeviceConfig.default(), variant, gating)[0].options
-
-
-def escalation_check(gating="mosfet"):
-    """The check the proposed plan makes before leaving the shallow exit."""
-    (attempt,) = admission_options("proposed", gating)
-    split = attempt[-1]
-    (check,) = split.ambiguous
-    return check
 
 
 class TestEvaluateEx1:
@@ -377,85 +366,3 @@ def _first_admitted_candidate_oracle(device, harvest, v0, substeps=4):
         if e - floor >= admission_requirement(device) + device.schedule.guard_delta_joules:
             return i
     return None
-
-
-class TestRequiredEnergy:
-    """The plans' requirements against hand sums of the published rows."""
-
-    def setup_method(self):
-        self.device = DeviceConfig.default()
-
-    def test_full_run_worst_led(self):
-        # capture, shallow inference and the red LED, plus the escalation
-        # measurement an ambiguous score spends before it can fall back
-        expected = (72.896 + 8.118 + 0.3931 + 0.8934) * 1e-3
-        (attempt,) = admission_options("proposed")
-        assert requirement(self.device, attempt) == pytest.approx(expected, rel=5e-3)
-        assert expected == pytest.approx(82.30e-3, abs=1e-5)
-
-    def test_all_zero_profiles(self):
-        zero = DeviceConfig.from_dict(
-            {"stages": {name: {"current_amps": 0.0} for name in STAGE_NAMES}}
-        )
-        for variant in VARIANTS:
-            for gating in GATINGS:
-                for option in admission_options(variant, gating):
-                    assert requirement(zero, option) == 0.0
-        assert requirement(zero, escalation_check().options[0]) == 0.0
-
-    def test_load_switch_substitution(self):
-        expected = (110.442 + 8.118 + 0.3931 + 0.8934) * 1e-3
-        for variant in ("proposed", "policy_ii"):
-            (attempt,) = admission_options(variant, "load_switch")
-            assert requirement(self.device, attempt) == pytest.approx(expected, rel=5e-3)
-        assert expected == pytest.approx(119.84e-3, abs=1e-5)
-
-    def test_escalation_worst_led(self):
-        expected = ((13.390 - 8.118) + 0.1182 + 0.3931) * 1e-3
-        (escalate,) = escalation_check().options
-        assert requirement(self.device, escalate) == pytest.approx(expected, rel=5e-3)
-
-    def test_escalation_blue_led(self):
-        # the result LED is charged at the dearer colour, here the blue one
-        device = DeviceConfig.from_dict({"stages": {"led_red": {"current_amps": 0.0}}})
-        expected = ((13.390 - 8.118) + 0.1182 + 0.1885) * 1e-3
-        (escalate,) = escalation_check().options
-        assert requirement(device, escalate) == pytest.approx(expected, rel=5e-3)
-
-    def test_escalation_additivity(self):
-        # the shallow path plus the escalation requirement never exceed the
-        # deep run that policy I admits
-        ex1_path = (
-            self.device.stages["capture_preprocess"].energy_joules
-            + self.device.stages["inference_ex1"].energy_joules
-        )
-        (escalate,) = escalation_check().options
-        deep, _ = admission_options("policy_i")
-        full_deep = (72.896 + 13.390 + 0.1182 + 0.3931) * 1e-3
-        assert requirement(self.device, deep) == pytest.approx(full_deep, rel=5e-3)
-        assert ex1_path + requirement(self.device, escalate) <= requirement(self.device, deep) + 1e-12
-
-    def test_policy_i_depths_and_baseline(self):
-        deep, shallow = admission_options("policy_i")
-        assert requirement(self.device, shallow) == pytest.approx(
-            (72.896 + 8.118 + 0.3931) * 1e-3, rel=5e-3)
-        assert requirement(self.device, deep) == pytest.approx(
-            (72.896 + 13.390 + 0.1182 + 0.3931) * 1e-3, rel=5e-3)
-        # the single-exit baseline always captures behind the load switch
-        for gating in GATINGS:
-            (attempt,) = admission_options("baseline", gating)
-            assert requirement(self.device, attempt) == pytest.approx(
-                (110.442 + 13.390 + 0.3931) * 1e-3, rel=5e-3)
-
-    def test_budget_invariants(self):
-        # every requirement the plans give is non-negative and covers each
-        # stage it runs before its next check
-        device = DeviceConfig.default()
-        for variant in VARIANTS:
-            for gating in GATINGS:
-                for option in admission_options(variant, gating):
-                    need = requirement(device, option)
-                    stages = [step for step in option if isinstance(step, str)]
-                    assert need >= sum(map(device.stage_energy, stages)) > 0
-        deep, shallow = admission_options("policy_i")
-        assert requirement(device, shallow) <= requirement(device, deep)
