@@ -26,7 +26,7 @@ from .config import DeviceConfig, config_hash, load_config
 from .errors import ConfigError, ZedSimError
 from .pmu import HarvestProfile
 from .scheduler import GATINGS, VARIANTS, Thresholds, plan
-from .sim import SimConfig, SimResult, simulate
+from .sim import SimConfig, SimResult, SimTotals, simulate
 from .traces import (
     SWEEP_HEADER,
     GeneratorSpec,
@@ -135,11 +135,11 @@ def write_trajectory_csv(result: SimResult, path, digest: str) -> None:
         fh.writelines(row for _, row in heapq.merge(knots, events, key=itemgetter(0)))
 
 
-def totals_text(result: SimResult, digest: str) -> str:
+def totals_text(totals: SimTotals, digest: str) -> str:
     """Single structured-text summary record of one run: each total as its
     repr, None as an empty value."""
     lines = [f"config_sha256={digest}"]
-    for name, value in result.totals._asdict().items():
+    for name, value in totals._asdict().items():
         lines.append(f"{name}={'' if value is None else repr(value)}")
     return "\n".join(lines) + "\n"
 
@@ -160,7 +160,7 @@ def _cmd_run(args) -> int:
     out = _out_dir(args)
     digest = _write_resolved(cfg.to_dict(), out)
     write_trajectory_csv(result, out / "trajectory.csv", digest)
-    totals = totals_text(result, digest)
+    totals = totals_text(result.totals, digest)
     (out / "totals.txt").write_text(totals)
     print(totals, end="")
     return 0
@@ -175,17 +175,18 @@ COMPARISON_HEADER = [
 
 def _cmd_compare(args) -> int:
     """Each variant on identical inputs, with deltas against the first listed; a run
-    is deterministic, so a variant listed twice is simulated once and keeps both rows."""
+    is deterministic, so a variant listed twice is simulated once and keeps both rows.
+    Only each run's totals are kept, so the peak memory is one run's."""
     variants = [_POLICY_FLAGS[v] for v in args.variants]
     cfg = _sim_config(args, variants[0])  # the reference variant
     trace = load_trace(args.trace)
     harvest = _harvest(args)
-    results = {v: simulate(cfg._replace(policy_variant=v), harvest, trace)
-               for v in dict.fromkeys(variants)}
-    base = results[variants[0]].totals
+    totals = {v: simulate(cfg._replace(policy_variant=v), harvest, trace).totals
+              for v in dict.fromkeys(variants)}
+    base = totals[variants[0]]
     rows = []
     for variant in variants:
-        t = results[variant].totals
+        t = totals[variant]
         energy_delta = accuracy_delta = None
         if base.energy_consumed_j > 0:
             energy_delta = (100.0 * (t.energy_consumed_j - base.energy_consumed_j)
@@ -198,9 +199,9 @@ def _cmd_compare(args) -> int:
     out = _out_dir(args)
     digest = _write_resolved(cfg.to_dict(), out)
     write_rows_csv(rows, COMPARISON_HEADER, out / "comparison.csv", digest)
-    for variant, result in results.items():
+    for variant, t in totals.items():
         variant_digest = config_hash(cfg._replace(policy_variant=variant).to_dict())
-        (out / f"totals_{variant}.txt").write_text(totals_text(result, variant_digest))
+        (out / f"totals_{variant}.txt").write_text(totals_text(t, variant_digest))
     for row in rows:
         print(
             f"{row['variant']}: energy={row['energy_consumed_j']:.6f} J "
@@ -281,7 +282,7 @@ def _cmd_validate(args) -> int:
     usable = cap.usable(cap.v_max)
     for variant in VARIANTS if device.converter_efficiency > 0 else ():
         for gating in GATINGS:
-            admission, _ = plan(device, variant, gating)
+            admission = plan(device, variant, gating).admission
             need = min(admission.needs) + device.stage_energy("measurement")
             if need > usable:
                 problems.append(f"{variant}[{gating}]: requirement {need} J exceeds the "

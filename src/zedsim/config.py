@@ -163,8 +163,7 @@ class DeviceConfig(NamedTuple):
                 out.append(f"schedule: {n} attempts per window, more than {_MAX_ATTEMPTS}")
             for variant in VARIANTS:
                 for gating in GATINGS:
-                    admission, _ = plan(self, variant, gating)
-                    t_exe = worst_case_time(self, (admission,))
+                    t_exe = worst_case_time(self, (plan(self, variant, gating).admission,))
                     if deadline + t_exe >= window:
                         out.append(
                             f"schedule: deadline + execution time >= window "

@@ -8,33 +8,35 @@ case. Every attempt made while the supply outputs are up costs one voltage
 measurement; attempts at instants where the outputs are down are skipped for
 free because the controller is unpowered.
 
-Each variant is described once, by :func:`plan`, as a tuple of steps:
+Each variant is described once, by :func:`plan`, as a :class:`Plan`: its
+admission check, a tuple of steps, and the schedule of its admission instants.
+A step is one of:
 
 - a stage name: run that stage;
-- ``Check(options, otherwise, enforced, needs)``: measure, then take the
-  first option whose need, its requirement plus ``guard_delta_joules``, the
-  usable energy covers, else ``otherwise`` (at admission, ``None``: try the
-  next instant). An unenforced check takes its first option, but still
-  measures;
-- ``Split(ambiguous)``: outside the open band (gamma1, gamma2) exit at the
-  shallow head with its call, inside it run ``ambiguous``;
-- ``Exit(taken)``: light the result LED for the exit's call and stop.
+- ``Check(options, otherwise, needs)``: measure, then take the first option
+  whose need the usable energy covers, else ``otherwise`` (at admission,
+  ``None``: try the next instant);
+- ``Split(ambiguous, thresholds)``: outside the open band (gamma1, gamma2)
+  exit at the shallow head with its call, inside it run ``ambiguous``;
+- an ``ExitTaken`` member: light the result LED for that exit's call and stop.
 
 The requirement of a step sequence is the worst-case buffer energy from
 where it starts to the next check or to the end: stages add their energy, an
-``Exit`` adds the dearer result LED, a ``Split`` takes the dearer branch, and
+exit adds the dearer result LED, a ``Split`` takes the dearer branch, and
 a ``Check`` adds its measurement and its cheapest completion, the least that
 must be left once that check has been paid for. :func:`worst_case_time` is the
 same walk over durations, taking the longest branch everywhere.
 
 A run compiles its plan once, for its device, variant and gating: :func:`plan`
-fills each check's ``needs`` with one float per option, computed by that
-walk, so the window loop only compares the usable energy it measures
+fills each check's ``needs`` with one float per option, its requirement plus
+``guard_delta_joules``, or -inf where the variant escalates unchecked, so the
+window loop reads no device and only compares the usable energy it measures
 against floats.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
@@ -112,49 +114,52 @@ class ScheduleConfig(NamedTuple):
 
 class Check(NamedTuple):
     """Measure, then continue with the first option whose need the usable energy
-    covers. ``needs`` holds each option's requirement plus the schedule's
-    ``guard_delta_joules``; :func:`plan` fills it in for its device."""
+    covers; :func:`plan` fills ``needs`` in for its device."""
 
     options: tuple
     otherwise: Optional[tuple] = None
-    enforced: bool = True
     needs: Tuple[float, ...] = ()
 
 
 class Split(NamedTuple):
-    """Exit at the shallow head outside the ambiguity band, else run ``ambiguous``."""
+    """Exit at the shallow head outside the ambiguity band ``thresholds``, else
+    run ``ambiguous``."""
 
     ambiguous: tuple
+    thresholds: Thresholds
 
 
-class Exit(NamedTuple):
-    """Indicate the call of the ``taken`` exit and end the pipeline."""
+class Plan(NamedTuple):
+    """Everything a window reads: the admission check of a variant and the
+    schedule of the instants it is tried at."""
 
-    taken: ExitTaken
+    admission: Check
+    schedule: ScheduleConfig
 
 
-def plan(device, variant: str, gating: str) -> Tuple[Check, Optional[int]]:
-    """The admission check of ``variant`` and its cap on admission instants
-    (None: every candidate instant of the schedule), compiled for ``device``."""
+def plan(device, variant: str, gating: str) -> Plan:
+    """The plan of ``variant`` under ``gating``, compiled for ``device``."""
     delta = device.schedule.guard_delta_joules
 
-    def check(options, otherwise=None, enforced=True):
-        return Check(options, otherwise, enforced,
+    def check(options, otherwise=None):
+        return Check(options, otherwise,
                      tuple(requirement(device, option) + delta for option in options))
 
     capture = "capture_preprocess" if gating == GATING_MOSFET else "capture_preprocess_load_switch"
     if variant == VARIANT_BASELINE:
-        return check((("capture_preprocess_load_switch", "inference_ex2", Exit(ExitTaken.EX2)),)), 1
+        deep = ("capture_preprocess_load_switch", "inference_ex2", ExitTaken.EX2)
+        return Plan(check((deep,)), device.schedule._replace(n_attempts=1))
     if variant == VARIANT_POLICY_I:
-        deep = (capture, "inference_ex2", "led_green", Exit(ExitTaken.EX2))
-        shallow = (capture, "inference_ex1", Exit(ExitTaken.EX1))
-        return check((deep, shallow)), None
-    escalation = check(
-        (("inference_ex1_to_ex2", "led_green", Exit(ExitTaken.EX2)),),
-        otherwise=(Exit(ExitTaken.EX1_FALLBACK),),
-        enforced=variant != VARIANT_POLICY_II,
-    )
-    return check(((capture, "inference_ex1", Split((escalation,))),)), None
+        deep = (capture, "inference_ex2", "led_green", ExitTaken.EX2)
+        shallow = (capture, "inference_ex1", ExitTaken.EX1)
+        return Plan(check((deep, shallow)), device.schedule)
+    escalate = (("inference_ex1_to_ex2", "led_green", ExitTaken.EX2),)
+    fallback = (ExitTaken.EX1_FALLBACK,)
+    # policy II escalates on ambiguity without an energy check, but still measures
+    escalation = (Check(escalate, fallback, (-math.inf,)) if variant == VARIANT_POLICY_II
+                  else check(escalate, fallback))
+    split = Split((escalation,), device.thresholds)
+    return Plan(check(((capture, "inference_ex1", split),)), device.schedule)
 
 
 def _walk(steps: tuple, total: float, cost: Callable[[str], float], pick) -> float:
@@ -166,9 +171,10 @@ def _walk(steps: tuple, total: float, cost: Callable[[str], float], pick) -> flo
             ends = step.options + ((step.otherwise,) if step.otherwise is not None else ())
             return pick(_walk(end, total, cost, pick) for end in ends) + cost("measurement")
         if isinstance(step, Split):
-            return max(_walk((Exit(ExitTaken.EX1),), total, cost, pick),
+            return max(_walk((ExitTaken.EX1,), total, cost, pick),
                        _walk(step.ambiguous, total, cost, pick))
-        total += max(map(cost, _RESULT_LEDS.values())) if isinstance(step, Exit) else cost(step)
+        exit_led = isinstance(step, ExitTaken)
+        total += max(map(cost, _RESULT_LEDS.values())) if exit_led else cost(step)
     return total
 
 
@@ -191,7 +197,6 @@ class WindowOutcome(NamedTuple):
     started and reached no decision, aborted below the cutoff.
     """
 
-    window_index: int
     started_at: Optional[float]
     decision: Optional[ExitDecision]
     instance_id: Optional[int] = None
@@ -216,41 +221,31 @@ def candidate_start_times(t_k: float, cfg: ScheduleConfig) -> List[float]:
 
 def _choose(check: Check, usable: float) -> Optional[tuple]:
     """The first option of ``check`` whose need ``usable`` covers, else ``otherwise``."""
-    if not check.enforced:
-        return check.options[0]
     for option, need in zip(check.options, check.needs):
         if usable >= need:
             return option
     return check.otherwise
 
 
-def run_window(
-    window_index: int,
-    clock,
-    device,
-    instance: InferenceInstance,
-    compiled: Tuple[Check, Optional[int]],
-) -> WindowOutcome:
+def run_window(window_index: int, clock, instance: InferenceInstance,
+               compiled: Plan) -> WindowOutcome:
     """Attempt one pipeline in the given window.
 
     ``clock`` is the simulation engine driving the capacitor: it must provide the
     attribute ``outputs_enabled`` and the methods ``usable_energy()`` (>= 0: read
     only after a measurement that left v above v_off, and E(v) - E(v_off) rounds
     in the order of the voltages), ``advance_to(t)``, ``run_stage(name) -> bool``
-    (False on power failure) and ``log_event(label)``. ``device`` is the
-    DeviceConfig carrying stage profiles, thresholds and the schedule, and
-    ``compiled`` is what :func:`plan` gives for it.
+    (False on power failure) and ``log_event(label)``. ``compiled`` is the
+    :class:`Plan` of the run's variant, compiled for the device ``clock`` runs.
 
     An admitted pipeline runs to its exit or a power failure and consumes the
     instance (``started_at`` set); a window that no instant admits, or whose
     admission measurement browns out, is deferred.
     """
-    sched = device.schedule
-    t_k = window_index * sched.window_seconds
+    admission, sched = compiled
     clock.log_event(f"window:{window_index}")
-    admission, attempts = compiled
 
-    for s in candidate_start_times(t_k, sched)[:attempts]:
+    for s in candidate_start_times(window_index * sched.window_seconds, sched):
         clock.advance_to(s)
         if not clock.outputs_enabled:
             continue
@@ -263,20 +258,20 @@ def run_window(
         steps = _choose(admission, admission_usable)
         if steps is not None:
             clock.log_event("admit")
-            decision, escalation_usable = _execute(clock, device, instance, steps)
+            decision, escalation_usable = _execute(clock, instance, steps)
             clock.log_event("power_failure" if decision is None
                             else "exit:" + decision.exit_taken.value)
             return WindowOutcome(
-                window_index, s, decision, instance.id,
+                s, decision, instance.id,
                 correct=None if decision is None else decision.prediction == instance.label,
                 admission_usable=admission_usable, escalation_usable=escalation_usable,
             )
     else:
         clock.log_event("defer")
-    return WindowOutcome(window_index, None, None)
+    return WindowOutcome(None, None)
 
 
-def _execute(clock, device, instance, steps):
+def _execute(clock, instance, steps):
     """Run admitted steps to their exit and light the LED of its call; returns
     (decision, usable at the escalation check), the decision None on a power failure."""
     usable = None
@@ -290,14 +285,14 @@ def _execute(clock, device, instance, steps):
             usable = clock.usable_energy()
             steps, k = _choose(step, usable), 0
         elif isinstance(step, Split):
-            call = evaluate_ex1(instance.o1, device.thresholds)
+            call = evaluate_ex1(instance.o1, step.thresholds)
             if call is not None:
                 decision = ExitDecision(ExitTaken.EX1, call)
                 break
             steps, k = step.ambiguous, 0
-        elif isinstance(step, Exit):
-            score = instance.o2 if step.taken is ExitTaken.EX2 else instance.o1
-            decision = ExitDecision(step.taken, balanced_call(score))
+        elif isinstance(step, ExitTaken):
+            score = instance.o2 if step is ExitTaken.EX2 else instance.o1
+            decision = ExitDecision(step, balanced_call(score))
             break
         elif not clock.run_stage(step):
             return None, usable

@@ -298,7 +298,7 @@ def simulate(
     instances = iter(trace)
     instance = next(instances, None)
     for k in range(n_windows):
-        outcome = run_window(k, engine, device, instance, compiled)
+        outcome = run_window(k, engine, instance, compiled)
         if outcome.started_at is not None:
             instance = next(instances, None)
         windows.append(outcome)

@@ -163,7 +163,7 @@ def _assert_sound_run(out, horizon):
 @example("validate", {"converter_efficiency": 0.0}, "4.5", "0.0", "100.0", "proposed", "mosfet")
 # a harvest so large that the harvested energy overflows to inf
 @example("run", {}, "4.5", "1.7e308", "1000.0", "proposed", "mosfet")
-# a stage whose power overflows, reached by policy-ii's unenforced escalation
+# a stage whose power overflows, reached by policy-ii's unchecked escalation
 @example("run", {"stages": {"led_green": {"current_amps": 1e300, "supply_volts": 1e300}}},
          "4.5", "0.0", "100.0", "policy-ii", "mosfet")
 def test_main_exits_cleanly(trace_file, command, config, initial_v, harvest_ma, horizon, policy,

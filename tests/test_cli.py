@@ -363,7 +363,7 @@ class TestRejectsMalformedInputs:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("stage, entry", [
-        # power 1e300 V * 1e300 A overflows; the unenforced escalation drove v_c to nan
+        # power 1e300 V * 1e300 A overflows; the unchecked escalation drove v_c to nan
         ("led_green", {"current_amps": 1e300, "supply_volts": 1e300}),
         ("inference_ex1_to_ex2", {"current_amps": 1e300, "supply_volts": 1e300}),
         # finite power 1e280 W, but supply * duration overflows the energy
@@ -457,7 +457,7 @@ class TestValidate:
         # proposed load-switch admission and its measurement is accepted, and
         # the float one ulp below it is not
         device = DeviceConfig.default()
-        admission, _ = plan(device, "proposed", "load_switch")
+        admission = plan(device, "proposed", "load_switch").admission
         need = min(admission.needs) + device.stage_energy("measurement")
         cap = device.capacitor
 

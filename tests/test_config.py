@@ -227,7 +227,8 @@ class TestValidation:
     def test_deadline_plus_execution_exactly_the_window(self):
         # a window equal to the very sum problems() computes is too short; one ulp more fits
         d = DeviceConfig.default()
-        t_exe = max(worst_case_time(d, (plan(d, v, g)[0],)) for v in VARIANTS for g in GATINGS)
+        t_exe = max(worst_case_time(d, (plan(d, v, g).admission,))
+                    for v in VARIANTS for g in GATINGS)
         edge = d.schedule.deadline_seconds + t_exe
         for window, ok in ((edge, False), (math.nextafter(edge, math.inf), True)):
             problems = d._replace(schedule=d.schedule._replace(window_seconds=window)).problems()

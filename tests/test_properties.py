@@ -86,7 +86,7 @@ def near_admission(draw):
     gating = draw(st.sampled_from(GATINGS))
     c = draw(st.floats(0.05, 0.1))
     device = cfg.device.with_capacitance(c)
-    admission, _ = plan(device, "proposed", gating)
+    admission = plan(device, "proposed", gating).admission
     need = requirement(device, (admission,)) + device.schedule.guard_delta_joules
     usable = max(need + draw(st.floats(-1e-3, 8e-3)), 0.0)
     v0 = min(math.sqrt(V_OFF**2 + 2 * usable / c), V_MAX)
@@ -109,11 +109,15 @@ def test_compiled_needs_are_the_walked_requirements(device, guard):
     device = device._replace(schedule=device.schedule._replace(guard_delta_joules=guard))
     for variant in VARIANTS:
         for gating in GATINGS:
-            admission, _ = plan(device, variant, gating)
+            admission = plan(device, variant, gating).admission
             found = list(checks((admission,)))
             assert len(found) == (2 if variant in ("proposed", "policy_ii") else 1)
             for check in found:
                 assert len(check.needs) == len(check.options)
+                if variant == "policy_ii" and check is not admission:
+                    # policy II escalates on ambiguity without an energy check
+                    assert check.needs == (-math.inf,)
+                    continue
                 for option, need in zip(check.options, check.needs):
                     assert need == requirement(device, option) + guard
 

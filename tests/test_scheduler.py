@@ -8,7 +8,6 @@ from zedsim.config import DeviceConfig
 from zedsim.pmu import CapacitorSpec, HarvestProfile
 from zedsim.scheduler import (
     Check,
-    Exit,
     ExitDecision,
     ExitTaken,
     ScheduleConfig,
@@ -29,7 +28,7 @@ ESCALATION_J = sum(map(DEVICE.stage_energy, ("inference_ex1_to_ex2", "led_green"
 
 def admission_options(variant, gating="mosfet"):
     """The options of the admission check of ``variant``'s plan on the default device."""
-    return plan(DeviceConfig.default(), variant, gating)[0].options
+    return plan(DeviceConfig.default(), variant, gating).admission.options
 
 
 class TestEvaluateEx1:
@@ -77,8 +76,7 @@ class ScriptedClock:
 def decide(variant, inst, readings, device=DEVICE):
     """One window of ``variant`` with a single admission instant."""
     one_attempt = device._replace(schedule=device.schedule._replace(n_attempts=1))
-    return run_window(0, ScriptedClock(readings), one_attempt, inst,
-                      plan(one_attempt, variant, "mosfet"))
+    return run_window(0, ScriptedClock(readings), inst, plan(one_attempt, variant, "mosfet"))
 
 
 class TestPolicyISelect:
@@ -139,7 +137,7 @@ class TestDecideProposed:
 
     def test_admission_boundary_is_the_compiled_need(self):
         # a reading equal to the compiled float admits, one ulp less defers
-        (need,) = plan(DEVICE, "proposed", "mosfet")[0].needs
+        (need,) = plan(DEVICE, "proposed", "mosfet").admission.needs
         inst = InferenceInstance(0, 0.9, 0.9, 1)
         assert decide("proposed", inst, [need]).started_at == 0.0
         assert decide("proposed", inst, [math.nextafter(need, 0.0)]).deferred
@@ -154,7 +152,7 @@ class TestDecideProposed:
         inst = InferenceInstance(0, 0.9, 0.9, 1)
         clock = ScriptedClock([])
         one_attempt = DEVICE._replace(schedule=DEVICE.schedule._replace(n_attempts=1))
-        out = run_window(0, clock, one_attempt, inst, plan(one_attempt, "proposed", "mosfet"))
+        out = run_window(0, clock, inst, plan(one_attempt, "proposed", "mosfet"))
         assert out.deferred and not out.power_failure
         assert clock.events == ["window:0", "measurement_brownout"]
 
@@ -205,7 +203,7 @@ class TestPowerFailureAfterAdmission:
     def test_no_decision(self, variant, inst, readings, fail_at, escalation_usable):
         clock = ScriptedClock(readings, fail_at)
         one_attempt = DEVICE._replace(schedule=DEVICE.schedule._replace(n_attempts=1))
-        out = run_window(0, clock, one_attempt, inst, plan(one_attempt, variant, "mosfet"))
+        out = run_window(0, clock, inst, plan(one_attempt, variant, "mosfet"))
         assert out.power_failure and not out.deferred
         assert out.decision is None and out.correct is None
         assert out.started_at == 0.0 and out.instance_id == 0
@@ -228,6 +226,19 @@ class TestCandidateStartTimes:
         cfg = ScheduleConfig(10.0, 0.0, 1)
         assert candidate_start_times(0.0, cfg) == [0.0]
 
+    def test_baseline_tries_one_instant(self):
+        # the baseline admits at the window's start or not at all; the other
+        # variants measure at every instant of the schedule before deferring
+        assert DEVICE.schedule.n_attempts > 1
+        inst = InferenceInstance(0, 0.9, 0.9, 1)
+        for variant in ("baseline", "policy_i", "policy_ii", "proposed"):
+            compiled = plan(DEVICE, variant, "mosfet")
+            tried = 1 if variant == "baseline" else DEVICE.schedule.n_attempts
+            assert compiled.schedule == DEVICE.schedule._replace(n_attempts=tried)
+            clock = ScriptedClock([0.0] * (tried + 1))
+            assert run_window(3, clock, inst, compiled).deferred
+            assert clock.readings == [0.0]  # one reading per instant tried
+
 
 class TestTryAdmit:
     """An admission attempt against a compiled check: the usable energy must
@@ -235,7 +246,7 @@ class TestTryAdmit:
 
     @staticmethod
     def admits(usable, need):
-        return _choose(Check(((Exit(ExitTaken.EX1),),), needs=(need,)), usable) is not None
+        return _choose(Check(((ExitTaken.EX1,),), needs=(need,)), usable) is not None
 
     def test_ample(self):
         assert self.admits(5.4675, 81.407e-3)
@@ -253,7 +264,7 @@ def _engine(device, harvest, v0):
 
 def run_proposed(clock, device, instance):
     """One window of the proposed policy under the mosfet gate."""
-    return run_window(0, clock, device, instance, plan(device, "proposed", "mosfet"))
+    return run_window(0, clock, instance, plan(device, "proposed", "mosfet"))
 
 
 def spent(engine):

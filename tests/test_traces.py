@@ -198,9 +198,6 @@ class TestFallbackAndEx2:
     def test_fallback_upper_band(self):
         assert balanced_call(0.69) == PERSON
 
-    def test_ex2_tie_is_person(self):
-        assert balanced_call(0.5) == PERSON
-
     def test_ex2_extremes(self):
         assert balanced_call(0.0) == NO_PERSON
         assert balanced_call(1.0) == PERSON
