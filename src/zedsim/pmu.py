@@ -50,8 +50,6 @@ class CapacitorSpec(NamedTuple):
     v_max: float
 
     def check(self) -> None:
-        if not all(map(math.isfinite, self)):
-            raise DomainError(f"capacitance and thresholds must be finite, got {self}")
         if self.capacitance_farads <= 0:
             raise DomainError(f"capacitance must be positive, got {self.capacitance_farads}")
         if not (0 < self.v_off < self.v_on < self.v_max):

@@ -1,3 +1,4 @@
+import contextlib
 import signal
 
 import pytest
@@ -24,10 +25,11 @@ def _expire(signum, frame):
     raise TimeLimitExceeded(f"test ran longer than {TEST_TIME_LIMIT_S} s")
 
 
-@pytest.fixture(autouse=True)
-def time_limit():
-    """Fail a test that runs past TEST_TIME_LIMIT_S instead of letting it hang the
-    suite; no limit where the platform has no SIGALRM."""
+@contextlib.contextmanager
+def time_limited():
+    """Raise TimeLimitExceeded in what runs past TEST_TIME_LIMIT_S instead of letting
+    it hang the suite; no limit where the platform has no SIGALRM. A fixture wider
+    than one test runs before the test's limit is armed, so it takes its own."""
     if not hasattr(signal, "SIGALRM"):
         yield
         return
@@ -38,6 +40,13 @@ def time_limit():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past TEST_TIME_LIMIT_S."""
+    with time_limited():
+        yield
 
 
 @pytest.fixture(scope="session")

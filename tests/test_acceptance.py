@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines. Criteria 9
 and 10 (ledger closure, bit-for-bit replay) are checked for every simulation
-run performed by the earlier criteria, via a shared run registry.
+run of criteria 4-7, which a module-scoped fixture builds once, so each of
+them checks all of the runs whichever tests are selected and in whatever order.
 """
 
 import math
@@ -11,6 +12,7 @@ from itertools import islice
 
 import pytest
 
+from conftest import time_limited
 from zedsim.config import DeviceConfig
 from zedsim.pmu import HarvestProfile
 from zedsim.scheduler import Thresholds, evaluate_ex1
@@ -35,14 +37,50 @@ PUBLISHED_MJ = {
 # drive the buffer into saturation
 STAIRCASE_MA = [0.0, 10.0, 3.0, 6.0, 0.0]
 
-_RUNS = []  # (label, cfg, harvest, trace, result) for criteria 9 and 10
+
+def run_inputs(trace):
+    """(label, cfg, harvest, trace) of each simulation criteria 4-7 check."""
+    zero = HarvestProfile.constant(0.0)
+    yield "c4-proposed", SimConfig(DEVICE, 4.5, 200.0, "proposed"), zero, trace
+    yield "c4-baseline", SimConfig(DEVICE, 4.5, 200.0, "baseline"), zero, trace
+
+    for c in (0.1, 0.25, 0.5, 1.0, 1.5):
+        device = DEVICE.with_capacitance(c)
+        for variant in ("proposed", "baseline"):
+            yield (f"c5-{variant}-{c}", SimConfig(device, 4.0, 200.0, variant),
+                   HarvestProfile.constant(2e-3), trace)
+
+    device = DEVICE.with_capacitance(0.1)
+    harvest = HarvestProfile.from_pairs(
+        [(i * 200.0, ma * 1e-3) for i, ma in enumerate(STAIRCASE_MA)]
+    )
+    yield "c6-adaptive", SimConfig(device, 4.0, 1000.0, "proposed"), harvest, trace
+    one_attempt = device._replace(schedule=device.schedule._replace(n_attempts=1))
+    yield "c6-fixed", SimConfig(one_attempt, 4.0, 1000.0, "proposed"), harvest, trace
+
+    rng = random.Random(20260809)
+    for i in range(100):
+        device, v0, harvest, instances = _random_scenario(rng)
+        yield f"c7-{i}", SimConfig(device, v0, 60.0, "proposed"), harvest, instances
+    device, v0, harvest, instances = _adversarial_setup()
+    yield "c7-adversarial-ii", SimConfig(device, v0, 10.0, "policy_ii"), harvest, instances
+    yield "c7-adversarial-prop", SimConfig(device, v0, 10.0, "proposed"), harvest, instances
 
 
-def sim_run(label, cfg, harvest, trace):
-    result = simulate(cfg, harvest, trace)
-    assert abs(result.totals.ledger_residual_j) < 1e-6, f"ledger open for {label}"
-    _RUNS.append((label, cfg, harvest, trace, result))
-    return result
+@pytest.fixture(scope="module")
+def runs(calibrated_trace):
+    """label -> (cfg, harvest, trace, result) of every run of criteria 4-7."""
+    built = {}
+    with time_limited():  # a run that hangs fails the criteria instead of the suite
+        for label, cfg, harvest, trace in run_inputs(calibrated_trace):
+            result = simulate(cfg, harvest, trace)
+            assert abs(result.totals.ledger_residual_j) < 1e-6, f"ledger open for {label}"
+            built[label] = (cfg, harvest, trace, result)
+    return built
+
+
+def result_of(runs, label):
+    return runs[label][-1]
 
 
 def report(number, name, ok, detail=""):
@@ -106,14 +144,8 @@ def _expected_energy_per_policy(device, trace, n_windows):
     return proposed, baseline
 
 
-def test_criterion_4_energy_reduction_vs_baseline(calibrated_trace):
-    harvest = HarvestProfile.constant(0.0)
-    prop = sim_run(
-        "c4-proposed", SimConfig(DEVICE, 4.5, 200.0, "proposed"), harvest, calibrated_trace
-    )
-    base = sim_run(
-        "c4-baseline", SimConfig(DEVICE, 4.5, 200.0, "baseline"), harvest, calibrated_trace
-    )
+def test_criterion_4_energy_reduction_vs_baseline(runs, calibrated_trace):
+    prop, base = result_of(runs, "c4-proposed"), result_of(runs, "c4-baseline")
     assert prop.totals.completed_pipelines == base.totals.completed_pipelines == 20
     reduction = 1.0 - prop.totals.energy_consumed_j / base.totals.energy_consumed_j
 
@@ -128,30 +160,17 @@ def test_criterion_4_energy_reduction_vs_baseline(calibrated_trace):
                   f"(reduction {reduction * 100:.1f}%, oracle {oracle_reduction * 100:.1f}%)")
 
 
-def test_criterion_5_completed_pipelines_dominance(calibrated_trace):
-    harvest = HarvestProfile.constant(2e-3)
+def test_criterion_5_completed_pipelines_dominance(runs):
     pairs = []
     for c in (0.1, 0.25, 0.5, 1.0, 1.5):
-        device = DEVICE.with_capacitance(c)
-        p = sim_run(f"c5-proposed-{c}", SimConfig(device, 4.0, 200.0, "proposed"),
-                    harvest, calibrated_trace)
-        b = sim_run(f"c5-baseline-{c}", SimConfig(device, 4.0, 200.0, "baseline"),
-                    harvest, calibrated_trace)
+        p, b = result_of(runs, f"c5-proposed-{c}"), result_of(runs, f"c5-baseline-{c}")
         pairs.append((c, p.totals.completed_pipelines, b.totals.completed_pipelines))
     ok = all(p >= b for _, p, b in pairs)
     assert report(5, "completed-pipelines dominance", ok, f"({pairs})")
 
 
-def test_criterion_6_scheduling_rule_dominance(calibrated_trace):
-    device = DEVICE.with_capacitance(0.1)
-    harvest = HarvestProfile.from_pairs(
-        [(i * 200.0, ma * 1e-3) for i, ma in enumerate(STAIRCASE_MA)]
-    )
-    adaptive = sim_run("c6-adaptive", SimConfig(device, 4.0, 1000.0, "proposed"),
-                       harvest, calibrated_trace)
-    one_attempt = device._replace(schedule=device.schedule._replace(n_attempts=1))
-    fixed = sim_run("c6-fixed", SimConfig(one_attempt, 4.0, 1000.0, "proposed"),
-                    harvest, calibrated_trace)
+def test_criterion_6_scheduling_rule_dominance(runs):
+    adaptive, fixed = result_of(runs, "c6-adaptive"), result_of(runs, "c6-fixed")
 
     def per_interval(result):
         counts = [0] * len(STAIRCASE_MA)
@@ -171,7 +190,7 @@ def test_criterion_6_scheduling_rule_dominance(calibrated_trace):
                 peaks[min(int(t // 200.0), len(peaks) - 1)], v
             )
         for level, peak in zip(STAIRCASE_MA, peaks):
-            if level > 4.0 and peak < device.capacitor.v_max - 1e-9:
+            if level > 4.0 and peak < DEVICE.capacitor.v_max - 1e-9:
                 saturation = False
     ok = dominance and saturation
     assert report(6, "scheduling-rule dominance", ok,
@@ -206,20 +225,11 @@ def _adversarial_setup():
     return device, v0, HarvestProfile.constant(0.0), trace
 
 
-def test_criterion_7_no_power_failure_invariant():
-    rng = random.Random(20260809)
-    total_failures = 0
-    for i in range(100):
-        device, v0, harvest, trace = _random_scenario(rng)
-        result = sim_run(f"c7-{i}", SimConfig(device, v0, 60.0, "proposed"), harvest, trace)
-        total_failures += result.totals.power_failures
+def test_criterion_7_no_power_failure_invariant(runs):
+    total_failures = sum(result_of(runs, f"c7-{i}").totals.power_failures for i in range(100))
     proposed_ok = total_failures == 0
 
-    device, v0, harvest, trace = _adversarial_setup()
-    risky = sim_run("c7-adversarial-ii", SimConfig(device, v0, 10.0, "policy_ii"),
-                    harvest, trace)
-    safe = sim_run("c7-adversarial-prop", SimConfig(device, v0, 10.0, "proposed"),
-                   harvest, trace)
+    risky, safe = result_of(runs, "c7-adversarial-ii"), result_of(runs, "c7-adversarial-prop")
     adversarial_ok = risky.totals.power_failures >= 1 and safe.totals.power_failures == 0
 
     ok = proposed_ok and adversarial_ok
@@ -255,15 +265,8 @@ def test_criterion_8_threshold_degeneracy_and_monotonicity(calibrated_trace):
     )
 
 
-def _ensure_runs(calibrated_trace):
-    if not _RUNS:
-        harvest = HarvestProfile.constant(0.0)
-        sim_run("fallback", SimConfig(DEVICE, 4.5, 200.0, "proposed"), harvest, calibrated_trace)
-
-
-def test_criterion_9_energy_ledger_closure(calibrated_trace):
-    _ensure_runs(calibrated_trace)
-    residuals = [abs(result.totals.ledger_residual_j) for _, _, _, _, result in _RUNS]
+def test_criterion_9_energy_ledger_closure(runs):
+    residuals = [abs(result.totals.ledger_residual_j) for *_, result in runs.values()]
     ok = max(residuals) < 1e-6
     assert report(
         9, "energy ledger closure", ok,
@@ -271,11 +274,10 @@ def test_criterion_9_energy_ledger_closure(calibrated_trace):
     )
 
 
-def test_criterion_10_determinism(calibrated_trace):
-    _ensure_runs(calibrated_trace)
+def test_criterion_10_determinism(runs):
     failures = []
-    for label, cfg, harvest, trace, result in _RUNS:
+    for label, (cfg, harvest, trace, result) in runs.items():
         if simulate(cfg, harvest, trace) != result:
             failures.append(label)
     ok = not failures
-    assert report(10, "determinism", ok, f"({len(_RUNS)} runs replayed bit-for-bit)"), failures
+    assert report(10, "determinism", ok, f"({len(runs)} runs replayed bit-for-bit)"), failures

@@ -6,13 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import zedsim
 from zedsim.cli import build_parser, main
-from zedsim.config import DeviceConfig
+from zedsim.config import DeviceConfig, config_hash
 from zedsim.scheduler import Thresholds, plan
 from zedsim.traces import load_trace, sweep_thresholds
 
@@ -47,6 +48,7 @@ class TestGenTrace:
         out = tmp_path / "t.csv"
         main(["gen-trace", "--n", "50", "--out", str(out)])
         captured = capsys.readouterr().out
+        assert captured.splitlines()[0] == f"wrote 50 instances to {out}"
         assert "acc_at_half_ex1=" in captured
         assert "person_fraction=" in captured
 
@@ -86,10 +88,11 @@ class TestRun:
             written.append([(out / f).read_bytes() for f in ("totals.txt", "trajectory.csv")])
         assert written[0] == written[1]
 
-    def test_totals_contents(self, tmp_path, trace_file):
+    def test_totals_contents(self, tmp_path, trace_file, capsys):
         out = tmp_path / "out"
         main(["run", "--trace", str(trace_file), "--horizon", "30", "--out", str(out)])
         text = (out / "totals.txt").read_text()
+        assert capsys.readouterr().out == text
         assert "config_sha256=" in text
         assert "completed_pipelines=3" in text
         assert "power_failures=0" in text
@@ -98,10 +101,18 @@ class TestRun:
         out = tmp_path / "out"
         main(["run", "--trace", str(trace_file), "--horizon", "30", "--out", str(out)])
         with open(out / "trajectory.csv") as fh:
-            assert fh.readline().startswith("# config_sha256=")
+            header = fh.readline()
+            assert header.startswith("# config_sha256=")
             assert fh.readline().strip() == "time_s,v_c,mode,event"
-        resolved = json.loads((out / "resolved_config.json").read_text())
+        text = (out / "resolved_config.json").read_text()
+        resolved = json.loads(text)
         assert resolved["device"]["capacitor"]["capacitance_farads"] == 1.5
+        assert text == json.dumps(resolved, indent=2, sort_keys=True) + "\n"
+        # every artifact carries the hash of the configuration resolved_config.json holds
+        digest = resolved.pop("config_sha256")
+        assert digest == config_hash(resolved)
+        assert header == f"# config_sha256={digest}\n"
+        assert (out / "totals.txt").read_text().startswith(f"config_sha256={digest}\n")
 
     def test_constant_harvest_is_a_one_segment_file(self, tmp_path, trace_file):
         harvest = tmp_path / "harvest.csv"
@@ -167,7 +178,9 @@ class TestRejectsMalformedInputs:
             "sweep-capacitance", "--trace", str(trace_file), "--horizon", "30",
             "--capacitance", value, "--jobs", "1", "--out", str(out),
         ]) == 2
-        assert "finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "finite" in err
+        assert err == f"error: energy C*v_max^2/2 must be finite, got C={value}, v_max=4.5\n"
         assert not (out / "sweep_capacitance.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--gamma1", "--capacitance"])
@@ -203,6 +216,16 @@ class TestRejectsMalformedInputs:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "with step > 0" in err and "points" not in err
+        assert not out.exists()
+
+    def test_range_of_two_parts(self, tmp_path, trace_file, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-thresholds", "--trace", str(trace_file), "--gamma1", "0.1:0.5",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "range must be start:stop:step" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_negative_jobs(self, tmp_path, trace_file, capsys):
@@ -244,6 +267,8 @@ class TestRejectsMalformedInputs:
          ":1: expected header id,o1,o2,label, read ['\\ufeffid', 'o1', 'o2', 'label']"),
         (["run"], {"--harvest": "t_start_s,i_h_ma\n0.0,1.0,2.0\n"},
          ":2: expected 2 fields, got 3"),
+        (["run"], {"--harvest": "t_start_s,i_h_ma\n"},
+         "profile needs matching, non-empty time and current lists"),
         # the horizon holds no window, so only the header check can reject the file
         (["run", "--horizon", "5"], {"--trace": ""},
          ":1: expected header id,o1,o2,label, read None"),
@@ -256,7 +281,7 @@ class TestRejectsMalformedInputs:
     ], ids=["config-root-list", "capacitor-number", "stage-number", "negative-idle-current",
             "zero-supply", "zero-window", "capacitor-v-on-above-v-max", "duplicate-section",
             "negative-deadline", "zero-horizon", "trace-3-fields", "trace-with-bom",
-            "harvest-3-fields", "empty-trace-file", "header-only-trace-run",
+            "harvest-3-fields", "header-only-harvest", "empty-trace-file", "header-only-trace-run",
             "header-only-trace-sweep", "empty-capacitance-grid", "gen-trace-above-the-cap"])
     def test_rejected_before_any_output(self, tmp_path, trace_file, capsys, argv, files,
                                         problem):
@@ -274,9 +299,12 @@ class TestRejectsMalformedInputs:
     def test_header_only_trace_warns_in_one_line(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         trace.write_text("id,o1,o2,label\n")
-        # the horizon holds no window, so the run succeeds on an empty trace
-        assert main(["run", "--trace", str(trace), "--horizon", "5",
-                     "--out", str(tmp_path / "out")]) == 0
+        # the horizon holds no window, so the run succeeds on an empty trace; the
+        # warning is one line whatever filter is installed, even one that raises it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--trace", str(trace), "--horizon", "5",
+                         "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == f"warning: {trace}: trace file has no data rows\n"
 
     def test_negative_generator_seed(self, tmp_path, capsys):
@@ -436,11 +464,12 @@ class TestValidate:
         # 118.95 mJ, the proposed one 119.84 mJ with the escalation
         # measurement, the baseline 124.23 mJ)
         (0.03276, ("proposed[load_switch]", "policy_i[load_switch]",
-                   "policy_ii[load_switch]", "baseline[load_switch]")),
+                   "policy_ii[load_switch]", "baseline[mosfet]", "baseline[load_switch]")),
         # 120.34 mJ usable at v_max covers the proposed load-switch option,
-        # but not once the admission measurement has been paid
+        # but not once the admission measurement has been paid; policy I's
+        # shallow option and its measurement, 119.85 mJ, still fit
         (0.033016, ("proposed[load_switch]", "policy_ii[load_switch]",
-                    "baseline[load_switch]")),
+                    "baseline[mosfet]", "baseline[load_switch]")),
     ])
     def test_unreachable_admission_diagnosed(self, tmp_path, capsys, farads, unreachable):
         cfg = tmp_path / "small.json"
@@ -451,6 +480,8 @@ class TestValidate:
             assert f"invalid: {name}: requirement" in err
         # the mosfet paths of the two-exit variants still fit
         assert "proposed[mosfet]" not in err and "policy_i[mosfet]" not in err
+        # and every path not named fits: the cheapest option of each is the one checked
+        assert [line.split(":")[1].strip() for line in err.splitlines()] == list(unreachable)
 
     def test_reachability_is_exact_at_the_boundary(self, tmp_path, capsys):
         # the smallest capacitance whose usable energy at v_max covers the
@@ -504,13 +535,14 @@ class TestSweeps:
             ["sweep-capacitance", "--trace", "trace.csv", "--capacitance", text])
         assert args.capacitance == points
 
-    def test_threshold_sweep_grid_and_spot_check(self, tmp_path, trace_file):
+    def test_threshold_sweep_grid_and_spot_check(self, tmp_path, trace_file, capsys):
         out = tmp_path / "out"
         assert main([
             "sweep-thresholds", "--trace", str(trace_file),
             "--gamma1", "0.1:0.5:0.05", "--gamma2", "0.5:0.9:0.05",
             "--out", str(out),
         ]) == 0
+        assert capsys.readouterr().out == f"wrote 81 cells to {out / 'sweep_thresholds.csv'}\n"
         rows = _rows(out / "sweep_thresholds.csv")
         assert len(rows) == 81
         # deterministic row-major ordering: gamma1 outer, gamma2 inner
@@ -535,7 +567,7 @@ class TestSweeps:
         ]) == 0
         assert len(_rows(out / "sweep_thresholds.csv")) == 1
 
-    def test_capacitance_sweep(self, tmp_path, trace_file):
+    def test_capacitance_sweep(self, tmp_path, trace_file, capsys):
         out = tmp_path / "out"
         assert main([
             "sweep-capacitance", "--trace", str(trace_file),
@@ -543,6 +575,7 @@ class TestSweeps:
             "--initial-v", "4.0", "--harvest-ma", "2.0",
             "--jobs", "1", "--out", str(out),
         ]) == 0
+        assert capsys.readouterr().out == f"wrote 4 rows to {out / 'sweep_capacitance.csv'}\n"
         rows = _rows(out / "sweep_capacitance.csv")
         assert len(rows) == 4  # 2 capacitances x 2 variants
         assert {r["variant"] for r in rows} == {"baseline", "proposed"}
@@ -592,12 +625,15 @@ class TestLayerAttribution:
 
 
 class TestCompare:
-    def test_comparison_artifacts(self, tmp_path, trace_file):
+    def test_comparison_artifacts(self, tmp_path, trace_file, capsys):
         out = tmp_path / "out"
         assert main([
             "compare", "--trace", str(trace_file), "--horizon", "60",
             "--variants", "baseline", "proposed", "--out", str(out),
         ]) == 0
+        assert capsys.readouterr().out == (
+            "baseline: energy=0.750099 J completed=6 failures=0 accuracy=1.0\n"
+            "proposed: energy=0.493168 J completed=6 failures=0 accuracy=1.0\n")
         rows = _rows(out / "comparison.csv")
         assert [r["variant"] for r in rows] == ["baseline", "proposed"]
         assert float(rows[1]["energy_delta_pct"]) < 0

@@ -1,7 +1,9 @@
 """The energy model against the paper's numbers, across the modules that hold
-it: the buffer's stored and usable energy (``pmu``), each stage's energy from
-its characterization row (``config``), the requirements the plans check before
-they run (``scheduler``), and the invariants of the records behind them."""
+it: the buffer's stored and usable energy (``CapacitorSpec``'s methods, which
+the engine, the ledger and admission read, and the Euler oracle's own copies),
+each stage's energy from its characterization row (``config``), the
+requirements the plans check before they run (``scheduler``), and the
+invariants of the records behind them."""
 
 import pytest
 from test_pmu import SPEC
@@ -14,17 +16,24 @@ from zedsim.pmu import CapacitorSpec
 from zedsim.scheduler import GATINGS, VARIANTS, requirement
 
 SMALL = CapacitorSpec(0.1, 3.6, 3.92, 4.5)
+# each value case runs against both implementations, (spec, v) -> J: the
+# simulator's and the oracle's, which alone checks its domain and clamps at v_off
+STORED = (CapacitorSpec.energy, stored_energy)
+USABLE = (CapacitorSpec.usable, usable_energy)
 
 
 class TestStoredEnergy:
     def test_direct_substitution(self):
-        assert stored_energy(SPEC, 4.5) == pytest.approx(15.1875, rel=1e-12)
+        for stored in STORED:
+            assert stored(SPEC, 4.5) == pytest.approx(15.1875, rel=1e-12)
 
     def test_zero(self):
-        assert stored_energy(SPEC, 0.0) == 0.0
+        for stored in STORED:
+            assert stored(SPEC, 0.0) == 0.0
 
     def test_small_capacitor(self):
-        assert stored_energy(SMALL, 4.0) == pytest.approx(0.8, rel=1e-12)
+        for stored in STORED:
+            assert stored(SMALL, 4.0) == pytest.approx(0.8, rel=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
@@ -34,25 +43,29 @@ class TestStoredEnergy:
 
     def test_strictly_increasing(self):
         vs = [i * 4.5 / 50 for i in range(51)]
-        es = [stored_energy(SPEC, v) for v in vs]
-        assert all(b > a for a, b in zip(es, es[1:]))
+        for stored in STORED:
+            es = [stored(SPEC, v) for v in vs]
+            assert all(b > a for a, b in zip(es, es[1:]))
 
 
 class TestUsableEnergy:
     def test_table_values(self):
-        assert usable_energy(SPEC, 4.5) == pytest.approx(5.4675, rel=1e-12)
+        for usable in USABLE:
+            assert usable(SPEC, 4.5) == pytest.approx(5.4675, rel=1e-12)
 
     def test_at_floor(self):
-        assert usable_energy(SPEC, 3.6) == 0.0
+        for usable in USABLE:
+            assert usable(SPEC, 3.6) == 0.0
 
     def test_clamped_below_floor(self):
         assert usable_energy(SPEC, 3.0) == 0.0
 
     def test_matches_stored_difference_above_floor(self):
-        for v in [3.6, 3.7, 4.0, 4.37, 4.5]:
-            assert usable_energy(SPEC, v) == pytest.approx(
-                stored_energy(SPEC, v) - stored_energy(SPEC, SPEC.v_off), abs=1e-12
-            )
+        for stored, usable in zip(STORED, USABLE):
+            for v in [3.6, 3.7, 4.0, 4.37, 4.5]:
+                assert usable(SPEC, v) == pytest.approx(
+                    stored(SPEC, v) - stored(SPEC, SPEC.v_off), abs=1e-12
+                )
 
 
 class TestStateEnergy:

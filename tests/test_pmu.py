@@ -334,3 +334,10 @@ class TestClosedFormAccuracy:
         assert v0 <= v <= 4.5
         # 2.6e-9 of dt off is measured: 1e-8 leaves room for a libm an ulp apart
         assert charge_time(v0, v, i, p, c) == pytest.approx(dt, rel=1e-8)
+
+    def test_newton_step_past_the_bound_is_clipped_to_it(self):
+        # a step from an iterate just short of the bound lands 4 ulps past it
+        bound = 4.454655756976329
+        v = voltage_after(0.8642235029153734, bound, 3.251182881847663e-07,
+                          2.581900706837203e-07, 0.00017007934909250497, 3521.620953180987)
+        assert v <= bound

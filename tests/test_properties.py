@@ -34,7 +34,7 @@ from zedsim.sim import SimConfig, _Engine, simulate
 from zedsim.traces import InferenceInstance
 
 DEVICE = DeviceConfig.default()
-V_OFF, V_MAX = DEVICE.capacitor.v_off, DEVICE.capacitor.v_max
+V_OFF, V_ON, V_MAX = DEVICE.capacitor[1:]
 MAX_HARVEST = 10e-3
 RAIL = DEVICE.stages["measurement"].supply_volts
 
@@ -63,6 +63,7 @@ def harvests(draw, horizon):
 
 scores = st.floats(0.0, 1.0)
 instances = st.tuples(scores, scores, st.integers(0, 1))
+DARK_TRACE = [InferenceInstance(k, 0.9, 0.9, 1) for k in range(6)]
 
 
 @st.composite
@@ -72,7 +73,9 @@ def scenarios(draw, variants=VARIANTS):
     rows = draw(st.lists(instances, min_size=6, max_size=6))
     trace = [InferenceInstance(k, *row) for k, row in enumerate(rows)]
     variant = draw(st.sampled_from(variants))
-    cfg = SimConfig(device, draw(st.floats(V_OFF, V_MAX)), horizon, variant)
+    # the supply's edges as explicit choices: a run may start pinned at v_max
+    v0 = draw(st.one_of(st.sampled_from((V_OFF, V_ON, V_MAX)), st.floats(V_OFF, V_MAX)))
+    cfg = SimConfig(device, v0, horizon, variant)
     return cfg, draw(harvests(horizon)), trace
 
 
@@ -133,6 +136,8 @@ def assert_ledger_closes_and_totals_partition(result):
 
 
 @given(scenarios())
+# pinned at v_max without harvest: the load's first pieces start on the ceiling
+@example((SimConfig(DEVICE, V_MAX, 30.0), HarvestProfile.constant(0.0), DARK_TRACE))
 def test_ledger_closes_and_totals_partition(scenario):
     assert_ledger_closes_and_totals_partition(simulate(*scenario))
 
@@ -260,9 +265,6 @@ def test_knots_agree_with_the_closed_form(scenario):
             ulps = max(8 * math.ulp(v) * c * v / abs(current[k] * v - power[k])
                        for v in (v0[k], v1[k]))
             assert took == pytest.approx(t0[k + 1] - t0[k], rel=1e-9, abs=ulps)
-
-
-DARK_TRACE = [InferenceInstance(k, 0.9, 0.9, 1) for k in range(6)]
 
 
 @given(st.one_of(scenarios(), near_admission()))

@@ -25,6 +25,7 @@ CHECKED = [
     (ScheduleConfig(10.0, 4.0, 20), {"n_attempts": 0}, DomainError),
     (ScheduleConfig(10.0, 4.0, 20), {"n_attempts": 20.0}, DomainError),
     (ScheduleConfig(10.0, 4.0, 20), {"n_attempts": math.nan}, DomainError),
+    (ScheduleConfig(10.0, 4.0, 20), {"guard_delta_joules": -1e-3}, DomainError),
     (SimConfig(DeviceConfig.default(), 4.5, 100.0), {"initial_v": 4.6}, ConfigError),
     (SimConfig(DeviceConfig.default(), 4.5, 100.0), {"policy_variant": "greedy"}, ConfigError),
     (SimConfig(DeviceConfig.default(), 4.5, 100.0), {"gating_variant": "relay"}, ConfigError),

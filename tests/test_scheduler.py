@@ -147,6 +147,13 @@ class TestDecideProposed:
         out = decide("proposed", inst, [0.0])
         assert out.deferred and out.decision is None and out.started_at is None
 
+    def test_window_that_no_instant_admits_logs_defer(self):
+        inst = InferenceInstance(0, 0.9, 0.9, 1)
+        clock = ScriptedClock([0.0])
+        one_attempt = DEVICE._replace(schedule=DEVICE.schedule._replace(n_attempts=1))
+        assert run_window(0, clock, inst, plan(one_attempt, "proposed", "mosfet")).deferred
+        assert clock.events == ["window:0", "defer"]
+
     def test_measurement_brownout_defers(self):
         # the admission reading never arrives: the window is deferred, not failed
         inst = InferenceInstance(0, 0.9, 0.9, 1)

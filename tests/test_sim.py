@@ -58,6 +58,24 @@ class TestSimulate:
         assert max(strong) == device.capacitor.v_max
         assert result.totals.clamp_loss_j > 0
 
+    def test_no_harvest_from_v_max_books_no_harvest_or_clamp_loss(self, calibrated_trace):
+        # criterion 4's set-up: the load's first piece starts on the ceiling, where
+        # only a harvest surplus over the load is discarded
+        cfg = SimConfig(DEVICE, 4.5, 200.0, "proposed")
+        totals = simulate(cfg, HarvestProfile.constant(0.0), calibrated_trace).totals
+        assert totals.harvested_j == totals.clamp_loss_j == 0.0
+
+    def test_darkness_after_pinned_harvest_is_a_new_piece(self):
+        # pinned at v_max under 10 mA for 5 s, then no harvest: the dark piece from
+        # t = 5 repeats the pinned piece's v0 but not its current, so it gets its own
+        # row and books neither harvest nor clamp loss
+        harvest = HarvestProfile.from_pairs([(0.0, 10e-3), (5.0, 0.0)])
+        trace = [InferenceInstance(0, 0.9, 0.9, 1)]
+        result = simulate(SimConfig(DEVICE, 4.5, 10.0), harvest, trace)
+        assert (result.totals.harvested_j, result.totals.clamp_loss_j) == (
+            0.22498620094440336, 0.14289380673840338)
+        assert list(result.trajectory)[-2:] == [(5.0, 4.5, "full"), (10.0, 4.5, "full")]
+
     def test_zero_harvest_at_floor_is_flat(self, calibrated_trace):
         cfg = SimConfig(DEVICE, 3.6, 200.0, "proposed")
         result = simulate(cfg, HarvestProfile.constant(0.0), calibrated_trace)
@@ -431,6 +449,41 @@ class TestEventEngine:
         engine._piece(20.0, 20.0, 3.6, 3.600000000000002, 1e-3, 0.0)
         assert all(len(column) == 0 for column in engine.pieces)
         assert (engine.time, engine._v) == (20.0, 3.600000000000002)
+
+    def test_dark_piece_after_a_latch_off_too_short_to_move_the_clock_is_a_new_row(self):
+        # a capture ends ulps above v_off, the buffer rests there in the dark, and at
+        # t = 1000 a measurement reaches v_off in less than half an ulp of t: the latch
+        # turns off without a row, so the dark piece that follows, at v_off, has its own
+        device = DEVICE.with_capacitance(0.05)
+        capture = device.stages["capture_preprocess"]
+        duration = charge_time(3.95, 3.6, 0.0, capture.power_watts, 0.05)
+        ok = False
+        while not ok:
+            duration = math.nextafter(duration, 0.0)
+            stages = {**device.stages,
+                      "capture_preprocess": capture._replace(duration_seconds=duration)}
+            engine = _Engine(device._replace(stages=stages), HarvestProfile.constant(0.0), 3.95)
+            ok = engine.run_stage("capture_preprocess")
+        resting = engine._v
+        assert 3.6 < resting < 3.6 + 1e-14
+        engine.advance_to(1000.0)
+        assert not engine.run_stage("measurement") and engine.time == 1000.0
+        engine.advance_to(2000.0)
+        t0, v0, _, _, latched = engine.close().columns
+        assert list(zip(t0, v0, latched))[1:] == [
+            (duration, resting, 1), (1000.0, 3.6, 0), (2000.0, 3.6, 0)]
+
+    def test_dark_piece_after_a_stage_too_short_to_move_v_is_a_new_row(self):
+        # on a 1e15 F buffer a measurement moves the clock but not v: the dark piece
+        # after it repeats its v0, not its power, so it gets its own row
+        engine = _Engine(DEVICE.with_capacitance(1e15), HarvestProfile.constant(0.0), 4.5)
+        assert engine.run_stage("measurement") and engine._v == 4.5
+        engine.advance_to(10.0)
+        t0, v0, _, power, _ = engine.close().columns
+        end = DEVICE.stages["measurement"].duration_seconds
+        assert list(t0) == [0.0, end, 10.0] and list(v0) == [4.5] * 3
+        draw = DEVICE.stages["measurement"].power_watts / DEVICE.converter_efficiency
+        assert list(power) == [draw, 0.0, 0.0]
 
     def test_stage_ending_at_the_v_off_crossing_fails(self):
         # the stage lasts exactly the time to fall to v_off, where Newton on that
