@@ -1,12 +1,12 @@
 """Command-line front end: single runs, policy comparisons, threshold and
 capacitance sweeps, trace generation, and config validation.
 
-The simulation modules compute; this module writes every artifact and owns its
-format. Each embeds the sha256 of the fully resolved configuration, which its
-command computes once, holds floats as their repr and None as an empty value,
-and re-running the same command reproduces byte-identical files. Power failures
-inside a simulation are data, not process errors; only configuration problems
-yield a nonzero exit status.
+The simulation modules compute; this module alone prints, writes every artifact
+and owns its format. Each artifact embeds the sha256 of the fully resolved
+configuration, which its command computes once, holds floats as their repr and
+None as an empty value, and re-running the same command reproduces
+byte-identical files. Power failures inside a simulation are data, not process
+errors; only configuration problems yield a nonzero exit status.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import heapq
 import json
 import math
 import sys
-import warnings
 from operator import itemgetter
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -30,6 +29,7 @@ from .sim import SimConfig, SimResult, SimTotals, simulate
 from .traces import (
     SWEEP_HEADER,
     GeneratorSpec,
+    Trace,
     generate_trace,
     load_harvest,
     load_trace,
@@ -81,6 +81,13 @@ def _add_simulation(p: argparse.ArgumentParser) -> None:
 
 def _device(args) -> DeviceConfig:
     return load_config(args.config) if args.config else DeviceConfig.default()
+
+
+def _trace(args) -> Trace:
+    trace = load_trace(args.trace)
+    if not trace:
+        print(f"warning: {args.trace}: trace file has no data rows", file=sys.stderr)
+    return trace
 
 
 def _harvest(args) -> HarvestProfile:
@@ -155,7 +162,7 @@ def write_rows_csv(rows: Sequence[dict], header: Sequence[str], path, digest: st
 
 def _cmd_run(args) -> int:
     cfg = _sim_config(args, _POLICY_FLAGS[args.policy])
-    trace = load_trace(args.trace)
+    trace = _trace(args)
     result = simulate(cfg, _harvest(args), trace)
     out = _out_dir(args)
     digest = _write_resolved(cfg.to_dict(), out)
@@ -179,10 +186,10 @@ def _cmd_compare(args) -> int:
     Only each run's totals are kept, so the peak memory is one run's."""
     variants = [_POLICY_FLAGS[v] for v in args.variants]
     cfg = _sim_config(args, variants[0])  # the reference variant
-    trace = load_trace(args.trace)
+    configs = {v: cfg._replace(policy_variant=v) for v in dict.fromkeys(variants)}
+    trace = _trace(args)
     harvest = _harvest(args)
-    totals = {v: simulate(cfg._replace(policy_variant=v), harvest, trace).totals
-              for v in dict.fromkeys(variants)}
+    totals = {v: simulate(c, harvest, trace).totals for v, c in configs.items()}
     base = totals[variants[0]]
     rows = []
     for variant in variants:
@@ -200,7 +207,7 @@ def _cmd_compare(args) -> int:
     digest = _write_resolved(cfg.to_dict(), out)
     write_rows_csv(rows, COMPARISON_HEADER, out / "comparison.csv", digest)
     for variant, t in totals.items():
-        variant_digest = config_hash(cfg._replace(policy_variant=variant).to_dict())
+        variant_digest = config_hash(configs[variant].to_dict())
         (out / f"totals_{variant}.txt").write_text(totals_text(t, variant_digest))
     for row in rows:
         print(
@@ -213,7 +220,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep_thresholds(args) -> int:
     device = _device(args)
-    trace = load_trace(args.trace)
+    trace = _trace(args)
     if not args.gamma1 or not args.gamma2:
         raise ConfigError("empty threshold grid")
     grid = [Thresholds(a, b) for a in args.gamma1 for b in args.gamma2]  # row-major: gamma1 outer
@@ -233,7 +240,7 @@ CAPACITANCE_HEADER = [
 
 def _cmd_sweep_capacitance(args) -> int:
     device = _device(args)
-    trace = load_trace(args.trace)
+    trace = _trace(args)
     harvest = _harvest(args)
     if not args.capacitance:
         raise ConfigError("empty capacitance grid")
@@ -350,15 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    with warnings.catch_warnings():
-        # a warning is one stderr line, whatever the install path or -W options
-        warnings.simplefilter("always", UserWarning)
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-        try:
-            return args.func(args)
-        except (ZedSimError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        return args.func(args)
+    except (ZedSimError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

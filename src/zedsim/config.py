@@ -172,11 +172,6 @@ class DeviceConfig(NamedTuple):
                         )
         return out
 
-    def validate(self) -> None:
-        problems = self.problems()
-        if problems:
-            raise ConfigError("; ".join(problems))
-
     def to_dict(self) -> dict:
         return {
             **self._asdict(),

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from itertools import chain, compress, islice
 from operator import mul, neg, sub
@@ -56,6 +57,8 @@ from .traces import InferenceInstance
 
 @checked
 class SimConfig(NamedTuple):
+    """A runnable experiment: building one also checks its device's ``problems()``."""
+
     device: DeviceConfig
     initial_v: float
     horizon_seconds: float
@@ -77,6 +80,9 @@ class SimConfig(NamedTuple):
             raise ConfigError(f"unknown policy variant {self.policy_variant!r}")
         if self.gating_variant not in GATINGS:
             raise ConfigError(f"unknown gating variant {self.gating_variant!r}")
+        problems = self.device.problems()
+        if problems:
+            raise ConfigError("; ".join(problems))
 
     def to_dict(self) -> dict:
         return {**self._asdict(), "device": self.device.to_dict()}
@@ -179,10 +185,10 @@ class _Engine:
         cap = device.capacitor
         self._cap = cap
         self._c = cap.capacitance_farads
-        self._eta = device.converter_efficiency
         self._idle_draw = device.idle_draw()
         # per stage: event label, duration and the draw on the buffer, converter losses included
-        self._stages = {name: ("stage:" + name, prof.duration_seconds, prof.power_watts / self._eta)
+        eta = device.converter_efficiency
+        self._stages = {name: ("stage:" + name, prof.duration_seconds, prof.power_watts / eta)
                         for name, prof in device.stages.items()}
 
         self.time = 0.0
@@ -191,7 +197,6 @@ class _Engine:
 
         self._seg_times = (*harvest.times, math.inf)  # the last segment never ends
         self._seg_currents = harvest.currents
-        self._seg_k = 0
 
         # per piece: start time, start voltage, current, power, latch
         self.pieces: Tuple[array, ...] = (*(array("d") for _ in range(4)), array("b"))
@@ -225,10 +230,7 @@ class _Engine:
         times = self._seg_times
         while end > self.time:
             t, v = self.time, self._v
-            k = self._seg_k
-            while times[k + 1] <= t:
-                k += 1
-            self._seg_k = k
+            k = bisect_right(times, t) - 1
             limit = min(times[k + 1], end)
             i = self._seg_currents[k]
             p = (self._idle_draw if self.outputs_enabled else 0.0) if draw is None else draw
@@ -280,10 +282,10 @@ class _Engine:
 def simulate(
     cfg: SimConfig, harvest: HarvestProfile, trace: Collection[InferenceInstance]
 ) -> SimResult:
-    """Run one end-to-end experiment; deterministic in all inputs. ``trace`` is
-    read only by ``len`` and iteration: a Trace, or a list of instances."""
+    """Run one end-to-end experiment; deterministic in all inputs. ``cfg`` holds a
+    sound device, checked when it was built. ``trace`` is read only by ``len`` and
+    iteration: a Trace, or a list of instances."""
     device = cfg.device
-    device.validate()
     sched = device.schedule
     n_windows = int(cfg.horizon_seconds // sched.window_seconds)
     if len(trace) < n_windows:
@@ -306,7 +308,7 @@ def simulate(
     engine.advance_to(cfg.horizon_seconds)
 
     trajectory = engine.close()
-    totals = _aggregate(windows, trajectory, n_windows)
+    totals = _aggregate(windows, trajectory)
     overflowed = [f"{k}={v!r}" for k, v in totals._asdict().items()
                   if k.endswith("_j") and not math.isfinite(v)]
     if overflowed:
@@ -315,13 +317,13 @@ def simulate(
     return SimResult(engine.events, windows, totals, trajectory)
 
 
-def _aggregate(windows, trajectory, n_windows) -> SimTotals:
+def _aggregate(windows, trajectory) -> SimTotals:
     completed = [w for w in windows if w.decision is not None]
     exits = Counter(w.decision.exit_taken for w in completed)
     consumed, harvested, clamp, initial, final = trajectory.ledger()
     return SimTotals(
         consumed, harvested, clamp, initial, final,
-        n_windows=n_windows,
+        n_windows=len(windows),
         completed_pipelines=len(completed),
         deferred_windows=sum(w.deferred for w in windows),
         power_failures=sum(w.power_failure for w in windows),

@@ -27,7 +27,6 @@ only user of numpy, which it imports when called.
 from __future__ import annotations
 
 import csv
-import warnings
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
@@ -145,8 +144,6 @@ def load_trace(path) -> Trace:
         trace.o1.append(o1)
         trace.o2.append(o2)
         trace.labels.append(label)
-    if not trace.ids:
-        warnings.warn(f"{path}: trace file has no data rows")
     return trace
 
 

@@ -307,6 +307,28 @@ class TestRejectsMalformedInputs:
                          "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == f"warning: {trace}: trace file has no data rows\n"
 
+    def test_header_only_trace_warns_before_the_sweep_rejects_it(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("id,o1,o2,label\n")
+        out = tmp_path / "out"
+        assert main(["sweep-thresholds", "--trace", str(trace), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"warning: {trace}: trace file has no data rows\n"
+                                           "error: trace must be non-empty\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_config_problem_is_reported_before_the_trace_is_read(self, tmp_path, capsys,
+                                                                 command):
+        tree = {"schedule": {"window_seconds": 3.0}}
+        config, trace, out = tmp_path / "c.json", tmp_path / "bad.csv", tmp_path / "out"
+        config.write_text(json.dumps(tree))
+        trace.write_text("id,o1,o2,label\n0,0.5,0.5\n")  # 3 fields: rejected when read
+        assert main([command, "--config", str(config), "--trace", str(trace),
+                     "--out", str(out)]) == 2
+        problems = DeviceConfig.from_dict(tree).problems()
+        assert capsys.readouterr().err == f"error: {'; '.join(problems)}\n"
+        assert not out.exists()
+
     def test_negative_generator_seed(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         assert main(["gen-trace", "--n", "10", "--seed", "-1", "--out", str(out)]) == 2

@@ -17,11 +17,12 @@ from zedsim.config import (
 )
 from zedsim.errors import ConfigError, DomainError, ZedSimError
 from zedsim.scheduler import GATINGS, VARIANTS, Split, plan, requirement, worst_case_time
+from zedsim.sim import SimConfig
 
 
 class TestDefaults:
     def test_default_is_valid(self):
-        DeviceConfig.default().validate()
+        assert DeviceConfig.default().problems() == []
 
     def test_default_values(self):
         d = DeviceConfig.default()
@@ -204,8 +205,9 @@ class TestValidation:
         d = DeviceConfig.from_dict({"schedule": {"window_seconds": 3.0}})
         problems = d.problems()
         assert any("deadline + execution time >= window" in p for p in problems)
-        with pytest.raises(ConfigError, match="window"):
-            d.validate()
+        with pytest.raises(ConfigError, match="window") as exc:
+            SimConfig(d, 4.5, 100.0)
+        assert str(exc.value) == "; ".join(problems)
 
     @pytest.mark.parametrize("schedule, ok", [
         ({"n_attempts": 965}, True),  # 4 s / 965 still holds one 4.145 ms measurement

@@ -347,9 +347,9 @@ def test_static_pieces_at_equal_v_share_their_latch(scenario):
 
 
 def scaled(cfg, harvest, f, g, k):
-    """The scenario with every time scaled by f, every current by g and every
-    voltage by k: C*v*dv/dt = i*v - P then holds with C scaled by g*f/k, powers
-    by g*k and energies by f*g*k."""
+    """The scenario's config fields and harvest with every time scaled by f, every
+    current by g and every voltage by k: C*v*dv/dt = i*v - P then holds with C
+    scaled by g*f/k, powers by g*k and energies by f*g*k."""
     device = cfg.device
     cap, sched = device.capacitor, device.schedule
     device = device._replace(
@@ -364,10 +364,10 @@ def scaled(cfg, harvest, f, g, k):
                                 guard_delta_joules=sched.guard_delta_joules * (f * g * k)),
         idle_current_amps=device.idle_current_amps * g,
     )
-    cfg = cfg._replace(device=device, initial_v=cfg.initial_v * k,
-                       horizon_seconds=cfg.horizon_seconds * f)
-    return cfg, HarvestProfile(tuple(t * f for t in harvest.times),
-                               tuple(i * g for i in harvest.currents))
+    fields = {"device": device, "initial_v": cfg.initial_v * k,
+              "horizon_seconds": cfg.horizon_seconds * f}
+    return fields, HarvestProfile(tuple(t * f for t in harvest.times),
+                                  tuple(i * g for i in harvest.currents))
 
 
 @given(st.one_of(scenarios(), near_admission()), st.integers(-32, 16), st.integers(-30, 30),
@@ -384,9 +384,10 @@ def test_scaling_time_current_and_voltage_scales_the_run(scenario, ef, eg, ek):
     e = f * g * k
     # a current near the subnormal range would round when scaled
     assume(all(i == 0.0 or min(i, i * g) >= 2.0**-900 for i in harvest.currents))
-    scaled_cfg, scaled_harvest = scaled(cfg, harvest, f, g, k)
+    fields, scaled_harvest = scaled(cfg, harvest, f, g, k)
     # the chatter rule's 0.1 s floor is absolute: it rejects small f under an idle draw
-    assume(not scaled_cfg.device.problems())
+    assume(not fields["device"].problems())
+    scaled_cfg = cfg._replace(**fields)
     a = simulate(cfg, harvest, trace)
     b = simulate(scaled_cfg, scaled_harvest, trace)
     t0, v0, current, power, latched = a.trajectory.columns

@@ -29,6 +29,9 @@ CHECKED = [
     (SimConfig(DeviceConfig.default(), 4.5, 100.0), {"initial_v": 4.6}, ConfigError),
     (SimConfig(DeviceConfig.default(), 4.5, 100.0), {"policy_variant": "greedy"}, ConfigError),
     (SimConfig(DeviceConfig.default(), 4.5, 100.0), {"gating_variant": "relay"}, ConfigError),
+    # a device with a cross-field problem: the deadline plus a pipeline outlasts the window
+    (SimConfig(DeviceConfig.default(), 4.5, 100.0),
+     {"device": DeviceConfig.from_dict({"schedule": {"window_seconds": 3.0}})}, ConfigError),
     (GeneratorSpec(100, 0.7, 0.8, 0.5, 0), {"seed": -1}, DomainError),
 ]
 
