@@ -251,8 +251,11 @@ def _cmd_sweep_capacitance(args) -> int:
     rows = []
     for c in sorted(args.capacitance):
         for variant in variants:
-            cfg = SimConfig(device.with_capacitance(c), args.initial_v, args.horizon,
-                            variant, gating)
+            try:
+                cfg = SimConfig(device.with_capacitance(c), args.initial_v, args.horizon,
+                                variant, gating)
+            except ZedSimError as exc:
+                raise ConfigError(f"--capacitance {c!r}: {exc}") from None
             totals = simulate(cfg, harvest, trace).totals
             rows.append({"c_farads": c, "variant": variant, **totals._asdict()})
     out = _out_dir(args)

@@ -41,7 +41,7 @@ from enum import Enum
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, checked
-from .traces import NO_PERSON, PERSON, InferenceInstance, balanced_call
+from .traces import NO_PERSON, PERSON, balanced_call
 
 VARIANT_PROPOSED = "proposed"
 VARIANT_POLICY_I = "policy_i"
@@ -194,13 +194,13 @@ class WindowOutcome(NamedTuple):
     Two flags are derived. ``deferred``: no pipeline started (``started_at`` is
     None) and no input was consumed; a brownout during an admission measurement
     still counts (nothing in flight was lost). ``power_failure``: a pipeline
-    started and reached no decision, aborted below the cutoff.
+    started and reached no decision, aborted below the cutoff. The input a
+    started window consumed is derived too, by order: the k-th window that
+    started took the trace's k-th row, so its label is read after the run.
     """
 
     started_at: Optional[float]
     decision: Optional[ExitDecision]
-    instance_id: Optional[int] = None
-    correct: Optional[bool] = None
     admission_usable: Optional[float] = None
     escalation_usable: Optional[float] = None
 
@@ -227,9 +227,10 @@ def _choose(check: Check, usable: float) -> Optional[tuple]:
     return check.otherwise
 
 
-def run_window(window_index: int, clock, instance: InferenceInstance,
+def run_window(window_index: int, clock, scores: Tuple[float, float],
                compiled: Plan) -> WindowOutcome:
-    """Attempt one pipeline in the given window.
+    """Attempt one pipeline in the given window on one input's ``scores``, its
+    ``(o1, o2)`` pair: the device decides from the exit scores alone.
 
     ``clock`` is the simulation engine driving the capacitor: it must provide the
     attribute ``outputs_enabled`` and the methods ``usable_energy()`` (>= 0: read
@@ -239,7 +240,7 @@ def run_window(window_index: int, clock, instance: InferenceInstance,
     :class:`Plan` of the run's variant, compiled for the device ``clock`` runs.
 
     An admitted pipeline runs to its exit or a power failure and consumes the
-    instance (``started_at`` set); a window that no instant admits, or whose
+    input (``started_at`` set); a window that no instant admits, or whose
     admission measurement browns out, is deferred.
     """
     admission, sched = compiled
@@ -258,22 +259,20 @@ def run_window(window_index: int, clock, instance: InferenceInstance,
         steps = _choose(admission, admission_usable)
         if steps is not None:
             clock.log_event("admit")
-            decision, escalation_usable = _execute(clock, instance, steps)
+            decision, escalation_usable = _execute(clock, scores, steps)
             clock.log_event("power_failure" if decision is None
                             else "exit:" + decision.exit_taken.value)
-            return WindowOutcome(
-                s, decision, instance.id,
-                correct=None if decision is None else decision.prediction == instance.label,
-                admission_usable=admission_usable, escalation_usable=escalation_usable,
-            )
+            return WindowOutcome(s, decision, admission_usable, escalation_usable)
     else:
         clock.log_event("defer")
     return WindowOutcome(None, None)
 
 
-def _execute(clock, instance, steps):
-    """Run admitted steps to their exit and light the LED of its call; returns
-    (decision, usable at the escalation check), the decision None on a power failure."""
+def _execute(clock, scores, steps):
+    """Run admitted steps on ``scores`` to their exit and light the LED of its call;
+    returns (decision, usable at the escalation check), the decision None on a
+    power failure."""
+    o1, o2 = scores
     usable = None
     k = 0
     while True:
@@ -285,13 +284,13 @@ def _execute(clock, instance, steps):
             usable = clock.usable_energy()
             steps, k = _choose(step, usable), 0
         elif isinstance(step, Split):
-            call = evaluate_ex1(instance.o1, step.thresholds)
+            call = evaluate_ex1(o1, step.thresholds)
             if call is not None:
                 decision = ExitDecision(ExitTaken.EX1, call)
                 break
             steps, k = step.ambiguous, 0
         elif isinstance(step, ExitTaken):
-            score = instance.o2 if step is ExitTaken.EX2 else instance.o1
+            score = o2 if step is ExitTaken.EX2 else o1
             decision = ExitDecision(step, balanced_call(score))
             break
         elif not clock.run_stage(step):

@@ -37,7 +37,7 @@ from bisect import bisect_right
 from collections import Counter
 from itertools import chain, compress, islice
 from operator import mul, neg, sub
-from typing import Collection, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .config import DeviceConfig
 from .errors import ConfigError, DomainError, SimulationFault, checked
@@ -52,7 +52,7 @@ from .scheduler import (
     plan,
     run_window,
 )
-from .traces import InferenceInstance
+from .traces import Trace
 
 
 @checked
@@ -279,12 +279,11 @@ class _Engine:
         return Trajectory(self.pieces, self._cap)
 
 
-def simulate(
-    cfg: SimConfig, harvest: HarvestProfile, trace: Collection[InferenceInstance]
-) -> SimResult:
+def simulate(cfg: SimConfig, harvest: HarvestProfile, trace: Trace) -> SimResult:
     """Run one end-to-end experiment; deterministic in all inputs. ``cfg`` holds a
-    sound device, checked when it was built. ``trace`` is read only by ``len`` and
-    iteration: a Trace, or a list of instances."""
+    sound device, checked when it was built. Each pipeline that starts takes the
+    next ``(o1, o2)`` pair of ``trace``; its labels are read only after the run,
+    to score the completed pipelines."""
     device = cfg.device
     sched = device.schedule
     n_windows = int(cfg.horizon_seconds // sched.window_seconds)
@@ -297,18 +296,18 @@ def simulate(
     compiled = plan(device, cfg.policy_variant, cfg.gating_variant)
 
     windows: List[WindowOutcome] = []
-    instances = iter(trace)
-    instance = next(instances, None)
+    pairs = zip(trace.o1, trace.o2)
+    scores = next(pairs, None)
     for k in range(n_windows):
-        outcome = run_window(k, engine, instance, compiled)
+        outcome = run_window(k, engine, scores, compiled)
         if outcome.started_at is not None:
-            instance = next(instances, None)
+            scores = next(pairs, None)
         windows.append(outcome)
         engine.advance_to((k + 1) * sched.window_seconds)
     engine.advance_to(cfg.horizon_seconds)
 
     trajectory = engine.close()
-    totals = _aggregate(windows, trajectory)
+    totals = _aggregate(windows, trajectory, trace.labels)
     overflowed = [f"{k}={v!r}" for k, v in totals._asdict().items()
                   if k.endswith("_j") and not math.isfinite(v)]
     if overflowed:
@@ -317,8 +316,14 @@ def simulate(
     return SimResult(engine.events, windows, totals, trajectory)
 
 
-def _aggregate(windows, trajectory) -> SimTotals:
+def _aggregate(windows, trajectory, labels) -> SimTotals:
+    """The run's totals: counts from ``windows``, energies from ``trajectory``'s
+    ledger, and the accuracy of the completed pipelines, the k-th window that
+    started scored against the k-th of ``labels``."""
+    started = [w for w in windows if w.started_at is not None]
     completed = [w for w in windows if w.decision is not None]
+    correct = sum(w.decision.prediction == label
+                  for w, label in zip(started, labels) if w.decision is not None)
     exits = Counter(w.decision.exit_taken for w in completed)
     consumed, harvested, clamp, initial, final = trajectory.ledger()
     return SimTotals(
@@ -330,6 +335,6 @@ def _aggregate(windows, trajectory) -> SimTotals:
         n_ex1=exits[ExitTaken.EX1],
         n_ex2=exits[ExitTaken.EX2],
         n_fallback=exits[ExitTaken.EX1_FALLBACK],
-        accuracy_total=sum(w.correct for w in completed) / len(completed) if completed else None,
+        accuracy_total=correct / len(completed) if completed else None,
         ledger_residual_j=initial + harvested - final - consumed - clamp,
     )

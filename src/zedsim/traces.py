@@ -9,9 +9,11 @@ lines are skipped, and every row has the header's width. Each loader parses the
 fields and keeps its own rules: ascending ids for a trace, the profile's
 segment rules for a harvest.
 
-In memory a trace is a :class:`Trace` of four columns, with no Python object
-per row: the loader and the generator fill them, the writer, the statistics
-and the sweep read them.
+In memory a trace is a :class:`Trace` of four columns, with no record per
+row: the loader and the generator fill them, the writer, the statistics and
+the sweep read them, and a simulation reads the two score columns as it runs
+and the labels only after it. :func:`check_instance` is the loader's rule for
+one row.
 
 The generator stands in for real validation scores. Per head it draws from a
 two-component mixture: a confident component concentrated near the correct
@@ -30,7 +32,7 @@ import csv
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from typing import Iterable, Iterator, List, NamedTuple, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 from .errors import DomainError, TraceError, checked
 from .pmu import HarvestProfile
@@ -55,19 +57,6 @@ def balanced_call(score: float) -> int:
     return PERSON if score >= 0.5 else NO_PERSON
 
 
-@checked
-class InferenceInstance(NamedTuple):
-    """One input's scores at both exits plus its ground-truth label."""
-
-    id: int
-    o1: float
-    o2: float
-    label: int
-
-    def check(self) -> None:
-        check_instance(self.id, self.o1, self.o2, self.label)
-
-
 def check_instance(id: int, o1: float, o2: float, label: int) -> None:
     """Raise DomainError unless both scores are in [0, 1] and the label is 0 or 1."""
     if not 0.0 <= o1 <= 1.0:
@@ -80,7 +69,8 @@ def check_instance(id: int, o1: float, o2: float, label: int) -> None:
 
 class Trace:
     """A trace as columns: ``ids`` a list, ``o1`` and ``o2`` arrays of 'd', ``labels``
-    of 'b'. Iteration yields row k as ``InferenceInstance(ids[k], o1[k], o2[k], labels[k])``."""
+    of 'b'; row k is the k-th entry of each. There is no record per row: a
+    simulation reads the score columns while it runs and the labels after it."""
 
     __slots__ = ("ids", "o1", "o2", "labels")
 
@@ -95,9 +85,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __iter__(self) -> Iterator[InferenceInstance]:
-        return map(InferenceInstance, self.ids, self.o1, self.o2, self.labels)
 
 
 def _rows(path, header):

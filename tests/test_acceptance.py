@@ -8,16 +8,16 @@ them checks all of the runs whichever tests are selected and in whatever order.
 
 import math
 import random
-from itertools import islice
 
 import pytest
 
 from conftest import time_limited
+from trace_columns import Row, rows, trace_of
 from zedsim.config import DeviceConfig
 from zedsim.pmu import HarvestProfile
 from zedsim.scheduler import Thresholds, evaluate_ex1
 from zedsim.sim import SimConfig, simulate
-from zedsim.traces import InferenceInstance, balanced_call, sweep_thresholds
+from zedsim.traces import balanced_call, sweep_thresholds
 
 DEVICE = DeviceConfig.default()
 
@@ -127,7 +127,7 @@ def _expected_energy_per_policy(device, trace, n_windows):
     meas = device.stage_energy("measurement")
     led = {1: device.stage_energy("led_blue"), 0: device.stage_energy("led_red")}
     proposed = baseline = 0.0
-    for inst in islice(trace, n_windows):
+    for inst in rows(trace)[:n_windows]:
         e = meas + device.stage_energy("capture_preprocess") + device.stage_energy("inference_ex1")
         pred = evaluate_ex1(inst.o1, th)
         if pred is None:
@@ -207,10 +207,10 @@ def _random_scenario(rng):
     for k in range(1, 4):
         segments.append((k * 15.0, rng.uniform(0.0, 8e-3)))
     harvest = HarvestProfile.from_pairs(segments)
-    trace = [
-        InferenceInstance(i, rng.random(), rng.random(), rng.randint(0, 1))
+    trace = trace_of(
+        Row(i, rng.random(), rng.random(), rng.randint(0, 1))
         for i in range(6)
-    ]
+    )
     return device, v0, harvest, trace
 
 
@@ -221,7 +221,7 @@ def _adversarial_setup():
     shallow = sum(map(device.stage_energy, ("capture_preprocess", "inference_ex1", "led_red")))
     need = device.stage_energy("measurement") * 2 + shallow + 1e-3
     v0 = math.sqrt(device.capacitor.v_off**2 + 2 * need / 0.05)
-    trace = [InferenceInstance(0, 0.55, 0.9, 1)]
+    trace = trace_of([Row(0, 0.55, 0.9, 1)])
     return device, v0, HarvestProfile.constant(0.0), trace
 
 
@@ -243,9 +243,9 @@ def test_criterion_7_no_power_failure_invariant(runs):
 def test_criterion_8_threshold_degeneracy_and_monotonicity(calibrated_trace):
     (degenerate,) = sweep_thresholds(calibrated_trace, [Thresholds(0.5, 0.5)])
     degeneracy = degenerate.n_ex2 == 0
-    for inst in calibrated_trace:
-        single = 1 if inst.o1 >= 0.5 else 0
-        degeneracy &= evaluate_ex1(inst.o1, Thresholds(0.5, 0.5)) == single
+    for o1 in calibrated_trace.o1:
+        single = 1 if o1 >= 0.5 else 0
+        degeneracy &= evaluate_ex1(o1, Thresholds(0.5, 0.5)) == single
 
     widths = (0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
     cells = sweep_thresholds(

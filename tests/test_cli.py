@@ -180,7 +180,24 @@ class TestRejectsMalformedInputs:
         ]) == 2
         err = capsys.readouterr().err
         assert "finite" in err
-        assert err == f"error: energy C*v_max^2/2 must be finite, got C={value}, v_max=4.5\n"
+        assert err == (f"error: --capacitance {value}: "
+                       f"energy C*v_max^2/2 must be finite, got C={value}, v_max=4.5\n")
+        assert not (out / "sweep_capacitance.csv").exists()
+
+    @pytest.mark.parametrize("value, message", [
+        # a point too small for one measurement, before a sound one
+        ("0.0001,1.5", "--capacitance 0.0001: capacitor: the v_off..v_on band holds "
+                       "0.0001203 J, less than one 0.0008934 J measurement"),
+        ("0", "--capacitance 0.0: capacitance must be positive, got 0.0"),
+    ], ids=["too-small", "zero"])
+    def test_a_point_that_breaks_the_device_is_named(self, tmp_path, trace_file, capsys,
+                                                     value, message):
+        out = tmp_path / "out"
+        assert main([
+            "sweep-capacitance", "--trace", str(trace_file), "--horizon", "30",
+            "--capacitance", value, "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "sweep_capacitance.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--gamma1", "--capacitance"])

@@ -17,6 +17,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from euler_oracle import initial_state, step
+from trace_columns import Row, trace_of
 from zedsim.cli import write_trajectory_csv
 from zedsim.config import DeviceConfig
 from zedsim.pmu import HarvestProfile, charge_time
@@ -31,7 +32,6 @@ from zedsim.scheduler import (
     requirement,
 )
 from zedsim.sim import SimConfig, _Engine, simulate
-from zedsim.traces import InferenceInstance
 
 DEVICE = DeviceConfig.default()
 V_OFF, V_ON, V_MAX = DEVICE.capacitor[1:]
@@ -63,7 +63,7 @@ def harvests(draw, horizon):
 
 scores = st.floats(0.0, 1.0)
 instances = st.tuples(scores, scores, st.integers(0, 1))
-DARK_TRACE = [InferenceInstance(k, 0.9, 0.9, 1) for k in range(6)]
+DARK_TRACE = trace_of(Row(k, 0.9, 0.9, 1) for k in range(6))
 
 
 @st.composite
@@ -71,7 +71,7 @@ def scenarios(draw, variants=VARIANTS):
     horizon = draw(st.floats(5.0, 60.0))
     device = draw(devices())
     rows = draw(st.lists(instances, min_size=6, max_size=6))
-    trace = [InferenceInstance(k, *row) for k, row in enumerate(rows)]
+    trace = trace_of(Row(k, *row) for k, row in enumerate(rows))
     variant = draw(st.sampled_from(variants))
     # the supply's edges as explicit choices: a run may start pinned at v_max
     v0 = draw(st.one_of(st.sampled_from((V_OFF, V_ON, V_MAX)), st.floats(V_OFF, V_MAX)))
@@ -194,7 +194,7 @@ def test_admission_covers_converter_losses():
     device = DEVICE.with_capacitance(0.0508)
     device = device._replace(schedule=device.schedule._replace(n_attempts=1),
                      converter_efficiency=0.6)
-    trace = [InferenceInstance(0, 0.9, 0.9, 1)]
+    trace = trace_of([Row(0, 0.9, 0.9, 1)])
     totals = simulate(SimConfig(device, 4.25, 10.0), HarvestProfile.constant(0.0), trace).totals
     assert totals.power_failures == 0
     assert totals.deferred_windows == 1
@@ -212,7 +212,7 @@ def test_replay_is_exact(scenario):
 def test_engine_agrees_with_euler_oracle_without_admissions(device, v0, horizon_harvest):
     # shorter than a window, so nothing but harvest and idle draw acts
     horizon, harvest = horizon_harvest
-    result = simulate(SimConfig(device, v0, horizon), harvest, [])
+    result = simulate(SimConfig(device, v0, horizon), harvest, trace_of([]))
     assert result.totals.n_windows == 0
 
     spec, dt = device.capacitor, 1e-3
@@ -375,7 +375,8 @@ def scaled(cfg, harvest, f, g, k):
 # a measurement of about 1 ps: the run must not depend on the unit of time
 @example((SimConfig(DEVICE, 4.5, 30.0), HarvestProfile.constant(1e-3), DARK_TRACE), -32, 0, 0)
 # a voltage whose square pow rounds off by one ulp once scaled by 2^8
-@example((SimConfig(DEVICE, 3.970919944447376, 5.0), HarvestProfile.constant(0.0), []), 0, 0, 8)
+@example((SimConfig(DEVICE, 3.970919944447376, 5.0), HarvestProfile.constant(0.0),
+          trace_of([])), 0, 0, 8)
 def test_scaling_time_current_and_voltage_scales_the_run(scenario, ef, eg, ek):
     # powers of two make every scaled product exact, so the model's dimensional
     # invariance holds bit for bit: a metamorphic oracle for the whole run

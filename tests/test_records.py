@@ -11,7 +11,7 @@ from zedsim.errors import ConfigError, DomainError
 from zedsim.pmu import CapacitorSpec, HarvestProfile
 from zedsim.scheduler import ScheduleConfig, Thresholds
 from zedsim.sim import SimConfig
-from zedsim.traces import GeneratorSpec, InferenceInstance
+from zedsim.traces import GeneratorSpec
 
 # a sound record of each checked type, a field value that breaks it, and its error
 CHECKED = [
@@ -19,7 +19,6 @@ CHECKED = [
     (StageProfile(15e-3, 1.4), {"duration_seconds": -1.0}, DomainError),
     (HarvestProfile((0.0, 5.0), (1e-3, 2e-3)), {"currents": (1e-3, -1.0)}, DomainError),
     (HarvestProfile((0.0, 5.0), (1e-3, 2e-3)), {"times": (0.0,)}, DomainError),
-    (InferenceInstance(7, 0.2, 0.8, 1), {"o1": 1.5}, DomainError),
     (Thresholds(0.3, 0.7), {"gamma1": 0.6}, DomainError),
     (Thresholds(0.3, 0.7), {"gamma2": 0.4}, DomainError),
     (ScheduleConfig(10.0, 4.0, 20), {"n_attempts": 0}, DomainError),

@@ -12,6 +12,7 @@ from zedsim.scheduler import (
     ExitTaken,
     ScheduleConfig,
     Thresholds,
+    WindowOutcome,
     _choose,
     candidate_start_times,
     evaluate_ex1,
@@ -19,7 +20,7 @@ from zedsim.scheduler import (
     run_window,
 )
 from zedsim.sim import _Engine
-from zedsim.traces import NO_PERSON, PERSON, InferenceInstance
+from zedsim.traces import NO_PERSON, PERSON
 
 DEVICE = DeviceConfig.default()
 # escalation stage, green LED and the dearer (red) result LED
@@ -73,10 +74,10 @@ class ScriptedClock:
         self.events.append(label)
 
 
-def decide(variant, inst, readings, device=DEVICE):
+def decide(variant, scores, readings, device=DEVICE):
     """One window of ``variant`` with a single admission instant."""
     one_attempt = device._replace(schedule=device.schedule._replace(n_attempts=1))
-    return run_window(0, ScriptedClock(readings), inst, plan(one_attempt, variant, "mosfet"))
+    return run_window(0, ScriptedClock(readings), scores, plan(one_attempt, variant, "mosfet"))
 
 
 class TestPolicyISelect:
@@ -84,16 +85,16 @@ class TestPolicyISelect:
     81.407 mJ shallow and 86.797 mJ deep under the mosfet gate."""
 
     def test_deep_feasible(self):
-        out = decide("policy_i", InferenceInstance(0, 0.2, 0.9, 1), [86.9e-3])
+        out = decide("policy_i", (0.2, 0.9), [86.9e-3])
         assert out.decision == ExitDecision(ExitTaken.EX2, PERSON)
         assert out.admission_usable == 86.9e-3
 
     def test_only_shallow_feasible(self):
-        out = decide("policy_i", InferenceInstance(0, 0.2, 0.9, 1), [84e-3])
+        out = decide("policy_i", (0.2, 0.9), [84e-3])
         assert out.decision == ExitDecision(ExitTaken.EX1, NO_PERSON)
 
     def test_nothing_feasible(self):
-        out = decide("policy_i", InferenceInstance(0, 0.2, 0.9, 1), [81e-3])
+        out = decide("policy_i", (0.2, 0.9), [81e-3])
         assert out.deferred and out.decision is None
 
     def test_bad_order(self):
@@ -103,14 +104,14 @@ class TestPolicyISelect:
             "inference_ex1": {"current_amps": 0.1},
             "inference_ex1_to_ex2": {"current_amps": 1e-3, "duration_seconds": 0.1},
         }})
-        out = decide("policy_i", InferenceInstance(0, 0.9, 0.9, 1), [0.3], device)
+        out = decide("policy_i", (0.9, 0.9), [0.3], device)
         assert out.decision.exit_taken is ExitTaken.EX2
 
 
 class TestDecideProposed:
     def test_confident_early_exit(self):
-        inst = InferenceInstance(0, 0.9, 0.9, 1)
-        out = decide("proposed", inst, [100.0])
+        scores = (0.9, 0.9)
+        out = decide("proposed", scores, [100.0])
         d = out.decision
         assert d.exit_taken is ExitTaken.EX1
         assert d.prediction == PERSON
@@ -118,16 +119,16 @@ class TestDecideProposed:
         assert out.escalation_usable is None and d.exit_taken is not ExitTaken.EX1_FALLBACK
 
     def test_ambiguous_escalates(self):
-        inst = InferenceInstance(0, 0.55, 0.2, 0)
-        out = decide("proposed", inst, [100.0, 100.0])
+        scores = (0.55, 0.2)
+        out = decide("proposed", scores, [100.0, 100.0])
         d = out.decision
         assert d.exit_taken is ExitTaken.EX2
         assert d.prediction == NO_PERSON
         assert out.escalation_usable is not None  # escalation requested
 
     def test_escalation_denied_falls_back(self):
-        inst = InferenceInstance(0, 0.55, 0.2, 0)
-        out = decide("proposed", inst, [100.0, 1e-6])
+        scores = (0.55, 0.2)
+        out = decide("proposed", scores, [100.0, 1e-6])
         d = out.decision
         assert d.exit_taken is ExitTaken.EX1_FALLBACK
         assert d.prediction == PERSON  # 0.5 <= o1 < gamma2
@@ -138,28 +139,28 @@ class TestDecideProposed:
     def test_admission_boundary_is_the_compiled_need(self):
         # a reading equal to the compiled float admits, one ulp less defers
         (need,) = plan(DEVICE, "proposed", "mosfet").admission.needs
-        inst = InferenceInstance(0, 0.9, 0.9, 1)
-        assert decide("proposed", inst, [need]).started_at == 0.0
-        assert decide("proposed", inst, [math.nextafter(need, 0.0)]).deferred
+        scores = (0.9, 0.9)
+        assert decide("proposed", scores, [need]).started_at == 0.0
+        assert decide("proposed", scores, [math.nextafter(need, 0.0)]).deferred
 
     def test_admission_denied(self):
-        inst = InferenceInstance(0, 0.9, 0.9, 1)
-        out = decide("proposed", inst, [0.0])
+        scores = (0.9, 0.9)
+        out = decide("proposed", scores, [0.0])
         assert out.deferred and out.decision is None and out.started_at is None
 
     def test_window_that_no_instant_admits_logs_defer(self):
-        inst = InferenceInstance(0, 0.9, 0.9, 1)
+        scores = (0.9, 0.9)
         clock = ScriptedClock([0.0])
         one_attempt = DEVICE._replace(schedule=DEVICE.schedule._replace(n_attempts=1))
-        assert run_window(0, clock, inst, plan(one_attempt, "proposed", "mosfet")).deferred
+        assert run_window(0, clock, scores, plan(one_attempt, "proposed", "mosfet")).deferred
         assert clock.events == ["window:0", "defer"]
 
     def test_measurement_brownout_defers(self):
         # the admission reading never arrives: the window is deferred, not failed
-        inst = InferenceInstance(0, 0.9, 0.9, 1)
+        scores = (0.9, 0.9)
         clock = ScriptedClock([])
         one_attempt = DEVICE._replace(schedule=DEVICE.schedule._replace(n_attempts=1))
-        out = run_window(0, clock, inst, plan(one_attempt, "proposed", "mosfet"))
+        out = run_window(0, clock, scores, plan(one_attempt, "proposed", "mosfet"))
         assert out.deferred and not out.power_failure
         assert clock.events == ["window:0", "measurement_brownout"]
 
@@ -168,53 +169,48 @@ class TestDecideProposed:
         rng = random.Random(5)
         need = ESCALATION_J + DEVICE.schedule.guard_delta_joules
         for _ in range(500):
-            inst = InferenceInstance(0, rng.random(), rng.random(), rng.randint(0, 1))
+            scores = (rng.random(), rng.random())
             second = rng.uniform(0.0, 2.0 * need)
-            d = decide("proposed", inst, [1.0, second]).decision
+            d = decide("proposed", scores, [1.0, second]).decision
             if d.exit_taken is ExitTaken.EX2:
                 assert second >= need
 
     def test_policy_ii_always_escalates_on_ambiguity(self):
-        inst = InferenceInstance(0, 0.55, 0.2, 0)
-        out = decide("policy_ii", inst, [1.0, 0.0])
+        scores = (0.55, 0.2)
+        out = decide("policy_ii", scores, [1.0, 0.0])
         assert out.decision.exit_taken is ExitTaken.EX2
         assert out.escalation_usable == 0.0
 
     def test_determinism(self):
         rng = random.Random(9)
-        instances = [
-            InferenceInstance(i, rng.random(), rng.random(), rng.randint(0, 1))
-            for i in range(100)
-        ]
+        pairs = [(rng.random(), rng.random()) for _ in range(100)]
         device = DEVICE._replace(thresholds=Thresholds(0.2, 0.8))
-        a = [decide("proposed", i, [1.0, 1.0], device) for i in instances]
-        b = [decide("proposed", i, [1.0, 1.0], device) for i in instances]
+        a = [decide("proposed", p, [1.0, 1.0], device) for p in pairs]
+        b = [decide("proposed", p, [1.0, 1.0], device) for p in pairs]
         assert a == b
 
 
 class TestPowerFailureAfterAdmission:
     """A pipeline that browns out once admitted is a power failure: it consumed
-    its instance but made no call."""
+    its input but made no call."""
 
-    @pytest.mark.parametrize("variant, inst, readings, fail_at, escalation_usable", [
+    @pytest.mark.parametrize("variant, scores, readings, fail_at, escalation_usable", [
         # the escalation measurement of an ambiguous instance gets no reading
-        ("proposed", InferenceInstance(0, 0.55, 0.2, 0), [1.0], None, None),
-        ("proposed", InferenceInstance(0, 0.9, 0.9, 1), [1.0], "capture_preprocess", None),
+        ("proposed", (0.55, 0.2), [1.0], None, None),
+        ("proposed", (0.9, 0.9), [1.0], "capture_preprocess", None),
         # the result LED of each exit browns out
-        ("proposed", InferenceInstance(0, 0.9, 0.9, 1), [1.0], "led_blue", None),
-        ("proposed", InferenceInstance(0, 0.55, 0.2, 0), [1.0, 1.0], "led_red", 1.0),
-        ("proposed", InferenceInstance(0, 0.55, 0.2, 0), [1.0, 0.0], "led_blue", 0.0),
-        ("baseline", InferenceInstance(0, 0.2, 0.9, 1), [1.0], "led_blue", None),
+        ("proposed", (0.9, 0.9), [1.0], "led_blue", None),
+        ("proposed", (0.55, 0.2), [1.0, 1.0], "led_red", 1.0),
+        ("proposed", (0.55, 0.2), [1.0, 0.0], "led_blue", 0.0),
+        ("baseline", (0.2, 0.9), [1.0], "led_blue", None),
     ], ids=["escalation-measurement", "capture", "led-ex1", "led-ex2", "led-fallback",
             "led-baseline"])
-    def test_no_decision(self, variant, inst, readings, fail_at, escalation_usable):
+    def test_no_decision(self, variant, scores, readings, fail_at, escalation_usable):
         clock = ScriptedClock(readings, fail_at)
         one_attempt = DEVICE._replace(schedule=DEVICE.schedule._replace(n_attempts=1))
-        out = run_window(0, clock, inst, plan(one_attempt, variant, "mosfet"))
+        out = run_window(0, clock, scores, plan(one_attempt, variant, "mosfet"))
         assert out.power_failure and not out.deferred
-        assert out.decision is None and out.correct is None
-        assert out.started_at == 0.0 and out.instance_id == 0
-        assert out.escalation_usable == escalation_usable
+        assert out == WindowOutcome(0.0, None, 1.0, escalation_usable)
         assert clock.events == ["window:0", "admit", "power_failure"]
 
 
@@ -237,13 +233,13 @@ class TestCandidateStartTimes:
         # the baseline admits at the window's start or not at all; the other
         # variants measure at every instant of the schedule before deferring
         assert DEVICE.schedule.n_attempts > 1
-        inst = InferenceInstance(0, 0.9, 0.9, 1)
+        scores = (0.9, 0.9)
         for variant in ("baseline", "policy_i", "policy_ii", "proposed"):
             compiled = plan(DEVICE, variant, "mosfet")
             tried = 1 if variant == "baseline" else DEVICE.schedule.n_attempts
             assert compiled.schedule == DEVICE.schedule._replace(n_attempts=tried)
             clock = ScriptedClock([0.0] * (tried + 1))
-            assert run_window(3, clock, inst, compiled).deferred
+            assert run_window(3, clock, scores, compiled).deferred
             assert clock.readings == [0.0]  # one reading per instant tried
 
 
@@ -269,9 +265,9 @@ def _engine(device, harvest, v0):
     return _Engine(device, harvest, v0)
 
 
-def run_proposed(clock, device, instance):
+def run_proposed(clock, device, scores):
     """One window of the proposed policy under the mosfet gate."""
-    return run_window(0, clock, instance, plan(device, "proposed", "mosfet"))
+    return run_window(0, clock, scores, plan(device, "proposed", "mosfet"))
 
 
 def spent(engine):
@@ -292,8 +288,8 @@ class TestRunWindow:
     def test_happy_path_confident_instance(self):
         device = DeviceConfig.default()
         clock = _engine(device, HarvestProfile.constant(0.0), 4.5)
-        inst = InferenceInstance(0, 0.9, 0.9, 1)
-        out = run_proposed(clock, device, inst)
+        scores = (0.9, 0.9)
+        out = run_proposed(clock, device, scores)
         assert out.started_at == 0.0
         assert not out.deferred and not out.power_failure
         assert out.decision.exit_taken is ExitTaken.EX1
@@ -303,7 +299,6 @@ class TestRunWindow:
             for n in ("measurement", "capture_preprocess", "inference_ex1", "led_blue")
         )
         assert spent(clock) == pytest.approx(expected, rel=1e-9)
-        assert out.correct is True
 
     def test_all_candidates_fail_costs_n_measurements(self):
         # enabled at v_on but the usable reserve is below the requirement
@@ -311,7 +306,7 @@ class TestRunWindow:
         clock = _engine(device, HarvestProfile.constant(0.0), 3.92)
         e_before = usable_energy(device.capacitor, clock._v)
         assert e_before < admission_requirement(device)
-        out = run_proposed(clock, device, InferenceInstance(0, 0.9, 0.9, 1))
+        out = run_proposed(clock, device, (0.9, 0.9))
         assert out.deferred and out.started_at is None and out.decision is None
         n = device.schedule.n_attempts
         meas = device.stage_energy("measurement")
@@ -323,7 +318,7 @@ class TestRunWindow:
     def test_disabled_outputs_skip_candidates_for_free(self):
         device = DeviceConfig.default()
         clock = _engine(device, HarvestProfile.constant(0.0), 3.7)  # below v_on: latched off
-        out = run_proposed(clock, device, InferenceInstance(0, 0.9, 0.9, 1))
+        out = run_proposed(clock, device, (0.9, 0.9))
         assert out.deferred
         assert spent(clock) == 0.0
         assert clock._v == 3.7
@@ -342,8 +337,8 @@ class TestRunWindow:
         v0 = math.sqrt(3.6**2 + 2 * (e_req - 0.02) / 0.1)  # 20 mJ short
         harvest = HarvestProfile.from_pairs([(0.0, 0.0), (1.35, 0.2)])
         clock = _engine(device, harvest, v0)
-        inst = InferenceInstance(0, 0.9, 0.9, 1)
-        out = run_proposed(clock, device, inst)
+        scores = (0.9, 0.9)
+        out = run_proposed(clock, device, scores)
 
         expected_i = _first_admitted_candidate_oracle(device, harvest, v0)
         assert expected_i == 7
@@ -354,7 +349,7 @@ class TestRunWindow:
     def test_single_pipeline_per_window(self):
         device = DeviceConfig.default()
         clock = _engine(device, HarvestProfile.constant(0.0), 4.5)
-        run_proposed(clock, device, InferenceInstance(0, 0.5, 0.5, 1))
+        run_proposed(clock, device, (0.5, 0.5))
         captures = [e for e in clock.events if e[1] == "stage:capture_preprocess"]
         admits = [e for e in clock.events if e[1] == "admit"]
         assert len(captures) == 1 and len(admits) == 1

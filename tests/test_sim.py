@@ -1,17 +1,19 @@
 import math
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
 from euler_oracle import initial_state, step, usable_energy
+from trace_columns import Row, rows, trace_of
 from zedsim.cli import write_trajectory_csv
 from zedsim.config import DeviceConfig
 from zedsim.errors import ConfigError, DomainError, SimulationFault
 from zedsim.pmu import CapacitorSpec, HarvestProfile, charge_time
 from zedsim.scheduler import ExitDecision, ExitTaken, Thresholds, evaluate_ex1
 from zedsim.sim import SimConfig, _Engine, _fsum, simulate
-from zedsim.traces import GeneratorSpec, InferenceInstance, balanced_call, generate_trace
+from zedsim.traces import GeneratorSpec, Trace, balanced_call, generate_trace
 
 DEVICE = DeviceConfig.default()
 
@@ -20,7 +22,7 @@ def stage_sum(device, *names):
     return sum(map(device.stage_energy, names))
 
 
-def decide_proposed(inst, device, readings):
+def decide_proposed(row, device, readings):
     """Replay oracle of the proposed policy: its decision from the usable
     energy read at admission and, for an ambiguous shallow score, before
     escalating. None when the admission reading is short."""
@@ -30,13 +32,13 @@ def decide_proposed(inst, device, readings):
     admit = stage_sum(device, "capture_preprocess", "inference_ex1", "led_red", "measurement")
     if next(readings) < admit + guard:
         return None
-    call = evaluate_ex1(inst.o1, device.thresholds)
+    call = evaluate_ex1(row.o1, device.thresholds)
     if call is not None:
         return ExitDecision(ExitTaken.EX1, call)
     escalate = stage_sum(device, "inference_ex1_to_ex2", "led_green", "led_red")
     if next(readings) >= escalate + guard:
-        return ExitDecision(ExitTaken.EX2, balanced_call(inst.o2))
-    return ExitDecision(ExitTaken.EX1_FALLBACK, balanced_call(inst.o1))
+        return ExitDecision(ExitTaken.EX2, balanced_call(row.o2))
+    return ExitDecision(ExitTaken.EX1_FALLBACK, balanced_call(row.o1))
 
 
 def tight_budget_device():
@@ -70,7 +72,7 @@ class TestSimulate:
         # t = 5 repeats the pinned piece's v0 but not its current, so it gets its own
         # row and books neither harvest nor clamp loss
         harvest = HarvestProfile.from_pairs([(0.0, 10e-3), (5.0, 0.0)])
-        trace = [InferenceInstance(0, 0.9, 0.9, 1)]
+        trace = trace_of([Row(0, 0.9, 0.9, 1)])
         result = simulate(SimConfig(DEVICE, 4.5, 10.0), harvest, trace)
         assert (result.totals.harvested_j, result.totals.clamp_loss_j) == (
             0.22498620094440336, 0.14289380673840338)
@@ -94,7 +96,7 @@ class TestSimulate:
     def test_trace_shorter_than_windows_rejected(self):
         cfg = SimConfig(DEVICE, 4.5, 200.0)
         with pytest.raises(ConfigError, match="windows"):
-            simulate(cfg, HarvestProfile.constant(0.0), [])
+            simulate(cfg, HarvestProfile.constant(0.0), trace_of([]))
 
     def test_totals_partition(self, calibrated_trace):
         cfg = SimConfig(DEVICE, 4.5, 200.0, "proposed")
@@ -104,8 +106,42 @@ class TestSimulate:
         assert t.completed_pipelines + t.deferred_windows + t.power_failures >= t.n_windows
         for w in result.windows:
             assert w.deferred == (w.started_at is None)
-        correct = sum(w.correct for w in result.windows if w.decision is not None)
+        # the k-th window that started took the trace's k-th row
+        started = [w for w in result.windows if w.started_at is not None]
+        correct = sum(w.decision.prediction == row.label
+                      for w, row in zip(started, rows(calibrated_trace)) if w.decision is not None)
         assert t.completed_pipelines > 1 and t.accuracy_total == correct / t.completed_pipelines
+
+    def test_labels_are_read_only_to_score_accuracy(self, calibrated_trace):
+        # the run decides from the scores alone: flipping every label changes the
+        # accuracy and nothing else, and the flipped run is right where the first was wrong
+        cfg = SimConfig(DEVICE, 4.5, 200.0, "proposed")
+        harvest = HarvestProfile.constant(2e-3)
+        result = simulate(cfg, harvest, calibrated_trace)
+        flipped = Trace(calibrated_trace.ids, calibrated_trace.o1, calibrated_trace.o2,
+                        array("b", [1 - label for label in calibrated_trace.labels]))
+        other = simulate(cfg, harvest, flipped)
+        assert (other.events, other.windows, other.trajectory) == (
+            result.events, result.windows, result.trajectory)
+        t, u = result.totals, other.totals
+        assert u._replace(accuracy_total=None) == t._replace(accuracy_total=None)
+        completed = t.completed_pipelines
+        correct = round(t.accuracy_total * completed)
+        assert completed > 1 and correct / completed == t.accuracy_total
+        assert u.accuracy_total == (completed - correct) / completed
+
+    def test_accuracy_scores_each_started_window_against_its_row(self):
+        # window 0 takes row 0 and fails, window 1 is deferred while the buffer
+        # recharges, and window 2 completes on row 1: a PERSON call on a person,
+        # where row 0 and row 2 are no-person
+        device, v0 = tight_budget_device()
+        trace = trace_of([Row(0, 0.55, 0.9, 0), Row(1, 0.9, 0.9, 1), Row(2, 0.9, 0.9, 0)])
+        harvest = HarvestProfile.from_pairs([(0.0, 0.0), (10.0, 5e-3)])
+        result = simulate(SimConfig(device, v0, 30.0, "policy_ii"), harvest, trace)
+        assert [(w.started_at, w.power_failure) for w in result.windows] == [
+            (0.0, True), (None, False), (20.0, False)]
+        assert result.windows[2].decision == ExitDecision(ExitTaken.EX1, 1)
+        assert result.totals.accuracy_total == 1.0
 
     def test_windows_are_the_whole_windows_in_the_horizon(self, calibrated_trace):
         # 3 * 10.1 rounds to just below three 10.1 s windows: the horizon holds two,
@@ -137,19 +173,19 @@ class TestSimulate:
         small = DEVICE._replace(idle_current_amps=5e-3)
         cfg = SimConfig(small._replace(schedule=small.schedule._replace(window_seconds=100.0)),
                         4.5, 50.0, "proposed")
-        result = simulate(cfg, HarvestProfile.constant(0.0), [])
+        result = simulate(cfg, HarvestProfile.constant(0.0), trace_of([]))
         rail = DEVICE.stages["measurement"].supply_volts
         expected = rail * 5e-3 * 50.0
         assert result.totals.energy_consumed_j == pytest.approx(expected, rel=1e-6)
         # latched-off device draws nothing
         cfg_off = cfg._replace(initial_v=3.7)
-        off = simulate(cfg_off, HarvestProfile.constant(0.0), [])
+        off = simulate(cfg_off, HarvestProfile.constant(0.0), trace_of([]))
         assert off.totals.energy_consumed_j == 0.0
 
     def test_converter_efficiency_scales_buffer_draw(self):
         lossy = DEVICE._replace(converter_efficiency=0.5)
         cfg = SimConfig(DEVICE, 4.5, 10.0, "proposed")
-        trace = [InferenceInstance(0, 0.9, 0.9, 1)]
+        trace = trace_of([Row(0, 0.9, 0.9, 1)])
         ideal = simulate(cfg, HarvestProfile.constant(0.0), trace)
         halved = simulate(cfg._replace(device=lossy), HarvestProfile.constant(0.0), trace)
         assert halved.totals.energy_consumed_j == pytest.approx(
@@ -211,19 +247,18 @@ class TestSimulate:
     def test_decisions_match_pure_policy_replay(self, calibrated_trace):
         # the engine's windowed decisions must agree with the pure decision
         # function when fed the engine's own measured energies
-        trace_by_id = {i.id: i for i in calibrated_trace}
-
-        def audit(result, device):
+        def audit(result, device, trace):
             kinds = set()
-            for w in result.windows:
+            # the k-th window that started took the trace's k-th row
+            started = [w for w in result.windows if w.started_at is not None]
+            for w, row in zip(started, rows(trace)):
                 if w.decision is None:
                     continue
-                inst = trace_by_id[w.instance_id]
                 readings = [w.admission_usable, w.escalation_usable]
-                d = decide_proposed(inst, device, readings)
+                d = decide_proposed(row, device, readings)
                 assert d == w.decision
                 # an escalation was requested, and read, exactly for an ambiguous score
-                ambiguous = evaluate_ex1(inst.o1, device.thresholds) is None
+                ambiguous = evaluate_ex1(row.o1, device.thresholds) is None
                 assert (w.escalation_usable is not None) == ambiguous
                 kinds.add(d.exit_taken)
             return kinds
@@ -232,17 +267,16 @@ class TestSimulate:
             SimConfig(DEVICE, 4.5, 200.0, "proposed"), HarvestProfile.constant(2e-3),
             calibrated_trace,
         )
-        kinds = audit(ample, DEVICE)
+        kinds = audit(ample, DEVICE, calibrated_trace)
 
         # a buffer sized for one shallow run only: the ambiguous instance is
         # denied escalation at the second measurement
         device, v0 = tight_budget_device()
-        inst = InferenceInstance(0, 0.55, 0.9, 1)
-        trace_by_id[0] = inst
+        trace = trace_of([Row(0, 0.55, 0.9, 1)])
         tight = simulate(
-            SimConfig(device, v0, 10.0, "proposed"), HarvestProfile.constant(0.0), [inst]
+            SimConfig(device, v0, 10.0, "proposed"), HarvestProfile.constant(0.0), trace
         )
-        kinds |= audit(tight, device)
+        kinds |= audit(tight, device, trace)
         assert kinds == {ExitTaken.EX1, ExitTaken.EX2, ExitTaken.EX1_FALLBACK}
 
     def test_narrowing_band_never_costs_more(self, calibrated_trace):
@@ -255,7 +289,7 @@ class TestSimulate:
 
     def test_policy_ii_fails_where_proposed_falls_back(self):
         device, v0 = tight_budget_device()
-        trace = [InferenceInstance(0, 0.55, 0.9, 1)]
+        trace = trace_of([Row(0, 0.55, 0.9, 1)])
         harvest = HarvestProfile.constant(0.0)
         risky = simulate(SimConfig(device, v0, 10.0, "policy_ii"), harvest, trace)
         assert risky.totals.power_failures == 1
@@ -274,7 +308,7 @@ class TestSimulate:
                 "stages": {"inference_ex1_to_ex2": {"current_amps": 0.5,
                                                     "duration_seconds": duration}}})
 
-        trace = [InferenceInstance(0, 0.5, 0.9, 1)]
+        trace = trace_of([Row(0, 0.5, 0.9, 1)])
         harvest = HarvestProfile.constant(0.0)
         first = simulate(SimConfig(device(10.0), 4.5, 60.0, "policy_ii"), harvest, trace)
         start = next(t for t, label in first.events if label == "stage:inference_ex1_to_ex2")
@@ -326,7 +360,7 @@ class TestPolicyIVariant:
         meas = device.stage_energy("measurement")
         need = meas + 0.5 * (d1 + d2)  # between the two depth requirements
         v0 = math.sqrt(3.6**2 + 2 * need / 0.05)
-        trace = [InferenceInstance(0, 0.9, 0.9, 1)]
+        trace = trace_of([Row(0, 0.9, 0.9, 1)])
         t = simulate(
             SimConfig(device, v0, 10.0, "policy_i"), HarvestProfile.constant(0.0), trace
         ).totals
@@ -403,7 +437,7 @@ class TestEngineMatchesPmuStep:
         device = DEVICE.with_capacitance(0.8)
         harvest = HarvestProfile.from_pairs([(0.0, 2e-3), (2.5, 30e-3)])
         cfg = SimConfig(device, 4.0, 5.0, "proposed")
-        result = simulate(cfg, harvest, [])
+        result = simulate(cfg, harvest, trace_of([]))
         exact = 4.0 + (2e-3 * 2.5 + 30e-3 * 2.5) / 0.8  # 4.1 V
         assert list(result.trajectory)[-1][:2] == (5.0, pytest.approx(exact, rel=1e-14))
 

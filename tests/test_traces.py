@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from trace_columns import trace_of
+from trace_columns import Row, rows, trace_of
 from zedsim.errors import DomainError, TraceError
 from zedsim.pmu import HarvestProfile
 from zedsim.scheduler import Thresholds, evaluate_ex1
@@ -21,9 +21,9 @@ from zedsim.traces import (
     PERSON,
     TRACE_HEADER,
     GeneratorSpec,
-    InferenceInstance,
     SweepCell,
     balanced_call,
+    check_instance,
     generate_trace,
     load_harvest,
     load_trace,
@@ -37,15 +37,14 @@ EDGE_SCORES = [0.0, -0.0, 1.0, 5e-324, 1 - 2**-53, 0.5]
 scores = st.one_of(st.sampled_from(EDGE_SCORES), st.floats(0.0, 1.0))
 traces = st.lists(st.tuples(st.integers(-2**70, 2**70), scores, scores, st.integers(0, 1)),
                   max_size=30, unique_by=lambda row: row[0]).map(
-    lambda rows: [InferenceInstance(*row) for row in sorted(rows)])
+    lambda drawn: [Row(*row) for row in sorted(drawn)])
 
 
 class TestTraceFiles:
     def test_row_parsing(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("id,o1,o2,label\n0,0.95,0.99,1\n")
-        (inst,) = load_trace(path)
-        assert inst == InferenceInstance(0, 0.95, 0.99, 1)
+        assert rows(load_trace(path)) == [Row(0, 0.95, 0.99, 1)]
 
     def test_out_of_range_score(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -92,7 +91,7 @@ class TestTraceFiles:
         assert load_harvest(path) == profile
 
     @given(traces)
-    @example([InferenceInstance(k, s, EDGE_SCORES[-1 - k], k % 2)
+    @example([Row(k, s, EDGE_SCORES[-1 - k], k % 2)
               for k, s in enumerate(EDGE_SCORES)])
     def test_saved_bytes_are_the_csv_writer_rendering(self, trace):
         expected = io.StringIO(newline="")
@@ -105,7 +104,7 @@ class TestTraceFiles:
             save_trace(trace_of(trace), path)
             assert path.read_bytes() == expected.getvalue().encode()
             if trace:
-                exact = [(i.id, i.o1.hex(), i.o2.hex(), i.label) for i in load_trace(path)]
+                exact = [(i.id, i.o1.hex(), i.o2.hex(), i.label) for i in rows(load_trace(path))]
                 assert exact == [(i.id, i.o1.hex(), i.o2.hex(), i.label) for i in trace]
 
     def test_harvest_bad_header(self, tmp_path):
@@ -171,10 +170,10 @@ class TestReader:
 
 class TestColumns:
     def test_a_trace_equals_only_a_trace(self):
-        xs = [InferenceInstance(0, 0.2, 0.8, 1), InferenceInstance(1, 0.6, 0.4, 0)]
+        xs = [Row(0, 0.2, 0.8, 1), Row(1, 0.6, 0.4, 0)]
         columns = trace_of(xs)
         assert columns.__eq__(xs) is NotImplemented
-        assert columns != xs and columns == trace_of(columns)
+        assert columns != xs and columns == trace_of(rows(columns))
 
     def test_generator_retains_no_object_per_row(self):
         spec = GeneratorSpec(20000, 0.7265, 0.8309, 0.5386, 0)
@@ -209,11 +208,11 @@ class TestFallbackAndEx2:
 class TestInstance:
     def test_instance_bounds(self):
         with pytest.raises(DomainError):
-            InferenceInstance(3, 1.2, 0.5, 1)
+            check_instance(3, 1.2, 0.5, 1)
         with pytest.raises(DomainError):
-            InferenceInstance(3, 0.5, -0.1, 1)
+            check_instance(3, 0.5, -0.1, 1)
         with pytest.raises(DomainError):
-            InferenceInstance(3, 0.5, 0.5, 2)
+            check_instance(3, 0.5, 0.5, 2)
 
 
 class TestGenerator:
@@ -232,7 +231,7 @@ class TestGenerator:
 
     def test_perfect_classifier_limit(self):
         trace = generate_trace(GeneratorSpec(500, 1.0, 1.0, 0.5, 1))
-        for inst in trace:
+        for inst in rows(trace):
             assert (inst.o1 >= 0.5) == bool(inst.label)
             assert (inst.o2 >= 0.5) == bool(inst.label)
 
@@ -244,7 +243,7 @@ class TestGenerator:
 
     def test_label_balance_exact_count(self):
         trace = generate_trace(GeneratorSpec(1000, 0.75, 0.85, 0.5386, 4))
-        assert sum(i.label for i in trace) == round(1000 * 0.5386)
+        assert sum(trace.labels) == round(1000 * 0.5386)
 
     def test_deep_head_dominates_shallow(self, calibrated_trace):
         trace = calibrated_trace
@@ -252,12 +251,12 @@ class TestGenerator:
         assert stats.acc_at_half_ex2 >= stats.acc_at_half_ex1
         ok2_given_ok1 = [
             (i.o2 >= 0.5) == bool(i.label)
-            for i in trace
+            for i in rows(trace)
             if (i.o1 >= 0.5) == bool(i.label)
         ]
         ok2_given_bad1 = [
             (i.o2 >= 0.5) == bool(i.label)
-            for i in trace
+            for i in rows(trace)
             if (i.o1 >= 0.5) != bool(i.label)
         ]
         assert sum(ok2_given_ok1) / len(ok2_given_ok1) >= sum(ok2_given_bad1) / len(
@@ -265,7 +264,7 @@ class TestGenerator:
         )
 
     def test_scores_in_unit_interval(self):
-        for inst in generate_trace(GeneratorSpec(2000, 0.6, 0.9, 0.3, 2)):
+        for inst in rows(generate_trace(GeneratorSpec(2000, 0.6, 0.9, 0.3, 2))):
             assert 0.0 <= inst.o1 <= 1.0 and 0.0 <= inst.o2 <= 1.0
 
     def test_feasible_targets_at_their_edges(self):
@@ -288,7 +287,7 @@ class TestGenerator:
 
 class TestStatistics:
     def test_single_instance(self):
-        stats = trace_statistics(trace_of([InferenceInstance(0, 0.9, 0.9, 1)]))
+        stats = trace_statistics(trace_of([Row(0, 0.9, 0.9, 1)]))
         assert stats.n == 1
         assert stats.acc_at_half_ex1 in (0.0, 1.0)
         assert stats.acc_at_half_ex2 in (0.0, 1.0)
@@ -303,7 +302,7 @@ class TestSweep:
         (cell,) = sweep_thresholds(calibrated_trace, [Thresholds(0.5, 0.5)])
         assert cell.n_ex2 == 0
         single = sum(
-            (inst.o1 >= 0.5) == bool(inst.label) for inst in calibrated_trace
+            (inst.o1 >= 0.5) == bool(inst.label) for inst in rows(calibrated_trace)
         ) / len(calibrated_trace)
         assert cell.acc_total == pytest.approx(single, abs=1e-12)
         assert cell.acc_total == cell.acc_ex1
@@ -311,9 +310,9 @@ class TestSweep:
 
     def test_everything_escalates(self):
         trace = trace_of([
-            InferenceInstance(0, 0.4, 0.9, 1),
-            InferenceInstance(1, 0.6, 0.1, 0),
-            InferenceInstance(2, 0.5, 0.5, 1),
+            Row(0, 0.4, 0.9, 1),
+            Row(1, 0.6, 0.1, 0),
+            Row(2, 0.5, 0.5, 1),
         ])
         (cell,) = sweep_thresholds(trace, [Thresholds(0.0, 1.0)])
         assert cell.n_ex1 == 0
@@ -349,7 +348,7 @@ def _sweep_oracle(trace, grid):
     cells = []
     for th in grid:
         n_ex1 = n_ex2 = ok_ex1 = ok_ex2 = 0
-        for inst in trace:
+        for inst in rows(trace):
             call = evaluate_ex1(inst.o1, th)
             if call is None:
                 n_ex2 += 1
@@ -385,8 +384,8 @@ grid_cells = st.one_of(
 
 @given(sweep_rows, st.lists(grid_cells, max_size=8))
 @example([(0.4, 0.9, 1), (0.6, 0.1, 0)], [])  # (0, 1) leaves exit 1 empty
-def test_sweep_matches_per_instance_oracle(rows, drawn):
-    trace = trace_of(InferenceInstance(k, *row) for k, row in enumerate(rows))
+def test_sweep_matches_per_instance_oracle(table, drawn):
+    trace = trace_of(Row(k, *row) for k, row in enumerate(table))
     # (0.5, 0.5) leaves exit 2 empty; (0, 1) sends all but the poles to it
     grid = [Thresholds(0.5, 0.5), Thresholds(0.0, 1.0)] + drawn
     cells = sweep_thresholds(trace, iter(grid))
