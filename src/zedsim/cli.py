@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .config import DeviceConfig, config_hash, load_config
-from .errors import ConfigError, ZedSimError
+from .errors import ZedSimError
 from .pmu import HarvestProfile
 from .scheduler import GATINGS, VARIANTS, Thresholds, plan
 from .sim import SimConfig, SimResult, SimTotals, simulate
@@ -222,7 +222,7 @@ def _cmd_sweep_thresholds(args) -> int:
     device = _device(args)
     trace = _trace(args)
     if not args.gamma1 or not args.gamma2:
-        raise ConfigError("empty threshold grid")
+        raise ZedSimError("empty threshold grid")
     grid = [Thresholds(a, b) for a in args.gamma1 for b in args.gamma2]  # row-major: gamma1 outer
     cells = sweep_thresholds(trace, grid)
     out = _out_dir(args)
@@ -243,9 +243,9 @@ def _cmd_sweep_capacitance(args) -> int:
     trace = _trace(args)
     harvest = _harvest(args)
     if not args.capacitance:
-        raise ConfigError("empty capacitance grid")
+        raise ZedSimError("empty capacitance grid")
     if args.jobs < 0:
-        raise ConfigError(f"--jobs must be >= 0, got {args.jobs}")
+        raise ZedSimError(f"--jobs must be >= 0, got {args.jobs}")
     variants = [_POLICY_FLAGS[v] for v in args.variants]
     gating = _GATING_FLAGS[args.gating]
     rows = []
@@ -255,7 +255,7 @@ def _cmd_sweep_capacitance(args) -> int:
                 cfg = SimConfig(device.with_capacitance(c), args.initial_v, args.horizon,
                                 variant, gating)
             except ZedSimError as exc:
-                raise ConfigError(f"--capacitance {c!r}: {exc}") from None
+                raise ZedSimError(f"--capacitance {c!r}: {exc}") from None
             totals = simulate(cfg, harvest, trace).totals
             rows.append({"c_farads": c, "variant": variant, **totals._asdict()})
     out = _out_dir(args)

@@ -22,7 +22,7 @@ import math
 import sys
 from typing import Dict, List, NamedTuple
 
-from .errors import ConfigError, DomainError, checked
+from .errors import ZedSimError, checked
 from .pmu import CapacitorSpec
 from .scheduler import GATINGS, VARIANTS, ScheduleConfig, Thresholds, plan, worst_case_time
 
@@ -44,13 +44,13 @@ class StageProfile(NamedTuple):
 
     def check(self) -> None:
         if self.current_amps < 0:
-            raise DomainError("current must be >= 0")
+            raise ZedSimError("current must be >= 0")
         if self.duration_seconds < 0:
-            raise DomainError("duration must be >= 0")
+            raise ZedSimError("duration must be >= 0")
         if self.supply_volts <= 0:
-            raise DomainError("supply voltage must be positive")
+            raise ZedSimError("supply voltage must be positive")
         if not (math.isfinite(self.power_watts) and math.isfinite(self.energy_joules)):
-            raise DomainError("power and energy must be finite")
+            raise ZedSimError("power and energy must be finite")
 
     @property
     def power_watts(self) -> float:
@@ -71,13 +71,13 @@ def derive_escalation_stage(ex1: StageProfile, ex2: StageProfile) -> StageProfil
     duration = ex2.duration_seconds - ex1.duration_seconds
     extra = ex2.energy_joules - ex1.energy_joules
     if duration <= 0 or extra <= 0:
-        raise ConfigError("stages.inference_ex2: must take longer and cost more than "
+        raise ZedSimError("stages.inference_ex2: must take longer and cost more than "
                           "stages.inference_ex1")
     current = extra / (ex2.supply_volts * duration)
     try:
         return StageProfile(current, duration, ex2.supply_volts)
-    except DomainError as exc:
-        raise DomainError(f"stages.inference_ex1_to_ex2: {exc}") from None
+    except ZedSimError as exc:
+        raise ZedSimError(f"stages.inference_ex1_to_ex2: {exc}") from None
 
 
 # Measured device characterization at the 3.3 V rail: mean current draw (A)
@@ -184,10 +184,10 @@ class DeviceConfig(NamedTuple):
     @classmethod
     def from_dict(cls, data: dict) -> "DeviceConfig":
         if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
+            raise ZedSimError("config root must be a JSON object")
         unknown = set(data) - set(cls._fields)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ZedSimError(f"unknown config keys: {sorted(unknown)}")
         capacitor = _override(_DEFAULT_CAPACITOR, data, "capacitor")
         thresholds = _override(_DEFAULT_THRESHOLDS, data, "thresholds")
         schedule = _override(_DEFAULT_SCHEDULE, data, "schedule")
@@ -212,10 +212,10 @@ def _section(data: dict, key: str, allowed, prefix: str = "") -> dict:
     """``data[key]`` (empty when absent), once it is an object of ``allowed`` keys."""
     entry = data.get(key, {})
     if not isinstance(entry, dict):
-        raise ConfigError(f"{prefix}{key}: must be an object")
+        raise ZedSimError(f"{prefix}{key}: must be an object")
     unknown = set(entry) - set(allowed)
     if unknown:
-        raise ConfigError(f"{prefix}{key}: unknown keys {sorted(unknown)}")
+        raise ZedSimError(f"{prefix}{key}: unknown keys {sorted(unknown)}")
     return entry
 
 
@@ -224,8 +224,8 @@ def _override(record, data: dict, key: str, prefix: str = ""):
     fields = _numbers(_section(data, key, record._fields, prefix), prefix + key)
     try:
         return record._replace(**fields)
-    except DomainError as exc:
-        raise type(exc)(f"{prefix}{key}: {exc}") from None
+    except ZedSimError as exc:
+        raise ZedSimError(f"{prefix}{key}: {exc}") from None
 
 
 def _numbers(entry: dict, prefix: str) -> dict:
@@ -237,17 +237,17 @@ def _numbers(entry: dict, prefix: str) -> dict:
             or not abs(value) <= sys.float_info.max  # nan, inf, or an int no float holds
         ):
             name = f"{prefix}.{key}" if prefix else key
-            raise ConfigError(f"{name}: must be a finite number, got {value!r}")
+            raise ZedSimError(f"{name}: must be a finite number, got {value!r}")
     return entry
 
 
 def _object(pairs) -> dict:
-    """A JSON object as a dict; a key given twice raises ConfigError naming it,
+    """A JSON object as a dict; a key given twice raises ZedSimError naming it,
     where ``json`` would keep only the last value."""
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ConfigError(f"duplicate key {key!r}")
+            raise ZedSimError(f"duplicate key {key!r}")
         obj[key] = value
     return obj
 
@@ -258,7 +258,7 @@ def load_config(path) -> DeviceConfig:
             data = json.load(fh, object_pairs_hook=_object)
         except (ValueError, RecursionError) as exc:
             # ValueError also covers undecodable bytes and integers too long to convert
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+            raise ZedSimError(f"{path}: not valid JSON ({exc})") from None
     return DeviceConfig.from_dict(data)
 
 

@@ -1,25 +1,10 @@
-"""Exception types shared across the simulator, and :func:`checked`, which makes
-a named-tuple record run its own ``check()`` however it is built."""
+"""The simulator's one exception type, and :func:`checked`, which makes a
+named-tuple record run its own ``check()`` however it is built."""
 
 
-class ZedSimError(Exception):
-    """Base class for all simulator errors."""
-
-
-class DomainError(ZedSimError, ValueError):
-    """An argument lies outside its physically meaningful range."""
-
-
-class ConfigError(ZedSimError, ValueError):
-    """A configuration value or combination violates an invariant."""
-
-
-class TraceError(ZedSimError, ValueError):
-    """A trace or harvest file failed to parse or validate."""
-
-
-class SimulationFault(ZedSimError):
-    """Load was requested while the supply outputs were disabled."""
+class ZedSimError(ValueError):
+    """Every fault the simulator raises; the message names the input. It is a
+    ``ValueError``, so ``load_trace`` adds ``path:line:`` to a row's fault."""
 
 
 def checked(cls):

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence, Tuple
 
-from .errors import DomainError, checked
+from .errors import ZedSimError, checked
 
 
 @checked
@@ -41,8 +41,8 @@ class CapacitorSpec(NamedTuple):
     """Storage capacitor plus the three supply thresholds acting on it.
 
     :meth:`energy` and :meth:`usable` are the one home of stored energy: the
-    engine's readings, the ledger, the supply band and ``validate``'s
-    reachability test all call them."""
+    engine's readings, the ledger, the supply band and the ``validate``
+    command's reachability test all call them."""
 
     capacitance_farads: float
     v_off: float
@@ -51,14 +51,14 @@ class CapacitorSpec(NamedTuple):
 
     def check(self) -> None:
         if self.capacitance_farads <= 0:
-            raise DomainError(f"capacitance must be positive, got {self.capacitance_farads}")
+            raise ZedSimError(f"capacitance must be positive, got {self.capacitance_farads}")
         if not (0 < self.v_off < self.v_on < self.v_max):
-            raise DomainError(
+            raise ZedSimError(
                 "thresholds must satisfy 0 < v_off < v_on < v_max, got "
                 f"v_off={self.v_off}, v_on={self.v_on}, v_max={self.v_max}"
             )
         if not math.isfinite(self.energy(self.v_max)):
-            raise DomainError("energy C*v_max^2/2 must be finite, got "
+            raise ZedSimError("energy C*v_max^2/2 must be finite, got "
                               f"C={self.capacitance_farads}, v_max={self.v_max}")
 
     def energy(self, v: float) -> float:
@@ -71,12 +71,12 @@ class CapacitorSpec(NamedTuple):
 
 
 def mode_value(v_c: float, spec: CapacitorSpec, outputs_latched_on: bool) -> str:
-    """Supply mode of a voltage in exactly [0, v_max], else DomainError: ``full``
+    """Supply mode of a voltage in exactly [0, v_max], else ZedSimError: ``full``
     at v_max, ``operate`` from v_on, ``cold_start`` at or below v_off, and in the
     hysteretic band between, ``hysteresis_on`` or ``hysteresis_off`` as
     ``outputs_latched_on`` says whether v_on was reached since v_off."""
     if not 0.0 <= v_c <= spec.v_max:
-        raise DomainError(f"voltage {v_c} outside [0, {spec.v_max}]")
+        raise ZedSimError(f"voltage {v_c} outside [0, {spec.v_max}]")
     if v_c >= spec.v_max:
         return "full"
     if v_c >= spec.v_on:
@@ -95,15 +95,15 @@ class HarvestProfile(NamedTuple):
 
     def check(self) -> None:
         if len(self.times) != len(self.currents) or not self.times:
-            raise DomainError("profile needs matching, non-empty time and current lists")
+            raise ZedSimError("profile needs matching, non-empty time and current lists")
         if self.times[0] != 0.0:
-            raise DomainError("first segment must start at t=0")
+            raise ZedSimError("first segment must start at t=0")
         if not all(math.isfinite(x) for x in (*self.times, *self.currents)):
-            raise DomainError("segment start times and currents must be finite")
+            raise ZedSimError("segment start times and currents must be finite")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise DomainError("segment start times must be strictly increasing")
+            raise ZedSimError("segment start times must be strictly increasing")
         if any(i < 0 for i in self.currents):
-            raise DomainError("harvested currents must be >= 0")
+            raise ZedSimError("harvested currents must be >= 0")
 
     @classmethod
     def from_pairs(cls, segments: Sequence[Tuple[float, float]]) -> "HarvestProfile":

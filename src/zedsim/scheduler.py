@@ -40,7 +40,7 @@ import math
 from enum import Enum
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .errors import DomainError, checked
+from .errors import ZedSimError, checked
 from .traces import NO_PERSON, PERSON, balanced_call
 
 VARIANT_PROPOSED = "proposed"
@@ -71,7 +71,7 @@ class Thresholds(NamedTuple):
 
     def check(self) -> None:
         if not 0.0 <= self.gamma1 <= 0.5 <= self.gamma2 <= 1.0:
-            raise DomainError(
+            raise ZedSimError(
                 f"need 0 <= gamma1 <= 0.5 <= gamma2 <= 1, got ({self.gamma1}, {self.gamma2})"
             )
 
@@ -103,13 +103,13 @@ class ScheduleConfig(NamedTuple):
 
     def check(self) -> None:
         if self.window_seconds <= 0:
-            raise DomainError("window duration must be positive")
+            raise ZedSimError("window duration must be positive")
         if self.deadline_seconds < 0:
-            raise DomainError("deadline must be >= 0")
+            raise ZedSimError("deadline must be >= 0")
         if not isinstance(self.n_attempts, int) or self.n_attempts < 1:
-            raise DomainError(f"n_attempts must be an integer >= 1, got {self.n_attempts!r}")
+            raise ZedSimError(f"n_attempts must be an integer >= 1, got {self.n_attempts!r}")
         if self.guard_delta_joules < 0:
-            raise DomainError("guard margin must be >= 0")
+            raise ZedSimError("guard margin must be >= 0")
 
 
 class Check(NamedTuple):

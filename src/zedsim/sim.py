@@ -40,7 +40,7 @@ from operator import mul, neg, sub
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .config import DeviceConfig
-from .errors import ConfigError, DomainError, SimulationFault, checked
+from .errors import ZedSimError, checked
 from .pmu import CapacitorSpec, HarvestProfile, charge_time, mode_value, voltage_after
 from .scheduler import (
     GATING_MOSFET,
@@ -69,20 +69,20 @@ class SimConfig(NamedTuple):
         cap = self.device.capacitor
         for name in ("initial_v", "horizon_seconds"):
             if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ZedSimError(f"{name} must be finite, got {getattr(self, name)}")
         if not cap.v_off <= self.initial_v <= cap.v_max:
-            raise ConfigError(
+            raise ZedSimError(
                 f"initial_v={self.initial_v} outside [v_off={cap.v_off}, v_max={cap.v_max}]"
             )
         if self.horizon_seconds <= 0:
-            raise ConfigError("horizon must be positive")
+            raise ZedSimError("horizon must be positive")
         if self.policy_variant not in VARIANTS:
-            raise ConfigError(f"unknown policy variant {self.policy_variant!r}")
+            raise ZedSimError(f"unknown policy variant {self.policy_variant!r}")
         if self.gating_variant not in GATINGS:
-            raise ConfigError(f"unknown gating variant {self.gating_variant!r}")
+            raise ZedSimError(f"unknown gating variant {self.gating_variant!r}")
         problems = self.device.problems()
         if problems:
-            raise ConfigError("; ".join(problems))
+            raise ZedSimError("; ".join(problems))
 
     def to_dict(self) -> dict:
         return {**self._asdict(), "device": self.device.to_dict()}
@@ -215,7 +215,7 @@ class _Engine:
         """Run one pipeline stage; False if the supply latched off during it."""
         label, duration, draw = self._stages[name]
         if not self.outputs_enabled:
-            raise SimulationFault(f"stage {name!r} requested at t={self.time} with outputs disabled")
+            raise ZedSimError(f"stage {name!r} requested at t={self.time} with outputs disabled")
         self.log_event(label)
         return not self._advance(self.time + duration, draw)
 
@@ -288,7 +288,7 @@ def simulate(cfg: SimConfig, harvest: HarvestProfile, trace: Trace) -> SimResult
     sched = device.schedule
     n_windows = int(cfg.horizon_seconds // sched.window_seconds)
     if len(trace) < n_windows:
-        raise ConfigError(
+        raise ZedSimError(
             f"trace has {len(trace)} instances but the horizon holds {n_windows} windows"
         )
 
@@ -311,7 +311,7 @@ def simulate(cfg: SimConfig, harvest: HarvestProfile, trace: Trace) -> SimResult
     overflowed = [f"{k}={v!r}" for k, v in totals._asdict().items()
                   if k.endswith("_j") and not math.isfinite(v)]
     if overflowed:
-        raise DomainError(f"energy totals not finite ({', '.join(overflowed)}): "
+        raise ZedSimError(f"energy totals not finite ({', '.join(overflowed)}): "
                           "the harvest current or the stage energies are too large")
     return SimResult(engine.events, windows, totals, trajectory)
 

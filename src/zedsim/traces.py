@@ -34,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Iterable, List, NamedTuple, Optional
 
-from .errors import DomainError, TraceError, checked
+from .errors import ZedSimError, checked
 from .pmu import HarvestProfile
 
 PERSON = 1
@@ -58,13 +58,13 @@ def balanced_call(score: float) -> int:
 
 
 def check_instance(id: int, o1: float, o2: float, label: int) -> None:
-    """Raise DomainError unless both scores are in [0, 1] and the label is 0 or 1."""
+    """Raise ZedSimError unless both scores are in [0, 1] and the label is 0 or 1."""
     if not 0.0 <= o1 <= 1.0:
-        raise DomainError(f"instance {id}: o1={o1} outside [0, 1]")
+        raise ZedSimError(f"instance {id}: o1={o1} outside [0, 1]")
     if not 0.0 <= o2 <= 1.0:
-        raise DomainError(f"instance {id}: o2={o2} outside [0, 1]")
+        raise ZedSimError(f"instance {id}: o2={o2} outside [0, 1]")
     if label not in (0, 1):
-        raise DomainError(f"instance {id}: label must be 0 or 1")
+        raise ZedSimError(f"instance {id}: label must be 0 or 1")
 
 
 class Trace:
@@ -91,28 +91,28 @@ def _rows(path, header):
     """Yield ``(line number, fields)`` for each non-blank row after ``header``,
     numbered by the file line it ends on, since a quoted field may span lines. A
     missing header, a row of another width, a byte that does not decode or an
-    oversized field raises TraceError naming the file."""
+    oversized field raises ZedSimError naming the file."""
     with open(path, newline="") as fh:
         try:
             reader = csv.reader(fh)
             first = next(reader, None)
             if first is None or [h.strip() for h in first] != header:
-                raise TraceError(f"{path}:1: expected header {','.join(header)}, "
-                                 f"read {first!r}")
+                raise ZedSimError(f"{path}:1: expected header {','.join(header)}, "
+                                  f"read {first!r}")
             width = len(header)
             for row in reader:
                 if not row:
                     continue
                 if len(row) != width:
-                    raise TraceError(f"{path}:{reader.line_num}: expected {width} fields, "
-                                     f"got {len(row)}")
+                    raise ZedSimError(f"{path}:{reader.line_num}: expected {width} fields, "
+                                      f"got {len(row)}")
                 yield reader.line_num, row
         except (UnicodeDecodeError, csv.Error) as exc:
-            raise TraceError(f"{path}: {exc}") from None
+            raise ZedSimError(f"{path}: {exc}") from None
 
 
 def load_trace(path) -> Trace:
-    """Read and validate a trace CSV; raises TraceError with the line number."""
+    """Read and validate a trace CSV; a fault in a row names its ``path:line:``."""
     trace = Trace([], array("d"), array("d"), array("b"))
     last_id = None
     for lineno, row in _rows(path, TRACE_HEADER):
@@ -123,9 +123,9 @@ def load_trace(path) -> Trace:
             label = int(row[3])
             check_instance(ident, o1, o2, label)
         except ValueError as exc:
-            raise TraceError(f"{path}:{lineno}: {exc}") from None
+            raise ZedSimError(f"{path}:{lineno}: {exc}") from None
         if last_id is not None and ident <= last_id:
-            raise TraceError(f"{path}:{lineno}: ids must be unique and ascending")
+            raise ZedSimError(f"{path}:{lineno}: ids must be unique and ascending")
         last_id = ident
         trace.ids.append(ident)
         trace.o1.append(o1)
@@ -151,11 +151,11 @@ def load_harvest(path) -> HarvestProfile:
             times.append(float(row[0]))
             currents.append(float(row[1]) * 1e-3)
         except ValueError as exc:
-            raise TraceError(f"{path}:{lineno}: {exc}") from None
+            raise ZedSimError(f"{path}:{lineno}: {exc}") from None
     try:
         return HarvestProfile(tuple(times), tuple(currents))
-    except DomainError as exc:
-        raise TraceError(f"{path}: {exc}") from None
+    except ZedSimError as exc:
+        raise ZedSimError(f"{path}: {exc}") from None
 
 
 def save_harvest(profile: HarvestProfile, path) -> None:
@@ -177,15 +177,15 @@ class GeneratorSpec(NamedTuple):
 
     def check(self) -> None:
         if not 1 <= self.n <= _MAX_INSTANCES:
-            raise DomainError(f"n must be in [1, {_MAX_INSTANCES}], got {self.n}")
+            raise ZedSimError(f"n must be in [1, {_MAX_INSTANCES}], got {self.n}")
         if not 0.5 <= self.target_acc1 <= self.target_acc2 <= 1.0:
-            raise DomainError(
+            raise ZedSimError(
                 f"need 0.5 <= acc1 <= acc2 <= 1, got ({self.target_acc1}, {self.target_acc2})"
             )
         if not 0.0 < self.person_fraction < 1.0:
-            raise DomainError("person_fraction must be in (0, 1)")
+            raise ZedSimError("person_fraction must be in (0, 1)")
         if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+            raise ZedSimError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_trace(spec: GeneratorSpec) -> Trace:
@@ -256,7 +256,7 @@ def trace_statistics(trace: Trace) -> TraceStats:
     """Empirical balanced-threshold accuracies and label balance."""
     n = len(trace)
     if not n:
-        raise DomainError("trace must be non-empty")
+        raise ZedSimError("trace must be non-empty")
     ok1 = sum(balanced_call(s) == label for s, label in zip(trace.o1, trace.labels))
     ok2 = sum(balanced_call(s) == label for s, label in zip(trace.o2, trace.labels))
     persons = sum(trace.labels)
@@ -300,7 +300,7 @@ def sweep_thresholds(trace: Trace, grid: Iterable) -> List[SweepCell]:
     """
     n = len(trace)
     if not n:
-        raise DomainError("trace must be non-empty")
+        raise ZedSimError("trace must be non-empty")
     o1, o2, labels = trace.o1, trace.o2, trace.labels
     order = sorted(range(n), key=o1.__getitem__)
     s1 = [o1[k] for k in order]

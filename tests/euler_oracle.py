@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from zedsim.errors import DomainError, SimulationFault
+from zedsim.errors import ZedSimError
 from zedsim.pmu import CapacitorSpec, HarvestProfile
 
 _V_MAX_REL_TOL = 1e-12
@@ -38,7 +38,7 @@ def mode_of(v_c: float, spec: CapacitorSpec, outputs_latched_on: bool) -> PmuMod
     matters inside the hysteretic band.
     """
     if v_c < 0 or v_c > spec.v_max * (1.0 + _V_MAX_REL_TOL):
-        raise DomainError(f"voltage {v_c} outside [0, {spec.v_max}]")
+        raise ZedSimError(f"voltage {v_c} outside [0, {spec.v_max}]")
     if v_c >= spec.v_max * (1.0 - _V_MAX_REL_TOL):
         return PmuMode.FULL
     if v_c >= spec.v_on:
@@ -51,14 +51,14 @@ def mode_of(v_c: float, spec: CapacitorSpec, outputs_latched_on: bool) -> PmuMod
 def stored_energy(spec: CapacitorSpec, v_c: float) -> float:
     """Instantaneous energy stored at capacitor voltage ``v_c``."""
     if not 0 <= v_c <= spec.v_max:
-        raise DomainError(f"voltage {v_c} outside [0, {spec.v_max}]")
+        raise ZedSimError(f"voltage {v_c} outside [0, {spec.v_max}]")
     return 0.5 * spec.capacitance_farads * v_c**2
 
 
 def usable_energy(spec: CapacitorSpec, v_c: float) -> float:
     """Energy available above the v_off floor; 0 when v_c is at or below it."""
     if v_c < 0:
-        raise DomainError(f"voltage {v_c} is negative")
+        raise ZedSimError(f"voltage {v_c} is negative")
     if v_c <= spec.v_off:
         return 0.0
     return 0.5 * spec.capacitance_farads * (v_c**2 - spec.v_off**2)
@@ -67,7 +67,7 @@ def usable_energy(spec: CapacitorSpec, v_c: float) -> float:
 def harvest_current_at(profile: HarvestProfile, t: float) -> float:
     """Current of the last segment whose start time is <= t."""
     if t < profile.times[0]:
-        raise DomainError(f"t={t} is before the first segment")
+        raise ZedSimError(f"t={t} is before the first segment")
     k = 0
     for j, start in enumerate(profile.times):
         if start <= t:
@@ -109,15 +109,15 @@ def step(
     independent oracle that converges to it as dt -> 0.
 
     New energy = clamp(E + (i_h*v_c - load/efficiency)*dt, [0, E_max]).
-    Raises SimulationFault if a load is requested while the outputs are
+    Raises ZedSimError if a load is requested while the outputs are
     disabled (the physical system would brown out the load instantly).
     """
     if dt <= 0:
-        raise DomainError("dt must be positive")
+        raise ZedSimError("dt must be positive")
     if load_power_watts < 0:
-        raise DomainError("load power must be >= 0")
+        raise ZedSimError("load power must be >= 0")
     if load_power_watts > 0 and not state.outputs_enabled:
-        raise SimulationFault(
+        raise ZedSimError(
             f"load of {load_power_watts} W requested at t={state.time} with outputs disabled"
         )
     c = spec.capacitance_farads

@@ -4,7 +4,9 @@ trees with odd leaves, and odd ``--initial-v``, ``--harvest-ma`` and
 ``sweep-thresholds`` and ``validate`` on trace, harvest and config files with
 mutated bytes, exit 0 or 2 without a traceback; a command that exits 2 leaves no
 output directory, and a run that exits 0 has finite totals and stays within a
-budget of trajectory rows per simulated second."""
+budget of trajectory rows per simulated second. A fault of each kind the library
+raises, from a config, a trace or harvest file, a run or the engine, is exactly a
+``ZedSimError`` with its exact message."""
 
 import contextlib
 import copy
@@ -20,8 +22,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from trace_columns import trace_of
 from zedsim.cli import _GATING_FLAGS, _POLICY_FLAGS, main
 from zedsim.config import DeviceConfig
+from zedsim.errors import ZedSimError
+from zedsim.pmu import HarvestProfile
+from zedsim.sim import SimConfig, _Engine, simulate
+from zedsim.traces import load_harvest, load_trace
 
 DEFAULT = DeviceConfig.default().to_dict()
 ROWS_PER_SECOND = 200  # the engine's pieces, one trajectory row each
@@ -250,3 +257,40 @@ def test_mutated_input_files_exit_cleanly(file):
                 argv += ["--trace", str(paths["--trace"]), "--out", str(out)]
             if _exits_cleanly(argv, out) == 0 and command == "run":
                 _assert_sound_run(out, FILE_HORIZON)
+
+
+def _written(path, text):
+    path.write_text(text)
+    return path
+
+
+# one fault of each kind, given the path of a file it may write, with its message;
+# "{path}" in a message stands for that file
+FAULTS = [
+    pytest.param(lambda path: DeviceConfig.from_dict({"schedule": "x"}),
+                 "schedule: must be an object", id="config-type"),
+    pytest.param(lambda path: DeviceConfig.from_dict({"schedule": {"window_seconds": -1}}),
+                 "schedule: window duration must be positive", id="config-range"),
+    pytest.param(lambda path: load_trace(_written(path, "id,o1,o2,label\n3,1.2,0.5,1\n")),
+                 "{path}:2: instance 3: o1=1.2 outside [0, 1]", id="trace-row"),
+    pytest.param(lambda path: load_harvest(_written(path, "t_start_s,i_h_ma\n5.0,1.0\n")),
+                 "{path}: first segment must start at t=0", id="harvest-start"),
+    pytest.param(lambda path: simulate(SimConfig(DeviceConfig.default(), 4.5, 200.0),
+                                       HarvestProfile.constant(0.0), trace_of([])),
+                 "trace has 0 instances but the horizon holds 20 windows", id="short-trace"),
+    pytest.param(lambda path: SimConfig(DeviceConfig.default(), 4.6, 100.0),
+                 "initial_v=4.6 outside [v_off=3.6, v_max=4.5]", id="initial-v"),
+    # 3.7 V is below v_on, so the engine starts with its outputs off
+    pytest.param(lambda path: _Engine(DeviceConfig.default(), HarvestProfile.constant(1e-3),
+                                      3.7).run_stage("measurement"),
+                 "stage 'measurement' requested at t=0.0 with outputs disabled", id="engine"),
+]
+
+
+@pytest.mark.parametrize("fault, message", FAULTS)
+def test_every_fault_is_exactly_a_zedsimerror(tmp_path, fault, message):
+    path = tmp_path / "input.csv"
+    with pytest.raises(ZedSimError) as excinfo:
+        fault(path)
+    assert type(excinfo.value) is ZedSimError
+    assert str(excinfo.value) == message.format(path=path)

@@ -11,7 +11,7 @@ from test_scheduler import admission_options
 
 from euler_oracle import stored_energy, usable_energy
 from zedsim.config import STAGE_NAMES, DeviceConfig, StageProfile
-from zedsim.errors import DomainError
+from zedsim.errors import ZedSimError
 from zedsim.pmu import CapacitorSpec
 from zedsim.scheduler import GATINGS, VARIANTS, requirement
 
@@ -36,9 +36,9 @@ class TestStoredEnergy:
             assert stored(SMALL, 4.0) == pytest.approx(0.8, rel=1e-12)
 
     def test_out_of_range(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match=r"voltage 4\.6 outside \[0, 4\.5\]"):
             stored_energy(SPEC, 4.6)
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match=r"voltage -0\.1 outside \[0, 4\.5\]"):
             stored_energy(SPEC, -0.1)
 
     def test_strictly_increasing(self):
@@ -164,28 +164,29 @@ class TestRequiredEnergy:
 
 class TestTypes:
     def test_capacitor_invariants(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match="capacitance must be positive, got 0.0"):
             CapacitorSpec(0.0, 3.6, 3.92, 4.5)
-        with pytest.raises(DomainError):
+        order = "thresholds must satisfy 0 < v_off < v_on < v_max"
+        with pytest.raises(ZedSimError, match=order):
             CapacitorSpec(1.5, 3.92, 3.6, 4.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match=order):
             CapacitorSpec(1.5, 3.6, 4.5, 4.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match=order):
             CapacitorSpec(1.5, 3.6, 3.6, 4.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match=order):
             CapacitorSpec(1.5, 0.0, 3.92, 4.5)
 
     def test_capacitor_energy_at_v_max_must_be_finite(self):
         # v_max*v_max overflows, or C*v_max^2/2 does; just inside, both hold
         for farads, v_max in [(1.5, 1e200), (1e-300, 1e200), (1e308, 4.5)]:
-            with pytest.raises(DomainError, match="finite"):
+            with pytest.raises(ZedSimError, match="finite"):
                 CapacitorSpec(farads, 3.6, 3.92, v_max)
         CapacitorSpec(1e-300, 3.6, 3.92, 1e154)
 
     def test_stage_invariants(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match="current must be >= 0"):
             StageProfile(-1e-3, 0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match="duration must be >= 0"):
             StageProfile(1e-3, -0.1)
 
     def test_budget_invariants(self):

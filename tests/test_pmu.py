@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from euler_oracle import EnergyState, PmuMode, harvest_current_at, initial_state, mode_of, step
 from zedsim import pmu
-from zedsim.errors import DomainError, SimulationFault
+from zedsim.errors import ZedSimError
 from zedsim.pmu import CapacitorSpec, HarvestProfile, charge_time, mode_value, voltage_after
 
 SPEC = CapacitorSpec(1.5, 3.6, 3.92, 4.5)
@@ -31,15 +31,15 @@ class TestHarvestProfile:
 
     def test_before_first_segment(self):
         p = HarvestProfile.constant(1e-3)
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match=r"t=-0\.1 is before the first segment"):
             harvest_current_at(p, -0.1)
 
     def test_invariants(self):
-        with pytest.raises(DomainError):
-            HarvestProfile.from_pairs([(1.0, 2e-3)])  # must start at 0
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match="first segment must start at t=0"):
+            HarvestProfile.from_pairs([(1.0, 2e-3)])
+        with pytest.raises(ZedSimError, match="start times must be strictly increasing"):
             HarvestProfile.from_pairs([(0.0, 1e-3), (0.0, 2e-3)])
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match="harvested currents must be >= 0"):
             HarvestProfile.from_pairs([(0.0, -1e-3)])
 
     @pytest.mark.parametrize("pairs", [
@@ -49,7 +49,7 @@ class TestHarvestProfile:
         [(0.0, 1e-3), (math.nan, 2e-3)],
     ])
     def test_non_finite_rejected(self, pairs):
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(ZedSimError, match="finite"):
             HarvestProfile.from_pairs(pairs)
 
 
@@ -92,7 +92,7 @@ class TestModeOf:
     @pytest.mark.parametrize("v", [-0.1, -5e-324, 4.5 * (1 + 1e-13), math.nextafter(4.5, 5.0),
                                    4.5 * (1 + 1e-9)])
     def test_mode_values_domain(self, v):
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match=rf"voltage {v!r} outside \[0, 4\.5\]"):
             mode_value(v, SPEC, True)
 
 
@@ -121,7 +121,7 @@ class TestStep:
 
     def test_load_while_disabled_faults(self):
         state = EnergyState(3.7, PmuMode.HYSTERESIS_OFF)
-        with pytest.raises(SimulationFault):
+        with pytest.raises(ZedSimError, match="load of 0.1 W requested at t=0.0 with outputs disabled"):
             step(state, SPEC, i_h=0.0, load_power_watts=0.1, dt=1e-3)
 
     def test_energy_conservation_exact(self):
@@ -166,7 +166,7 @@ class TestStep:
         assert state.v_c == pytest.approx(4.0 + i_h * 1.0 / SPEC.capacitance_farads, rel=1e-6)
 
     def test_bad_dt(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match="dt must be positive"):
             step(initial_state(4.0, SPEC), SPEC, 0.0, 0.0, dt=0.0)
 
 

@@ -12,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trace_columns import Row, rows, trace_of
-from zedsim.errors import DomainError, TraceError
+from zedsim.errors import ZedSimError
 from zedsim.pmu import HarvestProfile
 from zedsim.scheduler import Thresholds, evaluate_ex1
 from zedsim.traces import (
@@ -49,19 +49,19 @@ class TestTraceFiles:
     def test_out_of_range_score(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("id,o1,o2,label\n3,1.2,0.5,1\n")
-        with pytest.raises(TraceError, match=":2:"):
+        with pytest.raises(ZedSimError, match=":2:"):
             load_trace(path)
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("id,o1,o2,label\n0,0.5,0.5,1\nx,0.5,0.5,1\n")
-        with pytest.raises(TraceError, match=":3:"):
+        with pytest.raises(ZedSimError, match=":3:"):
             load_trace(path)
 
     def test_empty_file_is_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("")
-        with pytest.raises(TraceError, match=":1: expected header id,o1,o2,label, read None"):
+        with pytest.raises(ZedSimError, match=":1: expected header id,o1,o2,label, read None"):
             load_trace(path)
 
     def test_header_only_trace_loads_empty(self, tmp_path):
@@ -75,7 +75,7 @@ class TestTraceFiles:
     def test_ids_must_ascend(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("id,o1,o2,label\n1,0.5,0.5,1\n1,0.5,0.5,0\n")
-        with pytest.raises(TraceError, match="ascending"):
+        with pytest.raises(ZedSimError, match="ascending"):
             load_trace(path)
 
     def test_round_trip(self, tmp_path):
@@ -110,7 +110,8 @@ class TestTraceFiles:
     def test_harvest_bad_header(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("time,current\n0,1\n")
-        with pytest.raises(TraceError):
+        with pytest.raises(ZedSimError, match=r":1: expected header t_start_s,i_h_ma, "
+                                               r"read \['time', 'current'\]"):
             load_harvest(path)
 
 
@@ -143,7 +144,7 @@ class TestReader:
         }[rule]
         path = tmp_path / "input.csv"
         path.write_bytes(content)
-        with pytest.raises(TraceError) as excinfo:
+        with pytest.raises(ZedSimError) as excinfo:
             load(path)
         assert str(excinfo.value).startswith(f"{path}{problem}")
 
@@ -155,7 +156,7 @@ class TestReader:
         # a quoted field spans lines 2 and 3, so the third record is line 4
         path = tmp_path / "input.csv"
         path.write_text(content)
-        with pytest.raises(TraceError) as excinfo:
+        with pytest.raises(ZedSimError) as excinfo:
             load(path)
         assert str(excinfo.value) == f"{path}:4: could not convert string to float: 'x'"
 
@@ -207,11 +208,11 @@ class TestFallbackAndEx2:
 
 class TestInstance:
     def test_instance_bounds(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match=r"instance 3: o1=1\.2 outside \[0, 1\]"):
             check_instance(3, 1.2, 0.5, 1)
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match=r"instance 3: o2=-0\.1 outside \[0, 1\]"):
             check_instance(3, 0.5, -0.1, 1)
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match="instance 3: label must be 0 or 1"):
             check_instance(3, 0.5, 0.5, 2)
 
 
@@ -273,15 +274,17 @@ class TestGenerator:
             assert GeneratorSpec(n, acc1, acc2, 0.5, 0).n == n
 
     def test_infeasible_targets(self):
-        with pytest.raises(DomainError):
+        accuracies = r"need 0\.5 <= acc1 <= acc2 <= 1"
+        with pytest.raises(ZedSimError, match=accuracies + r", got \(0\.4, 0\.8\)"):
             GeneratorSpec(100, 0.4, 0.8, 0.5, 1)  # acc1 below 0.5
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match=accuracies + r", got \(0\.9, 0\.8\)"):
             GeneratorSpec(100, 0.9, 0.8, 0.5, 1)  # acc1 > acc2
-        with pytest.raises(DomainError):
+        balance = r"person_fraction must be in \(0, 1\)"
+        with pytest.raises(ZedSimError, match=balance):
             GeneratorSpec(100, 0.7, 0.8, 0.0, 1)  # degenerate class balance
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match=balance):
             GeneratorSpec(100, 0.7, 0.8, 1.0, 1)
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match=r"n must be in \[1, 10000000\], got 0"):
             GeneratorSpec(0, 0.7, 0.8, 0.5, 1)
 
 
@@ -293,7 +296,7 @@ class TestStatistics:
         assert stats.acc_at_half_ex2 in (0.0, 1.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match="trace must be non-empty"):
             trace_statistics(trace_of([]))
 
 
@@ -339,7 +342,7 @@ class TestSweep:
         assert counts == sorted(counts)
 
     def test_empty_trace_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ZedSimError, match="trace must be non-empty"):
             sweep_thresholds(trace_of([]), [Thresholds(0.3, 0.7)])
 
 
