@@ -25,7 +25,7 @@ from .config import DeviceConfig, config_hash, load_config
 from .errors import ZedSimError
 from .pmu import HarvestProfile
 from .scheduler import GATINGS, VARIANTS, Thresholds, plan
-from .sim import SimConfig, SimResult, SimTotals, simulate
+from .sim import SimConfig, SimResult, SimTotals, check_run, simulate
 from .traces import (
     SWEEP_HEADER,
     GeneratorSpec,
@@ -248,6 +248,7 @@ def _cmd_sweep_capacitance(args) -> int:
         raise ZedSimError(f"--jobs must be >= 0, got {args.jobs}")
     variants = [_POLICY_FLAGS[v] for v in args.variants]
     gating = _GATING_FLAGS[args.gating]
+    check_run(device.capacitor, args.initial_v, args.horizon)  # a fault here names no point
     rows = []
     for c in sorted(args.capacitance):
         for variant in variants:
@@ -270,9 +271,8 @@ def _cmd_gen_trace(args) -> int:
     spec = GeneratorSpec(args.n, args.acc1, args.acc2, args.person_fraction, args.seed)
     trace = generate_trace(spec)
     save_trace(trace, args.out)
-    stats = trace_statistics(trace)
-    print(f"wrote {stats.n} instances to {args.out}")
-    for name, value in zip(stats._fields[:-1], stats):  # every statistic but n
+    print(f"wrote {len(trace)} instances to {args.out}")
+    for name, value in trace_statistics(trace)._asdict().items():
         print(f"{name}={value!r}")
     return 0
 

@@ -185,6 +185,7 @@ class DeviceConfig(NamedTuple):
     def from_dict(cls, data: dict) -> "DeviceConfig":
         if not isinstance(data, dict):
             raise ZedSimError("config root must be a JSON object")
+        _once(data, "")
         unknown = set(data) - set(cls._fields)
         if unknown:
             raise ZedSimError(f"unknown config keys: {sorted(unknown)}")
@@ -213,6 +214,7 @@ def _section(data: dict, key: str, allowed, prefix: str = "") -> dict:
     entry = data.get(key, {})
     if not isinstance(entry, dict):
         raise ZedSimError(f"{prefix}{key}: must be an object")
+    _once(entry, f"{prefix}{key}: ")
     unknown = set(entry) - set(allowed)
     if unknown:
         raise ZedSimError(f"{prefix}{key}: unknown keys {sorted(unknown)}")
@@ -241,15 +243,26 @@ def _numbers(entry: dict, prefix: str) -> dict:
     return entry
 
 
+class _Object(dict):
+    """A JSON object, keeping the last value of each key as ``json`` does, and
+    ``twice``, the first key it gave more than once (None when none)."""
+
+    twice = None
+
+
 def _object(pairs) -> dict:
-    """A JSON object as a dict; a key given twice raises ZedSimError naming it,
-    where ``json`` would keep only the last value."""
-    obj = {}
+    obj = _Object()
     for key, value in pairs:
-        if key in obj:
-            raise ZedSimError(f"duplicate key {key!r}")
+        if key in obj and obj.twice is None:
+            obj.twice = key
         obj[key] = value
     return obj
+
+
+def _once(obj: dict, prefix: str) -> None:
+    """Raise ZedSimError, ``prefix`` naming ``obj``, if the file gave a key of it twice."""
+    if getattr(obj, "twice", None) is not None:
+        raise ZedSimError(f"{prefix}duplicate key {obj.twice!r}")
 
 
 def load_config(path) -> DeviceConfig:

@@ -66,16 +66,7 @@ class SimConfig(NamedTuple):
     gating_variant: str = GATING_MOSFET
 
     def check(self) -> None:
-        cap = self.device.capacitor
-        for name in ("initial_v", "horizon_seconds"):
-            if not math.isfinite(getattr(self, name)):
-                raise ZedSimError(f"{name} must be finite, got {getattr(self, name)}")
-        if not cap.v_off <= self.initial_v <= cap.v_max:
-            raise ZedSimError(
-                f"initial_v={self.initial_v} outside [v_off={cap.v_off}, v_max={cap.v_max}]"
-            )
-        if self.horizon_seconds <= 0:
-            raise ZedSimError("horizon must be positive")
+        check_run(self.device.capacitor, self.initial_v, self.horizon_seconds)
         if self.policy_variant not in VARIANTS:
             raise ZedSimError(f"unknown policy variant {self.policy_variant!r}")
         if self.gating_variant not in GATINGS:
@@ -86,6 +77,18 @@ class SimConfig(NamedTuple):
 
     def to_dict(self) -> dict:
         return {**self._asdict(), "device": self.device.to_dict()}
+
+
+def check_run(cap: CapacitorSpec, initial_v: float, horizon_seconds: float) -> None:
+    """Raise ZedSimError unless a run on ``cap`` may start at ``initial_v`` and last
+    ``horizon_seconds``; the capacitance plays no part, so a sweep checks this once."""
+    for name, value in (("initial_v", initial_v), ("horizon_seconds", horizon_seconds)):
+        if not math.isfinite(value):
+            raise ZedSimError(f"{name} must be finite, got {value}")
+    if not cap.v_off <= initial_v <= cap.v_max:
+        raise ZedSimError(f"initial_v={initial_v} outside [v_off={cap.v_off}, v_max={cap.v_max}]")
+    if horizon_seconds <= 0:
+        raise ZedSimError("horizon must be positive")
 
 
 class SimTotals(NamedTuple):

@@ -9,11 +9,11 @@ lines are skipped, and every row has the header's width. Each loader parses the
 fields and keeps its own rules: ascending ids for a trace, the profile's
 segment rules for a harvest.
 
-In memory a trace is a :class:`Trace` of four columns, with no record per
-row: the loader and the generator fill them, the writer, the statistics and
-the sweep read them, and a simulation reads the two score columns as it runs
-and the labels only after it. :func:`check_instance` is the loader's rule for
-one row.
+In memory a trace is a :class:`Trace` of three columns, with no record per
+row and a row's position as its identity: the loader and the generator fill
+them, the writer, the statistics and the sweep read them, and a simulation
+reads the two score columns as it runs and the labels only after it.
+:func:`check_instance` is the loader's rule for one row.
 
 The generator stands in for real validation scores. Per head it draws from a
 two-component mixture: a confident component concentrated near the correct
@@ -42,7 +42,7 @@ NO_PERSON = 0
 
 TRACE_HEADER = ["id", "o1", "o2", "label"]
 HARVEST_HEADER = ["t_start_s", "i_h_ma"]
-_MAX_INSTANCES = 10**7  # generated; over 3 years of 10 s windows, 10**6 peak near 150 MB
+_MAX_INSTANCES = 10**7  # generated; over 3 years of 10 s windows, 10**6 peak near 124 MB
 
 # Mixture shapes: distance from the pole for confident draws, offset from 0.5
 # for ambiguous draws (both scaled by 0.5).
@@ -68,23 +68,22 @@ def check_instance(id: int, o1: float, o2: float, label: int) -> None:
 
 
 class Trace:
-    """A trace as columns: ``ids`` a list, ``o1`` and ``o2`` arrays of 'd', ``labels``
-    of 'b'; row k is the k-th entry of each. There is no record per row: a
-    simulation reads the score columns while it runs and the labels after it."""
+    """A trace as columns: ``o1`` and ``o2`` arrays of 'd', ``labels`` of 'b'; row k is
+    the k-th entry of each, and k is its identity. A simulation reads the score
+    columns while it runs and the labels after it."""
 
-    __slots__ = ("ids", "o1", "o2", "labels")
+    __slots__ = ("o1", "o2", "labels")
 
-    def __init__(self, ids: list, o1: array, o2: array, labels: array) -> None:
-        self.ids, self.o1, self.o2, self.labels = ids, o1, o2, labels
+    def __init__(self, o1: array, o2: array, labels: array) -> None:
+        self.o1, self.o2, self.labels = o1, o2, labels
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.ids, self.o1, self.o2, self.labels)
-                == (other.ids, other.o1, other.o2, other.labels))
+        return (self.o1, self.o2, self.labels) == (other.o1, other.o2, other.labels)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.labels)
 
 
 def _rows(path, header):
@@ -112,8 +111,9 @@ def _rows(path, header):
 
 
 def load_trace(path) -> Trace:
-    """Read and validate a trace CSV; a fault in a row names its ``path:line:``."""
-    trace = Trace([], array("d"), array("d"), array("b"))
+    """Read and validate a trace CSV, whose ids must ascend but are not kept; a
+    fault in a row names its ``path:line:``."""
+    trace = Trace(array("d"), array("d"), array("b"))
     last_id = None
     for lineno, row in _rows(path, TRACE_HEADER):
         try:
@@ -127,7 +127,6 @@ def load_trace(path) -> Trace:
         if last_id is not None and ident <= last_id:
             raise ZedSimError(f"{path}:{lineno}: ids must be unique and ascending")
         last_id = ident
-        trace.ids.append(ident)
         trace.o1.append(o1)
         trace.o2.append(o2)
         trace.labels.append(label)
@@ -135,11 +134,12 @@ def load_trace(path) -> Trace:
 
 
 def save_trace(trace: Trace, path) -> None:
+    """Write the trace as CSV, with each row's position as its id."""
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(TRACE_HEADER)
         # float reprs and ints never need quoting
-        fh.writelines(f"{i},{s1!r},{s2!r},{label}\r\n"
-                      for i, s1, s2, label in zip(trace.ids, trace.o1, trace.o2, trace.labels))
+        fh.writelines(f"{i},{s1!r},{s2!r},{label}\r\n" for i, s1, s2, label
+                      in zip(range(len(trace)), trace.o1, trace.o2, trace.labels))
 
 
 def load_harvest(path) -> HarvestProfile:
@@ -213,8 +213,7 @@ def generate_trace(spec: GeneratorSpec) -> Trace:
     o2 = _scores(rng, labels, conf2, correct2)
 
     # float64 bytes in native order are array('d')'s own: the scores move bit for bit
-    return Trace(list(range(n)), array("d", o1.tobytes()), array("d", o2.tobytes()),
-                 array("b", labels.tolist()))
+    return Trace(array("d", o1.tobytes()), array("d", o2.tobytes()), array("b", labels.tolist()))
 
 
 def _assign_correct(rng, confident, target_correct: int):
@@ -249,7 +248,6 @@ class TraceStats(NamedTuple):
     acc_at_half_ex1: float
     acc_at_half_ex2: float
     person_fraction: float
-    n: int
 
 
 def trace_statistics(trace: Trace) -> TraceStats:
@@ -260,7 +258,7 @@ def trace_statistics(trace: Trace) -> TraceStats:
     ok1 = sum(balanced_call(s) == label for s, label in zip(trace.o1, trace.labels))
     ok2 = sum(balanced_call(s) == label for s, label in zip(trace.o2, trace.labels))
     persons = sum(trace.labels)
-    return TraceStats(ok1 / n, ok2 / n, persons / n, n)
+    return TraceStats(ok1 / n, ok2 / n, persons / n)
 
 
 class SweepCell(NamedTuple):

@@ -200,6 +200,31 @@ class TestRejectsMalformedInputs:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "sweep_capacitance.csv").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--horizon", "-1"], "horizon must be positive"),
+        (["--initial-v", "5"], "initial_v=5.0 outside [v_off=3.6, v_max=4.5]"),
+        (["--horizon", "nan"], "horizon_seconds must be finite, got nan"),
+        # a run flag is judged before any point, also before a point that breaks the device
+        (["--horizon", "-1", "--capacitance", "0.0001"], "horizon must be positive"),
+    ], ids=["negative-horizon", "initial-v-above-v-max", "nan-horizon", "before-a-point"])
+    def test_a_run_flag_fault_names_the_flag_not_a_point(self, tmp_path, trace_file, capsys,
+                                                         flags, message):
+        out = tmp_path / "out"
+        assert main(["sweep-capacitance", "--trace", str(trace_file), "--capacitance", "0.1",
+                     *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_a_config_of_unsound_capacitance_sweeps_sound_points(self, tmp_path, trace_file,
+                                                                 capsys):
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({"capacitor": {"capacitance_farads": 0.0001}}))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        out = tmp_path / "out"
+        assert main(["sweep-capacitance", "--config", str(cfg), "--trace", str(trace_file),
+                     "--horizon", "30", "--capacitance", "0.5,1.5", "--out", str(out)]) == 0
+        assert "wrote 4 rows" in capsys.readouterr().out
+
     @pytest.mark.parametrize("flag", ["--gamma1", "--capacitance"])
     @pytest.mark.parametrize("value", ["nan:0.5:0.1", "0.1:nan:0.1", "0.1:0.5:nan",
                                        "0.1:inf:0.1"])
@@ -551,6 +576,22 @@ class TestValidate:
         cfg.write_text(json.dumps({"capacitanse": {}}))
         assert main(["validate", "--config", str(cfg)]) == 2
         assert "unknown" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, problem", [
+        ('{"capacitor": {"v_off": 3.6, "v_off": 3.5}}', "capacitor: duplicate key 'v_off'"),
+        ('{"stages": {"led_red": {"current_amps": 1e-3, "current_amps": 2e-3}}}',
+         "stages.led_red: duplicate key 'current_amps'"),
+        ('{"stages": {"led_red": {}, "led_red": {}}}', "stages: duplicate key 'led_red'"),
+        ('{"schedule": {}, "schedule": {}}', "duplicate key 'schedule'"),
+        # of two keys given twice, the first to repeat is named
+        ('{"thresholds": {"gamma2": 0.8, "gamma1": 0.2, "gamma2": 0.9, "gamma1": 0.1}}',
+         "thresholds: duplicate key 'gamma2'"),
+    ], ids=["section", "stage", "stages", "root", "first-of-two"])
+    def test_a_duplicate_key_names_its_section(self, tmp_path, capsys, text, problem):
+        cfg = tmp_path / "dup.json"
+        cfg.write_text(text)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"invalid: {problem}\n"
 
 
 class TestSweeps:

@@ -118,7 +118,7 @@ class TestSimulate:
         cfg = SimConfig(DEVICE, 4.5, 200.0, "proposed")
         harvest = HarvestProfile.constant(2e-3)
         result = simulate(cfg, harvest, calibrated_trace)
-        flipped = Trace(calibrated_trace.ids, calibrated_trace.o1, calibrated_trace.o2,
+        flipped = Trace(calibrated_trace.o1, calibrated_trace.o2,
                         array("b", [1 - label for label in calibrated_trace.labels]))
         other = simulate(cfg, harvest, flipped)
         assert (other.events, other.windows, other.trajectory) == (

@@ -94,18 +94,16 @@ class TestTraceFiles:
     @example([Row(k, s, EDGE_SCORES[-1 - k], k % 2)
               for k, s in enumerate(EDGE_SCORES)])
     def test_saved_bytes_are_the_csv_writer_rendering(self, trace):
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(TRACE_HEADER)
-        for inst in trace:
-            writer.writerow([inst.id, repr(inst.o1), repr(inst.o2), inst.label])
+        # a trace keeps no id: the writer numbers its rows by position
+        positions = [inst._replace(id=k) for k, inst in enumerate(trace)]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
             save_trace(trace_of(trace), path)
-            assert path.read_bytes() == expected.getvalue().encode()
-            if trace:
-                exact = [(i.id, i.o1.hex(), i.o2.hex(), i.label) for i in rows(load_trace(path))]
-                assert exact == [(i.id, i.o1.hex(), i.o2.hex(), i.label) for i in trace]
+            assert path.read_bytes() == _rendering(positions)
+            # a file's ascending ids, however large, load as positions, and every
+            # score and label as written, bit for bit
+            path.write_bytes(_rendering(trace))
+            assert list(map(_exact, rows(load_trace(path)))) == list(map(_exact, positions))
 
     def test_harvest_bad_header(self, tmp_path):
         path = tmp_path / "h.csv"
@@ -113,6 +111,31 @@ class TestTraceFiles:
         with pytest.raises(ZedSimError, match=r":1: expected header t_start_s,i_h_ma, "
                                                r"read \['time', 'current'\]"):
             load_harvest(path)
+
+
+def _rendering(rows) -> bytes:
+    """The rows as ``csv.writer`` renders them, floats as their repr."""
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(TRACE_HEADER)
+    writer.writerows([inst.id, repr(inst.o1), repr(inst.o2), inst.label] for inst in rows)
+    return expected.getvalue().encode()
+
+
+def _exact(inst: Row):
+    """A row with its scores as hex, so that -0.0 differs from 0.0."""
+    return inst.id, inst.o1.hex(), inst.o2.hex(), inst.label
+
+
+def _retained(build):
+    """``build()``'s result and the bytes of memory it holds once built."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 # each loader with its header and one valid row
@@ -176,19 +199,20 @@ class TestColumns:
         assert columns.__eq__(xs) is NotImplemented
         assert columns != xs and columns == trace_of(rows(columns))
 
+    # three columns hold 8 + 8 + 1 bytes a row, and an object per row would add 28 or more
     def test_generator_retains_no_object_per_row(self):
         spec = GeneratorSpec(20000, 0.7265, 0.8309, 0.5386, 0)
         generate_trace(GeneratorSpec(10, 0.7265, 0.8309, 0.5386, 0))  # imports numpy
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            trace = generate_trace(spec)
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        trace, retained = _retained(lambda: generate_trace(spec))
         assert len(trace) == spec.n
-        # four columns: an int per id plus 8 + 8 + 1 bytes of scores and label
-        assert retained <= 80 * spec.n
+        assert retained <= 24 * spec.n
+
+    def test_loader_retains_no_object_per_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        save_trace(generate_trace(GeneratorSpec(20000, 0.7265, 0.8309, 0.5386, 0)), path)
+        trace, retained = _retained(lambda: load_trace(path))
+        assert len(trace) == 20000
+        assert retained <= 24 * len(trace)
 
 
 class TestFallbackAndEx2:
@@ -291,7 +315,7 @@ class TestGenerator:
 class TestStatistics:
     def test_single_instance(self):
         stats = trace_statistics(trace_of([Row(0, 0.9, 0.9, 1)]))
-        assert stats.n == 1
+        assert stats.person_fraction == 1.0
         assert stats.acc_at_half_ex1 in (0.0, 1.0)
         assert stats.acc_at_half_ex2 in (0.0, 1.0)
 
